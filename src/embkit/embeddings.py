@@ -80,6 +80,8 @@ class EmbeddingModel:
             raise ValueError(f"unknown model kind {kind!r}")
         if win % 2 == 0 or win < 3:
             raise ValueError("win must be odd and >= 3")
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
         self.kind = kind
         self.vocab = vocab
         self.dim = dim
@@ -538,38 +540,47 @@ class EpochStats:
 
 
 def _aggregate_rows(ids: np.ndarray, grads: np.ndarray):
-    # sort + reduceat instead of np.add.at, which is far too slow here
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    boundary = np.empty(len(ids), dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=boundary[1:])
-    starts = np.nonzero(boundary)[0]
-    summed = np.add.reduceat(grads[order], starts, axis=0)
-    return sorted_ids[starts], summed
+    # one bincount over (row, column) cells: np.add.at is far too slow, and
+    # sort + reduceat pays per segment when most rows occur once per batch
+    uids, inv = np.unique(ids, return_inverse=True)
+    d = math.prod(grads.shape[1:])  # 1 for a bias vector such as b2
+    cells = (inv[:, None] * d + np.arange(d)).ravel()
+    summed = np.bincount(cells, grads.ravel(), minlength=len(uids) * d)
+    return uids, summed.reshape(len(uids), *grads.shape[1:])
 
 
 def _apply_rows_ascent(param: Param, ids: np.ndarray, grads: np.ndarray,
                        cfg: TrainConfig) -> None:
-    """Row-sparse ascent step with per-batch gradient aggregation."""
-    if len(ids) == 0:
-        return
+    """Row-sparse ascent step: one gather/compute/scatter per table."""
     uids, g = _aggregate_rows(ids, grads)
+    g = g.astype(param.value.dtype, copy=False)
     if cfg.optimizer == "adagrad":
         accum = param.ensure_accum()
-        accum[uids] += g * g
-        param.value[uids] += cfg.lr * g / (np.sqrt(accum[uids]) + ADAGRAD_EPS)
-    else:
-        param.value[uids] += cfg.lr * g
+        a = accum[uids]
+        a += g * g
+        accum[uids] = a
+        np.sqrt(a, out=a)
+        a += ADAGRAD_EPS
+        g /= a
+    g *= cfg.lr
+    param.value[uids] = _finite(param.value[uids] + g, "parameter update")
+
+
+def _finite(x, what: str):
+    """Pass `x` through, or stop a diverging run before it is written."""
+    if not np.isfinite(x).all():
+        raise NumericError(f"non-finite {what}; lower the learning rate")
+    return x
 
 
 def _apply_dense_ascent(param: Param, grad: np.ndarray, cfg: TrainConfig) -> None:
     if cfg.optimizer == "adagrad":
         accum = param.ensure_accum()
         accum += grad * grad
-        param.value += cfg.lr * grad / (np.sqrt(accum) + ADAGRAD_EPS)
+        step = cfg.lr * grad / (np.sqrt(accum) + ADAGRAD_EPS)
     else:
-        param.value += cfg.lr * grad
+        step = cfg.lr * grad
+    param.value[...] = _finite(param.value + step, "parameter update")
 
 
 def _pair_batch_ns(model, cfg, sampler, rng, ctx, tgt, wgt) -> float:
@@ -585,11 +596,12 @@ def _pair_batch_ns(model, cfg, sampler, rng, ctx, tgt, wgt) -> float:
     g[:, 0] = sigmoid(-s[:, 0])
     g[:, 1:] = -sigmoid(s[:, 1:])
     g *= wgt[:, None]
+    total = float(_finite((loss * wgt).sum(), "training loss"))
     dR = g[:, :, None] * X[:, None, :]
     dX = np.einsum("bm,bmd->bd", g, R)
     _apply_rows_ascent(ep, tids.ravel(), dR.reshape(-1, dR.shape[-1]), cfg)
     _apply_rows_ascent(e, ctx, dX, cfg)
-    return float((loss * wgt).sum())
+    return total
 
 
 def _pair_batch_full_softmax(model, cfg, ctx, tgt, wgt) -> float:
@@ -603,11 +615,12 @@ def _pair_batch_full_softmax(model, cfg, ctx, tgt, wgt) -> float:
     G = -np.exp(lsm)
     G[rows, tgt] += 1.0
     G *= wgt[:, None]
+    total = float(_finite((loss * wgt).sum(), "training loss"))
     dEp = G.T @ X
     dX = G @ ep.value
     _apply_dense_ascent(ep, dEp, cfg)
     _apply_rows_ascent(e, ctx, dX, cfg)
-    return float((loss * wgt).sum())
+    return total
 
 
 def _window_batch_predictive(model, cfg, sampler, rng, tgt, ctx) -> float:
@@ -642,6 +655,7 @@ def _window_batch_predictive(model, cfg, sampler, rng, tgt, ctx) -> float:
         s = np.einsum("bmh,bh->bm", R, A) + p["b2"].value[tids]
 
     loss = -(log_sigmoid(s[:, 0]) + log_sigmoid(-s[:, 1:]).sum(axis=1))
+    total = float(_finite(loss.sum(), "training loss"))
     g = np.empty_like(s)
     g[:, 0] = sigmoid(-s[:, 0])
     g[:, 1:] = -sigmoid(s[:, 1:])
@@ -668,7 +682,7 @@ def _window_batch_predictive(model, cfg, sampler, rng, tgt, ctx) -> float:
     else:
         dS = dX.reshape(b, slots, d)
         _apply_rows_ascent(e, ctx[mask], dS[mask], cfg)
-    return float(loss.sum())
+    return total
 
 
 def _window_batch_cw(model, cfg, rng, windows) -> float:
@@ -703,7 +717,7 @@ def _window_batch_cw(model, cfg, rng, windows) -> float:
     An, sn = forward(Xn)
     margins = 1.0 - sp + sn
     viol = margins > 0.0
-    loss = float(np.maximum(margins, 0.0).sum())
+    loss = float(_finite(np.maximum(margins, 0.0).sum(), "training loss"))
     if not viol.any():
         return loss
 
@@ -865,8 +879,6 @@ def _train_one_pass(model, docs, cfg, sampler, space, srng, nrng):
         ctx_buf.clear()
         buffered = 0
         loss_sum_, units_ = _process_chunk(model, cfg, sampler, space, nrng, tgt, ctx)
-        if not math.isfinite(loss_sum_):
-            raise NumericError("non-finite training loss; lower the learning rate")
         loss_sum += loss_sum_
         units += units_
 
@@ -939,9 +951,9 @@ def _process_chunk(model, cfg, sampler, space, nrng, tgt, ctx) -> tuple:
         elif fastpath.HAVE_NUMBA and len(rows):
             negs = sampler.sample_matrix((len(rows), cfg.negatives), tgts, nrng)
             ev, epv, acc_e, acc_ep, adagrad = _kernel_buffers(model, cfg)
-            loss_sum += fastpath.pairs_kernel(ev, epv, acc_e, acc_ep,
-                                              rows, tgts, wgts, negs,
-                                              cfg.lr, ADAGRAD_EPS, adagrad)
+            loss_sum += _finite(fastpath.pairs_kernel(
+                ev, epv, acc_e, acc_ep, rows, tgts, wgts, negs,
+                cfg.lr, ADAGRAD_EPS, adagrad), "training loss")
         else:
             for lo in range(0, len(rows), B):
                 sl = slice(lo, lo + B)
@@ -960,9 +972,9 @@ def _process_chunk(model, cfg, sampler, space, nrng, tgt, ctx) -> tuple:
     if kind == "cbow" and fastpath.HAVE_NUMBA and len(tgt):
         negs = sampler.sample_matrix((len(tgt), cfg.negatives), tgt, nrng)
         ev, epv, acc_e, acc_ep, adagrad = _kernel_buffers(model, cfg)
-        loss_sum += fastpath.cbow_kernel(ev, epv, acc_e, acc_ep, tgt, ctx,
-                                         np.ones(len(tgt)), negs,
-                                         cfg.lr, ADAGRAD_EPS, adagrad)
+        loss_sum += _finite(fastpath.cbow_kernel(
+            ev, epv, acc_e, acc_ep, tgt, ctx, np.ones(len(tgt)), negs,
+            cfg.lr, ADAGRAD_EPS, adagrad), "training loss")
         return loss_sum, len(tgt)
     for lo in range(0, len(tgt), B):
         sl = slice(lo, lo + B)

@@ -6,15 +6,17 @@ import pytest
 from conftest import flat_checker, in_noise_band
 from embkit.corpus import Vocabulary, WindowSample
 from embkit.embeddings import (KINDS, EmbeddingModel,
-                               TrainConfig, build_charword_space,
+                               TrainConfig, _aggregate_rows,
+                               _apply_rows_ascent, build_charword_space,
                                charword_loss_grads, charword_pairs,
                                context_representation, cw_loss_grads,
                                cw_window_score, predictive_loss_grads,
                                sample_to_window, score_target,
                                train_epochs, train_sample_charword,
                                train_sample_cw, train_sample_predictive)
-from embkit.errors import DataError
-from embkit.optim import NoiseSampler, gradient_check, sigmoid
+from embkit.errors import DataError, NumericError
+from embkit.optim import (ADAGRAD_EPS, NoiseSampler, Param, gradient_check,
+                          sigmoid)
 
 
 def make_model(kind, vocab, dim=3, win=5, hidden=4, seed=0, randomize=True):
@@ -476,3 +478,102 @@ def test_multi_worker_runs(toy_corpus, toy_vocab):
     cfg = TrainConfig(epochs=1, seed=1, workers=2, batch_size=32)
     stats = train_epochs(model, toy_corpus, cfg)
     assert stats[0].n_units > 0
+
+
+@pytest.mark.parametrize("kind", ["skipgram", "cbow", "nnlm"])
+def test_divergence_stops_before_parameters_turn_non_finite(kind, toy_corpus,
+                                                            toy_vocab):
+    model = EmbeddingModel.create(kind, toy_vocab, 4, 5, 4,
+                                  np.random.default_rng(0))
+    cfg = TrainConfig(lr=1e200, optimizer="sgd", epochs=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            train_epochs(model, toy_corpus, cfg)
+    for name, p in model.params().items():
+        assert np.isfinite(p.value).all(), name
+
+
+# --- row-sparse ascent step -----------------------------------------------------
+
+# float64 steps must match the reference to rounding; float32 tables round
+# every stored value to float32, about 6e-8 relative per operation.
+ROW_STEP_RTOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+
+def _heavy_duplicate_ids(rng, n_rows, n_ids):
+    # a few hot rows take most of the ids, as frequent words do in a batch
+    hot = rng.integers(0, n_rows, size=n_ids // 2) % 3
+    cold = rng.integers(0, n_rows, size=n_ids - len(hot))
+    return rng.permutation(np.concatenate([hot, cold]))
+
+
+def _reference_rows_step(value, accum, ids, grads, optimizer, lr):
+    """np.add.at aggregation, then a dense step on the touched rows."""
+    summed = np.zeros(value.shape)
+    np.add.at(summed, ids, grads)
+    touched = np.unique(ids)
+    g = summed[touched].astype(value.dtype)
+    value, accum = value.copy(), accum.copy()
+    if optimizer == "adagrad":
+        accum[touched] += g * g
+        value[touched] += lr * g / (np.sqrt(accum[touched]) + ADAGRAD_EPS)
+    else:
+        value[touched] += lr * g
+    return value, accum
+
+
+@pytest.mark.parametrize("row_shape", [(4,), ()], ids=["matrix", "bias"])
+def test_aggregate_rows_matches_add_at(row_shape):
+    rng = np.random.default_rng(11)
+    ids = _heavy_duplicate_ids(rng, 40, 300)
+    grads = rng.normal(size=(len(ids), *row_shape))
+    uids, summed = _aggregate_rows(ids, grads)
+    ref = np.zeros((40, *row_shape))
+    np.add.at(ref, ids, grads)
+    assert np.array_equal(uids, np.unique(ids))
+    np.testing.assert_allclose(summed, ref[uids], rtol=1e-12)
+
+
+def test_aggregate_rows_empty():
+    uids, summed = _aggregate_rows(np.empty(0, dtype=np.int64), np.empty((0, 3)))
+    assert uids.shape == (0,) and summed.shape == (0, 3)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("row_shape", [(5,), ()], ids=["matrix", "bias"])
+def test_apply_rows_ascent_matches_dense_reference(optimizer, dtype, row_shape):
+    rng = np.random.default_rng(12)
+    n_rows = 50
+    param = Param(rng.normal(size=(n_rows, *row_shape)))
+    param.value = param.value.astype(dtype)
+    param.accum = rng.uniform(0.5, 2.0, size=param.value.shape).astype(dtype)
+    ids = _heavy_duplicate_ids(rng, 30, 400)  # rows 30.. stay untouched
+    grads = rng.normal(size=(len(ids), *row_shape))
+    ref_value, ref_accum = _reference_rows_step(
+        param.value, param.accum, ids, grads, optimizer, 0.3)
+    before_value, before_accum = param.value.copy(), param.accum.copy()
+
+    _apply_rows_ascent(param, ids, grads, TrainConfig(lr=0.3, optimizer=optimizer))
+
+    assert param.value.dtype == dtype and param.accum.dtype == dtype
+    rtol = ROW_STEP_RTOL[dtype]
+    np.testing.assert_allclose(param.value, ref_value, rtol=rtol)
+    np.testing.assert_allclose(param.accum, ref_accum, rtol=rtol)
+    untouched = np.setdiff1d(np.arange(n_rows), ids)
+    assert len(untouched) == n_rows - 30
+    assert np.array_equal(param.value[untouched], before_value[untouched])
+    assert np.array_equal(param.accum[untouched], before_accum[untouched])
+    if optimizer == "sgd":
+        assert np.array_equal(param.accum, before_accum)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+def test_apply_rows_ascent_empty_ids_change_nothing(optimizer):
+    param = Param(np.random.default_rng(13).normal(size=(6, 3)))
+    param.accum = np.ones((6, 3))
+    before = param.value.copy()
+    _apply_rows_ascent(param, np.empty(0, dtype=np.int64), np.empty((0, 3)),
+                       TrainConfig(optimizer=optimizer))
+    assert np.array_equal(param.value, before)
+    assert np.array_equal(param.accum, np.ones((6, 3)))

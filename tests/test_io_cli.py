@@ -342,3 +342,18 @@ def test_cli_numeric_failure_exit_code(tmp_path, tiny_corpus_file):
                 "--dim", "4", "--epochs", "3",
                 "--optimizer", "sgd", "--lr", "1e200"])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", [["train-emb", "--kind", "skipgram"],
+                                     ["train-charword"]])
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_cli_nonpositive_dim_is_usage_error(tmp_path, tiny_corpus_file, caplog,
+                                            command, dim):
+    code = run([*command, "--corpus", str(tiny_corpus_file),
+                "--out", str(tmp_path / "e.vec"), "--dim", dim])
+    assert code == 1
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert "dim" in message and "\n" not in message
+    assert not (tmp_path / "e.vec").exists()
