@@ -32,8 +32,8 @@ from . import fastpath
 from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, WindowSample,
                      decompose_word, document_window_arrays, subsample_ids)
 from .errors import DataError, NumericError
-from .optim import (ADAGRAD_EPS, NoiseSampler, Param, log_sigmoid,
-                    log_softmax, sigmoid)
+from .optim import (ADAGRAD_EPS, NoiseSampler, Param, check_finite,
+                    log_sigmoid, log_softmax, sigmoid)
 from .seeding import substream
 
 KINDS = ("skipgram", "cbow", "order", "lbl", "nnlm", "cw")
@@ -82,6 +82,8 @@ class EmbeddingModel:
             raise ValueError("win must be odd and >= 3")
         if dim < 1:
             raise ValueError("dim must be >= 1")
+        if kind in ("lbl", "nnlm", "cw") and hidden < 1:
+            raise ValueError(f"hidden must be >= 1 for {kind}")
         self.kind = kind
         self.vocab = vocab
         self.dim = dim
@@ -563,14 +565,7 @@ def _apply_rows_ascent(param: Param, ids: np.ndarray, grads: np.ndarray,
         a += ADAGRAD_EPS
         g /= a
     g *= cfg.lr
-    param.value[uids] = _finite(param.value[uids] + g, "parameter update")
-
-
-def _finite(x, what: str):
-    """Pass `x` through, or stop a diverging run before it is written."""
-    if not np.isfinite(x).all():
-        raise NumericError(f"non-finite {what}; lower the learning rate")
-    return x
+    param.value[uids] = check_finite(param.value[uids] + g, "parameter update")
 
 
 def _apply_dense_ascent(param: Param, grad: np.ndarray, cfg: TrainConfig) -> None:
@@ -580,7 +575,7 @@ def _apply_dense_ascent(param: Param, grad: np.ndarray, cfg: TrainConfig) -> Non
         step = cfg.lr * grad / (np.sqrt(accum) + ADAGRAD_EPS)
     else:
         step = cfg.lr * grad
-    param.value[...] = _finite(param.value + step, "parameter update")
+    param.value[...] = check_finite(param.value + step, "parameter update")
 
 
 def _pair_batch_ns(model, cfg, sampler, rng, ctx, tgt, wgt) -> float:
@@ -596,7 +591,7 @@ def _pair_batch_ns(model, cfg, sampler, rng, ctx, tgt, wgt) -> float:
     g[:, 0] = sigmoid(-s[:, 0])
     g[:, 1:] = -sigmoid(s[:, 1:])
     g *= wgt[:, None]
-    total = float(_finite((loss * wgt).sum(), "training loss"))
+    total = float(check_finite((loss * wgt).sum(), "training loss"))
     dR = g[:, :, None] * X[:, None, :]
     dX = np.einsum("bm,bmd->bd", g, R)
     _apply_rows_ascent(ep, tids.ravel(), dR.reshape(-1, dR.shape[-1]), cfg)
@@ -615,7 +610,7 @@ def _pair_batch_full_softmax(model, cfg, ctx, tgt, wgt) -> float:
     G = -np.exp(lsm)
     G[rows, tgt] += 1.0
     G *= wgt[:, None]
-    total = float(_finite((loss * wgt).sum(), "training loss"))
+    total = float(check_finite((loss * wgt).sum(), "training loss"))
     dEp = G.T @ X
     dX = G @ ep.value
     _apply_dense_ascent(ep, dEp, cfg)
@@ -655,7 +650,7 @@ def _window_batch_predictive(model, cfg, sampler, rng, tgt, ctx) -> float:
         s = np.einsum("bmh,bh->bm", R, A) + p["b2"].value[tids]
 
     loss = -(log_sigmoid(s[:, 0]) + log_sigmoid(-s[:, 1:]).sum(axis=1))
-    total = float(_finite(loss.sum(), "training loss"))
+    total = float(check_finite(loss.sum(), "training loss"))
     g = np.empty_like(s)
     g[:, 0] = sigmoid(-s[:, 0])
     g[:, 1:] = -sigmoid(s[:, 1:])
@@ -717,7 +712,7 @@ def _window_batch_cw(model, cfg, rng, windows) -> float:
     An, sn = forward(Xn)
     margins = 1.0 - sp + sn
     viol = margins > 0.0
-    loss = float(_finite(np.maximum(margins, 0.0).sum(), "training loss"))
+    loss = float(check_finite(np.maximum(margins, 0.0).sum(), "training loss"))
     if not viol.any():
         return loss
 
@@ -951,7 +946,7 @@ def _process_chunk(model, cfg, sampler, space, nrng, tgt, ctx) -> tuple:
         elif fastpath.HAVE_NUMBA and len(rows):
             negs = sampler.sample_matrix((len(rows), cfg.negatives), tgts, nrng)
             ev, epv, acc_e, acc_ep, adagrad = _kernel_buffers(model, cfg)
-            loss_sum += _finite(fastpath.pairs_kernel(
+            loss_sum += check_finite(fastpath.pairs_kernel(
                 ev, epv, acc_e, acc_ep, rows, tgts, wgts, negs,
                 cfg.lr, ADAGRAD_EPS, adagrad), "training loss")
         else:
@@ -972,7 +967,7 @@ def _process_chunk(model, cfg, sampler, space, nrng, tgt, ctx) -> tuple:
     if kind == "cbow" and fastpath.HAVE_NUMBA and len(tgt):
         negs = sampler.sample_matrix((len(tgt), cfg.negatives), tgt, nrng)
         ev, epv, acc_e, acc_ep, adagrad = _kernel_buffers(model, cfg)
-        loss_sum += _finite(fastpath.cbow_kernel(
+        loss_sum += check_finite(fastpath.cbow_kernel(
             ev, epv, acc_e, acc_ep, tgt, ctx, np.ones(len(tgt)), negs,
             cfg.lr, ADAGRAD_EPS, adagrad), "training loss")
         return loss_sum, len(tgt)

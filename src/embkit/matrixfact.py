@@ -5,15 +5,16 @@ log-count factorization, and the report comparing a full-softmax skipgram
 model's conditionals against the empirical co-occurrence conditionals.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .corpus import CorpusStream, Vocabulary, iter_windows
+from .corpus import CorpusStream, Vocabulary
 from .errors import DataError
-from .optim import ADAGRAD_EPS, softmax
+from .optim import ADAGRAD_EPS, check_finite, softmax
 
 GLOVE_X_MAX = 100.0
 GLOVE_ALPHA = 0.75
@@ -31,9 +32,6 @@ class CooccurrenceMatrix:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def add(self, i: int, j: int, value: float = 1.0) -> None:
-        self.entries[(i, j)] = self.entries.get((i, j), 0.0) + value
-
     def get(self, i: int, j: int) -> float:
         return self.entries.get((i, j), 0.0)
 
@@ -41,32 +39,35 @@ class CooccurrenceMatrix:
         return sum(self.entries.values())
 
     def column_sums(self) -> np.ndarray:
-        sums = np.zeros(len(self.vocab))
-        for (_, j), x in self.entries.items():
-            sums[j] += x
-        return sums
+        _, cols, vals = self.nonzero_arrays()
+        return np.bincount(cols, vals, minlength=len(self.vocab))
 
     def to_dense(self) -> np.ndarray:
+        rows, cols, vals = self.nonzero_arrays()
         dense = np.zeros((len(self.vocab), len(self.vocab)))
-        for (i, j), x in self.entries.items():
-            dense[i, j] = x
+        dense[rows, cols] = vals
         return dense
 
     def nonzero_arrays(self):
-        """Deterministically ordered (rows, cols, values) arrays."""
-        items = sorted(self.entries.items())
-        rows = np.array([ij[0] for ij, _ in items], dtype=np.int64)
-        cols = np.array([ij[1] for ij, _ in items], dtype=np.int64)
-        vals = np.array([x for _, x in items])
-        return rows, cols, vals
+        """(rows, cols, values) arrays in (row, col) order."""
+        n = len(self.entries)
+        ij = np.fromiter(itertools.chain.from_iterable(self.entries),
+                         dtype=np.int64, count=2 * n).reshape(n, 2)
+        vals = np.fromiter(self.entries.values(), dtype=np.float64, count=n)
+        order = np.lexsort((ij[:, 1], ij[:, 0]))
+        return ij[order, 0], ij[order, 1], vals[order]
 
     def save(self, path) -> None:
+        # 17 significant digits round-trip any float; integers print as such
+        rows, cols, vals = self.nonzero_arrays()
         with open(path, "w", encoding="utf-8") as fh:
-            for (i, j), x in sorted(self.entries.items()):
-                fh.write(f"{i}\t{j}\t{x:g}\n")
+            fh.writelines("%d\t%d\t%.17g\n" % cell for cell in
+                          zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, win: int) -> "CooccurrenceMatrix":
+        """Read `i<TAB>j<TAB>x` lines: ids in [0, |V|), x finite and > 0."""
+        v = len(vocab)
         entries: Dict[Tuple[int, int], float] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -76,28 +77,54 @@ class CooccurrenceMatrix:
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise DataError(f"{path}:{lineno}: expected 'i<TAB>j<TAB>x'")
-                entries[(int(parts[0]), int(parts[1]))] = float(parts[2])
+                try:
+                    i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: expected integer ids "
+                                    f"and a numeric count") from exc
+                if not (0 <= i < v and 0 <= j < v):
+                    raise DataError(f"{path}:{lineno}: index outside the "
+                                    f"vocabulary of {v} words")
+                if not (math.isfinite(x) and x > 0):
+                    raise DataError(f"{path}:{lineno}: count {parts[2]!r} is "
+                                    f"not finite and positive")
+                entries[(i, j)] = x
         return cls(vocab, win, entries)
 
 
 def count_cooccurrences(corpus: CorpusStream, vocab: Vocabulary,
                         win: int) -> CooccurrenceMatrix:
-    """x_ij = number of windows in which j appears in the context of i."""
-    matrix = CooccurrenceMatrix(vocab, win)
-    for sample in iter_windows(corpus, vocab, win, subsample=False):
-        for j in sample.context:
-            matrix.add(sample.target, int(j))
-    return matrix
+    """x_ij = number of windows in which j appears in the context of i.
+
+    Windows are those of `iter_windows` without subsampling: OOV tokens are
+    dropped first and windows stop at document boundaries.
+    """
+    if win % 2 == 0 or win < 1:
+        raise ValueError("window size must be odd and positive")
+    v = len(vocab)
+    encoded = [vocab.encode(doc) for doc in corpus.documents]
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *encoded])
+    doc = np.repeat(np.arange(len(encoded)), [len(e) for e in encoded])
+    keys = [np.empty(0, dtype=np.int64)]
+    for off in range(1, (win - 1) // 2 + 1):
+        same = doc[off:] == doc[:-off]
+        left, right = ids[:-off][same], ids[off:][same]
+        keys += [left * v + right, right * v + left]
+    cells, counts = np.unique(np.concatenate(keys), return_counts=True)
+    entries = dict(zip(zip((cells // v).tolist(), (cells % v).tolist()),
+                       counts.astype(np.float64).tolist()))
+    return CooccurrenceMatrix(vocab, win, entries)
 
 
-def glove_weight(x: float, x_max: float = GLOVE_X_MAX,
-                 alpha: float = GLOVE_ALPHA) -> float:
-    """Low-count damping weight: (x/x_max)**alpha below x_max, else 1."""
-    if x <= 0:
+def glove_weight(x, x_max: float = GLOVE_X_MAX, alpha: float = GLOVE_ALPHA):
+    """Low-count damping weight: (x/x_max)**alpha below x_max, else 1.
+
+    Accepts a count or an array of counts."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x > 0):
         raise DataError("weighting is defined for positive counts only")
-    if x >= x_max:
-        return 1.0
-    return (x / x_max) ** alpha
+    w = np.where(x >= x_max, 1.0, (x / x_max) ** alpha)
+    return float(w) if w.ndim == 0 else w
 
 
 @dataclass
@@ -130,34 +157,6 @@ def _init_factors(v: int, d: int, rng: np.random.Generator, biases: bool) -> Fac
     return model
 
 
-class _AdaGradCell:
-    """Per-parameter accumulators for cell-wise factorization updates."""
-
-    def __init__(self, model: FactorModel):
-        self.P = np.full_like(model.P, 0.0)
-        self.Q = np.full_like(model.Q, 0.0)
-        self.b1 = np.zeros(len(model.P)) if model.bias1 is not None else None
-        self.b2 = np.zeros(len(model.Q)) if model.bias2 is not None else None
-
-
-def _cell_sgd(model: FactorModel, accum: _AdaGradCell, i: int, j: int,
-              err: float, weight: float, lr: float) -> None:
-    """One AdaGrad descent step on weight * err(i,j)^2, err = fit - target."""
-    p, q = model.P[i], model.Q[j]
-    gp = 2.0 * weight * err * q
-    gq = 2.0 * weight * err * p
-    accum.P[i] += gp * gp
-    model.P[i] -= lr * gp / (np.sqrt(accum.P[i]) + ADAGRAD_EPS)
-    accum.Q[j] += gq * gq
-    model.Q[j] -= lr * gq / (np.sqrt(accum.Q[j]) + ADAGRAD_EPS)
-    if model.bias1 is not None:
-        gb = 2.0 * weight * err
-        accum.b1[i] += gb * gb
-        model.bias1[i] -= lr * gb / (math.sqrt(accum.b1[i]) + ADAGRAD_EPS)
-        accum.b2[j] += gb * gb
-        model.bias2[j] -= lr * gb / (math.sqrt(accum.b2[j]) + ADAGRAD_EPS)
-
-
 def train_glove(matrix: CooccurrenceMatrix, d: int, epochs: int,
                 lr: float = 0.05, x_max: float = GLOVE_X_MAX,
                 alpha: float = GLOVE_ALPHA, seed: int = 0):
@@ -166,27 +165,12 @@ def train_glove(matrix: CooccurrenceMatrix, d: int, epochs: int,
     if len(matrix) == 0:
         raise DataError("empty co-occurrence matrix")
     rows, cols, vals = matrix.nonzero_arrays()
-    targets = np.log(vals)
-    weights = np.array([glove_weight(x, x_max, alpha) for x in vals])
+    weights = glove_weight(vals, x_max, alpha)
     rng = np.random.default_rng(seed)
     model = _init_factors(len(matrix.vocab), d, rng, biases=True)
-    accum = _AdaGradCell(model)
-    objective = _glove_objective(model, rows, cols, targets, weights)
-    for _ in range(epochs):
-        order = rng.permutation(len(rows))
-        for n in order:
-            i, j = int(rows[n]), int(cols[n])
-            err = model.score(i, j) - targets[n]
-            _cell_sgd(model, accum, i, j, err, weights[n], lr)
-        objective = _glove_objective(model, rows, cols, targets, weights)
+    objective = _fit_cells(model, rows, cols, np.log(vals), weights,
+                           epochs, lr, rng)
     return model, objective
-
-
-def _glove_objective(model, rows, cols, targets, weights) -> float:
-    fit = np.einsum("nd,nd->n", model.P[rows], model.Q[cols])
-    if model.bias1 is not None:
-        fit = fit + model.bias1[rows] + model.bias2[cols]
-    return float((weights * (fit - targets) ** 2).sum())
 
 
 def factorize_log_counts(matrix: CooccurrenceMatrix, d: int,
@@ -202,26 +186,106 @@ def factorize_log_counts(matrix: CooccurrenceMatrix, d: int,
     rows, cols, vals = matrix.nonzero_arrays()
     if len(vals) == 0:
         raise DataError("no nonzero cells to factorize")
-    if np.any(vals <= 0):
+    if not np.all(vals > 0):
         raise DataError("counts must be positive where present")
     if mode == "raw_log":
         targets = np.log(vals)
     else:
-        col_sums = matrix.column_sums()
-        targets = np.log(vals / col_sums[cols])
+        targets = np.log(vals / matrix.column_sums()[cols])
     rng = np.random.default_rng(seed)
     model = _init_factors(len(matrix.vocab), d, rng, biases=False)
-    accum = _AdaGradCell(model)
-    weights = np.ones(len(vals))
-    objective = _glove_objective(model, rows, cols, targets, weights)
-    for _ in range(epochs):
-        order = rng.permutation(len(rows))
-        for n in order:
-            i, j = int(rows[n]), int(cols[n])
-            err = model.score(i, j) - targets[n]
-            _cell_sgd(model, accum, i, j, err, 1.0, lr)
-        objective = _glove_objective(model, rows, cols, targets, weights)
+    objective = _fit_cells(model, rows, cols, targets, np.ones(len(vals)),
+                           epochs, lr, rng)
     return model, objective
+
+
+def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
+               lr: float, rng: np.random.Generator) -> float:
+    """AdaGrad descent on sum_n w_n (fit(i_n, j_n) - t_n)^2, one cell at a
+    time in a fresh shuffled order per epoch. Returns the final objective.
+
+    Each order is cut into maximal runs in which no row and no column
+    repeats. The cells of a run read and write disjoint rows of P, Q and
+    the biases, so one gather/compute/scatter per run does what the
+    cell-by-cell loop does, up to the rounding of the dot products. P over
+    Q, with the biases as a last column, form one table whose views the
+    model keeps, so a run moves all its rows at once. A run whose new rows
+    are not all finite raises NumericError before anything is written.
+    """
+    v, d = model.P.shape
+    biased = model.bias1 is not None
+    table = np.concatenate([model.P, model.Q])
+    if biased:
+        table = np.column_stack(
+            [table, np.concatenate([model.bias1, model.bias2])])
+        model.bias1, model.bias2 = table[:v, d], table[v:, d]
+    model.P, model.Q = table[:v, :d], table[v:, :d]
+    accum = np.zeros_like(table)
+    # overflow is caught by the finite check on each run's new rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(len(rows))
+            i, j = rows[order], cols[order] + v
+            t, w2 = targets[order], 2.0 * weights[order]
+            bounds = _conflict_free_runs(i, j)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                _fit_run(table, accum, np.concatenate((i[lo:hi], j[lo:hi])),
+                         t[lo:hi], w2[lo:hi], lr, d)
+    return _glove_objective(model, rows, cols, targets, weights)
+
+
+def _fit_run(table, accum, ids, targets, w2, lr: float, d: int) -> None:
+    """One AdaGrad step for n cells with distinct rows: ids[:n] are their
+    P rows and ids[n:] their Q rows in `table`, whose column d, if present,
+    holds the biases. `w2` is twice the cell weights."""
+    n = len(targets)
+    old = table[ids]
+    p, q = old[:n], old[n:]
+    fit = np.einsum("nd,nd->n", p[:, :d], q[:, :d])
+    biased = table.shape[1] > d
+    if biased:
+        fit = fit + p[:, d] + q[:, d]
+    err = w2 * (fit - targets)  # d loss / d fit
+    # p_i's gradient is err * q_j, q_j's is err * p_i and a bias's is err
+    g = old.reshape(2, n, -1)[::-1] * err[:, None]
+    if biased:
+        g[:, :, d] = err
+    g = g.reshape(2 * n, -1)
+    a = accum[ids]
+    a += g * g
+    step = lr * g
+    step /= np.sqrt(a) + ADAGRAD_EPS
+    new = check_finite(old - step, "factorization update")
+    accum[ids] = a
+    table[ids] = new
+
+
+def _conflict_free_runs(rows: np.ndarray, cols: np.ndarray) -> list:
+    """Bounds [0, ..., len] of the greedy maximal runs of the sequence of
+    (row, col) cells in which no row and no column occurs twice."""
+    last = np.maximum(_previous_occurrence(rows), _previous_occurrence(cols))
+    bounds = [0]
+    for k, prev in enumerate(last.tolist()):
+        if prev >= bounds[-1]:
+            bounds.append(k)
+    bounds.append(len(rows))
+    return bounds
+
+
+def _previous_occurrence(x: np.ndarray) -> np.ndarray:
+    """Position of the previous equal element of `x`, or -1."""
+    order = np.argsort(x, kind="stable")
+    same = x[order[1:]] == x[order[:-1]]
+    prev = np.full(len(x), -1)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+def _glove_objective(model, rows, cols, targets, weights) -> float:
+    fit = np.einsum("nd,nd->n", model.P[rows], model.Q[cols])
+    if model.bias1 is not None:
+        fit = fit + model.bias1[rows] + model.bias2[cols]
+    return float((weights * (fit - targets) ** 2).sum())
 
 
 def skipgram_equivalence_report(matrix: CooccurrenceMatrix, model) -> dict:

@@ -73,6 +73,13 @@ def _check_grad(grad: np.ndarray) -> None:
         raise NumericError("non-finite gradient")
 
 
+def check_finite(x, what: str):
+    """Pass `x` through, or stop a diverging run before it is written."""
+    if not np.isfinite(x).all():
+        raise NumericError(f"non-finite {what}; lower the learning rate")
+    return x
+
+
 def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float) -> None:
     """theta += lr * grad, in place on a parameter array or view."""
     grad = np.asarray(grad, dtype=np.float64)

@@ -357,3 +357,58 @@ def test_cli_nonpositive_dim_is_usage_error(tmp_path, tiny_corpus_file, caplog,
     message = errors[0].getMessage()
     assert "dim" in message and "\n" not in message
     assert not (tmp_path / "e.vec").exists()
+
+
+@pytest.mark.parametrize("kind", ["nnlm", "lbl", "cw"])
+def test_cli_nonpositive_hidden_is_usage_error(tmp_path, tiny_corpus_file,
+                                               caplog, kind):
+    code = run(["train-emb", "--kind", kind, "--corpus", str(tiny_corpus_file),
+                "--out", str(tmp_path / "e.vec"), "--dim", "4",
+                "--hidden", "0"])
+    assert code == 1
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert "hidden" in message and "\n" not in message
+    assert not (tmp_path / "e.vec").exists()
+
+
+@pytest.fixture
+def cooccur_files(tmp_path, tiny_corpus_file):
+    vocab_path, cooc_path = tmp_path / "vocab.tsv", tmp_path / "cooc.tsv"
+    assert run(["cooccur", "--corpus", str(tiny_corpus_file), "--win", "5",
+                "--out", str(cooc_path), "--save-vocab", str(vocab_path)]) == 0
+    return vocab_path, cooc_path
+
+
+@pytest.mark.parametrize("line", ["10\t1\t2",      # id == |V| (10 words)
+                                  "-1\t1\t2",      # negative id
+                                  "1.5\t1\t2",     # non-integer id
+                                  "1\t2\tnan"],    # count that is not finite
+                         ids=["id-too-large", "negative-id", "non-integer-id",
+                              "nan-count"])
+def test_cli_factorize_rejects_bad_cooccurrence_line(tmp_path, cooccur_files,
+                                                     caplog, line):
+    vocab_path, cooc_path = cooccur_files
+    cooc_path.write_text(f"0\t1\t3\n{line}\n", encoding="utf-8")
+    out = tmp_path / "fact.bin"
+    caplog.clear()
+    code = run(["factorize", "--cooccur", str(cooc_path), "--vocab",
+                str(vocab_path), "--objective", "log", "--dim", "3",
+                "--epochs", "1", "--out", str(out)])
+    assert code == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert f"{cooc_path}:2:" in message and "\n" not in message
+    assert not out.exists()
+
+
+def test_cli_factorize_divergence_is_numeric_error(tmp_path, cooccur_files):
+    vocab_path, cooc_path = cooccur_files
+    out = tmp_path / "fact.bin"
+    code = run(["factorize", "--cooccur", str(cooc_path), "--vocab",
+                str(vocab_path), "--objective", "glove", "--dim", "4",
+                "--epochs", "3", "--lr", "1e200", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()

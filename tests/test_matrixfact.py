@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from embkit.corpus import CorpusStream, Vocabulary, build_vocabulary
+from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
+                           iter_windows)
 from embkit.embeddings import EmbeddingModel
-from embkit.errors import DataError
-from embkit.matrixfact import (CooccurrenceMatrix, count_cooccurrences,
+from embkit.errors import DataError, NumericError
+from embkit.matrixfact import (CooccurrenceMatrix, _conflict_free_runs,
+                               _fit_cells, _init_factors, count_cooccurrences,
                                factorize_log_counts, glove_weight,
                                skipgram_equivalence_report, train_glove)
+from embkit.optim import ADAGRAD_EPS
 
 
 def brute_force_counts(docs, vocab, win):
@@ -199,3 +202,152 @@ def test_matrix_save_load_round_trip(tmp_path, toy_corpus, toy_vocab):
     matrix.save(path)
     loaded = CooccurrenceMatrix.load(path, toy_vocab, 5)
     assert loaded.entries == matrix.entries
+
+
+@pytest.mark.parametrize("win", [1, 3, 5, 7])
+def test_counts_match_iter_windows(win):
+    rng = np.random.default_rng(win)
+    docs = [[f"t{rng.integers(25)}" for _ in range(rng.integers(1, 12))]
+            for _ in range(80)]
+    # one-token documents, an OOV-only one and an OOV token between two
+    # in-vocabulary ones
+    docs += [["t0"], ["t1", "t2"], ["oov1"], ["t3", "oov2", "t3"]]
+    corpus = CorpusStream(docs)
+    vocab = build_vocabulary(corpus.all_tokens(), min_count=2)
+    assert "oov1" not in vocab and "oov2" not in vocab
+    expected = {}
+    for sample in iter_windows(corpus, vocab, win):
+        for j in sample.context:
+            key = (sample.target, int(j))
+            expected[key] = expected.get(key, 0.0) + 1.0
+    assert count_cooccurrences(corpus, vocab, win).entries == expected
+
+
+def test_nonzero_arrays_in_row_col_order():
+    rng = np.random.default_rng(8)
+    vocab = Vocabulary([f"w{i}" for i in range(30)], [1] * 30)
+    cells = {(int(i), int(j)): float(x) for i, j, x in
+             rng.integers(1, 30, size=(200, 3))}
+    keys = list(cells)
+    rng.shuffle(keys)
+    matrix = CooccurrenceMatrix(vocab, 3, {k: cells[k] for k in keys})
+    rows, cols, vals = matrix.nonzero_arrays()
+    assert list(zip(rows.tolist(), cols.tolist())) == sorted(cells)
+    assert vals.tolist() == [cells[k] for k in sorted(cells)]
+
+
+def test_matrix_save_is_lossless(tmp_path):
+    vocab = Vocabulary(["a", "b"], [1, 1])
+    entries = {(0, 1): 1234567.0, (1, 0): 0.1, (1, 1): 3.0}
+    path = tmp_path / "cooc.tsv"
+    CooccurrenceMatrix(vocab, 3, entries).save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert "0\t1\t1234567" in lines and "1\t1\t3" in lines
+    assert CooccurrenceMatrix.load(path, vocab, 3).entries == entries
+
+
+def test_conflict_free_runs_are_maximal():
+    rng = np.random.default_rng(4)
+    rows, cols = rng.integers(6, size=200), rng.integers(9, size=200)
+    bounds = _conflict_free_runs(rows, cols)
+    assert bounds[0] == 0 and bounds[-1] == 200
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert hi > lo
+        assert len(set(rows[lo:hi])) == len(set(cols[lo:hi])) == hi - lo
+        if hi < 200:  # the next cell repeats a row or a column of the run
+            assert rows[hi] in rows[lo:hi] or cols[hi] in cols[lo:hi]
+
+
+def _reference_fit(v, d, rows, cols, targets, weights, epochs, lr, seed,
+                   biases):
+    """The cell-by-cell AdaGrad loop that the run-wise updates reproduce."""
+    rng = np.random.default_rng(seed)
+    scale = 0.5 / d
+    P = rng.uniform(-scale, scale, size=(v, d))
+    Q = rng.uniform(-scale, scale, size=(v, d))
+    b1, b2 = np.zeros(v), np.zeros(v)
+    aP, aQ, ab1, ab2 = np.zeros((v, d)), np.zeros((v, d)), np.zeros(v), np.zeros(v)
+    for _ in range(epochs):
+        for n in rng.permutation(len(rows)):
+            i, j = rows[n], cols[n]
+            fit = P[i] @ Q[j] + (b1[i] + b2[j] if biases else 0.0)
+            coef = 2.0 * weights[n] * (fit - targets[n])
+            gp, gq = coef * Q[j], coef * P[i]
+            aP[i] += gp * gp
+            P[i] -= lr * gp / (np.sqrt(aP[i]) + ADAGRAD_EPS)
+            aQ[j] += gq * gq
+            Q[j] -= lr * gq / (np.sqrt(aQ[j]) + ADAGRAD_EPS)
+            if biases:
+                ab1[i] += coef * coef
+                b1[i] -= lr * coef / (math.sqrt(ab1[i]) + ADAGRAD_EPS)
+                ab2[j] += coef * coef
+                b2[j] -= lr * coef / (math.sqrt(ab2[j]) + ADAGRAD_EPS)
+    fit = np.einsum("nd,nd->n", P[rows], Q[cols]) + b1[rows] + b2[cols]
+    return P, Q, b1, b2, float((weights * (fit - targets) ** 2).sum())
+
+
+def _repeat_heavy_matrix():
+    """300 cells, most of them in a few rows and a few columns."""
+    rng = np.random.default_rng(11)
+    v = 40
+    vocab = Vocabulary([f"w{i}" for i in range(v)], [1] * v)
+    entries = {}
+    while len(entries) < 300:
+        i = rng.integers(4) if rng.random() < 0.5 else rng.integers(v)
+        j = rng.integers(5) if rng.random() < 0.5 else rng.integers(v)
+        entries[(int(i), int(j))] = float(rng.integers(1, 250))
+    return CooccurrenceMatrix(vocab, 5, entries)
+
+
+@pytest.mark.parametrize("objective", ["glove", "raw_log", "conditional_log"])
+def test_run_updates_match_per_cell_reference(objective):
+    matrix = _repeat_heavy_matrix()
+    rows, cols, vals = matrix.nonzero_arrays()
+    if objective == "glove":
+        model, value = train_glove(matrix, 6, 3, lr=0.05, seed=7)
+        weights = np.array([min(x / 100.0, 1.0) ** 0.75 for x in vals])
+        targets = np.log(vals)
+    else:
+        model, value = factorize_log_counts(matrix, 6, objective, 3,
+                                            lr=0.1, seed=7)
+        weights = np.ones(len(vals))
+        col_sums = matrix.to_dense().sum(axis=0)
+        targets = np.log(vals if objective == "raw_log"
+                         else vals / col_sums[cols])
+    P, Q, b1, b2, ref_value = _reference_fit(
+        len(matrix.vocab), 6, rows, cols, targets, weights, 3,
+        0.05 if objective == "glove" else 0.1, 7, objective == "glove")
+    assert np.max(np.abs(model.P - P)) < 1e-9
+    assert np.max(np.abs(model.Q - Q)) < 1e-9
+    if objective == "glove":
+        assert np.max(np.abs(model.bias1 - b1)) < 1e-9
+        assert np.max(np.abs(model.bias2 - b2)) < 1e-9
+    else:
+        assert model.bias1 is None and model.bias2 is None
+    assert value == pytest.approx(ref_value, rel=1e-9, abs=1e-9)
+    assert np.max(np.abs(model.P)) > 0.1  # the fit moved the tables
+
+
+@pytest.mark.parametrize("biases", [True, False])
+def test_divergence_stops_before_tables_turn_non_finite(biases):
+    matrix = _repeat_heavy_matrix()
+    rows, cols, vals = matrix.nonzero_arrays()
+    rng = np.random.default_rng(0)
+    model = _init_factors(len(matrix.vocab), 4, rng, biases)
+    with pytest.raises(NumericError):
+        _fit_cells(model, rows, cols, np.log(vals), np.ones(len(vals)),
+                   3, 1e200, rng)
+    tables = [model.P, model.Q]
+    if biases:
+        tables += [model.bias1, model.bias2]
+    assert all(np.isfinite(t).all() for t in tables)
+    assert np.max(np.abs(model.P)) > 1e100  # it did diverge before stopping
+
+
+def test_glove_rejects_nan_counts():
+    vocab = Vocabulary(["a", "b"], [1, 1])
+    matrix = CooccurrenceMatrix(vocab, 3, {(0, 1): float("nan"), (1, 0): 2.0})
+    with pytest.raises(DataError):
+        train_glove(matrix, 2, 1)
+    with pytest.raises(DataError):
+        factorize_log_counts(matrix, 2, epochs=1)
