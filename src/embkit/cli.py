@@ -20,7 +20,7 @@ from . import segment as seg
 from . import textclass as tc
 from .errors import DataError, NumericError
 from .io_formats import (EmbeddingTable, load_container, load_embeddings,
-                         save_container, save_embeddings,
+                         open_text, save_container, save_embeddings,
                          save_embeddings_binary)
 from .optim import Param
 from .seeding import substream
@@ -51,7 +51,10 @@ def run(argv) -> int:
         return 1
     log.info("config: %s", {k: v for k, v in vars(args).items() if k != "handler"})
     try:
-        args.handler(args)
+        # overflow on the way to a non-finite value is reported by the
+        # finite checks as one NumericError line, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.handler(args)
         return 0
     except (DataError, FileNotFoundError, IsADirectoryError) as exc:
         log.error("data error: %s", exc)
@@ -313,7 +316,7 @@ def _load_segmenter(path) -> seg.SegmenterNet:
 
 def _cmd_segment_decode(args):
     net = _load_segmenter(args.model)
-    with open(args.input, encoding="utf-8") as fh, \
+    with open_text(args.input) as fh, \
             open(args.out, "w", encoding="utf-8") as out:
         for line in fh:
             chars = seg.line_to_chars(line, normalize=not args.no_normalize)

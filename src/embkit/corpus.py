@@ -11,6 +11,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
+from .io_formats import open_text
 
 TOKEN_NUMBER = "NUMBER"
 TOKEN_WORD = "WORD"
@@ -126,7 +127,7 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 def load_vocabulary(path) -> Vocabulary:
     tokens, counts = [], []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -214,7 +215,7 @@ class CorpusStream:
     def from_text_file(cls, path, blank_line_docs: bool = False) -> "CorpusStream":
         """Read UTF-8 text; one document per line, or blank-line separated."""
         docs = []
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             if not blank_line_docs:
                 for line in fh:
                     tokens = line.split()

@@ -14,8 +14,8 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError
-from .io_formats import EmbeddingTable
-from .optim import log_softmax
+from .io_formats import EmbeddingTable, open_text
+from .optim import log_softmax, step_dense
 
 
 def cosine(u, v) -> float:
@@ -65,7 +65,7 @@ class AnalogyQuestion(NamedTuple):
 
 def load_similarity(path) -> List[SimilarityPair]:
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -81,7 +81,7 @@ def load_similarity(path) -> List[SimilarityPair]:
 
 def load_choice(path) -> List[ChoiceQuestion]:
     questions = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -98,7 +98,7 @@ def load_analogies(path) -> List[AnalogyQuestion]:
     """Question lines "a b c expected" grouped under ": category" headers."""
     questions = []
     category = ""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -255,8 +255,8 @@ def train_logistic_classifier(features, labels, l2: float = 0.0,
     for _ in range(epochs):
         for n in rng.permutation(len(xs)):
             _, dW, db = logistic_loss_grads(W, b, xs[n], int(ys[n]), l2)
-            W -= lr * dW
-            b -= lr * db
+            step_dense(W, -dW, lr)
+            step_dense(b, -db, lr)
     return LogisticClassifier(W, b)
 
 

@@ -6,6 +6,7 @@ binary container stores named float arrays with explicit little-endian
 layout, so identical runs produce identical bytes.
 """
 
+import contextlib
 import json
 import struct
 from typing import Dict, Optional
@@ -16,6 +17,17 @@ from .errors import DataError
 
 _MAGIC = b"EMBKIT01"
 _DTYPES = {"<f4": "<f4", "<f8": "<f8", "<i8": "<i8"}
+
+
+@contextlib.contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading; bytes that are not UTF-8 raise
+    a DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 class EmbeddingTable:
@@ -80,7 +92,7 @@ def load_embeddings(path) -> EmbeddingTable:
             if meta.get("format") != "embedding" or "vectors" not in arrays:
                 raise DataError(f"{path}: container is not an embedding file")
             return EmbeddingTable(meta["tokens"], arrays["vectors"])
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}:1: expected header '<vocab_size> <dim>'")
@@ -144,22 +156,30 @@ def load_container(path):
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise DataError(f"{path}: not an embkit container")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            code_b, ndim = struct.unpack("<2sB", fh.read(3))
-            code = "<" + code_b.decode()
-            if code not in _DTYPES:
-                raise DataError(f"{path}: unknown dtype code {code!r}")
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-            dtype = np.dtype(code)
-            nbytes = int(np.prod(shape)) * dtype.itemsize if ndim else dtype.itemsize
-            data = fh.read(nbytes)
-            if len(data) != nbytes:
-                raise DataError(f"{path}: truncated array {name!r}")
-            arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        try:
+            return _read_container_body(fh, path)
+        except (struct.error, ValueError) as exc:  # incl. JSON/UTF-8 decoding
+            raise DataError(f"{path}: truncated or corrupt container "
+                            f"({exc})") from exc
+
+
+def _read_container_body(fh, path):
+    (meta_len,) = struct.unpack("<I", fh.read(4))
+    meta = json.loads(fh.read(meta_len).decode("utf-8"))
+    (count,) = struct.unpack("<I", fh.read(4))
+    arrays = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", fh.read(2))
+        name = fh.read(name_len).decode("utf-8")
+        code_b, ndim = struct.unpack("<2sB", fh.read(3))
+        code = "<" + code_b.decode()
+        if code not in _DTYPES:
+            raise DataError(f"{path}: unknown dtype code {code!r}")
+        shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
+        dtype = np.dtype(code)
+        nbytes = int(np.prod(shape)) * dtype.itemsize if ndim else dtype.itemsize
+        data = fh.read(nbytes)
+        if len(data) != nbytes:
+            raise DataError(f"{path}: truncated array {name!r}")
+        arrays[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
     return arrays, meta

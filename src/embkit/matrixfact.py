@@ -14,6 +14,7 @@ import numpy as np
 
 from .corpus import CorpusStream, Vocabulary
 from .errors import DataError
+from .io_formats import open_text
 from .optim import ADAGRAD_EPS, check_finite, softmax
 
 GLOVE_X_MAX = 100.0
@@ -66,10 +67,11 @@ class CooccurrenceMatrix:
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, win: int) -> "CooccurrenceMatrix":
-        """Read `i<TAB>j<TAB>x` lines: ids in [0, |V|), x finite and > 0."""
+        """Read `i<TAB>j<TAB>x` lines: ids in [0, |V|), x finite and > 0,
+        each (i, j) cell at most once."""
         v = len(vocab)
         entries: Dict[Tuple[int, int], float] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -88,6 +90,9 @@ class CooccurrenceMatrix:
                 if not (math.isfinite(x) and x > 0):
                     raise DataError(f"{path}:{lineno}: count {parts[2]!r} is "
                                     f"not finite and positive")
+                if (i, j) in entries:
+                    raise DataError(f"{path}:{lineno}: cell ({i}, {j}) "
+                                    f"appears twice")
                 entries[(i, j)] = x
         return cls(vocab, win, entries)
 

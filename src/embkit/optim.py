@@ -3,9 +3,12 @@ and a finite-difference gradient checker.
 
 Update steps follow the ascent convention (theta += lr * grad of the
 objective being maximized); callers training a loss pass the negated
-gradient.
+gradient. `step_rows` updates the rows a batch touched, `step_dense` a
+whole array; with `accum=None` either is plain SGD, otherwise AdaGrad.
+Both write nothing unless every new value is finite.
 """
 
+import math
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -68,11 +71,6 @@ def log_sigmoid(x):
     return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
 
 
-def _check_grad(grad: np.ndarray) -> None:
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite gradient")
-
-
 def check_finite(x, what: str):
     """Pass `x` through, or stop a diverging run before it is written."""
     if not np.isfinite(x).all():
@@ -80,20 +78,47 @@ def check_finite(x, what: str):
     return x
 
 
-def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float) -> None:
-    """theta += lr * grad, in place on a parameter array or view."""
-    grad = np.asarray(grad, dtype=np.float64)
-    _check_grad(grad)
-    param += lr * grad
+def _aggregate_rows(ids: np.ndarray, grads: np.ndarray):
+    # one bincount over (row, column) cells: np.add.at is far too slow, and
+    # sort + reduceat pays per segment when most rows occur once per batch
+    uids, inv = np.unique(ids, return_inverse=True)
+    d = math.prod(grads.shape[1:])  # 1 for a bias vector such as b2
+    cells = (inv[:, None] * d + np.arange(d)).ravel()
+    summed = np.bincount(cells, grads.ravel(), minlength=len(uids) * d)
+    return uids, summed.reshape(len(uids), *grads.shape[1:])
 
 
-def adagrad_step(param: np.ndarray, grad: np.ndarray, accum: np.ndarray,
-                 lr: float, eps: float = ADAGRAD_EPS) -> None:
-    """accum += grad**2; theta += lr * grad / (sqrt(accum) + eps), in place."""
-    grad = np.asarray(grad, dtype=np.float64)
-    _check_grad(grad)
-    accum += grad * grad
-    param += lr * grad / (np.sqrt(accum) + eps)
+def step_rows(value: np.ndarray, ids: np.ndarray, grads: np.ndarray, lr: float,
+              accum: Optional[np.ndarray] = None) -> None:
+    """Ascent step on the rows `ids` of `value`; `grads[k]` belongs to row
+    `ids[k]` and repeated rows are summed first, so each row steps once."""
+    uids, g = _aggregate_rows(ids, grads)
+    g = g.astype(value.dtype, copy=False)
+    if accum is not None:
+        a = accum[uids]
+        a += g * g
+        accum[uids] = a
+        np.sqrt(a, out=a)
+        a += ADAGRAD_EPS
+        g /= a
+    g *= lr
+    value[uids] = check_finite(value[uids] + g, "parameter update")
+
+
+def step_dense(value: np.ndarray, grad: np.ndarray, lr: float,
+               accum: Optional[np.ndarray] = None) -> None:
+    """Ascent step on a whole array, through one temporary."""
+    if accum is not None:
+        t = np.multiply(grad, grad)
+        accum += t
+        np.sqrt(accum, out=t)
+        t += ADAGRAD_EPS
+        np.divide(grad, t, out=t)
+        t *= lr
+    else:
+        t = np.multiply(grad, lr)
+    t += value
+    value[...] = check_finite(t, "parameter update")
 
 
 class NoiseSampler:
@@ -110,16 +135,6 @@ class NoiseSampler:
         self.cumulative = np.cumsum(weights)
         self.cumulative[-1] = total  # guard against rounding drift
 
-    def sample(self, k: int, exclude: int, rng: np.random.Generator) -> np.ndarray:
-        """k draws from the noise distribution, redrawing any hit on `exclude`."""
-        out = self._raw(k, rng)
-        while True:
-            bad = out == exclude
-            n_bad = int(bad.sum())
-            if n_bad == 0:
-                return out
-            out[bad] = self._raw(n_bad, rng)
-
     def sample_matrix(self, shape, exclude: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Matrix of draws where row i must avoid exclude[i]."""
         out = self._raw(int(np.prod(shape)), rng).reshape(shape)
@@ -134,13 +149,6 @@ class NoiseSampler:
     def _raw(self, k: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(k) * self.cumulative[-1]
         return np.searchsorted(self.cumulative, u, side="right")
-
-
-def negative_sample(sampler: NoiseSampler, k: int, exclude: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    return sampler.sample(k, exclude, rng)
 
 
 def gradient_check(loss_and_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],

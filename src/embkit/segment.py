@@ -15,8 +15,8 @@ import numpy as np
 from .corpus import (PSEUDO_TOKENS, TOKEN_PADDING, decompose_word,
                      normalize_token)
 from .errors import DataError
-from .io_formats import EmbeddingTable
-from .optim import ADAGRAD_EPS, log_softmax
+from .io_formats import EmbeddingTable, open_text
+from .optim import log_softmax, step_dense, step_rows
 from .seeding import substream
 
 TAGS = "BMES"
@@ -257,25 +257,14 @@ def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
 
 
 def _segment_apply(net: SegmenterNet, grads: dict, lr: float, accum) -> None:
-    window, de = grads["e"]
-    for name in ("H", "b1", "U", "b2"):
-        g = -grads[name]
-        target = getattr(net, name)
-        if accum is None:
-            target += lr * g
+    """Descent step: the optimizer steps ascend, so they get -grad."""
+    for name, g in grads.items():
+        acc = accum[name] if accum is not None else None
+        if name == "e":
+            window, de = g
+            step_rows(net.e, window, -de, lr, acc)
         else:
-            accum[name] += g * g
-            target += lr * g / (np.sqrt(accum[name]) + ADAGRAD_EPS)
-    g = -de
-    if accum is None:
-        np.add.at(net.e, window, lr * g)
-    else:
-        # duplicate window ids: aggregate first so each row steps once
-        uids, inverse = np.unique(window, return_inverse=True)
-        summed = np.zeros((len(uids), net.dim))
-        np.add.at(summed, inverse, g)
-        accum["e"][uids] += summed * summed
-        net.e[uids] += lr * summed / (np.sqrt(accum["e"][uids]) + ADAGRAD_EPS)
+            step_dense(getattr(net, name), -g, lr, acc)
 
 
 def viterbi_decode(lattice: np.ndarray) -> Tuple[str, float]:
@@ -356,7 +345,7 @@ def parse_segmented_line(line: str, normalize: bool = True) -> List[str]:
 
 def load_segmented_corpus(path, normalize: bool = True) -> List[List[str]]:
     sentences = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             words = parse_segmented_line(line, normalize)
             if words:

@@ -21,7 +21,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError, NumericError
-from .optim import log_softmax
+from .io_formats import open_text
+from .optim import log_softmax, step_dense, step_rows
 from .seeding import substream
 
 UNK_TOKEN = "\x02UNK"
@@ -36,7 +37,7 @@ class LabeledDocument(NamedTuple):
 def load_labeled_documents(path) -> List[LabeledDocument]:
     """Lines of "label<TAB>space-separated-tokens"; labels are integers."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -307,15 +308,10 @@ class WindowCnnModel(_PooledClassifier):
 def _apply_classifier_grads(model, grads: dict, lr: float) -> None:
     """Descent step; each matrix's learning rate is scaled by 1/fan-in."""
     for name, g in grads.items():
-        if name.startswith("_"):
-            continue
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
-        getattr(model, name)[...] -= lr * model._lr_scale[name] * g
-    rows = grads["_e_rows"]
-    if not np.all(np.isfinite(rows)):
-        raise NumericError("non-finite gradient for e")
-    np.subtract.at(model.e, grads["_e_ids"], lr * model._lr_scale["e"] * rows)
+        if not name.startswith("_"):
+            step_dense(getattr(model, name), -g, lr * model._lr_scale[name])
+    step_rows(model.e, grads["_e_ids"], -grads["_e_rows"],
+              lr * model._lr_scale["e"])
 
 
 def train_classifier(model, train_docs: Sequence[LabeledDocument],

@@ -13,13 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import densify_row_grads, flat_checker, in_noise_band
+from conftest import (ascent_checker, charword_batch, cw_batch,
+                      densify_row_grads, flat_checker, in_noise_band,
+                      predictive_batch, random_windows)
 from embkit.corpus import (CorpusStream, build_vocabulary,
                            subsample_keep_probability)
 from embkit.embeddings import (EmbeddingModel, TrainConfig,
-                               build_charword_space, charword_loss_grads,
-                               charword_pairs, cw_loss_grads,
-                               predictive_loss_grads, train_epochs)
+                               _expand_charword_arrays,
+                               _pair_batch_full_softmax,
+                               build_charword_space, train_epochs)
 from embkit.evaluate import (PgrInput, eval_analogy, eval_similarity,
                              load_analogies, load_similarity, pgr,
                              pgr_percent)
@@ -35,7 +37,7 @@ from embkit.seeding import substream
 from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
                               WindowCnnModel, extract_key_phrases,
                               load_params, train_classifier)
-from embkit.corpus import Vocabulary, WindowSample
+from embkit.corpus import Vocabulary
 
 
 def report(criterion, ok, detail):
@@ -109,30 +111,31 @@ def _randomized(model_or_net, rng, scale=0.8):
     return model_or_net
 
 
+# The embedding families check the batched forward/backward functions that
+# train_epochs runs, on batches of 1-3 random windows.
+
 def _predictive_config(kind):
     def gen(rng):
         model = _randomized(EmbeddingModel.create(
             kind, GRAD_VOCAB, 3, 5, 4, rng), rng)
-        n_ctx = int(rng.integers(1, 5))
-        ctx = tuple(int(v) for v in rng.integers(0, 6, n_ctx))
-        sample = WindowSample(int(rng.integers(0, 6)), ctx, min(n_ctx, 2))
-        n_sets = n_ctx if kind == "skipgram" else 1
-        negs = [rng.integers(0, 6, 3) for _ in range(n_sets)]
-        return model.params(), lambda: predictive_loss_grads(model, sample, negs)
+        return ascent_checker(model.params(), predictive_batch(model, rng, 6))
     return gen
+
+
+def _full_softmax_config(rng):
+    model = _randomized(EmbeddingModel.create("skipgram", GRAD_VOCAB, 3, 5,
+                                              rng=rng), rng)
+    tgt, ctx = random_windows(rng, 6, int(rng.integers(1, 4)))
+    rows, tgts, wgts = _expand_charword_arrays(None, tgt, ctx, 0.0, False)
+    return ascent_checker(model.params(), lambda: _pair_batch_full_softmax(
+        model, rows, tgts, wgts))
 
 
 def _cw_config(rng):
     model = _randomized(EmbeddingModel.create("cw", GRAD_VOCAB, 3, 5, 4, rng),
                         rng, scale=1.0)
-    window = [int(v) for v in rng.integers(0, 6, 5)]
-    neg = int(rng.integers(0, 6))
-    if neg == window[2]:
-        return None
-    loss, _ = cw_loss_grads(model, window, neg)
-    if not loss > 0.02:  # needs a margin-violating point clear of the kink
-        return None
-    return model.params(), lambda: cw_loss_grads(model, window, neg)
+    batch = cw_batch(model, rng, 6)
+    return ascent_checker(model.params(), batch) if batch else None
 
 
 def _charword_config(beta):
@@ -141,13 +144,8 @@ def _charword_config(beta):
     def gen(rng):
         model = _randomized(EmbeddingModel.create(
             "skipgram", CHAR_VOCAB, 3, 5, rng=rng, tokens=space.tokens), rng)
-        n_ctx = int(rng.integers(1, 4))
-        ctx = tuple(int(v) for v in rng.integers(0, 6, n_ctx))
-        sample = WindowSample(int(rng.integers(0, 6)), ctx, 0)
-        pairs = charword_pairs(space, sample, beta)
-        negs = [rng.integers(0, 6, 2) for _ in pairs]
-        return model.params(), lambda: charword_loss_grads(
-            model, space, sample, beta, negs)
+        return ascent_checker(model.params(),
+                              charword_batch(model, space, rng, 6, beta))
     return gen
 
 
@@ -166,7 +164,7 @@ def _segmenter_config(rng):
         dense["e"] = e
         return loss, dense
 
-    return net.params(), loss_fn
+    return flat_checker(net.params(), loss_fn)
 
 
 def _pooled_config(make_model):
@@ -189,7 +187,7 @@ def _pooled_config(make_model):
             loss, grads = model.loss_grads(ids, cls)
             return loss, densify_row_grads(model.e.shape, grads)
 
-        return model.params(), loss_fn
+        return flat_checker(model.params(), loss_fn)
     return gen
 
 
@@ -199,6 +197,7 @@ FAMILIES = [
     ("order", _predictive_config("order")),
     ("lbl", _predictive_config("lbl")),
     ("nnlm", _predictive_config("nnlm")),
+    ("skipgram full softmax", _full_softmax_config),
     ("cw", _cw_config),
     ("charword beta=0", _charword_config(0.0)),
     ("charword beta=0.5", _charword_config(0.5)),
@@ -220,8 +219,7 @@ def test_criterion_2_gradient_checks():
             made = gen(np.random.default_rng(int(master.integers(2**31))))
             if made is None:
                 continue
-            params, loss_fn = made
-            f, theta = flat_checker(params, loss_fn)
+            f, theta = made
             _, g0 = f(theta)
             if in_noise_band(g0):
                 # finite differences cannot resolve this configuration in

@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import flat_checker, in_noise_band
-from embkit.corpus import Vocabulary, WindowSample
-from embkit.embeddings import (KINDS, EmbeddingModel,
-                               TrainConfig, _aggregate_rows,
-                               _apply_rows_ascent, build_charword_space,
-                               charword_loss_grads, charword_pairs,
-                               context_representation, cw_loss_grads,
-                               cw_window_score, predictive_loss_grads,
-                               sample_to_window, score_target,
-                               train_epochs, train_sample_charword,
-                               train_sample_cw, train_sample_predictive)
-from embkit.errors import DataError, NumericError
-from embkit.optim import (ADAGRAD_EPS, NoiseSampler, Param, gradient_check,
-                          sigmoid)
+from conftest import (ascent_checker, charword_batch, cw_batch, in_noise_band,
+                      predictive_batch)
+from embkit.corpus import Vocabulary
+from embkit.embeddings import (KINDS, EmbeddingModel, TrainConfig,
+                               _apply_step, _assemble_cw_windows,
+                               _context_inputs, _cw_scores,
+                               _expand_charword_arrays, _ns_scores,
+                               _pair_batch_ns, _process_chunk,
+                               _window_batch_cw, _window_batch_predictive,
+                               build_charword_space, train_epochs)
+from embkit.errors import NumericError
+from embkit.optim import (ADAGRAD_EPS, NoiseSampler, Param, _aggregate_rows,
+                          gradient_check, sigmoid, step_rows)
 
 
 def make_model(kind, vocab, dim=3, win=5, hidden=4, seed=0, randomize=True):
@@ -29,27 +28,32 @@ def make_model(kind, vocab, dim=3, win=5, hidden=4, seed=0, randomize=True):
     return model
 
 
+def slots(*ids):
+    """One window's context slots, left to right; -1 marks an empty slot."""
+    return np.array([ids], dtype=np.int64)
+
+
 # --- context representation ---------------------------------------------------
 
 def test_cbow_opposite_vectors_cancel(small_vocab):
     model = make_model("cbow", small_vocab, randomize=False)
     model.e[0] = np.array([1.0, -2.0, 3.0])
     model.e[1] = -model.e[0]
-    x = context_representation(model, [0, 1], n_left=1)
+    x = _context_inputs(model, slots(-1, 0, 1, -1))[0]
     assert x == pytest.approx(np.zeros(3), abs=1e-15)
 
 
 def test_cbow_mean_matches_bruteforce(small_vocab):
     model = make_model("cbow", small_vocab)
     ids = [0, 3, 3, 5]
-    x = context_representation(model, ids, n_left=2)
+    x = _context_inputs(model, slots(*ids))[0]
     brute = sum(model.e[i] for i in ids) / len(ids)
     assert x == pytest.approx(brute, abs=1e-12)
 
 
 def test_order_concatenation_win3(small_vocab):
     model = make_model("order", small_vocab, win=3)
-    x = context_representation(model, [0, 1], n_left=1)
+    x = _context_inputs(model, slots(0, 1))[0]
     assert len(x) == 2 * model.dim
     assert x[:3] == pytest.approx(model.e[0])
     assert x[3:] == pytest.approx(model.e[1])
@@ -58,7 +62,7 @@ def test_order_concatenation_win3(small_vocab):
 def test_order_boundary_slots_zero(small_vocab):
     model = make_model("order", small_vocab, win=5)
     # only one right context word: slots [-2,-1,+2] stay zero
-    x = context_representation(model, [2], n_left=0)
+    x = _context_inputs(model, slots(-1, -1, 2, -1))[0]
     d = model.dim
     assert x[:2 * d] == pytest.approx(np.zeros(2 * d))
     assert x[2 * d:3 * d] == pytest.approx(model.e[2])
@@ -66,10 +70,18 @@ def test_order_boundary_slots_zero(small_vocab):
 
 
 def test_skipgram_single_context_word(small_vocab):
+    # skipgram scores each context word as its own (input row -> target) pair
     model = make_model("skipgram", small_vocab)
-    assert context_representation(model, [4]) == pytest.approx(model.e[4])
-    with pytest.raises(DataError):
-        context_representation(model, [1, 2], n_left=1)
+    rows, tgts, wgts = _expand_charword_arrays(None, np.array([0]),
+                                               slots(-1, 4, 1, -1), 0.0, False)
+    assert rows.tolist() == [4, 1] and tgts.tolist() == [0, 0]
+    assert wgts.tolist() == [1.0, 1.0]
+    negs = np.array([[2, 3], [5, 2]])
+    loss, grads = _pair_batch_ns(model, rows, tgts, wgts, negs)
+    singles = [_pair_batch_ns(model, rows[i:i + 1], tgts[i:i + 1],
+                              wgts[i:i + 1], negs[i:i + 1])[0] for i in range(2)]
+    assert loss == pytest.approx(sum(singles), abs=1e-12)
+    assert grads["e"][0].tolist() == [4, 1]
 
 
 # --- target scoring -------------------------------------------------------------
@@ -78,7 +90,8 @@ def test_skipgram_aligned_unit_vectors_score_one(small_vocab):
     model = make_model("skipgram", small_vocab, randomize=False)
     unit = np.array([1.0, 0.0, 0.0])
     model.e_prime[2] = unit
-    assert score_target(model, unit, 2) == pytest.approx(1.0)
+    s, _, _ = _ns_scores(model, unit[None, :], np.array([[2]]))
+    assert s[0, 0] == pytest.approx(1.0)
 
 
 def test_nnlm_zero_net_scores_zero(small_vocab):
@@ -86,7 +99,8 @@ def test_nnlm_zero_net_scores_zero(small_vocab):
     # created with H random but e_prime/biases zero; zero H as well
     model.params()["H"].value[...] = 0.0
     x = np.arange(12, dtype=float)
-    assert score_target(model, x, 3) == 0.0
+    s, _, _ = _ns_scores(model, x[None, :], np.array([[3]]))
+    assert s[0, 0] == 0.0
 
 
 def test_lbl_energy_matches_matrix_arithmetic(small_vocab):
@@ -96,33 +110,33 @@ def test_lbl_energy_matches_matrix_arithmetic(small_vocab):
     w = 4
     expected = (p["b2"].value[w]
                 + model.e_prime[w] @ (p["b1"].value + p["H"].value @ x))
-    assert score_target(model, x, w) == pytest.approx(expected, abs=1e-12)
+    s, _, _ = _ns_scores(model, x[None, :], np.array([[w]]))
+    assert s[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_score_unknown_id_errors(small_vocab):
     model = make_model("skipgram", small_vocab)
-    with pytest.raises(DataError):
-        score_target(model, model.e[0], 99)
+    with pytest.raises(IndexError):
+        _ns_scores(model, model.e[:1], np.array([[99]]))
 
 
-# --- per-sample losses -----------------------------------------------------------
+# --- batch losses ----------------------------------------------------------------
 
 def test_zero_energy_loss_is_ln2_terms(small_vocab):
     # freshly created model has e_prime = 0, so every energy is 0
     model = make_model("cbow", small_vocab, randomize=False)
-    sample = WindowSample(0, (1, 2), 1)
     k = 5
-    loss, _ = predictive_loss_grads(model, sample,
-                                    [np.array([3, 4, 5, 3, 4])])
+    loss, _ = _window_batch_predictive(model, np.array([0]), slots(-1, 1, 2, -1),
+                                       np.array([[3, 4, 5, 3, 4]]))
     assert loss == pytest.approx((1 + k) * math.log(2), abs=1e-12)
 
 
 def test_negative_permutation_invariance(small_vocab):
     model = make_model("order", small_vocab)
-    sample = WindowSample(1, (0, 2, 3, 4), 2)
-    negs = np.array([2, 5, 3])
-    loss1, _ = predictive_loss_grads(model, sample, [negs])
-    loss2, _ = predictive_loss_grads(model, sample, [negs[::-1].copy()])
+    tgt, ctx = np.array([1]), slots(0, 2, 3, 4)
+    negs = np.array([[2, 5, 3]])
+    loss1, _ = _window_batch_predictive(model, tgt, ctx, negs)
+    loss2, _ = _window_batch_predictive(model, tgt, ctx, negs[:, ::-1].copy())
     assert loss1 == pytest.approx(loss2, abs=1e-12)
 
 
@@ -136,9 +150,11 @@ def test_cbow_single_step_matches_hand_computation():
 
     cfg = TrainConfig(negatives=1, lr=0.1, optimizer="sgd", epochs=1)
     sampler = NoiseSampler(vocab.counts)
-    sample = WindowSample(0, (1,), 1)  # target a, context b, negative must be b
-    loss = train_sample_predictive(model, sample, cfg, sampler,
-                                   np.random.default_rng(1))
+    # target a, context b on its left, so the negative must be b
+    loss, units = _process_chunk(model, cfg, sampler, None,
+                                 np.random.default_rng(1), np.array([0]),
+                                 slots(1, -1))
+    assert units == 1
 
     x = e[1]
     s_pos = float(ep[0] @ x)
@@ -166,13 +182,7 @@ def test_predictive_gradients(kind, small_vocab):
         seed = int(master.integers(2**31))
         r = np.random.default_rng(seed)
         model = make_model(kind, small_vocab, seed=seed)
-        n_ctx = int(r.integers(1, 5))
-        ctx = tuple(int(v) for v in r.integers(0, 6, n_ctx))
-        sample = WindowSample(int(r.integers(0, 6)), ctx, min(n_ctx, 2))
-        n_sets = n_ctx if kind == "skipgram" else 1
-        negs = [r.integers(0, 6, 3) for _ in range(n_sets)]
-        f, theta = flat_checker(model.params(),
-                                lambda: predictive_loss_grads(model, sample, negs))
+        f, theta = ascent_checker(model.params(), predictive_batch(model, r, 6))
         _, g0 = f(theta)
         if in_noise_band(g0):
             continue
@@ -189,15 +199,10 @@ def test_cw_gradients(small_vocab):
         seed = int(master.integers(2**31))
         r = np.random.default_rng(seed)
         model = make_model("cw", small_vocab, seed=seed)
-        window = [int(v) for v in r.integers(0, 6, 5)]
-        neg = int(r.integers(0, 6))
-        if neg == window[2]:
+        batch = cw_batch(model, r, 6)
+        if batch is None:
             continue
-        loss, _ = cw_loss_grads(model, window, neg)
-        if not loss > 0.02:  # needs a margin-violating, kink-free point
-            continue
-        f, theta = flat_checker(model.params(),
-                                lambda: cw_loss_grads(model, window, neg))
+        f, theta = ascent_checker(model.params(), batch)
         _, g0 = f(theta)
         if in_noise_band(g0):
             continue
@@ -210,6 +215,10 @@ def test_cw_gradients(small_vocab):
 
 def test_cw_hinge_dead_zone(small_vocab):
     model = make_model("cw", small_vocab)
+
+    def score(window):
+        return _cw_scores(model, model.e[window].reshape(1, -1))[1][0]
+
     # search for a (window, negative) pair with margin comfortably satisfied,
     # scaling up the output weights until the score spread is large enough
     found = None
@@ -221,8 +230,7 @@ def test_cw_hinge_dead_zone(small_vocab):
                 window = [0, 1, mid, 3, 4]
                 changed = list(window)
                 changed[2] = neg
-                if cw_window_score(model, window) \
-                        - cw_window_score(model, changed) >= 1.5:
+                if score(window) - score(changed) >= 1.5:
                     found = (window, neg)
                     break
             if found:
@@ -233,9 +241,10 @@ def test_cw_hinge_dead_zone(small_vocab):
     assert found is not None
     window, neg = found
     before = {k: p.value.copy() for k, p in model.params().items()}
-    loss, grads = cw_loss_grads(model, window, neg)
+    loss, grads = _window_batch_cw(model, np.array([window]), np.array([neg]))
     assert loss == 0.0
-    assert all(np.all(g == 0) for g in grads.values())
+    assert grads == {}
+    _apply_step(model, TrainConfig(), loss, grads)
     for k, p in model.params().items():
         assert np.array_equal(p.value, before[k])
 
@@ -245,30 +254,31 @@ def test_cw_equal_scores_loss_one(small_vocab):
     # zero hidden weights make every window score 0
     model.params()["H"].value[...] = 0.0
     model.params()["U"].value[...] = 0.0
-    loss, _ = cw_loss_grads(model, [0, 1, 2, 3, 4], 5)
+    loss, _ = _window_batch_cw(model, np.array([[0, 1, 2, 3, 4]]), np.array([5]))
     assert loss == pytest.approx(1.0)
 
 
 def test_cw_no_dead_inputs(small_vocab):
     # replacing the target or any context word must change the score
     model = make_model("cw", small_vocab)
-    window = [0, 1, 2, 3, 4]
-    base = cw_window_score(model, window)
+    windows = np.tile([0, 1, 2, 3, 4], (6, 1))
     for slot in range(5):
-        changed = list(window)
-        changed[slot] = 5
-        assert cw_window_score(model, changed) != pytest.approx(base, abs=1e-12)
+        windows[slot + 1, slot] = 5
+    _, s = _cw_scores(model, model.e[windows].reshape(6, -1))
+    for slot in range(5):
+        assert s[slot + 1] != pytest.approx(s[0], abs=1e-12)
 
 
 def test_cw_window_length_enforced(small_vocab):
     model = make_model("cw", small_vocab)
-    with pytest.raises(DataError):
-        cw_loss_grads(model, [0, 1, 2], 4)
+    with pytest.raises(ValueError):
+        _window_batch_cw(model, np.array([[0, 1, 2]]), np.array([4]))
 
 
 def test_sample_to_window_padding():
-    sample = WindowSample(7, (1, 2), 0)  # both context words on the right
-    assert sample_to_window(sample, 5) == [-1, -1, 7, 1, 2]
+    # target 7 with both context words on its right
+    windows = _assemble_cw_windows(5, np.array([7]), slots(-1, -1, 1, 2))
+    assert windows.tolist() == [[-1, -1, 7, 1, 2]]
 
 
 def test_train_sample_cw_updates_only_on_violation(small_vocab):
@@ -276,7 +286,8 @@ def test_train_sample_cw_updates_only_on_violation(small_vocab):
     rng = np.random.default_rng(0)
     cfg = TrainConfig(optimizer="sgd", lr=0.05)
     before = {k: p.value.copy() for k, p in model.params().items()}
-    loss = train_sample_cw(model, [0, 1, 2, 3, 4], rng, cfg)
+    loss, _ = _process_chunk(model, cfg, None, None, rng, np.array([2]),
+                             slots(0, 1, 3, 4))
     changed = any(not np.array_equal(p.value, before[k])
                   for k, p in model.params().items())
     assert changed == (loss > 0)
@@ -310,16 +321,16 @@ def test_charword_space_rows(char_setup):
 def test_charword_beta_interpolation(char_setup):
     # loss(beta) == (1-beta) * word part + beta/|w| * char part, exactly
     vocab, space, model = char_setup
-    sample = WindowSample(0, (1, 3), 1)
     beta = 0.37
     rng = np.random.default_rng(5)
-    pairs = charword_pairs(space, sample, beta)
-    negs = [rng.integers(0, 5, 2) for _ in pairs]
-    loss, _ = charword_loss_grads(model, space, sample, beta, negs)
+    rows, tgts, wgts = _expand_charword_arrays(
+        space, np.array([0]), slots(-1, 1, 3, -1), beta, False)
+    negs = rng.integers(0, 5, (len(rows), 2))
+    loss, _ = _pair_batch_ns(model, rows, tgts, wgts, negs)
 
     # recompute each pair independently at the same negatives
     expected = 0.0
-    for (row, tgt, w), neg in zip(pairs, negs):
+    for row, tgt, w, neg in zip(rows, tgts, wgts, negs):
         x = model.e[row]
         ids = np.concatenate(([tgt], neg))
         s = model.e_prime[ids] @ x
@@ -357,8 +368,8 @@ def test_charword_beta_one_freezes_word_context_vectors(char_setup):
     words_before = model.e[:space.n_words].copy()
     chars_before = model.e[space.n_words:].copy()
     for _ in range(5):
-        train_sample_charword(model, space, WindowSample(0, (1, 2), 1),
-                              cfg, sampler, rng)
+        _process_chunk(model, cfg, sampler, space, rng, np.array([0]),
+                       slots(-1, 1, 2, -1))
     assert np.array_equal(model.e[:space.n_words], words_before)
     assert not np.array_equal(model.e[space.n_words:], chars_before)
 
@@ -368,21 +379,22 @@ def test_charword_single_char_word_weights(char_setup):
     # the same weight as the word pair
     vocab, space, _ = char_setup
     wid = vocab.id_of("江")
-    pairs = charword_pairs(space, WindowSample(0, (wid,), 1), 0.5)
-    assert len(pairs) == 2
-    (w_row, _, w_weight), (c_row, _, c_weight) = pairs
-    assert w_row == wid and c_row == space.char_rows(wid)[0]
-    assert w_weight == c_weight == 0.5
+    rows, _, wgts = _expand_charword_arrays(space, np.array([0]),
+                                            slots(-1, wid, -1, -1), 0.5, False)
+    assert rows.tolist() == [wid, space.char_rows(wid)[0]]
+    assert wgts.tolist() == [0.5, 0.5]
 
 
 def test_char_context_flag_doubles_units(char_setup):
     vocab, space, _ = char_setup
-    sample = WindowSample(0, (vocab.id_of("江"), vocab.id_of("明天")), 1)
-    plain = charword_pairs(space, sample, 0.5, char_context=False)
-    extended = charword_pairs(space, sample, 0.5, char_context=True)
-    assert len(extended) - len(plain) == 3  # one char of 江 plus two of 明天
-    added = [p for p in extended if p not in plain]
-    assert all(w == 1.0 for _, _, w in added)  # plain context units
+    tgt, ctx = np.array([0]), slots(-1, vocab.id_of("江"), vocab.id_of("明天"), -1)
+    plain = _expand_charword_arrays(space, tgt, ctx, 0.5, False)
+    extended = _expand_charword_arrays(space, tgt, ctx, 0.5, True)
+    n = len(plain[0])
+    assert len(extended[0]) - n == 3  # one char of 江 plus two of 明天
+    for got, want in zip(extended, plain):
+        assert np.array_equal(got[:n], want)
+    assert extended[2][n:].tolist() == [1.0] * 3  # plain context units
 
 
 def test_charword_gradients(char_setup):
@@ -398,13 +410,8 @@ def test_charword_gradients(char_setup):
                                           rng=r, tokens=space.tokens)
             for p in model.params().values():
                 p.value[...] = r.normal(0, 0.8, p.value.shape)
-            ctx = tuple(int(v) for v in r.integers(0, 5, int(r.integers(1, 4))))
-            sample = WindowSample(int(r.integers(0, 5)), ctx, 0)
-            pairs = charword_pairs(space, sample, beta)
-            negs = [r.integers(0, 5, 2) for _ in pairs]
-            f, theta = flat_checker(
-                model.params(),
-                lambda: charword_loss_grads(model, space, sample, beta, negs))
+            f, theta = ascent_checker(model.params(),
+                                      charword_batch(model, space, r, 5, beta))
             _, g0 = f(theta)
             if in_noise_band(g0):
                 continue
@@ -420,13 +427,8 @@ def test_char_context_gradients(char_setup):
                                   tokens=space.tokens)
     for p in model.params().values():
         p.value[...] = r.normal(0, 0.8, p.value.shape)
-    sample = WindowSample(1, (0, 3), 1)
-    pairs = charword_pairs(space, sample, 0.5, char_context=True)
-    negs = [r.integers(0, 5, 2) for _ in pairs]
-    f, theta = flat_checker(
-        model.params(),
-        lambda: charword_loss_grads(model, space, sample, 0.5, negs,
-                                    char_context=True))
+    batch = charword_batch(model, space, r, 5, 0.5, char_context=True)
+    f, theta = ascent_checker(model.params(), batch)
     assert gradient_check(f, theta) < 1e-4
 
 
@@ -554,7 +556,8 @@ def test_apply_rows_ascent_matches_dense_reference(optimizer, dtype, row_shape):
         param.value, param.accum, ids, grads, optimizer, 0.3)
     before_value, before_accum = param.value.copy(), param.accum.copy()
 
-    _apply_rows_ascent(param, ids, grads, TrainConfig(lr=0.3, optimizer=optimizer))
+    step_rows(param.value, ids, grads, 0.3,
+              param.accum if optimizer == "adagrad" else None)
 
     assert param.value.dtype == dtype and param.accum.dtype == dtype
     rtol = ROW_STEP_RTOL[dtype]
@@ -573,7 +576,7 @@ def test_apply_rows_ascent_empty_ids_change_nothing(optimizer):
     param = Param(np.random.default_rng(13).normal(size=(6, 3)))
     param.accum = np.ones((6, 3))
     before = param.value.copy()
-    _apply_rows_ascent(param, np.empty(0, dtype=np.int64), np.empty((0, 3)),
-                       TrainConfig(optimizer=optimizer))
+    step_rows(param.value, np.empty(0, dtype=np.int64), np.empty((0, 3)), 0.1,
+              param.accum if optimizer == "adagrad" else None)
     assert np.array_equal(param.value, before)
     assert np.array_equal(param.accum, np.ones((6, 3)))

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import embkit
 from embkit.cli import run
 from embkit.errors import DataError
 from embkit.io_formats import (EmbeddingTable, load_container,
@@ -384,9 +389,10 @@ def cooccur_files(tmp_path, tiny_corpus_file):
 @pytest.mark.parametrize("line", ["10\t1\t2",      # id == |V| (10 words)
                                   "-1\t1\t2",      # negative id
                                   "1.5\t1\t2",     # non-integer id
-                                  "1\t2\tnan"],    # count that is not finite
+                                  "1\t2\tnan",     # count that is not finite
+                                  "0\t1\t5"],      # repeats the cell (0, 1)
                          ids=["id-too-large", "negative-id", "non-integer-id",
-                              "nan-count"])
+                              "nan-count", "duplicate-cell"])
 def test_cli_factorize_rejects_bad_cooccurrence_line(tmp_path, cooccur_files,
                                                      caplog, line):
     vocab_path, cooc_path = cooccur_files
@@ -412,3 +418,61 @@ def test_cli_factorize_divergence_is_numeric_error(tmp_path, cooccur_files):
                 "--epochs", "3", "--lr", "1e200", "--out", str(out)])
     assert code == 3
     assert not out.exists()
+
+
+def _run_cli_process(args):
+    """Run the CLI in a fresh interpreter; return (exit code, stderr lines)."""
+    src = os.path.dirname(os.path.dirname(embkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "embkit.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("command", ["train-emb", "segment-train"])
+def test_cli_divergence_is_one_error_line(tmp_path, tiny_corpus_file, command):
+    out = tmp_path / "model.bin"
+    if command == "train-emb":
+        args = ["train-emb", "--kind", "skipgram", "--corpus",
+                str(tiny_corpus_file), "--dim", "4", "--epochs", "3"]
+    else:
+        corpus = tmp_path / "seg.txt"
+        corpus.write_text("的有/我/不\n一了/是/人\n" * 5, encoding="utf-8")
+        args = ["segment-train", "--corpus", str(corpus), "--dim", "4",
+                "--hidden", "6", "--epochs", "3"]
+    code, stderr = _run_cli_process([*args, "--optimizer", "sgd", "--lr",
+                                     "1e200", "--out", str(out)])
+    assert code == 3
+    errors = [line for line in stderr if line.startswith("[ERROR]")]
+    assert len(errors) == 1 and "numeric failure" in errors[0]
+    assert all(line.startswith(("[INFO]", "[ERROR]")) for line in stderr), stderr
+    assert not any("Warning" in line for line in stderr)
+    assert not out.exists()
+
+
+def test_cli_non_utf8_corpus_is_data_error(tmp_path, caplog):
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes("café au lait\n".encode("latin-1"))
+    code = run(["train-emb", "--kind", "skipgram", "--corpus", str(corpus),
+                "--out", str(tmp_path / "e.vec"), "--dim", "4"])
+    assert code == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert str(corpus) in message and "\n" not in message
+
+
+@pytest.mark.parametrize("keep", [10, 20, -3],
+                         ids=["in-header", "in-metadata", "in-array"])
+def test_cli_truncated_container_is_data_error(tmp_path, caplog, keep):
+    from embkit.io_formats import save_embeddings_binary
+    path = tmp_path / "emb.bin"
+    save_embeddings_binary(EmbeddingTable(["a", "b"], np.eye(2)), path)
+    path.write_bytes(path.read_bytes()[:keep])
+    code = run(["eval", "--embeddings", str(path), "--task", "nn",
+                "--word", "a"])
+    assert code == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert str(path) in message and "\n" not in message

@@ -7,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from embkit.errors import NumericError
-from embkit.optim import (NoiseSampler, adagrad_step, gradient_check,
-                          log_softmax, negative_sample, sgd_step, sigmoid,
-                          softmax)
+from embkit.optim import (NoiseSampler, gradient_check, log_softmax, sigmoid,
+                          softmax, step_dense)
 
 
 def test_softmax_symmetry():
@@ -55,26 +54,26 @@ def test_log_softmax_consistent():
 
 def test_sgd_step_ascent():
     theta = np.array([1.0])
-    sgd_step(theta, np.array([2.0]), 0.1)
+    step_dense(theta, np.array([2.0]), 0.1)
     assert theta[0] == pytest.approx(1.2)
 
 
 def test_sgd_zero_gradient_identity():
     theta = np.array([3.0, -1.0])
-    sgd_step(theta, np.zeros(2), 0.5)
+    step_dense(theta, np.zeros(2), 0.5)
     assert theta.tolist() == [3.0, -1.0]
 
 
 def test_sgd_nonfinite_gradient_raises():
     with pytest.raises(NumericError):
-        sgd_step(np.zeros(2), np.array([1.0, np.nan]), 0.1)
+        step_dense(np.zeros(2), np.array([1.0, np.nan]), 0.1)
 
 
 def test_sgd_converges_on_quadratic_bowl():
     # maximize -(theta - 3)^2, gradient -2(theta - 3)
     theta = np.array([10.0])
     for _ in range(2000):
-        sgd_step(theta, -2.0 * (theta - 3.0), 0.05)
+        step_dense(theta, -2.0 * (theta - 3.0), 0.05)
     assert abs(theta[0] - 3.0) < 1e-6
 
 
@@ -82,14 +81,14 @@ def test_adagrad_first_step_magnitude():
     for g in (0.5, -3.0, 10.0):
         theta = np.zeros(1)
         accum = np.zeros(1)
-        adagrad_step(theta, np.array([g]), accum, lr=0.1)
+        step_dense(theta, np.array([g]), 0.1, accum)
         assert abs(theta[0]) == pytest.approx(0.1 * abs(g) / (abs(g) + 1e-8))
 
 
 def test_adagrad_zero_gradient_no_change():
     theta = np.array([1.0])
     accum = np.array([4.0])
-    adagrad_step(theta, np.zeros(1), accum, 0.1)
+    step_dense(theta, np.zeros(1), 0.1, accum)
     assert theta[0] == 1.0 and accum[0] == 4.0
 
 
@@ -101,7 +100,7 @@ def test_adagrad_constant_gradient_decay():
     prev = 0.0
     for k in range(1, 50):
         before = theta[0]
-        adagrad_step(theta, g, accum, lr=0.1)
+        step_dense(theta, g, 0.1, accum)
         step = theta[0] - before
         assert step == pytest.approx(0.1 / math.sqrt(k), rel=1e-6)
         assert accum[0] == pytest.approx(k * 4.0)
@@ -114,28 +113,29 @@ def test_adagrad_accumulator_monotone():
     accum = np.zeros(5)
     last = accum.copy()
     for _ in range(30):
-        adagrad_step(theta, rng.normal(size=5), accum, 0.1)
+        step_dense(theta, rng.normal(size=5), 0.1, accum)
         assert np.all(accum >= last)
         last = accum.copy()
 
 
 def test_negative_sample_empty():
     sampler = NoiseSampler([3, 1])
-    assert len(negative_sample(sampler, 0, 0, np.random.default_rng(0))) == 0
+    out = sampler.sample_matrix((1, 0), np.array([0]), np.random.default_rng(0))
+    assert out.shape == (1, 0)
 
 
 def test_negative_sample_never_returns_excluded():
     sampler = NoiseSampler([5, 5, 5, 5])
     rng = np.random.default_rng(2)
     for _ in range(200):
-        draws = sampler.sample(8, 2, rng)
+        draws = sampler.sample_matrix((1, 8), np.array([2]), rng)
         assert 2 not in draws
 
 
 def test_uniform_noise_frequencies():
     sampler = NoiseSampler([7, 7, 7, 7], exponent=0.75)
     rng = np.random.default_rng(3)
-    draws = sampler.sample(1_000_000, exclude=-1, rng=rng)
+    draws = sampler.sample_matrix((1, 1_000_000), np.array([-1]), rng).ravel()
     freqs = np.bincount(draws, minlength=4) / len(draws)
     assert freqs == pytest.approx([0.25] * 4, abs=0.01)
 
@@ -144,7 +144,7 @@ def test_power_law_noise_ratio():
     # counts {a: 8, b: 1} at exponent 0.75 -> P(a)/P(b) = 8**0.75
     sampler = NoiseSampler([8, 1])
     rng = np.random.default_rng(4)
-    draws = sampler.sample(400_000, exclude=-1, rng=rng)
+    draws = sampler.sample_matrix((1, 400_000), np.array([-1]), rng).ravel()
     counts = np.bincount(draws, minlength=2)
     ratio = counts[0] / counts[1]
     assert ratio == pytest.approx(8 ** 0.75, rel=0.05)
