@@ -108,8 +108,18 @@ def _save_embedding_model(model, path):
     save_container(path, arrays, meta)
 
 
+def _check_meta(path, meta, what, keys):
+    """A container whose metadata lacks one of `keys` holds another kind of
+    model: a data error, not a KeyError."""
+    if not all(key in meta for key in keys):
+        raise DataError(f"{path}: container is not {what}")
+
+
 def _load_embedding_model(path) -> emb.EmbeddingModel:
     arrays, meta = load_container(path)
+    _check_meta(path, meta, "an embedding model",
+                ("kind", "dim", "win", "hidden", "tokens", "vocab_tokens",
+                 "vocab_counts"))
     vocab = corpus_mod.Vocabulary(meta["vocab_tokens"], meta["vocab_counts"])
     model = emb.EmbeddingModel(meta["kind"], vocab, meta["dim"], meta["win"],
                                meta["hidden"], tokens=meta["tokens"])
@@ -308,6 +318,7 @@ def _cmd_segment_train(args):
 
 def _load_segmenter(path) -> seg.SegmenterNet:
     arrays, meta = load_container(path)
+    _check_meta(path, meta, "a segmenter model", ("chars", "dim", "hidden", "win"))
     net = seg.SegmenterNet(meta["chars"], meta["dim"], meta["hidden"], meta["win"])
     for name, arr in arrays.items():
         getattr(net, name)[...] = arr
@@ -392,6 +403,9 @@ def _cmd_classify_train(args):
 
 def _load_classifier(path):
     arrays, meta = load_container(path)
+    shape_key = "context_dim" if meta.get("model") == "rcnn" else "win"
+    _check_meta(path, meta, "a classifier model",
+                ("model", "tokens", "n_classes", "dim", "hidden", shape_key))
     if meta["model"] == "rcnn":
         model = tc.RcnnModel(meta["tokens"], meta["n_classes"], meta["dim"],
                              meta["context_dim"], meta["hidden"])

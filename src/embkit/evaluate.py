@@ -150,37 +150,56 @@ def eval_choice(table: EmbeddingTable, questions: Sequence[ChoiceQuestion]) -> f
     return correct / len(questions)
 
 
-def eval_analogy(table: EmbeddingTable, questions: Sequence[AnalogyQuestion]) -> dict:
-    """3CosAdd: argmax cosine(v, e(b) - e(a) + e(c)) excluding {a, b, c}."""
+# Query rows are scored a block at a time: 2**20 float64 scores (8 MiB) per
+# block make an efficient matrix product, and memory does not grow with the
+# number of questions.
+_BLOCK_SCORES = 2 ** 20
+
+
+def _cosine_blocks(table: EmbeddingTable, unit_queries: np.ndarray):
+    """Yield (rows, scores) for consecutive blocks of unit-norm query rows:
+    scores[i, j] is the cosine of query rows.start + i with table row j (a
+    zero table row scores 0). One matrix product per block."""
     unit = table.unit_vectors()
-    answered = 0
-    correct = 0
-    per_category: dict = {}
-    skipped = 0
+    step = max(1, _BLOCK_SCORES // len(unit))
+    for start in range(0, len(unit_queries), step):
+        rows = slice(start, start + step)
+        yield rows, unit_queries[rows] @ unit.T
+
+
+def eval_analogy(table: EmbeddingTable, questions: Sequence[AnalogyQuestion]) -> dict:
+    """3CosAdd: argmax cosine(v, e(b) - e(a) + e(c)) excluding {a, b, c}.
+
+    Questions with an OOV word or a zero query vector are skipped; the
+    others are answered in blocks, and a tie goes to the lowest id."""
+    ids, categories = [], []
     for q in questions:
-        ids = [table.token_to_id.get(w) for w in (q.a, q.b, q.c, q.expected)]
-        if any(i is None for i in ids):
-            skipped += 1
-            continue
-        ia, ib, ic, expected = ids
-        query = table.vectors[ib] - table.vectors[ia] + table.vectors[ic]
-        norm = np.linalg.norm(query)
-        if norm == 0.0:
-            skipped += 1
-            continue
-        sims = unit @ (query / norm)
-        sims[[ia, ib, ic]] = -np.inf
-        guess = int(np.argmax(sims))
-        answered += 1
-        hit = guess == expected
-        correct += int(hit)
-        cat = per_category.setdefault(q.category, [0, 0])
-        cat[0] += int(hit)
-        cat[1] += 1
+        qids = [table.token_to_id.get(w) for w in (q.a, q.b, q.c, q.expected)]
+        if None not in qids:
+            ids.append(qids)
+            categories.append(q.category)
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 4)
+    v = table.vectors
+    queries = v[ids[:, 1]] - v[ids[:, 0]] + v[ids[:, 2]]
+    norms = np.linalg.norm(queries, axis=1)
+    nonzero = norms != 0.0
+    ids, queries, norms = ids[nonzero], queries[nonzero], norms[nonzero]
+    guesses = np.empty(len(ids), dtype=np.int64)
+    for rows, scores in _cosine_blocks(table, queries / norms[:, None]):
+        scores[np.arange(len(scores))[:, None], ids[rows, :3]] = -np.inf
+        guesses[rows] = np.argmax(scores, axis=1)  # first max: lowest id
+    categories = [c for c, keep in zip(categories, nonzero) if keep]
+    hits = (guesses == ids[:, 3]).tolist()
+    per_category: dict = {}
+    for cat, hit in zip(categories, hits):
+        counts = per_category.setdefault(cat, [0, 0])
+        counts[0] += hit
+        counts[1] += 1
+    answered = len(hits)
     return {
-        "accuracy": correct / answered if answered else 0.0,
+        "accuracy": sum(hits) / answered if answered else 0.0,
         "answered": answered,
-        "skipped": skipped,
+        "skipped": len(questions) - answered,
         "per_category": {k: c / n for k, (c, n) in per_category.items()},
     }
 
@@ -195,7 +214,8 @@ def nearest_neighbors(table: EmbeddingTable, word: str, k: int) -> List[Tuple[st
     norm = np.linalg.norm(query)
     if norm == 0.0:
         raise DataError("query vector is zero")
-    sims = table.unit_vectors() @ (query / norm)
+    _, scores = next(_cosine_blocks(table, (query / norm)[np.newaxis]))
+    sims = scores[0]
     sims[wid] = -np.inf
     order = np.lexsort((np.arange(len(sims)), -sims))  # cosine desc, id asc
     return [(table.tokens[i], float(sims[i])) for i in order[:k]]

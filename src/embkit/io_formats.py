@@ -8,6 +8,7 @@ layout, so identical runs produce identical bytes.
 
 import contextlib
 import json
+import os
 import struct
 from typing import Dict, Optional
 
@@ -28,6 +29,28 @@ def open_text(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+@contextlib.contextmanager
+def _atomic_open(path, mode, encoding=None):
+    """Open `path` for writing so that it changes only once the write has
+    completed: the data goes to a temporary file beside it, which replaces
+    `path` on success and is removed on failure. A path that names an
+    existing non-regular file, such as /dev/null, is written in place."""
+    path = os.path.realpath(path)  # through a symlink, not over it
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class EmbeddingTable:
@@ -72,7 +95,7 @@ class EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table.tokens)} {table.dim}\n")
         for tok, row in zip(table.tokens, table.vectors):
             fh.write(tok + " " + " ".join(f"{v:.6f}" for v in row) + "\n")
@@ -91,6 +114,8 @@ def load_embeddings(path) -> EmbeddingTable:
             arrays, meta = load_container(path)
             if meta.get("format") != "embedding" or "vectors" not in arrays:
                 raise DataError(f"{path}: container is not an embedding file")
+            if not np.isfinite(arrays["vectors"]).all():
+                raise DataError(f"{path}: non-finite vector value")
             return EmbeddingTable(meta["tokens"], arrays["vectors"])
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -100,7 +125,7 @@ def load_embeddings(path) -> EmbeddingTable:
             n, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise DataError(f"{path}:1: bad header {header!r}") from exc
-        tokens = []
+        tokens, linenos = [], []
         vectors = np.empty((n, dim))
         row = 0
         for lineno, line in enumerate(fh, start=2):
@@ -115,6 +140,7 @@ def load_embeddings(path) -> EmbeddingTable:
                     f"{path}:{lineno}: expected 1 token and {dim} values, "
                     f"got {len(parts)} fields")
             tokens.append(parts[0])
+            linenos.append(lineno)
             try:
                 vectors[row] = [float(v) for v in parts[1:]]
             except ValueError as exc:
@@ -122,6 +148,9 @@ def load_embeddings(path) -> EmbeddingTable:
             row += 1
         if row != n:
             raise DataError(f"{path}: header says {n} rows, found {row}")
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if len(bad):
+        raise DataError(f"{path}:{linenos[bad[0]]}: non-finite vector value")
     return EmbeddingTable(tokens, vectors)
 
 
@@ -129,7 +158,7 @@ def save_container(path, arrays: Dict[str, np.ndarray],
                    meta: Optional[dict] = None) -> None:
     """Write named arrays with an explicit little-endian binary layout."""
     meta_blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(meta_blob)))
         fh.write(meta_blob)

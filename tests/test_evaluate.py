@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from embkit.errors import DataError
 from embkit.evaluate import (AnalogyQuestion, ChoiceQuestion, PgrInput,
-                             SimilarityPair, avg_document_vector, classify,
+                             SimilarityPair, _cosine_blocks,
+                             avg_document_vector, classify,
                              cosine, eval_analogy, eval_choice,
                              eval_similarity, load_analogies,
                              logistic_loss_grads, nearest_neighbors, pearson,
@@ -191,6 +192,84 @@ def test_eval_analogy_scale_invariant():
     base = eval_analogy(table_from(tokens, vectors), questions)
     scaled = eval_analogy(table_from(tokens, 7.3 * vectors), questions)
     assert base["accuracy"] == scaled["accuracy"]
+
+
+def analogy_oracle(table, questions):
+    """The per-question 3CosAdd loop: one matrix-vector product each."""
+    unit = table.unit_vectors()
+    answered = correct = skipped = 0
+    per_category = {}
+    for q in questions:
+        ids = [table.token_to_id.get(w) for w in (q.a, q.b, q.c, q.expected)]
+        if any(i is None for i in ids):
+            skipped += 1
+            continue
+        ia, ib, ic, expected = ids
+        query = table.vectors[ib] - table.vectors[ia] + table.vectors[ic]
+        norm = np.linalg.norm(query)
+        if norm == 0.0:
+            skipped += 1
+            continue
+        sims = unit @ (query / norm)
+        sims[[ia, ib, ic]] = -np.inf
+        hit = int(np.argmax(sims)) == expected
+        answered += 1
+        correct += int(hit)
+        cat = per_category.setdefault(q.category, [0, 0])
+        cat[0] += int(hit)
+        cat[1] += 1
+    return {
+        "accuracy": correct / answered if answered else 0.0,
+        "answered": answered,
+        "skipped": skipped,
+        "per_category": {k: c / n for k, (c, n) in per_category.items()},
+    }
+
+
+def test_eval_analogy_blocks_match_per_question_oracle():
+    rng = np.random.default_rng(9)
+    n = 10_000
+    tokens = [f"t{i}" for i in range(n)]
+    vectors = rng.normal(size=(n, 20))
+    questions = []
+    for j in range(400):
+        if j % 5 == 4:  # random words: mostly missed
+            questions.append(AnalogyQuestion(
+                *[tokens[i] for i in rng.choice(n, 4)], category=f"r{j % 3}"))
+        else:  # a parallelogram: answered right
+            k = 4 * j
+            vectors[k + 3] = vectors[k + 2] + vectors[k + 1] - vectors[k]
+            questions.append(AnalogyQuestion(*tokens[k:k + 4], category="p"))
+    table = table_from(tokens, vectors)
+    covered = blocks = 0
+    for rows, scores in _cosine_blocks(table, table.unit_vectors()[:400]):
+        assert rows.start == covered and scores.size <= 2 ** 20
+        covered += len(scores)
+        blocks += 1
+    assert covered == 400 and blocks >= 3
+    result = eval_analogy(table, questions)
+    assert result == analogy_oracle(table, questions)
+    assert result["answered"] == 400 and result["per_category"]["p"] == 1.0
+
+
+def test_eval_analogy_edge_cases_match_oracle():
+    # basis rows make every score exact, so ties are exact: the lowest id wins
+    tokens = ["e0", "e1", "e2", "e3", "zero", "twin", "twin2"]
+    vectors = np.vstack([np.eye(4), np.zeros((1, 4)), np.eye(4)[[3, 3]]])
+    table = table_from(tokens, vectors)
+    questions = [
+        AnalogyQuestion("e0", "e1", "e2", "e3", "tie"),      # 0 at ids 3..6
+        AnalogyQuestion("e0", "e3", "e0", "twin", "twin"),   # 1 at ids 5, 6
+        AnalogyQuestion("e1", "e1", "e2", "e0", "repeat"),   # a == b
+        AnalogyQuestion("e2", "e2", "e2", "e3", "repeat"),   # misses: e0 wins
+        AnalogyQuestion("e0", "e0", "zero", "e1", "zero"),   # zero query
+        AnalogyQuestion("e0", "e1", "e2", "oov", "oov"),     # OOV expected
+    ]
+    result = eval_analogy(table, questions)
+    assert result == analogy_oracle(table, questions)
+    assert result == {"accuracy": 0.75, "answered": 4, "skipped": 2,
+                      "per_category": {"tie": 1.0, "twin": 1.0,
+                                       "repeat": 0.5}}
 
 
 def test_nearest_neighbors_basics():

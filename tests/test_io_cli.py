@@ -476,3 +476,85 @@ def test_cli_truncated_container_is_data_error(tmp_path, caplog, keep):
     assert len(errors) == 1 and errors[0].exc_info is None
     message = errors[0].getMessage()
     assert str(path) in message and "\n" not in message
+
+
+def _one_error_line(caplog):
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert "\n" not in message
+    return message
+
+
+@pytest.mark.parametrize("command", ["segment-decode", "classify-predict"])
+def test_cli_wrong_kind_container_is_data_error(tmp_path, tiny_corpus_file,
+                                                caplog, command):
+    model = tmp_path / "emb.bin"
+    assert run(["train-emb", "--kind", "skipgram", "--corpus",
+                str(tiny_corpus_file), "--out", str(model), "--dim", "4",
+                "--epochs", "1", "--binary"]) == 0
+    what = "segmenter" if command == "segment-decode" else "classifier"
+    caplog.clear()
+    code = run([command, "--model", str(model), "--input",
+                str(tiny_corpus_file), "--out", str(tmp_path / "out.txt")])
+    assert code == 2
+    assert _one_error_line(caplog) == (
+        f"data error: {model}: container is not a {what} model")
+
+
+@pytest.mark.parametrize("container", [False, True], ids=["text", "container"])
+def test_cli_non_finite_vector_is_data_error(tmp_path, caplog, container):
+    from embkit.io_formats import save_embeddings_binary
+    vectors = np.eye(4)
+    if container:
+        vectors[2, 1] = np.inf
+        path = tmp_path / "emb.bin"
+        save_embeddings_binary(EmbeddingTable(list("abcd"), vectors), path)
+        where = f"{path}:"
+    else:
+        path = tmp_path / "emb.vec"
+        save_embeddings(EmbeddingTable(list("abcd"), vectors), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = "c 0 nan 0 0"  # line 4 of the file
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        where = f"{path}:4:"
+    ana = tmp_path / "ana.txt"
+    ana.write_text("a b c d\n", encoding="utf-8")
+    code = run(["eval", "--embeddings", str(path), "--task", "analogy",
+                "--dataset", str(ana)])
+    assert code == 2
+    message = _one_error_line(caplog)
+    assert where in message and "non-finite" in message
+
+
+@pytest.mark.parametrize("target", ["text", "container"])
+def test_failed_write_leaves_earlier_file(tmp_path, target):
+    path = tmp_path / "out"
+    if target == "text":
+        save_embeddings(EmbeddingTable(["a", "b"], np.eye(2)), path)
+        # a lone surrogate cannot be encoded: the write fails at row 2
+        bad = EmbeddingTable(["a", "\ud800", "c"], np.eye(3))
+        write = lambda: save_embeddings(bad, path)  # noqa: E731
+        error = UnicodeEncodeError
+    else:
+        save_container(path, {"a": np.ones(2)}, {"x": 1})
+        # "b" is written, then "c" cannot be converted to float
+        bad = {"b": np.zeros(3), "c": np.array(["x"])}
+        write = lambda: save_container(path, bad, {"x": 2})  # noqa: E731
+        error = ValueError
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_write_through_symlink_keeps_link(tmp_path):
+    target = tmp_path / "real.vec"
+    link = tmp_path / "link.vec"
+    link.symlink_to(target)
+    table = EmbeddingTable(["a", "b"], np.eye(2))
+    save_embeddings(table, link)
+    assert link.is_symlink()
+    assert load_embeddings(target).tokens == ["a", "b"]
+    assert sorted(os.listdir(tmp_path)) == ["link.vec", "real.vec"]
