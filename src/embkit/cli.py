@@ -19,10 +19,9 @@ from . import matrixfact as mf
 from . import segment as seg
 from . import textclass as tc
 from .errors import DataError, NumericError
-from .io_formats import (EmbeddingTable, load_container, load_embeddings,
-                         open_text, save_container, save_embeddings,
-                         save_embeddings_binary)
-from .optim import Param
+from .io_formats import (EmbeddingTable, _atomic_open, load_container,
+                         load_embeddings, open_text, save_container,
+                         save_embeddings, save_embeddings_binary)
 from .seeding import substream
 
 log = logging.getLogger("embkit")
@@ -100,12 +99,11 @@ def _train_config(args, **overrides) -> emb.TrainConfig:
 
 
 def _save_embedding_model(model, path):
-    arrays = {name: p.value for name, p in model.params().items()}
     meta = {"kind": model.kind, "dim": model.dim, "win": model.win,
             "hidden": model.hidden, "tokens": model.tokens,
             "vocab_tokens": model.vocab.tokens,
             "vocab_counts": [int(c) for c in model.vocab.counts]}
-    save_container(path, arrays, meta)
+    save_container(path, model.params(), meta)
 
 
 def _check_meta(path, meta, what, keys):
@@ -123,7 +121,7 @@ def _load_embedding_model(path) -> emb.EmbeddingModel:
     vocab = corpus_mod.Vocabulary(meta["vocab_tokens"], meta["vocab_counts"])
     model = emb.EmbeddingModel(meta["kind"], vocab, meta["dim"], meta["win"],
                                meta["hidden"], tokens=meta["tokens"])
-    model._params = {name: Param(arr) for name, arr in arrays.items()}
+    model.params().update(arrays)
     return model
 
 
@@ -328,7 +326,7 @@ def _load_segmenter(path) -> seg.SegmenterNet:
 def _cmd_segment_decode(args):
     net = _load_segmenter(args.model)
     with open_text(args.input) as fh, \
-            open(args.out, "w", encoding="utf-8") as out:
+            _atomic_open(args.out, "w", encoding="utf-8") as out:
         for line in fh:
             chars = seg.line_to_chars(line, normalize=not args.no_normalize)
             if not chars:
@@ -420,7 +418,7 @@ def _cmd_classify_predict(args):
     model = _load_classifier(args.model)
     docs = tc.load_labeled_documents(args.input)
     hits = 0
-    with open(args.out, "w", encoding="utf-8") as out:
+    with _atomic_open(args.out, "w", encoding="utf-8") as out:
         for d in docs:
             pred = model.predict(d.tokens)
             hits += int(pred == d.class_id)

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
-from .io_formats import open_text
+from .io_formats import _atomic_open, open_text
 
 TOKEN_NUMBER = "NUMBER"
 TOKEN_WORD = "WORD"
@@ -73,9 +73,6 @@ class Vocabulary:
     def id_of(self, token: str) -> Optional[int]:
         return self.token_to_id.get(token)
 
-    def frequency(self, wid: int) -> float:
-        return float(self.counts[wid]) / self.total_count
-
     def configure_subsampling(self, t: Optional[float], variant: str = "toolkit") -> None:
         """Set per-token keep probabilities; t=None disables subsampling."""
         if t is None:
@@ -120,7 +117,7 @@ def build_vocabulary(
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", encoding="utf-8") as fh:
         for tok, count in zip(vocab.tokens, vocab.counts):
             fh.write(f"{tok}\t{int(count)}\n")
 
@@ -296,16 +293,24 @@ def document_window_arrays(ids: np.ndarray, win: int):
     offsets[s] with offsets = [-h..-1, 1..h].
     """
     half = (win - 1) // 2
+    return ids, _offset_columns(ids, [o for o in range(-half, half + 1) if o], -1)
+
+
+def window_matrix(ids: np.ndarray, win: int, pad: int) -> np.ndarray:
+    """(n, win) matrix whose row i holds ids[i-h .. i+h], h = (win-1)/2,
+    with `pad` in the slots beyond either end of the sequence."""
+    half = (win - 1) // 2
+    return _offset_columns(ids, range(-half, half + 1), pad)
+
+
+def _offset_columns(ids: np.ndarray, offsets, pad: int) -> np.ndarray:
+    """Row i, column k holds ids[i + offsets[k]], or `pad` outside [0, n)."""
     n = len(ids)
-    targets = ids
-    ctx = np.full((n, win - 1), -1, dtype=np.int64)
-    col = 0
-    for off in range(-half, half + 1):
-        if off == 0:
-            continue
+    out = np.full((n, len(offsets)), pad, dtype=np.int64)
+    for col, off in enumerate(offsets):
+        k = max(0, n - abs(off))  # rows whose neighbour at `off` exists
         if off < 0:
-            ctx[-off:, col] = ids[:n + off]
+            out[n - k:, col] = ids[:k]
         else:
-            ctx[:n - off, col] = ids[off:]
-        col += 1
-    return targets, ctx
+            out[:k, col] = ids[n - k:]
+    return out

@@ -19,8 +19,8 @@ Each objective has one batched forward/backward, `_pair_batch_ns`,
 nothing, and returns the batch loss and the ASCENT gradients d(-loss):
 `(ids, rows)` for a row-sparse table (e, e_prime, b2), a dense array for
 H, b1, U and the full-softmax e_prime. `train_epochs` draws the samples
-per batch, checks the loss and hands the gradients to `optim.step_rows`
-and `optim.step_dense`; the gradient checks run these same functions.
+per batch, checks the loss and hands the gradients to `optim.apply_grads`;
+the gradient checks run these same functions.
 """
 
 import math
@@ -35,8 +35,8 @@ import numpy as np
 from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, decompose_word,
                      document_window_arrays, subsample_ids)
 from .errors import DataError
-from .optim import (NoiseSampler, Param, check_finite, log_sigmoid,
-                    log_softmax, sigmoid, step_dense, step_rows)
+from .optim import (NoiseSampler, apply_grads, check_finite, log_sigmoid,
+                    log_softmax, sigmoid)
 from .seeding import substream
 
 KINDS = ("skipgram", "cbow", "order", "lbl", "nnlm", "cw")
@@ -75,7 +75,8 @@ class TrainConfig:
 
 
 class EmbeddingModel:
-    """Vector tables plus per-kind extra weights. See module docstring."""
+    """Vector tables plus per-kind extra weights, and beside them the AdaGrad
+    accumulators of those that have stepped. See module docstring."""
 
     def __init__(self, kind: str, vocab: Vocabulary, dim: int, win: int,
                  hidden: int, tokens: Optional[List[str]] = None):
@@ -94,7 +95,8 @@ class EmbeddingModel:
         self.hidden = hidden if kind in ("lbl", "nnlm", "cw") else 0
         self.tokens = list(tokens) if tokens is not None else list(vocab.tokens)
         self.n_rows = len(self.tokens)
-        self._params: Dict[str, Param] = {}
+        self._params: Dict[str, np.ndarray] = {}
+        self.accum: Dict[str, np.ndarray] = {}
 
     @classmethod
     def create(cls, kind: str, vocab: Vocabulary, dim: int, win: int = 5,
@@ -106,43 +108,37 @@ class EmbeddingModel:
         rng = rng if rng is not None else np.random.default_rng(0)
         V = model.n_rows
         p = model._params
-        p["e"] = Param(rng.uniform(-0.5 / dim, 0.5 / dim, size=(V, dim)))
+        p["e"] = rng.uniform(-0.5 / dim, 0.5 / dim, size=(V, dim))
         ctx_slots = win - 1
         if kind in ("skipgram", "cbow"):
-            p["e_prime"] = Param(np.zeros((V, dim)))
+            p["e_prime"] = np.zeros((V, dim))
         elif kind == "order":
-            p["e_prime"] = Param(np.zeros((V, ctx_slots * dim)))
+            p["e_prime"] = np.zeros((V, ctx_slots * dim))
         elif kind in ("lbl", "nnlm"):
             h = model.hidden
             fan_in = ctx_slots * dim
-            p["H"] = Param(rng.uniform(-1, 1, size=(h, fan_in)) / math.sqrt(fan_in))
-            p["b1"] = Param(np.zeros(h))
-            p["e_prime"] = Param(np.zeros((V, h)))
-            p["b2"] = Param(np.zeros(V))
+            p["H"] = rng.uniform(-1, 1, size=(h, fan_in)) / math.sqrt(fan_in)
+            p["b1"] = np.zeros(h)
+            p["e_prime"] = np.zeros((V, h))
+            p["b2"] = np.zeros(V)
         elif kind == "cw":
             h = model.hidden
             fan_in = win * dim
-            p["H"] = Param(rng.uniform(-1, 1, size=(h, fan_in)) / math.sqrt(fan_in))
-            p["b1"] = Param(np.zeros(h))
-            p["U"] = Param(rng.uniform(-1, 1, size=h) / math.sqrt(h))
+            p["H"] = rng.uniform(-1, 1, size=(h, fan_in)) / math.sqrt(fan_in)
+            p["b1"] = np.zeros(h)
+            p["U"] = rng.uniform(-1, 1, size=h) / math.sqrt(h)
         return model
 
-    def params(self) -> Dict[str, Param]:
+    def params(self) -> Dict[str, np.ndarray]:
         return self._params
 
     @property
     def e(self) -> np.ndarray:
-        return self._params["e"].value
+        return self._params["e"]
 
     @property
     def e_prime(self) -> np.ndarray:
-        return self._params["e_prime"].value
-
-    def copy(self) -> "EmbeddingModel":
-        other = EmbeddingModel(self.kind, self.vocab, self.dim, self.win,
-                               self.hidden, self.tokens)
-        other._params = {k: p.copy() for k, p in self._params.items()}
-        return other
+        return self._params["e_prime"]
 
 
 class CharWordSpace:
@@ -203,12 +199,12 @@ def _ns_scores(model: EmbeddingModel, X: np.ndarray, tids: np.ndarray):
     itself or the hidden layer of lbl (linear) and nnlm (tanh).
     """
     p = model._params
-    R = p["e_prime"].value[tids]
+    R = p["e_prime"][tids]
     if model.kind not in ("lbl", "nnlm"):
         return np.einsum("bmd,bd->bm", R, X), X, R
-    Z = X @ p["H"].value.T + p["b1"].value
+    Z = X @ p["H"].T + p["b1"]
     A = np.tanh(Z) if model.kind == "nnlm" else Z
-    return np.einsum("bmh,bh->bm", R, A) + p["b2"].value[tids], A, R
+    return np.einsum("bmh,bh->bm", R, A) + p["b2"][tids], A, R
 
 
 def _ns_loss(s: np.ndarray):
@@ -266,7 +262,7 @@ def _window_batch_predictive(model, tgt, ctx, negs):
         grads["b2"] = (tids.ravel(), g.ravel())
         grads["H"] = dZ.T @ X
         grads["b1"] = dZ.sum(axis=0)
-        dX = dZ @ p["H"].value
+        dX = dZ @ p["H"]
     mask = ctx >= 0
     if model.kind == "cbow":
         rows = (dX / mask.sum(axis=1)[:, None])[np.nonzero(mask)[0]]
@@ -279,8 +275,8 @@ def _window_batch_predictive(model, tgt, ctx, negs):
 def _cw_scores(model: EmbeddingModel, X: np.ndarray):
     """Hidden layer A and C&W score A @ U of flattened windows X."""
     p = model._params
-    A = np.tanh(X @ p["H"].value.T + p["b1"].value)
-    return A, A @ p["U"].value
+    A = np.tanh(X @ p["H"].T + p["b1"])
+    return A, A @ p["U"]
 
 
 def _window_batch_cw(model, windows, neg):
@@ -305,18 +301,18 @@ def _window_batch_cw(model, windows, neg):
     idx = np.nonzero(margins > 0.0)[0]
     if not len(idx):
         return loss, {}
-    dH = np.zeros_like(p["H"].value)
-    db1 = np.zeros_like(p["b1"].value)
-    dU = np.zeros_like(p["U"].value)
+    dH = np.zeros_like(p["H"])
+    db1 = np.zeros_like(p["b1"])
+    dU = np.zeros_like(p["U"])
     row_ids, row_grads = [], []
     # ascent on -hinge: d/ds_pos = +1, d/ds_neg = -1 on violating windows
     for X, A, gs, mid_ids in ((Xp[idx], Ap[idx], 1.0, windows[idx, mid]),
                               (Xn[idx], An[idx], -1.0, neg[idx])):
         dU += gs * A.sum(axis=0)
-        dZ = gs * (p["U"].value[None, :] * (1.0 - A * A))
+        dZ = gs * (p["U"][None, :] * (1.0 - A * A))
         dH += dZ.T @ X
         db1 += dZ.sum(axis=0)
-        dX = (dZ @ p["H"].value).reshape(len(idx), win, d)
+        dX = (dZ @ p["H"]).reshape(len(idx), win, d)
         w_ids = windows[idx]
         w_ids[:, mid] = mid_ids
         m = w_ids >= 0
@@ -330,14 +326,8 @@ def _apply_step(model: EmbeddingModel, cfg: TrainConfig, loss: float,
                 grads: dict) -> float:
     """Check a batch's loss, then take one optimizer step per parameter."""
     check_finite(loss, "training loss")
-    adagrad = cfg.optimizer == "adagrad"
-    for name, g in grads.items():
-        param = model._params[name]
-        accum = param.ensure_accum() if adagrad else None
-        if isinstance(g, tuple):
-            step_rows(param.value, *g, cfg.lr, accum)
-        else:
-            step_dense(param.value, g, cfg.lr, accum)
+    apply_grads(model.params(), grads, dict.fromkeys(grads, cfg.lr),
+                model.accum if cfg.optimizer == "adagrad" else None)
     return loss
 
 
@@ -460,10 +450,9 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
 
 
 def _convert_params(model, dtype) -> None:
-    for p in model._params.values():
-        p.value = p.value.astype(dtype)
-        if p.accum is not None:
-            p.accum = p.accum.astype(dtype)
+    for arrays in (model._params, model.accum):
+        for name, value in arrays.items():
+            arrays[name] = value.astype(dtype)
 
 
 def _train_one_pass(model, docs, cfg, sampler, space, srng, nrng):

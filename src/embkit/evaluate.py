@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .io_formats import EmbeddingTable, open_text
-from .optim import log_softmax, step_dense
+from .optim import apply_grads, log_softmax
 
 
 def cosine(u, v) -> float:
@@ -272,11 +272,11 @@ def train_logistic_classifier(features, labels, l2: float = 0.0,
     rng = np.random.default_rng(seed)
     W = np.zeros((classes, xs.shape[1]))
     b = np.zeros(classes)
+    params, rates = {"W": W, "b": b}, {"W": -lr, "b": -lr}  # descent
     for _ in range(epochs):
         for n in rng.permutation(len(xs)):
             _, dW, db = logistic_loss_grads(W, b, xs[n], int(ys[n]), l2)
-            step_dense(W, -dW, lr)
-            step_dense(b, -db, lr)
+            apply_grads(params, {"W": dW, "b": db}, rates)
     return LogisticClassifier(W, b)
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .corpus import CorpusStream, Vocabulary
 from .errors import DataError
-from .io_formats import open_text
-from .optim import ADAGRAD_EPS, check_finite, softmax
+from .io_formats import _atomic_open, open_text
+from .optim import softmax, step_distinct_rows
 
 GLOVE_X_MAX = 100.0
 GLOVE_ALPHA = 0.75
@@ -61,7 +61,7 @@ class CooccurrenceMatrix:
     def save(self, path) -> None:
         # 17 significant digits round-trip any float; integers print as such
         rows, cols, vals = self.nonzero_arrays()
-        with open(path, "w", encoding="utf-8") as fh:
+        with _atomic_open(path, "w", encoding="utf-8") as fh:
             fh.writelines("%d\t%d\t%.17g\n" % cell for cell in
                           zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
@@ -215,7 +215,7 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
     cell-by-cell loop does, up to the rounding of the dot products. P over
     Q, with the biases as a last column, form one table whose views the
     model keeps, so a run moves all its rows at once. A run whose new rows
-    are not all finite raises NumericError before anything is written.
+    are not all finite raises NumericError before they are written.
     """
     v, d = model.P.shape
     biased = model.bias1 is not None
@@ -240,9 +240,9 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
 
 
 def _fit_run(table, accum, ids, targets, w2, lr: float, d: int) -> None:
-    """One AdaGrad step for n cells with distinct rows: ids[:n] are their
-    P rows and ids[n:] their Q rows in `table`, whose column d, if present,
-    holds the biases. `w2` is twice the cell weights."""
+    """One AdaGrad descent step for n cells with distinct rows: ids[:n] are
+    their P rows and ids[n:] their Q rows in `table`, whose column d, if
+    present, holds the biases. `w2` is twice the cell weights."""
     n = len(targets)
     old = table[ids]
     p, q = old[:n], old[n:]
@@ -255,14 +255,7 @@ def _fit_run(table, accum, ids, targets, w2, lr: float, d: int) -> None:
     g = old.reshape(2, n, -1)[::-1] * err[:, None]
     if biased:
         g[:, :, d] = err
-    g = g.reshape(2 * n, -1)
-    a = accum[ids]
-    a += g * g
-    step = lr * g
-    step /= np.sqrt(a) + ADAGRAD_EPS
-    new = check_finite(old - step, "factorization update")
-    accum[ids] = a
-    table[ids] = new
+    step_distinct_rows(table, ids, g.reshape(2 * n, -1), -lr, accum)
 
 
 def _conflict_free_runs(rows: np.ndarray, cols: np.ndarray) -> list:

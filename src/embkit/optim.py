@@ -1,44 +1,21 @@
-"""Parameter storage, activations, SGD/AdaGrad steps, noise sampling,
-and a finite-difference gradient checker.
+"""Activations, SGD/AdaGrad steps, noise sampling and a finite-difference
+gradient checker.
 
-Update steps follow the ascent convention (theta += lr * grad of the
-objective being maximized); callers training a loss pass the negated
-gradient. `step_rows` updates the rows a batch touched, `step_dense` a
-whole array; with `accum=None` either is plain SGD, otherwise AdaGrad.
-Both write nothing unless every new value is finite.
+Every trainer steps through `apply_grads`. Steps follow the ascent
+convention (theta += lr * grad); callers training a loss pass negative
+rates. `step_rows` updates the rows a batch touched, `step_dense` a whole
+array; with `accum=None` either is plain SGD, otherwise AdaGrad. Both
+write nothing unless every new value is finite.
 """
 
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import NumericError
 
 ADAGRAD_EPS = 1e-8
-
-
-class Param:
-    """A dense float64 parameter with a lazily allocated AdaGrad accumulator."""
-
-    def __init__(self, value: np.ndarray):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.accum: Optional[np.ndarray] = None
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def ensure_accum(self) -> np.ndarray:
-        if self.accum is None:
-            self.accum = np.zeros_like(self.value)
-        return self.accum
-
-    def copy(self) -> "Param":
-        p = Param(self.value.copy())
-        if self.accum is not None:
-            p.accum = self.accum.copy()
-        return p
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -93,7 +70,12 @@ def step_rows(value: np.ndarray, ids: np.ndarray, grads: np.ndarray, lr: float,
     """Ascent step on the rows `ids` of `value`; `grads[k]` belongs to row
     `ids[k]` and repeated rows are summed first, so each row steps once."""
     uids, g = _aggregate_rows(ids, grads)
-    g = g.astype(value.dtype, copy=False)
+    step_distinct_rows(value, uids, g.astype(value.dtype, copy=False), lr, accum)
+
+
+def step_distinct_rows(value: np.ndarray, uids: np.ndarray, g: np.ndarray,
+                       lr: float, accum: Optional[np.ndarray] = None) -> None:
+    """Ascent step on the distinct rows `uids`; `g` is overwritten."""
     if accum is not None:
         a = accum[uids]
         a += g * g
@@ -119,6 +101,26 @@ def step_dense(value: np.ndarray, grad: np.ndarray, lr: float,
         t = np.multiply(grad, lr)
     t += value
     value[...] = check_finite(t, "parameter update")
+
+
+def apply_grads(params: Dict[str, np.ndarray], grads: dict,
+                rates: Dict[str, float],
+                accum: Optional[Dict[str, np.ndarray]] = None) -> None:
+    """One step per entry of `grads` at its parameter's rate: an
+    `(ids, rows)` pair through `step_rows`, an array through `step_dense`.
+    `accum=None` is SGD; otherwise AdaGrad, with each accumulator created
+    in `accum` on first use."""
+    for name, g in grads.items():
+        value = params[name]
+        a = None
+        if accum is not None:
+            a = accum.get(name)
+            if a is None:
+                a = accum[name] = np.zeros_like(value)
+        if isinstance(g, tuple):
+            step_rows(value, *g, rates[name], a)
+        else:
+            step_dense(value, g, rates[name], a)
 
 
 class NoiseSampler:

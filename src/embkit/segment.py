@@ -13,10 +13,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import (PSEUDO_TOKENS, TOKEN_PADDING, decompose_word,
-                     normalize_token)
+                     normalize_token, window_matrix)
 from .errors import DataError
 from .io_formats import EmbeddingTable, open_text
-from .optim import log_softmax, step_dense, step_rows
+from .optim import apply_grads, log_softmax
 from .seeding import substream
 
 TAGS = "BMES"
@@ -165,106 +165,69 @@ class SegmenterNet:
         unk = self.char_to_id[UNK_CHAR]
         return np.array([self.char_to_id.get(c, unk) for c in chars], dtype=np.int64)
 
-    def window_ids(self, ids: np.ndarray, i: int) -> np.ndarray:
-        half = (self.win - 1) // 2
-        pad = self.padding_id
-        out = np.full(self.win, pad, dtype=np.int64)
-        lo = max(0, i - half)
-        hi = min(len(ids), i + half + 1)
-        out[lo - (i - half):hi - (i - half)] = ids[lo:hi]
-        return out
+    def windows(self, chars: Sequence[str]) -> np.ndarray:
+        """(n, win) character-id windows of a sentence, PADDING-filled."""
+        return window_matrix(self.encode(chars), self.win, self.padding_id)
 
     def params(self) -> dict:
         return {"e": self.e, "H": self.H, "b1": self.b1, "U": self.U, "b2": self.b2}
 
 
-def tag_log_probs(net: SegmenterNet, chars: Sequence[str], i: int) -> np.ndarray:
-    """Log-probabilities of B, M, E, S for position i of the sentence."""
-    ids = net.encode(chars)
-    if not (0 <= i < len(ids)):
-        raise DataError("position out of range")
-    window = net.window_ids(ids, i)
-    x = net.e[window].reshape(-1)
-    h = np.tanh(net.b1 + net.H @ x)
-    y = net.b2 + net.U @ h
-    return log_softmax(y)
+def _forward(net: SegmenterNet, windows: np.ndarray):
+    """Inputs X, hidden layer h and tag log-probabilities of (b, win)
+    character-id windows."""
+    X = net.e[windows].reshape(len(windows), -1)
+    h = np.tanh(net.b1 + X @ net.H.T)
+    return X, h, log_softmax(net.b2 + h @ net.U.T)
 
 
 def sentence_log_probs(net: SegmenterNet, chars: Sequence[str]) -> np.ndarray:
     """(n, 4) log-probability lattice for a whole sentence, batched."""
-    ids = net.encode(chars)
-    n = len(ids)
-    windows = np.stack([net.window_ids(ids, i) for i in range(n)])
-    x = net.e[windows].reshape(n, -1)
-    h = np.tanh(net.b1 + x @ net.H.T)
-    y = net.b2 + h @ net.U.T
-    return log_softmax(y)
+    return _forward(net, net.windows(chars))[2]
 
 
 def segment_loss_grads(net: SegmenterNet, window: np.ndarray, gold: int):
-    """Negative log-likelihood of the gold tag and gradients of that loss."""
-    x = net.e[window].reshape(-1)
-    z = net.b1 + net.H @ x
-    h = np.tanh(z)
-    y = net.b2 + net.U @ h
-    lsm = log_softmax(y)
-    loss = -float(lsm[gold])
+    """Negative log-likelihood of the gold tag of one window and the
+    gradients of that loss; the `e` gradient is a `(window, rows)` pair."""
+    X, h, lsm = _forward(net, window[None, :])
     dy = np.exp(lsm)
-    dy[gold] -= 1.0
-    dU = np.outer(dy, h)
-    db2 = dy
-    dh = net.U.T @ dy
-    dz = dh * (1.0 - h * h)
-    db1 = dz
-    dH = np.outer(dz, x)
-    dx = net.H.T @ dz
-    de = dx.reshape(net.win, net.dim)
-    return loss, {"e": (window, de), "H": dH, "b1": db1, "U": dU, "b2": db2}
+    dy[0, gold] -= 1.0
+    dz = (dy @ net.U) * (1.0 - h * h)
+    de = (dz @ net.H).reshape(net.win, net.dim)
+    return -float(lsm[0, gold]), {"e": (window, de), "H": dz.T @ X,
+                                  "b1": dz[0], "U": dy.T @ h, "b2": dy[0]}
 
 
 def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
                     lr: float = 0.1, epochs: int = 20, seed: int = 0,
                     optimizer: str = "adagrad", log_fn=None) -> List[dict]:
-    """SGD over randomly ordered (character, gold tag) samples.
+    """One step per (character, gold tag) sample, in random order.
 
     Character vectors are parameters and receive updates, including the
     PADDING row when it falls inside a window.
     """
     if not corpus:
         raise DataError("empty training corpus")
-    sents = [(net.encode(s.chars), np.array([TAG_ID[t] for t in s.tags]))
-             for s in (sent.check() for sent in corpus)]
-    samples = [(si, i) for si, (ids, _) in enumerate(sents) for i in range(len(ids))]
-    accum = {k: np.zeros_like(v) for k, v in net.params().items()} \
-        if optimizer == "adagrad" else None
+    sents = [sent.check() for sent in corpus]
+    windows = np.concatenate([net.windows(s.chars) for s in sents])
+    golds = [TAG_ID[t] for s in sents for t in s.tags]
+    params = net.params()
+    rates = dict.fromkeys(params, -lr)  # descent
+    accum = {} if optimizer == "adagrad" else None
     history = []
     for epoch in range(epochs):
         rng = substream(seed, f"segmenter-epoch-{epoch}")
-        order = rng.permutation(len(samples))
+        order = rng.permutation(len(golds))
         total, t0 = 0.0, time.perf_counter()
         for n in order:
-            si, i = samples[n]
-            ids, tags = sents[si]
-            window = net.window_ids(ids, i)
-            loss, grads = segment_loss_grads(net, window, int(tags[i]))
+            loss, grads = segment_loss_grads(net, windows[n], golds[n])
             total += loss
-            _segment_apply(net, grads, lr, accum)
-        history.append({"epoch": epoch, "mean_loss": total / len(samples),
+            apply_grads(params, grads, rates, accum)
+        history.append({"epoch": epoch, "mean_loss": total / len(golds),
                         "seconds": time.perf_counter() - t0})
         if log_fn is not None:
             log_fn(f"epoch={epoch} mean_loss={history[-1]['mean_loss']:.6f}")
     return history
-
-
-def _segment_apply(net: SegmenterNet, grads: dict, lr: float, accum) -> None:
-    """Descent step: the optimizer steps ascend, so they get -grad."""
-    for name, g in grads.items():
-        acc = accum[name] if accum is not None else None
-        if name == "e":
-            window, de = g
-            step_rows(net.e, window, -de, lr, acc)
-        else:
-            step_dense(getattr(net, name), -g, lr, acc)
 
 
 def viterbi_decode(lattice: np.ndarray) -> Tuple[str, float]:

@@ -20,9 +20,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .corpus import window_matrix
 from .errors import DataError, NumericError
 from .io_formats import open_text
-from .optim import log_softmax, step_dense, step_rows
+from .optim import apply_grads, log_softmax
 from .seeding import substream
 
 UNK_TOKEN = "\x02UNK"
@@ -68,7 +69,11 @@ def _uniform(rng, shape, fan_in):
 
 
 class _PooledClassifier:
-    """Shared max-pooling head: y2 = tanh(W2 x + b2), y3 = max, y4 = W4 y3 + b4."""
+    """Shared max-pooling head: y2 = tanh(W2 x + b2), y3 = max, y4 = W4 y3 + b4.
+
+    A model supplies `_inputs(ids)`, the dict of its per-position inputs X
+    and whatever its backward pass needs; `_forward` adds the head.
+    """
 
     def _init_head(self, rng, in_dim, hidden, n_classes):
         self.W2 = _uniform(rng, (hidden, in_dim), in_dim)
@@ -78,25 +83,33 @@ class _PooledClassifier:
         self._lr_scale = {"W2": 1.0 / in_dim, "W4": 1.0 / hidden,
                           "b2": 1.0, "b4": 1.0}
 
-    def _head_forward(self, X):
-        Y2 = np.tanh(X @ self.W2.T + self.b2)
+    def _forward(self, ids: np.ndarray) -> dict:
+        cache = self._inputs(ids)
+        Y2 = np.tanh(cache["X"] @ self.W2.T + self.b2)
         argmax = Y2.argmax(axis=0)  # first index wins ties
         y3 = Y2[argmax, np.arange(Y2.shape[1])]
         y4 = self.W4 @ y3 + self.b4
-        return Y2, argmax, y3, y4
+        cache.update(ids=ids, Y2=Y2, argmax=argmax, y3=y3, y4=y4,
+                     lsm=log_softmax(y4))
+        return cache
 
-    def _head_backward(self, X, Y2, argmax, y3, lsm, class_id, grads):
+    def _head_backward(self, cache: dict, class_id: int):
+        """Cross-entropy loss, its gradients for the head and d loss / d X."""
+        Y2, lsm = cache["Y2"], cache["lsm"]
         dy4 = np.exp(lsm)
         dy4[class_id] -= 1.0
-        grads["W4"] += np.outer(dy4, y3)
-        grads["b4"] += dy4
-        dy3 = self.W4.T @ dy4
         dY2 = np.zeros_like(Y2)
-        dY2[argmax, np.arange(Y2.shape[1])] = dy3
+        dY2[cache["argmax"], np.arange(Y2.shape[1])] = self.W4.T @ dy4
         dA = dY2 * (1.0 - Y2 * Y2)
-        grads["W2"] += dA.T @ X
-        grads["b2"] += dA.sum(axis=0)
-        return dA @ self.W2  # d loss / d X
+        grads = {"W2": dA.T @ cache["X"], "b2": dA.sum(axis=0),
+                 "W4": np.outer(dy4, cache["y3"]), "b4": dy4}
+        return -float(lsm[class_id]), grads, dA @ self.W2
+
+    def logits(self, tokens: Sequence[str]) -> np.ndarray:
+        ids = self.encode(tokens)
+        if len(ids) == 0:
+            raise DataError("empty document")
+        return self._forward(ids)["y4"]
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         unk = self.token_to_id[UNK_TOKEN]
@@ -168,43 +181,25 @@ class RcnnModel(_PooledClassifier):
             CR[i] = np.tanh(self.W_r @ CR[i + 1] + self.W_sr @ self.e[ids[i + 1]])
         return CL, CR
 
-    def _forward(self, ids):
+    def _inputs(self, ids):
         CL, CR = self.context_scans(ids)
         E = self.e[ids]
-        X = np.concatenate([CL, E, CR], axis=1)
-        Y2, argmax, y3, y4 = self._head_forward(X)
-        return {"ids": ids, "CL": CL, "CR": CR, "E": E, "X": X,
-                "Y2": Y2, "argmax": argmax, "y3": y3,
-                "lsm": log_softmax(y4)}
-
-    def logits(self, tokens: Sequence[str]) -> np.ndarray:
-        ids = self.encode(tokens)
-        if len(ids) == 0:
-            raise DataError("empty document")
-        CL, CR = self.context_scans(ids)
-        X = np.concatenate([CL, self.e[ids], CR], axis=1)
-        _, _, y3, y4 = self._head_forward(X)
-        return y4
-
-    def document_log_probs(self, tokens: Sequence[str]) -> np.ndarray:
-        return self.log_probs(tokens)
+        return {"CL": CL, "CR": CR, "E": E,
+                "X": np.concatenate([CL, E, CR], axis=1)}
 
     def loss_grads(self, tokens_or_ids, class_id: int,
                    truncate: Optional[int] = None):
-        """Cross-entropy loss of one document and gradients of that loss."""
+        """Cross-entropy loss of one document and gradients of that loss;
+        the `e` gradient is an `(ids, rows)` pair."""
         ids = tokens_or_ids if isinstance(tokens_or_ids, np.ndarray) \
             else self.encode(tokens_or_ids)
         cache = self._forward(ids)
-        loss = -float(cache["lsm"][class_id])
-        grads = {k: np.zeros_like(v) for k, v in self.params().items()
-                 if k != "e"}
-        grads["_e_rows"] = np.zeros_like(cache["E"])
-        dX = self._head_backward(cache["X"], cache["Y2"], cache["argmax"],
-                                 cache["y3"], cache["lsm"], class_id, grads)
+        loss, grads, dX = self._head_backward(cache, class_id)
+        for name in ("W_l", "W_r", "W_sl", "W_sr"):
+            grads[name] = np.zeros_like(getattr(self, name))
         c, e = self.context_dim, self.dim
         dCL = dX[:, :c].copy()
-        dE = grads["_e_rows"]
-        dE += dX[:, c:c + e]
+        dE = dX[:, c:c + e].copy()
         dCR = dX[:, c + e:].copy()
         n = len(ids)
         CL, CR, E = cache["CL"], cache["CR"], cache["E"]
@@ -215,7 +210,7 @@ class RcnnModel(_PooledClassifier):
             dE[i - 1] += self.W_sl.T @ dpre
             if truncate is None or i % truncate != 0:
                 dCL[i - 1] += self.W_l.T @ dpre
-        grads["cl_init"] += dCL[0]
+        grads["cl_init"] = dCL[0]
         for i in range(0, n - 1):
             dpre = dCR[i] * (1.0 - CR[i] * CR[i])
             grads["W_r"] += np.outer(dpre, CR[i + 1])
@@ -223,8 +218,8 @@ class RcnnModel(_PooledClassifier):
             dE[i + 1] += self.W_sr.T @ dpre
             if truncate is None or (n - 1 - i) % truncate != 0:
                 dCR[i + 1] += self.W_r.T @ dpre
-        grads["cr_init"] += dCR[n - 1]
-        grads["_e_ids"] = ids
+        grads["cr_init"] = dCR[n - 1]
+        grads["e"] = (ids, dE)
         return loss, grads
 
 
@@ -265,53 +260,23 @@ class WindowCnnModel(_PooledClassifier):
 
     def window_ids(self, ids: np.ndarray) -> np.ndarray:
         """(n, win) id matrix with PADDING beyond the document edges."""
-        n = len(ids)
-        half = (self.win - 1) // 2
-        out = np.full((n, self.win), self.pad_id, dtype=np.int64)
-        for s, off in enumerate(range(-half, half + 1)):
-            if off < 0:
-                out[-off:, s] = ids[:n + off]
-            elif off == 0:
-                out[:, s] = ids
-            else:
-                out[:n - off, s] = ids[off:]
-        return out
+        return window_matrix(ids, self.win, self.pad_id)
 
     def window_representation(self, ids: np.ndarray, i: int) -> np.ndarray:
         return self.e[self.window_ids(ids)[i]].reshape(-1)
 
-    def logits(self, tokens: Sequence[str]) -> np.ndarray:
-        ids = self.encode(tokens)
-        if len(ids) == 0:
-            raise DataError("empty document")
-        X = self.e[self.window_ids(ids)].reshape(len(ids), -1)
-        _, _, _, y4 = self._head_forward(X)
-        return y4
+    def _inputs(self, ids):
+        windows = self.window_ids(ids)
+        return {"windows": windows, "X": self.e[windows].reshape(len(ids), -1)}
 
     def loss_grads(self, tokens_or_ids, class_id: int,
                    truncate: Optional[int] = None):
         ids = tokens_or_ids if isinstance(tokens_or_ids, np.ndarray) \
             else self.encode(tokens_or_ids)
-        windows = self.window_ids(ids)
-        X = self.e[windows].reshape(len(ids), -1)
-        Y2, argmax, y3, y4 = self._head_forward(X)
-        lsm = log_softmax(y4)
-        loss = -float(lsm[class_id])
-        grads = {k: np.zeros_like(v) for k, v in self.params().items()
-                 if k != "e"}
-        dX = self._head_backward(X, Y2, argmax, y3, lsm, class_id, grads)
-        grads["_e_rows"] = dX.reshape(len(ids), self.win, self.dim).reshape(-1, self.dim)
-        grads["_e_ids"] = windows.reshape(-1)
+        cache = self._forward(ids)
+        loss, grads, dX = self._head_backward(cache, class_id)
+        grads["e"] = (cache["windows"].ravel(), dX.reshape(-1, self.dim))
         return loss, grads
-
-
-def _apply_classifier_grads(model, grads: dict, lr: float) -> None:
-    """Descent step; each matrix's learning rate is scaled by 1/fan-in."""
-    for name, g in grads.items():
-        if not name.startswith("_"):
-            step_dense(getattr(model, name), -g, lr * model._lr_scale[name])
-    step_rows(model.e, grads["_e_ids"], -grads["_e_rows"],
-              lr * model._lr_scale["e"])
 
 
 def train_classifier(model, train_docs: Sequence[LabeledDocument],
@@ -326,6 +291,9 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
     if len(classes) < 2:
         raise DataError("training set must contain at least two classes")
     encoded = [(model.encode(d.tokens), d.class_id) for d in train_docs]
+    params = model.params()
+    # descent, each matrix's rate scaled by 1/fan-in
+    rates = {name: -cfg.lr * scale for name, scale in model._lr_scale.items()}
     history = []
     best = None
     best_acc = -1.0
@@ -340,7 +308,7 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at document {n}")
             total += loss
-            _apply_classifier_grads(model, grads, cfg.lr)
+            apply_grads(params, grads, rates)
         dev_acc = model.accuracy(dev_docs) if dev_docs else float("nan")
         entry = {"epoch": epoch, "train_loss": total / len(encoded),
                  "dev_accuracy": dev_acc,

@@ -17,11 +17,6 @@ from embkit.corpus import CorpusStream, Vocabulary, build_vocabulary
 from embkit.embeddings import (_assemble_cw_windows, _expand_charword_arrays,
                                _pair_batch_ns, _window_batch_cw,
                                _window_batch_predictive)
-from embkit.optim import Param
-
-
-def arrays_of(params):
-    return {k: (p.value if isinstance(p, Param) else p) for k, p in params.items()}
 
 
 def pack(arrs):
@@ -35,21 +30,32 @@ def unpack(theta, arrs):
         pos += a.size
 
 
+def dense_grads(params, grads):
+    """`grads` as dense arrays keyed like `params`: an `(ids, rows)` pair is
+    summed into zeros with np.add.at, and a missing entry is zeros."""
+    dense = {}
+    for name, value in params.items():
+        g = grads.get(name)
+        if isinstance(g, tuple):
+            g = np.zeros(value.shape)
+            np.add.at(g, *grads[name])
+        dense[name] = np.zeros(value.shape) if g is None else g
+    return dense
+
+
 def flat_checker(params, loss_fn):
     """Build f(theta) -> (loss, flat grad) over the given parameter dict.
 
-    `loss_fn` must return (loss, grads) with grads keyed like params.
+    `loss_fn` must return (loss, grads of the loss) in the trainers' form:
+    an array or an `(ids, rows)` pair per parameter (see `dense_grads`).
     """
-    arrs = arrays_of(params)
-    names = list(arrs)
-
     def f(theta):
-        unpack(theta, arrs)
+        unpack(theta, params)
         loss, grads = loss_fn()
-        flat = np.concatenate([np.asarray(grads[k]).ravel() for k in names])
-        return loss, flat
+        dense = dense_grads(params, grads)
+        return loss, np.concatenate([np.ravel(dense[k]) for k in params])
 
-    return f, pack(arrs)
+    return f, pack(params)
 
 
 def in_noise_band(flat_grad, hi=1e-6):
@@ -63,25 +69,13 @@ def in_noise_band(flat_grad, hi=1e-6):
 
 
 def ascent_checker(params, forward_backward):
-    """flat_checker for a batched forward/backward of the embedding trainer.
-
-    `forward_backward()` returns (loss, ascent grads) with `(ids, rows)` for
-    row-sparse tables; rows are densified with np.add.at, negated into
-    gradients of the loss, and a parameter without an entry gets zeros.
+    """flat_checker for a batched forward/backward of the embedding trainer,
+    whose `forward_backward()` returns (loss, ascent grads): the densified
+    grads are negated into gradients of the loss.
     """
-    arrs = arrays_of(params)
-
     def loss_fn():
         loss, grads = forward_backward()
-        dense = {}
-        for name, value in arrs.items():
-            g = grads.get(name)
-            if isinstance(g, tuple):
-                rows = np.zeros(value.shape)
-                np.add.at(rows, g[0], g[1])
-                g = rows
-            dense[name] = -g if g is not None else np.zeros(value.shape)
-        return loss, dense
+        return loss, {k: -g for k, g in dense_grads(params, grads).items()}
 
     return flat_checker(params, loss_fn)
 
@@ -139,15 +133,6 @@ def charword_batch(model, space, rng, n_words, beta, char_context=False):
                                                char_context)
     negs = rng.integers(0, n_words, (len(rows), 2))
     return lambda: _pair_batch_ns(model, rows, tgts, wgts, negs)
-
-
-def densify_row_grads(shape, grads):
-    """Convert _e_rows/_e_ids sparse gradients into a dense 'e' entry."""
-    out = {k: v for k, v in grads.items() if not k.startswith("_")}
-    e = np.zeros(shape)
-    np.add.at(e, grads["_e_ids"], grads["_e_rows"])
-    out["e"] = e
-    return out
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (ascent_checker, charword_batch, cw_batch,
-                      densify_row_grads, flat_checker, in_noise_band,
+                      flat_checker, in_noise_band,
                       predictive_batch, random_windows)
 from embkit.corpus import (CorpusStream, build_vocabulary,
                            subsample_keep_probability)
@@ -105,8 +105,7 @@ TC_VOCAB = [f"t{i}" for i in range(7)]
 
 def _randomized(model_or_net, rng, scale=0.8):
     params = model_or_net.params()
-    for p in params.values():
-        arr = p.value if hasattr(p, "value") else p
+    for arr in params.values():
         arr[...] = rng.normal(0, scale, arr.shape)
     return model_or_net
 
@@ -154,17 +153,8 @@ def _segmenter_config(rng):
     _randomized(net, rng)
     window = rng.integers(0, len(net.chars), 5)
     gold = int(rng.integers(4))
-
-    def loss_fn():
-        loss, grads = segment_loss_grads(net, window, gold)
-        dense = {k: v for k, v in grads.items() if k != "e"}
-        e = np.zeros_like(net.e)
-        w, rows = grads["e"]
-        np.add.at(e, w, rows)
-        dense["e"] = e
-        return loss, dense
-
-    return flat_checker(net.params(), loss_fn)
+    return flat_checker(net.params(),
+                        lambda: segment_loss_grads(net, window, gold))
 
 
 def _pooled_config(make_model):
@@ -173,21 +163,12 @@ def _pooled_config(make_model):
         n = int(rng.integers(2, 6))
         ids = model.encode([TC_VOCAB[int(rng.integers(7))] for _ in range(n)])
         cls = int(rng.integers(2))
-        if isinstance(model, RcnnModel):
-            Y2 = model._forward(ids)["Y2"]
-        else:
-            X = model.e[model.window_ids(ids)].reshape(len(ids), -1)
-            Y2 = np.tanh(X @ model.W2.T + model.b2)
+        Y2 = model._forward(ids)["Y2"]
         if Y2.shape[0] > 1:
             top2 = np.sort(Y2, axis=0)[-2:, :]
             if float(np.min(top2[1] - top2[0])) <= 1e-3:
                 return None  # pooling argmax too close to a tie for FD
-
-        def loss_fn():
-            loss, grads = model.loss_grads(ids, cls)
-            return loss, densify_row_grads(model.e.shape, grads)
-
-        return flat_checker(model.params(), loss_fn)
+        return flat_checker(model.params(), lambda: model.loss_grads(ids, cls))
     return gen
 
 

@@ -1,0 +1,52 @@
+"""The benchmark's tracer (bench/spans.py) wraps embkit functions by name
+and binds some of their parameters by name. Running small commands under it
+here makes a rename that would break `bench/run.py --trace 1` fail tier-1.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from embkit import cli
+
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+
+
+@pytest.fixture
+def tracer():
+    sys.path.insert(0, BENCH)
+    try:
+        import spans
+        t = spans.Tracer()
+        t.install()
+        try:
+            yield t
+        finally:
+            t.uninstall()
+    finally:
+        sys.path.remove(BENCH)
+        sys.modules.pop("spans", None)
+
+
+def test_tracer_counts_segmenter_samples_and_factorization_cells(tmp_path,
+                                                                 tracer):
+    seg = tmp_path / "seg.txt"
+    seg.write_text("的一/是\n是/的一\n", encoding="utf-8")  # 6 characters
+    assert cli.run(["segment-train", "--corpus", str(seg), "--dim", "2",
+                    "--hidden", "3", "--epochs", "2",
+                    "--out", str(tmp_path / "seg.bin")]) == 0
+
+    corpus, vocab = tmp_path / "corpus.txt", tmp_path / "vocab.txt"
+    cooc = tmp_path / "cooc.txt"
+    corpus.write_text("a b c a b\nc a b\n", encoding="utf-8")
+    assert cli.run(["cooccur", "--corpus", str(corpus), "--win", "3",
+                    "--save-vocab", str(vocab), "--out", str(cooc)]) == 0
+    assert cli.run(["factorize", "--cooccur", str(cooc), "--vocab", str(vocab),
+                    "--win", "3", "--dim", "2", "--epochs", "3",
+                    "--out", str(tmp_path / "glove.bin")]) == 0
+
+    n_cells = len(cooc.read_text(encoding="utf-8").splitlines())
+    assert n_cells > 0
+    assert tracer.counts["segment.samples"] == 6 * 2
+    assert tracer.counts["matrixfact.cells"] == n_cells * 3

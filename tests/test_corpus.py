@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embkit.corpus import (CorpusStream, build_vocabulary, decompose_word,
-                           iter_windows, load_vocabulary, normalize_token,
-                           save_vocabulary, shuffle_documents,
-                           subsample_keep_probability)
+                           document_window_arrays, iter_windows,
+                           load_vocabulary, normalize_token, save_vocabulary,
+                           shuffle_documents, subsample_keep_probability,
+                           window_matrix)
 from embkit.errors import DataError
 
 
@@ -184,6 +185,36 @@ def test_oov_tokens_removed_before_windowing():
     # with zz removed, a and b become adjacent
     assert [(vocab.tokens[s.target], tuple(vocab.tokens[i] for i in s.context))
             for s in samples] == [("a", ("b",)), ("b", ("a",))]
+
+
+def slotwise_windows(ids, win, pad):
+    """Oracle: row i holds ids[i + off] for off in -h..h, pad outside."""
+    half = (win - 1) // 2
+    return [[int(ids[i + off]) if 0 <= i + off < len(ids) else pad
+             for off in range(-half, half + 1)] for i in range(len(ids))]
+
+
+@pytest.mark.parametrize("win", [1, 3, 5, 7, 9, 13])
+def test_window_matrix_matches_slotwise_oracle(win):
+    # documents shorter than, as long as and longer than the window
+    for n in range(0, 10):
+        ids = np.arange(10, 10 + n)
+        out = window_matrix(ids, win, -7)
+        assert out.shape == (n, win) and out.dtype == np.int64
+        assert out.tolist() == slotwise_windows(ids, win, -7)
+
+
+@pytest.mark.parametrize("win", [3, 5, 7, 9, 13])
+def test_document_window_arrays_short_documents(win):
+    half = (win - 1) // 2
+    for n in range(0, 8):
+        ids = np.arange(10, 10 + n)
+        targets, ctx = document_window_arrays(ids, win)
+        expected = [row[:half] + row[half + 1:]
+                    for row in slotwise_windows(ids, win, -1)]
+        assert targets.tolist() == ids.tolist()
+        assert ctx.shape == (n, win - 1)
+        assert ctx.tolist() == expected
 
 
 def test_shuffle_documents_permutes_and_preserves():

@@ -15,7 +15,7 @@ from embkit.embeddings import (KINDS, EmbeddingModel, TrainConfig,
                                _window_batch_cw, _window_batch_predictive,
                                build_charword_space, train_epochs)
 from embkit.errors import NumericError
-from embkit.optim import (ADAGRAD_EPS, NoiseSampler, Param, _aggregate_rows,
+from embkit.optim import (ADAGRAD_EPS, NoiseSampler, _aggregate_rows,
                           gradient_check, sigmoid, step_rows)
 
 
@@ -25,7 +25,7 @@ def make_model(kind, vocab, dim=3, win=5, hidden=4, seed=0, randomize=True):
     if randomize:
         r = np.random.default_rng(seed + 1000)
         for p in model.params().values():
-            p.value[...] = r.normal(0, 0.8, p.value.shape)
+            p[...] = r.normal(0, 0.8, p.shape)
     return model
 
 
@@ -98,7 +98,7 @@ def test_skipgram_aligned_unit_vectors_score_one(small_vocab):
 def test_nnlm_zero_net_scores_zero(small_vocab):
     model = make_model("nnlm", small_vocab, randomize=False)
     # created with H random but e_prime/biases zero; zero H as well
-    model.params()["H"].value[...] = 0.0
+    model.params()["H"][...] = 0.0
     x = np.arange(12, dtype=float)
     s, _, _ = _ns_scores(model, x[None, :], np.array([[3]]))
     assert s[0, 0] == 0.0
@@ -109,8 +109,8 @@ def test_lbl_energy_matches_matrix_arithmetic(small_vocab):
     p = model.params()
     x = np.random.default_rng(8).normal(size=(model.win - 1) * model.dim)
     w = 4
-    expected = (p["b2"].value[w]
-                + model.e_prime[w] @ (p["b1"].value + p["H"].value @ x))
+    expected = (p["b2"][w]
+                + model.e_prime[w] @ (p["b1"] + p["H"] @ x))
     s, _, _ = _ns_scores(model, x[None, :], np.array([[w]]))
     assert s[0, 0] == pytest.approx(expected, abs=1e-12)
 
@@ -238,23 +238,23 @@ def test_cw_hinge_dead_zone(small_vocab):
                 break
         if found:
             break
-        model.params()["U"].value[...] *= 2.0
+        model.params()["U"][...] *= 2.0
     assert found is not None
     window, neg = found
-    before = {k: p.value.copy() for k, p in model.params().items()}
+    before = {k: p.copy() for k, p in model.params().items()}
     loss, grads = _window_batch_cw(model, np.array([window]), np.array([neg]))
     assert loss == 0.0
     assert grads == {}
     _apply_step(model, TrainConfig(), loss, grads)
     for k, p in model.params().items():
-        assert np.array_equal(p.value, before[k])
+        assert np.array_equal(p, before[k])
 
 
 def test_cw_equal_scores_loss_one(small_vocab):
     model = make_model("cw", small_vocab, randomize=False)
     # zero hidden weights make every window score 0
-    model.params()["H"].value[...] = 0.0
-    model.params()["U"].value[...] = 0.0
+    model.params()["H"][...] = 0.0
+    model.params()["U"][...] = 0.0
     loss, _ = _window_batch_cw(model, np.array([[0, 1, 2, 3, 4]]), np.array([5]))
     assert loss == pytest.approx(1.0)
 
@@ -286,10 +286,10 @@ def test_train_sample_cw_updates_only_on_violation(small_vocab):
     model = make_model("cw", small_vocab)
     rng = np.random.default_rng(0)
     cfg = TrainConfig(optimizer="sgd", lr=0.05)
-    before = {k: p.value.copy() for k, p in model.params().items()}
+    before = {k: p.copy() for k, p in model.params().items()}
     loss, _ = _process_chunk(model, cfg, None, None, rng, np.array([2]),
                              slots(0, 1, 3, 4))
-    changed = any(not np.array_equal(p.value, before[k])
+    changed = any(not np.array_equal(p, before[k])
                   for k, p in model.params().items())
     assert changed == (loss > 0)
 
@@ -305,7 +305,7 @@ def char_setup():
                                   tokens=space.tokens)
     r = np.random.default_rng(77)
     for p in model.params().values():
-        p.value[...] = r.normal(0, 0.8, p.value.shape)
+        p[...] = r.normal(0, 0.8, p.shape)
     return vocab, space, model
 
 
@@ -410,7 +410,7 @@ def test_charword_gradients(char_setup):
             model = EmbeddingModel.create("skipgram", vocab, 3, 5,
                                           rng=r, tokens=space.tokens)
             for p in model.params().values():
-                p.value[...] = r.normal(0, 0.8, p.value.shape)
+                p[...] = r.normal(0, 0.8, p.shape)
             f, theta = ascent_checker(model.params(),
                                       charword_batch(model, space, r, 5, beta))
             _, g0 = f(theta)
@@ -427,7 +427,7 @@ def test_char_context_gradients(char_setup):
     model = EmbeddingModel.create("skipgram", vocab, 3, 5, rng=r,
                                   tokens=space.tokens)
     for p in model.params().values():
-        p.value[...] = r.normal(0, 0.8, p.value.shape)
+        p[...] = r.normal(0, 0.8, p.shape)
     batch = charword_batch(model, space, r, 5, 0.5, char_context=True)
     f, theta = ascent_checker(model.params(), batch)
     assert gradient_check(f, theta) < 1e-4
@@ -493,7 +493,7 @@ def test_divergence_stops_before_parameters_turn_non_finite(kind, toy_corpus,
         with pytest.raises(NumericError):
             train_epochs(model, toy_corpus, cfg)
     for name, p in model.params().items():
-        assert np.isfinite(p.value).all(), name
+        assert np.isfinite(p).all(), name
 
 
 # --- row-sparse ascent step -----------------------------------------------------
@@ -548,36 +548,34 @@ def test_aggregate_rows_empty():
 def test_apply_rows_ascent_matches_dense_reference(optimizer, dtype, row_shape):
     rng = np.random.default_rng(12)
     n_rows = 50
-    param = Param(rng.normal(size=(n_rows, *row_shape)))
-    param.value = param.value.astype(dtype)
-    param.accum = rng.uniform(0.5, 2.0, size=param.value.shape).astype(dtype)
+    value = rng.normal(size=(n_rows, *row_shape)).astype(dtype)
+    accum = rng.uniform(0.5, 2.0, size=value.shape).astype(dtype)
     ids = _heavy_duplicate_ids(rng, 30, 400)  # rows 30.. stay untouched
     grads = rng.normal(size=(len(ids), *row_shape))
     ref_value, ref_accum = _reference_rows_step(
-        param.value, param.accum, ids, grads, optimizer, 0.3)
-    before_value, before_accum = param.value.copy(), param.accum.copy()
+        value, accum, ids, grads, optimizer, 0.3)
+    before_value, before_accum = value.copy(), accum.copy()
 
-    step_rows(param.value, ids, grads, 0.3,
-              param.accum if optimizer == "adagrad" else None)
+    step_rows(value, ids, grads, 0.3, accum if optimizer == "adagrad" else None)
 
-    assert param.value.dtype == dtype and param.accum.dtype == dtype
+    assert value.dtype == dtype and accum.dtype == dtype
     rtol = ROW_STEP_RTOL[dtype]
-    np.testing.assert_allclose(param.value, ref_value, rtol=rtol)
-    np.testing.assert_allclose(param.accum, ref_accum, rtol=rtol)
+    np.testing.assert_allclose(value, ref_value, rtol=rtol)
+    np.testing.assert_allclose(accum, ref_accum, rtol=rtol)
     untouched = np.setdiff1d(np.arange(n_rows), ids)
     assert len(untouched) == n_rows - 30
-    assert np.array_equal(param.value[untouched], before_value[untouched])
-    assert np.array_equal(param.accum[untouched], before_accum[untouched])
+    assert np.array_equal(value[untouched], before_value[untouched])
+    assert np.array_equal(accum[untouched], before_accum[untouched])
     if optimizer == "sgd":
-        assert np.array_equal(param.accum, before_accum)
+        assert np.array_equal(accum, before_accum)
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
 def test_apply_rows_ascent_empty_ids_change_nothing(optimizer):
-    param = Param(np.random.default_rng(13).normal(size=(6, 3)))
-    param.accum = np.ones((6, 3))
-    before = param.value.copy()
-    step_rows(param.value, np.empty(0, dtype=np.int64), np.empty((0, 3)), 0.1,
-              param.accum if optimizer == "adagrad" else None)
-    assert np.array_equal(param.value, before)
-    assert np.array_equal(param.accum, np.ones((6, 3)))
+    value = np.random.default_rng(13).normal(size=(6, 3))
+    accum = np.ones((6, 3))
+    before = value.copy()
+    step_rows(value, np.empty(0, dtype=np.int64), np.empty((0, 3)), 0.1,
+              accum if optimizer == "adagrad" else None)
+    assert np.array_equal(value, before)
+    assert np.array_equal(accum, np.ones((6, 3)))

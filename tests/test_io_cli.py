@@ -7,6 +7,7 @@ import pytest
 
 import embkit
 from embkit.cli import run
+from embkit.corpus import Vocabulary, save_vocabulary
 from embkit.errors import DataError
 from embkit.io_formats import (EmbeddingTable, load_container,
                                load_embeddings, save_container,
@@ -101,6 +102,23 @@ def test_cli_missing_file_is_data_error(tmp_path):
                 "--corpus", str(tmp_path / "missing.txt"),
                 "--out", str(out)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["train-emb", "classify-train"])
+def test_cli_document_shorter_than_window_trains(tmp_path, command):
+    # a 2-token document has no neighbour 3 positions away
+    path = tmp_path / "short.txt"
+    if command == "train-emb":
+        path.write_text("a b\nc d e f g h i j\n", encoding="utf-8")
+        args = ["train-emb", "--kind", "skipgram", "--corpus", str(path),
+                "--dim", "4", "--epochs", "1"]
+    else:
+        path.write_text("0\ta b\n1\tc d e f g h\n0\ta c\n1\td e\n",
+                        encoding="utf-8")
+        args = ["classify-train", "--model", "wincnn", "--train", str(path),
+                "--dev", str(path), "--dim", "4", "--hidden", "4",
+                "--epochs", "1"]
+    assert run(args + ["--win", "7", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_train_zero_epochs_outputs_initialization(tmp_path, tiny_corpus_file):
@@ -527,26 +545,49 @@ def test_cli_non_finite_vector_is_data_error(tmp_path, caplog, container):
     assert where in message and "non-finite" in message
 
 
-@pytest.mark.parametrize("target", ["text", "container"])
+@pytest.mark.parametrize("target", ["text", "container", "vocabulary",
+                                    "segment-decode"])
 def test_failed_write_leaves_earlier_file(tmp_path, target):
-    path = tmp_path / "out"
+    path = tmp_path / "dest" / "out"
+    path.parent.mkdir()
     if target == "text":
         save_embeddings(EmbeddingTable(["a", "b"], np.eye(2)), path)
         # a lone surrogate cannot be encoded: the write fails at row 2
         bad = EmbeddingTable(["a", "\ud800", "c"], np.eye(3))
         write = lambda: save_embeddings(bad, path)  # noqa: E731
         error = UnicodeEncodeError
-    else:
+    elif target == "container":
         save_container(path, {"a": np.ones(2)}, {"x": 1})
         # "b" is written, then "c" cannot be converted to float
         bad = {"b": np.zeros(3), "c": np.array(["x"])}
         write = lambda: save_container(path, bad, {"x": 2})  # noqa: E731
         error = ValueError
+    elif target == "vocabulary":
+        save_vocabulary(Vocabulary(["a", "b"], [2, 1]), path)
+        # the lone surrogate cannot be encoded: the write fails at line 2
+        bad = Vocabulary(["a", "\ud800", "c"], [3, 2, 1])
+        write = lambda: save_vocabulary(bad, path)  # noqa: E731
+        error = UnicodeEncodeError
+    else:
+        corpus, model = tmp_path / "seg.txt", tmp_path / "seg.bin"
+        corpus.write_text("ab/c\nc/ab\n", encoding="utf-8")
+        assert run(["segment-train", "--corpus", str(corpus), "--dim", "2",
+                    "--hidden", "3", "--epochs", "1", "--out", str(model)]) == 0
+        decode = ["segment-decode", "--model", str(model), "--out", str(path),
+                  "--input"]
+        assert run(decode + [str(corpus)]) == 0
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"abc\n\xff\xfe\n")
+        write = lambda: run(decode + [str(bad)])  # noqa: E731
+        error = None
     before = path.read_bytes()
-    with pytest.raises(error):
-        write()
+    if error is None:
+        assert write() == 2
+    else:
+        with pytest.raises(error):
+            write()
     assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(path.parent) == ["out"]
 
 
 def test_write_through_symlink_keeps_link(tmp_path):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from embkit.embeddings import EmbeddingModel, TrainConfig, train_epochs
 from embkit.errors import NumericError
-from embkit.optim import (NoiseSampler, gradient_check, log_softmax, sigmoid,
-                          softmax, step_dense)
+from embkit.optim import (NoiseSampler, apply_grads, gradient_check,
+                          log_softmax, sigmoid, softmax, step_dense, step_rows)
 
 
 def test_softmax_symmetry():
@@ -116,6 +117,71 @@ def test_adagrad_accumulator_monotone():
         step_dense(theta, rng.normal(size=5), 0.1, accum)
         assert np.all(accum >= last)
         last = accum.copy()
+
+
+def _two_params(rng):
+    return {"M": rng.normal(size=(6, 3)), "v": rng.normal(size=4),
+            "idle": rng.normal(size=2)}
+
+
+def _two_grads(rng):
+    ids = np.array([4, 1, 4, 0])  # row 4 twice
+    return {"M": (ids, rng.normal(size=(4, 3))), "v": rng.normal(size=4)}
+
+
+@pytest.mark.parametrize("adagrad", [False, True], ids=["sgd", "adagrad"])
+def test_apply_grads_dispatches_pairs_and_arrays(adagrad):
+    rng = np.random.default_rng(30)
+    params, grads = _two_params(rng), _two_grads(rng)
+    ref = {k: v.copy() for k, v in params.items()}
+    accum = {} if adagrad else None
+    ref_accum = {k: np.zeros_like(v) for k, v in params.items()}
+    apply_grads(params, grads, {"M": 0.3, "v": 0.2}, accum)
+    step_rows(ref["M"], *grads["M"], 0.3, ref_accum["M"] if adagrad else None)
+    step_dense(ref["v"], grads["v"], 0.2, ref_accum["v"] if adagrad else None)
+    for k in params:
+        assert np.array_equal(params[k], ref[k]), k
+    if adagrad:
+        assert set(accum) == {"M", "v"}  # none for the parameter not stepped
+        for k in accum:
+            assert np.array_equal(accum[k], ref_accum[k]), k
+
+
+def test_apply_grads_accumulators_created_once_and_reused():
+    rng = np.random.default_rng(31)
+    params, accum = _two_params(rng), {}
+    apply_grads(params, _two_grads(rng), {"M": 0.1, "v": 0.1}, accum)
+    first = dict(accum)
+    assert first["M"][[2, 3, 5]].tolist() == [[0.0] * 3] * 3  # rows not touched
+    apply_grads(params, _two_grads(rng), {"M": 0.1, "v": 0.1}, accum)
+    assert all(accum[k] is first[k] for k in first)
+    assert first["v"].min() > 0.0
+
+
+def test_apply_grads_sgd_creates_no_accumulators(toy_corpus, toy_vocab):
+    for optimizer, stepped in (("sgd", set()), ("adagrad", {"e", "e_prime"})):
+        model = EmbeddingModel.create("skipgram", toy_vocab, 4, 5,
+                                      rng=np.random.default_rng(0))
+        train_epochs(model, toy_corpus,
+                     TrainConfig(epochs=1, optimizer=optimizer, batch_size=64))
+        assert set(model.accum) == stepped
+
+
+@pytest.mark.parametrize("adagrad", [False, True], ids=["sgd", "adagrad"])
+def test_apply_grads_negative_rate_is_negated_gradient(adagrad):
+    rng = np.random.default_rng(32)
+    a = _two_params(rng)
+    b = {k: v.copy() for k, v in a.items()}
+    acc_a, acc_b = ({}, {}) if adagrad else (None, None)
+    for _ in range(5):
+        g = _two_grads(rng)
+        neg = {"M": (g["M"][0], -g["M"][1]), "v": -g["v"]}
+        apply_grads(a, g, {"M": -0.3, "v": -0.7}, acc_a)
+        apply_grads(b, neg, {"M": 0.3, "v": 0.7}, acc_b)
+    for k in a:
+        assert np.array_equal(a[k], b[k]), k
+    if adagrad:
+        assert all(np.array_equal(acc_a[k], acc_b[k]) for k in acc_a)
 
 
 def test_negative_sample_empty():

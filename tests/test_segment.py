@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import flat_checker, in_noise_band
 from embkit.errors import DataError
-from embkit.optim import gradient_check
+from embkit.optim import gradient_check, log_softmax
 from embkit.segment import (LEGAL_END, LEGAL_NEXT, LEGAL_START, TAG_ID,
                             SegmenterNet, TaggedSentence,
                             line_to_chars, parse_segmented_line, prf_score,
                             segment_loss_grads, segmentation_from_tags,
-                            sentence_log_probs, tag_log_probs,
+                            sentence_log_probs,
                             tags_from_segmentation, train_segmenter,
                             viterbi_decode)
 
@@ -121,16 +121,15 @@ def test_zero_net_uniform_log_probs():
     net.U[...] = 0.0
     net.b1[...] = 0.0
     net.b2[...] = 0.0
-    out = tag_log_probs(net, ["a", "b", "c"], 1)
+    out = sentence_log_probs(net, ["a", "b", "c"])[1]
     assert out == pytest.approx(np.log(np.ones(4) / 4), abs=1e-12)
 
 
 def test_tag_probs_sum_to_one():
     net = SegmenterNet(list("abcd"), dim=3, hidden=5, win=5,
                        rng=np.random.default_rng(1))
-    for i in range(3):
-        probs = np.exp(tag_log_probs(net, ["a", "c", "d"], i))
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    for row in sentence_log_probs(net, ["a", "c", "d"]):
+        assert np.exp(row).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tag_log_probs_matches_matrix_arithmetic():
@@ -145,7 +144,20 @@ def test_tag_log_probs_matches_matrix_arithmetic():
     x = np.concatenate([net.e[w] for w in window])
     y = net.b2 + net.U @ np.tanh(net.b1 + net.H @ x)
     expected = y - np.log(np.exp(y).sum())
-    assert tag_log_probs(net, chars, i) == pytest.approx(expected, abs=1e-10)
+    assert sentence_log_probs(net, chars)[i] == pytest.approx(expected,
+                                                              abs=1e-10)
+
+
+def positionwise_log_probs(net, chars, i):
+    """Oracle: position i's window built slot by slot, one matrix-vector
+    product per layer."""
+    ids = net.encode(chars)
+    half = (net.win - 1) // 2
+    window = [ids[j] if 0 <= j < len(ids) else net.padding_id
+              for j in range(i - half, i + half + 1)]
+    x = net.e[window].reshape(-1)
+    h = np.tanh(net.b1 + net.H @ x)
+    return log_softmax(net.b2 + net.U @ h)
 
 
 def test_sentence_log_probs_matches_positionwise():
@@ -154,8 +166,8 @@ def test_sentence_log_probs_matches_positionwise():
     chars = ["a", "e", "c", "b"]
     lattice = sentence_log_probs(net, chars)
     for i in range(len(chars)):
-        assert lattice[i] == pytest.approx(tag_log_probs(net, chars, i),
-                                           abs=1e-12)
+        assert lattice[i] == pytest.approx(
+            positionwise_log_probs(net, chars, i), abs=1e-12)
 
 
 def test_unknown_char_maps_to_unk_row():
@@ -177,17 +189,8 @@ def test_segment_gradients():
             v[...] = r.normal(0, 0.8, v.shape)
         window = r.integers(0, len(net.chars), 5)
         gold = int(r.integers(4))
-
-        def loss_fn():
-            loss, grads = segment_loss_grads(net, window, gold)
-            dense = {k: v for k, v in grads.items() if k != "e"}
-            e = np.zeros_like(net.e)
-            w, rows = grads["e"]
-            np.add.at(e, w, rows)
-            dense["e"] = e
-            return loss, dense
-
-        f, theta = flat_checker(net.params(), loss_fn)
+        f, theta = flat_checker(net.params(),
+                                lambda: segment_loss_grads(net, window, gold))
         _, g0 = f(theta)
         if in_noise_band(g0):
             continue
