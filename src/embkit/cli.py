@@ -305,8 +305,8 @@ def _cmd_segment_train(args):
                    {"chars": net.chars, "dim": net.dim,
                     "hidden": net.hidden, "win": net.win})
     if dev:
-        pred = [seg.decode_sentence(net, seg.tags_from_segmentation(w).chars)
-                for w in dev]
+        pred = list(seg.decode_sentences(
+            net, (seg.tags_from_segmentation(w).chars for w in dev)))
         scores = seg.prf_corpus(pred, dev)
         print(f"dev_precision: {scores['precision']:.4f}")
         print(f"dev_recall: {scores['recall']:.4f}")
@@ -327,12 +327,10 @@ def _cmd_segment_decode(args):
     net = _load_segmenter(args.model)
     with open_text(args.input) as fh, \
             _atomic_open(args.out, "w", encoding="utf-8") as out:
-        for line in fh:
-            chars = seg.line_to_chars(line, normalize=not args.no_normalize)
-            if not chars:
-                out.write("\n")
-                continue
-            out.write("/".join(seg.decode_sentence(net, chars)) + "\n")
+        lines = (seg.line_to_chars(line, normalize=not args.no_normalize)
+                 for line in fh)
+        for words in seg.decode_sentences(net, lines):
+            out.write("/".join(words) + "\n")
     log.info("wrote %s", args.out)
 
 

@@ -178,7 +178,7 @@ def build_charword_space(word_vocab: Vocabulary) -> CharWordSpace:
 def _slot_rows(e: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """(b, n, dim) rows of `e` for (b, n) slot ids; empty slots (-1) stay zero."""
     mask = ids >= 0
-    S = np.zeros((*ids.shape, e.shape[1]))
+    S = np.zeros((*ids.shape, e.shape[1]), dtype=e.dtype)
     S[mask] = e[ids[mask]]
     return S
 
@@ -188,7 +188,7 @@ def _context_inputs(model: EmbeddingModel, ctx: np.ndarray) -> np.ndarray:
     vectors for cbow, their position-ordered concatenation otherwise."""
     S = _slot_rows(model.e, ctx)
     if model.kind == "cbow":
-        return S.sum(axis=1) / (ctx >= 0).sum(axis=1)[:, None]
+        return S.sum(axis=1) / (ctx >= 0).sum(axis=1, dtype=S.dtype)[:, None]
     return S.reshape(len(ctx), -1)
 
 
@@ -265,7 +265,7 @@ def _window_batch_predictive(model, tgt, ctx, negs):
         dX = dZ @ p["H"]
     mask = ctx >= 0
     if model.kind == "cbow":
-        rows = (dX / mask.sum(axis=1)[:, None])[np.nonzero(mask)[0]]
+        rows = (dX / mask.sum(axis=1, dtype=dX.dtype)[:, None])[np.nonzero(mask)[0]]
     else:
         rows = dX.reshape(*ctx.shape, model.dim)[mask]
     grads["e"] = (ctx[mask], rows)

@@ -95,6 +95,12 @@ class EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
+    """Write the text format. A token must be nonempty and free of
+    whitespace (`str.isspace`), since the reader splits lines on spaces."""
+    for tok in table.tokens:
+        if tok.split() != [tok]:
+            raise DataError(f"{path}: token {tok!r} is empty or contains "
+                            "whitespace; the text format cannot store it")
     with _atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table.tokens)} {table.dim}\n")
         for tok, row in zip(table.tokens, table.vectors):

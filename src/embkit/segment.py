@@ -8,7 +8,7 @@ E->{B,S}, S->{B,S}; sentences must start in {B,S} and end in {E,S}.
 
 import math
 import time
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,6 +230,57 @@ def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
     return history
 
 
+# A block holds the tags as the 2x2 grid [[M, E], [B, S]]: the successors
+# of a tag in column c are row c (M and E follow B and M; B and S follow E
+# and S), each row lists its smaller tag first, a sentence starts in row 1
+# and ends in column 1.
+_GRID = np.array([[M, E], [B, S]])
+_TAG_BYTES = np.frombuffer(TAGS.encode("ascii"), dtype=np.uint8)
+DECODE_BLOCK = 1 << 16  # padded character positions per batched Viterbi
+
+
+def viterbi_decode_block(lattices: Sequence[np.ndarray]
+                         ) -> Tuple[List[str], np.ndarray]:
+    """Best legal BMES sequence of each nonempty (n_k, 4) lattice, with one
+    backward pass over positions for the whole block.
+
+    The lattices are right-aligned in a -inf-padded array. Ties break toward
+    the lexicographically smallest tag sequence under B < M < E < S. Returns
+    (tags per lattice, path scores); raises DataError when any lattice has
+    no legal tag sequence.
+    """
+    lengths = np.array([len(lat) for lat in lattices])
+    nb, T = len(lattices), int(lengths.max())
+    starts = T - lengths
+    L = np.full((nb, T, 2, 2), -np.inf)
+    for k, lat in enumerate(lattices):
+        L[k, starts[k]:] = lat[:, _GRID]
+    # C[k, i, r, c]: best score of a legal suffix starting at i with tag
+    # _GRID[r, c]; each step adds the best of the successor row
+    C = np.empty_like(L)
+    C[:, T - 1, :, 0] = -np.inf
+    C[:, T - 1, :, 1] = L[:, T - 1, :, 1]
+    for i in range(T - 2, -1, -1):
+        best = np.maximum(C[:, i + 1, :, 0], C[:, i + 1, :, 1])
+        np.add(L[:, i], best[:, None, :], out=C[:, i])
+    rows = np.arange(nb)
+    totals = np.maximum(C[rows, starts, 1, 0], C[rows, starts, 1, 1])
+    if (totals == -np.inf).any():
+        raise DataError("no legal tag sequence for this lattice")
+    # Walk forward: the row is the previous tag's column, and column 1 is
+    # taken only when strictly better, so ties go to the smaller tag.
+    # Padding positions take column 1, so every sentence starts in row 1.
+    padding = np.arange(T) < starts[:, None]
+    col = np.empty((nb, T + 1), dtype=np.intp)
+    col[:, 0] = 1
+    for i in range(T):
+        x = C[rows, i, col[:, i]]
+        col[:, i + 1] = (x[:, 1] > x[:, 0]) | padding[:, i]
+    chars = _TAG_BYTES[_GRID[col[:, :-1], col[:, 1:]]]
+    return ([chars[k, starts[k]:].tobytes().decode("ascii") for k in range(nb)],
+            totals)
+
+
 def viterbi_decode(lattice: np.ndarray) -> Tuple[str, float]:
     """Best legal BMES sequence for an (n, 4) log-probability lattice.
 
@@ -239,35 +290,42 @@ def viterbi_decode(lattice: np.ndarray) -> Tuple[str, float]:
     lattice = np.asarray(lattice, dtype=np.float64)
     if lattice.ndim != 2 or lattice.shape[1] != 4 or lattice.shape[0] == 0:
         raise DataError("lattice must be a nonempty (n, 4) array")
-    n = lattice.shape[0]
-    # completion[i][t]: best score of a legal suffix starting at i with tag t
-    completion = np.full((n, 4), -np.inf)
-    for t in LEGAL_END:
-        completion[n - 1][t] = lattice[n - 1][t]
-    for i in range(n - 2, -1, -1):
-        for t in range(4):
-            succ = LEGAL_NEXT[t]
-            best = max(completion[i + 1][u] for u in succ)
-            completion[i][t] = lattice[i][t] + best
-    start_scores = [completion[0][t] if t in LEGAL_START else -np.inf for t in range(4)]
-    total = max(start_scores)
-    if total == -np.inf:
-        raise DataError("no legal tag sequence for this lattice")
-    # walk forward greedily: smallest tag whose completion attains the max
-    tags = []
-    t = min(t for t in LEGAL_START if completion[0][t] == total)
-    tags.append(t)
-    for i in range(1, n):
-        succ = LEGAL_NEXT[tags[-1]]
-        best = max(completion[i][u] for u in succ)
-        tags.append(min(u for u in succ if completion[i][u] == best))
-    return "".join(TAGS[t] for t in tags), float(total)
+    tags, totals = viterbi_decode_block([lattice])
+    return tags[0], float(totals[0])
+
+
+def decode_sentences(net: SegmenterNet,
+                     sentences: Iterable[Sequence[str]]) -> Iterator[List[str]]:
+    """Words of each character sequence, in order; an empty one gives [].
+
+    Reads `sentences` lazily in blocks of at most DECODE_BLOCK padded
+    positions: one lattice per sentence, one batched Viterbi per block.
+    """
+    block: List[Sequence[str]] = []
+    width = 0
+    for chars in sentences:
+        n = max(len(chars), 1)
+        if block and (len(block) + 1) * max(width, n) > DECODE_BLOCK:
+            yield from _decode_block(net, block)
+            block, width = [], 0
+        block.append(chars)
+        width = max(width, n)
+    if block:
+        yield from _decode_block(net, block)
+
+
+def _decode_block(net: SegmenterNet,
+                  block: List[Sequence[str]]) -> List[List[str]]:
+    full = [chars for chars in block if len(chars)]
+    tags = viterbi_decode_block([sentence_log_probs(net, chars)
+                                 for chars in full])[0] if full else []
+    words = (segmentation_from_tags(TaggedSentence(tuple(chars), t))
+             for chars, t in zip(full, tags))
+    return [next(words) if len(chars) else [] for chars in block]
 
 
 def decode_sentence(net: SegmenterNet, chars: Sequence[str]) -> List[str]:
-    lattice = sentence_log_probs(net, chars)
-    tags, _ = viterbi_decode(lattice)
-    return segmentation_from_tags(TaggedSentence(tuple(chars), tags))
+    return next(decode_sentences(net, [chars]))
 
 
 # --- data files ---------------------------------------------------------------

@@ -167,57 +167,73 @@ class RcnnModel(_PooledClassifier):
                 ("e", "W_l", "W_r", "W_sl", "W_sr", "cl_init", "cr_init",
                  "W2", "b2", "W4", "b4")}
 
-    def context_scans(self, ids: np.ndarray):
-        """Left and right context sequences; one pass each direction."""
+    def context_scans(self, ids: np.ndarray, E: Optional[np.ndarray] = None):
+        """Left and right context sequences; one pass each direction.
+
+        The input projections W_sl e and W_sr e are one matmul each; the
+        scans keep only the recurrent matvec. `E` is `e[ids]` when the
+        caller already holds it."""
+        E = self.e[ids] if E is None else E
         n = len(ids)
         c = self.context_dim
         CL = np.empty((n, c))
         CR = np.empty((n, c))
+        PL = E[:-1] @ self.W_sl.T  # PL[i - 1] feeds CL[i]
+        PR = E[1:] @ self.W_sr.T   # PR[i] feeds CR[i]
+        W_l, W_r = self.W_l, self.W_r
         CL[0] = self.cl_init
         for i in range(1, n):
-            CL[i] = np.tanh(self.W_l @ CL[i - 1] + self.W_sl @ self.e[ids[i - 1]])
+            CL[i] = np.tanh(W_l @ CL[i - 1] + PL[i - 1])
         CR[n - 1] = self.cr_init
         for i in range(n - 2, -1, -1):
-            CR[i] = np.tanh(self.W_r @ CR[i + 1] + self.W_sr @ self.e[ids[i + 1]])
+            CR[i] = np.tanh(W_r @ CR[i + 1] + PR[i])
         return CL, CR
 
     def _inputs(self, ids):
-        CL, CR = self.context_scans(ids)
         E = self.e[ids]
+        CL, CR = self.context_scans(ids, E)
         return {"CL": CL, "CR": CR, "E": E,
                 "X": np.concatenate([CL, E, CR], axis=1)}
 
     def loss_grads(self, tokens_or_ids, class_id: int,
                    truncate: Optional[int] = None):
         """Cross-entropy loss of one document and gradients of that loss;
-        the `e` gradient is an `(ids, rows)` pair."""
+        the `e` gradient is an `(ids, rows)` pair.
+
+        The backward scans keep only the recurrent chain; each step's
+        pre-activation gradient is stored, and the weight gradients and
+        the input contributions are one matmul each afterwards."""
         ids = tokens_or_ids if isinstance(tokens_or_ids, np.ndarray) \
             else self.encode(tokens_or_ids)
         cache = self._forward(ids)
         loss, grads, dX = self._head_backward(cache, class_id)
-        for name in ("W_l", "W_r", "W_sl", "W_sr"):
-            grads[name] = np.zeros_like(getattr(self, name))
         c, e = self.context_dim, self.dim
         dCL = dX[:, :c].copy()
         dE = dX[:, c:c + e].copy()
         dCR = dX[:, c + e:].copy()
         n = len(ids)
         CL, CR, E = cache["CL"], cache["CR"], cache["E"]
+        GL = 1.0 - CL * CL
+        GR = 1.0 - CR * CR
+        # DL[i] is d loss / d pre-activation of CL[i + 1]; DR[i] of CR[i]
+        DL = np.empty((n - 1, c))
+        DR = np.empty((n - 1, c))
+        W_l, W_r = self.W_l, self.W_r
         for i in range(n - 1, 0, -1):
-            dpre = dCL[i] * (1.0 - CL[i] * CL[i])
-            grads["W_l"] += np.outer(dpre, CL[i - 1])
-            grads["W_sl"] += np.outer(dpre, E[i - 1])
-            dE[i - 1] += self.W_sl.T @ dpre
+            dpre = DL[i - 1] = dCL[i] * GL[i]
             if truncate is None or i % truncate != 0:
-                dCL[i - 1] += self.W_l.T @ dpre
-        grads["cl_init"] = dCL[0]
+                dCL[i - 1] += dpre @ W_l
         for i in range(0, n - 1):
-            dpre = dCR[i] * (1.0 - CR[i] * CR[i])
-            grads["W_r"] += np.outer(dpre, CR[i + 1])
-            grads["W_sr"] += np.outer(dpre, E[i + 1])
-            dE[i + 1] += self.W_sr.T @ dpre
+            dpre = DR[i] = dCR[i] * GR[i]
             if truncate is None or (n - 1 - i) % truncate != 0:
-                dCR[i + 1] += self.W_r.T @ dpre
+                dCR[i + 1] += dpre @ W_r
+        grads["W_l"] = DL.T @ CL[:-1]
+        grads["W_sl"] = DL.T @ E[:-1]
+        grads["W_r"] = DR.T @ CR[1:]
+        grads["W_sr"] = DR.T @ E[1:]
+        dE[:-1] += DL @ self.W_sl
+        dE[1:] += DR @ self.W_sr
+        grads["cl_init"] = dCL[0]
         grads["cr_init"] = dCR[n - 1]
         grads["e"] = (ids, dE)
         return loss, grads

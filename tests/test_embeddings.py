@@ -9,7 +9,7 @@ from conftest import (ascent_checker, charword_batch, cw_batch, in_noise_band,
 from embkit.corpus import Vocabulary
 from embkit.embeddings import (KINDS, EmbeddingModel, TrainConfig,
                                _apply_step, _assemble_cw_windows,
-                               _context_inputs, _cw_scores,
+                               _context_inputs, _convert_params, _cw_scores,
                                _expand_charword_arrays, _ns_scores,
                                _pair_batch_ns, _process_chunk,
                                _window_batch_cw, _window_batch_predictive,
@@ -83,6 +83,37 @@ def test_skipgram_single_context_word(small_vocab):
                               wgts[i:i + 1], negs[i:i + 1])[0] for i in range(2)]
     assert loss == pytest.approx(sum(singles), abs=1e-12)
     assert grads["e"][0].tolist() == [4, 1]
+
+
+@pytest.mark.parametrize("kind", ["cbow", "order", "lbl", "nnlm"])
+def test_context_inputs_keep_table_dtype(small_vocab, kind):
+    model = make_model(kind, small_vocab, win=5)
+    ctx = np.array([[-1, 2, 3, 5], [1, -1, -1, -1], [0, 4, 4, 1]])
+    mask = ctx >= 0
+    # float64 stays bitwise the zero-filled-slots, integer-count arithmetic
+    S = np.zeros((*ctx.shape, model.dim))
+    S[mask] = model.e[ctx[mask]]
+    want = (S.sum(axis=1) / mask.sum(axis=1)[:, None] if kind == "cbow"
+            else S.reshape(len(ctx), -1))
+    x64 = _context_inputs(model, ctx)
+    assert x64.dtype == np.float64 and np.array_equal(x64, want)
+    _convert_params(model, np.float32)
+    x32 = _context_inputs(model, ctx)
+    assert x32.dtype == np.float32
+    np.testing.assert_allclose(x32, x64, rtol=1e-6)
+
+
+def test_cw_row_gradients_keep_table_dtype(small_vocab):
+    model = make_model("cw", small_vocab, win=5)
+    windows = np.array([[-1, -1, 0, 1, 2], [0, 1, 2, 3, 4], [2, 3, 4, 5, -1]])
+    neg = np.array([3, 5, 1])
+    model.params()["U"][...] *= 100.0  # every window violates its margin
+    _, g64 = _window_batch_cw(model, windows, neg)
+    assert g64["e"][1].dtype == np.float64 and len(g64["e"][1]) > 0
+    _convert_params(model, np.float32)
+    _, g32 = _window_batch_cw(model, windows, neg)
+    assert g32["e"][1].dtype == np.float32
+    assert np.array_equal(g32["e"][0], g64["e"][0])
 
 
 # --- target scoring -------------------------------------------------------------

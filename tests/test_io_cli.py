@@ -25,6 +25,25 @@ def test_embedding_round_trip(tmp_path):
     assert np.max(np.abs(loaded.vectors - table.vectors)) <= 1e-6
 
 
+def test_embedding_round_trip_unusual_tokens(tmp_path):
+    tokens = ["\x02UNK", "中文", "a/b", "\ufeffbom", "x\u200by"]  # no isspace()
+    path = tmp_path / "emb.vec"
+    save_embeddings(EmbeddingTable(tokens, np.eye(5)), path)
+    assert load_embeddings(path).tokens == tokens
+
+
+@pytest.mark.parametrize("token", ["a b", "", "a\tb", "a\rb", "x\u3000y",
+                                   "\x1c", "\u2028", "end\n"])
+def test_save_embeddings_rejects_whitespace_token(tmp_path, token):
+    path = tmp_path / "emb.vec"
+    save_embeddings(EmbeddingTable(["a", "b"], np.eye(2)), path)
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="whitespace"):
+        save_embeddings(EmbeddingTable(["c", token], np.eye(2)), path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["emb.vec"]
+
+
 def test_embedding_empty_vocabulary_errors():
     with pytest.raises(DataError):
         EmbeddingTable([], np.zeros((0, 3)))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+
+from embkit import segment
+from embkit.cli import run
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,12 +10,13 @@ from conftest import flat_checker, in_noise_band
 from embkit.errors import DataError
 from embkit.optim import gradient_check, log_softmax
 from embkit.segment import (LEGAL_END, LEGAL_NEXT, LEGAL_START, TAG_ID,
-                            SegmenterNet, TaggedSentence,
+                            TAGS, SegmenterNet, TaggedSentence,
+                            decode_sentence, decode_sentences,
                             line_to_chars, parse_segmented_line, prf_score,
                             segment_loss_grads, segmentation_from_tags,
                             sentence_log_probs,
                             tags_from_segmentation, train_segmenter,
-                            viterbi_decode)
+                            viterbi_decode, viterbi_decode_block)
 
 
 def legal_sequences(n):
@@ -36,6 +40,28 @@ def path_score(lattice, seq):
     for i in range(len(seq) - 1, -1, -1):
         total = lattice[i][seq[i]] + total
     return total
+
+
+def positionwise_viterbi(lattice):
+    """Oracle: Viterbi one position and one tag at a time, ties to the
+    smallest tag that attains the max."""
+    n = lattice.shape[0]
+    completion = np.full((n, 4), -np.inf)
+    for t in LEGAL_END:
+        completion[n - 1][t] = lattice[n - 1][t]
+    for i in range(n - 2, -1, -1):
+        for t in range(4):
+            best = max(completion[i + 1][u] for u in LEGAL_NEXT[t])
+            completion[i][t] = lattice[i][t] + best
+    total = max(completion[0][t] for t in LEGAL_START)
+    if total == -np.inf:
+        raise DataError("no legal tag sequence for this lattice")
+    tags = [min(t for t in LEGAL_START if completion[0][t] == total)]
+    for i in range(1, n):
+        succ = LEGAL_NEXT[tags[-1]]
+        best = max(completion[i][u] for u in succ)
+        tags.append(min(u for u in succ if completion[i][u] == best))
+    return "".join(TAGS[t] for t in tags), float(total)
 
 
 # --- tagging and span scoring ---------------------------------------------------
@@ -315,6 +341,90 @@ def test_viterbi_tie_breaks_lexicographically():
             tags, score = viterbi_decode(lattice)
             assert tuple(TAG_ID[t] for t in tags) == best
             assert score == best_score
+
+
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_viterbi_block_matches_positionwise_oracle(dyadic):
+    rng = np.random.default_rng(14 + dyadic)
+    for _ in range(40):
+        lengths = [1] + [int(n) for n in rng.integers(1, 13, size=9)]
+        rng.shuffle(lengths)
+        if dyadic:  # exact sums, so ties are real ties
+            lattices = [rng.integers(0, 3, size=(n, 4)) * 0.25 for n in lengths]
+        else:
+            lattices = [rng.normal(size=(n, 4)) for n in lengths]
+        tags, scores = viterbi_decode_block(lattices)
+        want = [positionwise_viterbi(lat) for lat in lattices]
+        assert tags == [t for t, _ in want]
+        assert scores.tolist() == [sc for _, sc in want]
+
+
+def test_viterbi_block_illegal_lattice_raises():
+    illegal = np.array([[0.0, 0.0, 0.0, -np.inf]])  # one char must be S
+    with pytest.raises(DataError):
+        positionwise_viterbi(illegal)
+    lattices = [np.zeros((3, 4)), illegal, np.zeros((5, 4))]
+    with pytest.raises(DataError, match="no legal tag sequence"):
+        viterbi_decode_block(lattices)
+    with pytest.raises(DataError, match="no legal tag sequence"):
+        viterbi_decode(illegal)
+
+
+def test_viterbi_decode_validates_shape():
+    for bad in (np.zeros((0, 4)), np.zeros((3, 3)), np.zeros(4)):
+        with pytest.raises(DataError, match="nonempty"):
+            viterbi_decode(bad)
+
+
+def toy_net(seed):
+    rng = np.random.default_rng(seed)
+    net = SegmenterNet(list("的一是在有了不人"), dim=3, hidden=5, win=3, rng=rng)
+    for v in net.params().values():
+        v[...] = rng.normal(0, 1.0, v.shape)
+    return net
+
+
+def oracle_words(net, chars):
+    if not chars:
+        return []
+    tags, _ = positionwise_viterbi(sentence_log_probs(net, chars))
+    return segmentation_from_tags(TaggedSentence(tuple(chars), tags))
+
+
+def test_decode_sentences_across_blocks_matches_oracle(monkeypatch):
+    monkeypatch.setattr(segment, "DECODE_BLOCK", 24)
+    net = toy_net(15)
+    rng = np.random.default_rng(15)
+    alphabet = list("的一是在有了不人我")  # 我 is unknown to the net
+    sentences = [[alphabet[int(k)] for k in rng.integers(9, size=n)]
+                 for n in rng.integers(0, 30, size=60)]
+    sentences[:2] = [[], ["的"]]
+    got = list(decode_sentences(net, iter(sentences)))
+    assert got == [oracle_words(net, chars) for chars in sentences]
+    assert decode_sentence(net, sentences[5]) == got[5]
+
+
+def test_cli_segment_decode_streams_blocks(tmp_path):
+    corpus, model = tmp_path / "seg.txt", tmp_path / "seg.bin"
+    corpus.write_text("的一/是\n在/有了/不人\n", encoding="utf-8")
+    assert run(["segment-train", "--corpus", str(corpus), "--dim", "3",
+                "--hidden", "4", "--epochs", "1", "--out", str(model)]) == 0
+    rng = np.random.default_rng(16)
+    alphabet = "的一是在有了不人"
+    lines = ["".join(alphabet[int(k)] for k in rng.integers(8, size=n))
+             for n in rng.integers(1, 60, size=2600)]
+    lines[3], lines[1000], lines[2000] = "", "  \t ", " "
+    assert sum(map(len, lines)) > segment.DECODE_BLOCK
+    raw, out = tmp_path / "raw.txt", tmp_path / "out.txt"
+    raw.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["segment-decode", "--model", str(model), "--input", str(raw),
+                "--out", str(out)]) == 0
+    got = out.read_text(encoding="utf-8").split("\n")
+    assert got.pop() == "" and len(got) == len(lines)
+    from embkit.cli import _load_segmenter
+    net = _load_segmenter(model)
+    assert got == ["/".join(oracle_words(net, line_to_chars(line)))
+                   for line in lines]
 
 
 def test_decoder_never_scores_below_gold():

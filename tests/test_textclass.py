@@ -3,7 +3,7 @@ import pytest
 
 from conftest import dense_grads, flat_checker, in_noise_band
 from embkit.errors import DataError
-from embkit.optim import gradient_check
+from embkit.optim import gradient_check, log_softmax
 from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
                               WindowCnnModel, extract_key_phrases,
                               load_labeled_documents, load_params,
@@ -184,6 +184,63 @@ def test_truncated_bptt_matches_full_on_short_docs():
     trunc = dense_grads(model.params(), trunc_grads)
     for k in full:
         assert np.array_equal(full[k], trunc[k])
+
+
+def _positionwise_loss_grads(model, ids, class_id, truncate):
+    """Oracle: scans and backpropagation through time one position at a
+    time, each step forming its own input projection and outer products."""
+    n, c, e = len(ids), model.context_dim, model.dim
+    CL, CR = np.empty((n, c)), np.empty((n, c))
+    CL[0], CR[n - 1] = model.cl_init, model.cr_init
+    for i in range(1, n):
+        CL[i] = np.tanh(model.W_l @ CL[i - 1] + model.W_sl @ model.e[ids[i - 1]])
+    for i in range(n - 2, -1, -1):
+        CR[i] = np.tanh(model.W_r @ CR[i + 1] + model.W_sr @ model.e[ids[i + 1]])
+    E = model.e[ids]
+    X = np.concatenate([CL, E, CR], axis=1)
+    Y2 = np.tanh(X @ model.W2.T + model.b2)
+    argmax = Y2.argmax(axis=0)
+    y3 = Y2[argmax, np.arange(Y2.shape[1])]
+    y4 = model.W4 @ y3 + model.b4
+    cache = {"X": X, "Y2": Y2, "argmax": argmax, "y3": y3,
+             "lsm": log_softmax(y4)}
+    loss, grads, dX = model._head_backward(cache, class_id)
+    for name in ("W_l", "W_r", "W_sl", "W_sr"):
+        grads[name] = np.zeros_like(getattr(model, name))
+    dCL, dE, dCR = dX[:, :c].copy(), dX[:, c:c + e].copy(), dX[:, c + e:].copy()
+    for i in range(n - 1, 0, -1):
+        dpre = dCL[i] * (1.0 - CL[i] * CL[i])
+        grads["W_l"] += np.outer(dpre, CL[i - 1])
+        grads["W_sl"] += np.outer(dpre, E[i - 1])
+        dE[i - 1] += model.W_sl.T @ dpre
+        if truncate is None or i % truncate != 0:
+            dCL[i - 1] += model.W_l.T @ dpre
+    grads["cl_init"] = dCL[0]
+    for i in range(0, n - 1):
+        dpre = dCR[i] * (1.0 - CR[i] * CR[i])
+        grads["W_r"] += np.outer(dpre, CR[i + 1])
+        grads["W_sr"] += np.outer(dpre, E[i + 1])
+        dE[i + 1] += model.W_sr.T @ dpre
+        if truncate is None or (n - 1 - i) % truncate != 0:
+            dCR[i + 1] += model.W_r.T @ dpre
+    grads["cr_init"] = dCR[n - 1]
+    grads["e"] = (ids, dE)
+    return loss, grads
+
+
+@pytest.mark.parametrize("truncate", [None, 1, 2, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_rcnn_loss_grads_match_positionwise_oracle(n, truncate):
+    model = rand_rcnn(100 + n, n_classes=3, dim=4, cdim=5, hidden=6)
+    r = np.random.default_rng(n)
+    ids = model.encode([VOCAB[int(k)] for k in r.integers(8, size=n)])
+    loss, grads = model.loss_grads(ids, 2, truncate=truncate)
+    want_loss, want = _positionwise_loss_grads(model, ids, 2, truncate)
+    assert loss == pytest.approx(want_loss, abs=1e-12)
+    got = dense_grads(model.params(), grads)
+    want = dense_grads(model.params(), want)
+    for k in want:
+        assert np.abs(got[k] - want[k]).max() <= 1e-12, k
 
 
 def test_window_representation_win1_is_word_vector():
