@@ -113,6 +113,11 @@ def _check_meta(path, meta, what, keys):
         raise DataError(f"{path}: container is not {what}")
 
 
+def _check_dev_fraction(args):
+    if not 0.0 <= args.dev_fraction < 1.0:
+        raise ValueError("--dev-fraction must lie in [0, 1)")
+
+
 def _load_embedding_model(path) -> emb.EmbeddingModel:
     arrays, meta = load_container(path)
     _check_meta(path, meta, "an embedding model",
@@ -283,6 +288,7 @@ def _eval_avg(args, table) -> float:
 # --- segmentation ----------------------------------------------------------------
 
 def _cmd_segment_train(args):
+    _check_dev_fraction(args)
     sentences = seg.load_segmented_corpus(args.corpus, normalize=not args.no_normalize)
     rng = substream(args.seed, "segment-split")
     order = rng.permutation(len(sentences))
@@ -356,6 +362,7 @@ def _classifier_vocab(docs):
 
 
 def _cmd_classify_train(args):
+    _check_dev_fraction(args)
     train = tc.load_labeled_documents(args.train)
     if args.dev:
         dev = tc.load_labeled_documents(args.dev)

@@ -16,7 +16,7 @@ from .corpus import (PSEUDO_TOKENS, TOKEN_PADDING, decompose_word,
                      normalize_token, window_matrix)
 from .errors import DataError
 from .io_formats import EmbeddingTable, open_text
-from .optim import apply_grads, log_softmax
+from .optim import apply_grads, check_finite, log_softmax
 from .seeding import substream
 
 TAGS = "BMES"
@@ -72,12 +72,16 @@ def _word_units(word: str) -> List[str]:
 
 
 def segmentation_from_tags(sentence: TaggedSentence) -> List[str]:
-    sentence.check()
+    return _words_from_tags(*sentence.check())
+
+
+def _words_from_tags(chars: Sequence[str], tags: str) -> List[str]:
+    # a word ends at each E or S; the tags must be legal
     words: List[str] = []
     start = 0
-    for i, tag in enumerate(sentence.tags):
+    for i, tag in enumerate(tags):
         if tag in ("E", "S"):
-            words.append("".join(sentence.chars[start:i + 1]))
+            words.append("".join(chars[start:i + 1]))
             start = i + 1
     return words
 
@@ -127,6 +131,10 @@ class SegmenterNet:
                  win: int = 5, rng: Optional[np.random.Generator] = None):
         if win % 2 == 0 or win < 1:
             raise ValueError("win must be odd")
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        if hidden < 1:
+            raise ValueError("hidden must be >= 1")
         rng = rng if rng is not None else np.random.default_rng(0)
         base = list(chars)
         for special in (TOKEN_PADDING, UNK_CHAR):
@@ -186,31 +194,41 @@ def sentence_log_probs(net: SegmenterNet, chars: Sequence[str]) -> np.ndarray:
     return _forward(net, net.windows(chars))[2]
 
 
-def segment_loss_grads(net: SegmenterNet, window: np.ndarray, gold: int):
-    """Negative log-likelihood of the gold tag of one window and the
-    gradients of that loss; the `e` gradient is a `(window, rows)` pair."""
-    X, h, lsm = _forward(net, window[None, :])
+def segment_loss_grads(net: SegmenterNet, windows: np.ndarray,
+                       golds: np.ndarray):
+    """Summed negative log-likelihood of the gold tags of a `(b, win)` batch
+    of windows and the gradients of that sum. The `e` gradient is a
+    `(windows.ravel(), rows)` pair; `step_rows` adds up repeated ids."""
+    X, h, lsm = _forward(net, windows)
+    rows = np.arange(len(golds))
     dy = np.exp(lsm)
-    dy[0, gold] -= 1.0
+    dy[rows, golds] -= 1.0
     dz = (dy @ net.U) * (1.0 - h * h)
-    de = (dz @ net.H).reshape(net.win, net.dim)
-    return -float(lsm[0, gold]), {"e": (window, de), "H": dz.T @ X,
-                                  "b1": dz[0], "U": dy.T @ h, "b2": dy[0]}
+    de = (dz @ net.H).reshape(-1, net.dim)
+    return -float(lsm[rows, golds].sum()), {
+        "e": (windows.ravel(), de), "H": dz.T @ X, "b1": dz.sum(axis=0),
+        "U": dy.T @ h, "b2": dy.sum(axis=0)}
+
+
+TRAIN_BATCH = 8  # (character, gold tag) samples per optimizer step
 
 
 def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
                     lr: float = 0.1, epochs: int = 20, seed: int = 0,
                     optimizer: str = "adagrad", log_fn=None) -> List[dict]:
-    """One step per (character, gold tag) sample, in random order.
+    """One step per batch of TRAIN_BATCH (character, gold tag) samples,
+    taken in random order; the gradient of a batch is its summed loss's.
 
     Character vectors are parameters and receive updates, including the
     PADDING row when it falls inside a window.
     """
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     if not corpus:
         raise DataError("empty training corpus")
     sents = [sent.check() for sent in corpus]
     windows = np.concatenate([net.windows(s.chars) for s in sents])
-    golds = [TAG_ID[t] for s in sents for t in s.tags]
+    golds = np.array([TAG_ID[t] for s in sents for t in s.tags])
     params = net.params()
     rates = dict.fromkeys(params, -lr)  # descent
     accum = {} if optimizer == "adagrad" else None
@@ -219,9 +237,10 @@ def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
         rng = substream(seed, f"segmenter-epoch-{epoch}")
         order = rng.permutation(len(golds))
         total, t0 = 0.0, time.perf_counter()
-        for n in order:
-            loss, grads = segment_loss_grads(net, windows[n], golds[n])
-            total += loss
+        for lo in range(0, len(order), TRAIN_BATCH):
+            batch = order[lo:lo + TRAIN_BATCH]
+            loss, grads = segment_loss_grads(net, windows[batch], golds[batch])
+            total += check_finite(loss, "training loss")
             apply_grads(params, grads, rates, accum)
         history.append({"epoch": epoch, "mean_loss": total / len(golds),
                         "seconds": time.perf_counter() - t0})
@@ -319,8 +338,8 @@ def _decode_block(net: SegmenterNet,
     full = [chars for chars in block if len(chars)]
     tags = viterbi_decode_block([sentence_log_probs(net, chars)
                                  for chars in full])[0] if full else []
-    words = (segmentation_from_tags(TaggedSentence(tuple(chars), t))
-             for chars, t in zip(full, tags))
+    # Viterbi output is legal, so the words skip TaggedSentence.check
+    words = (_words_from_tags(chars, t) for chars, t in zip(full, tags))
     return [next(words) if len(chars) else [] for chars in block]
 
 

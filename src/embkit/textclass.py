@@ -64,6 +64,12 @@ class ClassifierConfig:
     truncate: Optional[int] = None  # BPTT chunk length; None = full sequence
 
 
+def _check_sizes(**sizes):
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+
+
 def _uniform(rng, shape, fan_in):
     return rng.uniform(-1.0, 1.0, size=shape) / math.sqrt(fan_in)
 
@@ -133,6 +139,7 @@ class RcnnModel(_PooledClassifier):
                  context_dim: int = 50, hidden: int = 100,
                  rng: Optional[np.random.Generator] = None,
                  vectors: Optional[np.ndarray] = None):
+        _check_sizes(dim=dim, context_dim=context_dim, hidden=hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
         vocab = list(tokens)
         if UNK_TOKEN not in vocab:
@@ -248,6 +255,7 @@ class WindowCnnModel(_PooledClassifier):
                  vectors: Optional[np.ndarray] = None):
         if win % 2 == 0 or win < 1:
             raise ValueError("win must be odd")
+        _check_sizes(dim=dim, hidden=hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
         vocab = list(tokens)
         for special in (UNK_TOKEN, PAD_TOKEN):

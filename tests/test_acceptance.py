@@ -149,12 +149,14 @@ def _charword_config(beta):
 
 
 def _segmenter_config(rng):
+    # a batch of 1-4 windows, as train_segmenter steps on
     net = SegmenterNet(list("abcdef"), dim=3, hidden=4, win=5, rng=rng)
     _randomized(net, rng)
-    window = rng.integers(0, len(net.chars), 5)
-    gold = int(rng.integers(4))
+    b = int(rng.integers(1, 5))
+    windows = rng.integers(0, len(net.chars), (b, 5))
+    golds = rng.integers(4, size=b)
     return flat_checker(net.params(),
-                        lambda: segment_loss_grads(net, window, gold))
+                        lambda: segment_loss_grads(net, windows, golds))
 
 
 def _pooled_config(make_model):

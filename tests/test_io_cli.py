@@ -416,6 +416,59 @@ def test_cli_nonpositive_hidden_is_usage_error(tmp_path, tiny_corpus_file,
 
 
 @pytest.fixture
+def seg_and_clf_files(tmp_path):
+    seg_path, clf_path = tmp_path / "seg.txt", tmp_path / "clf.tsv"
+    seg_path.write_text("的有/我/不\n一了/是/人\n" * 3, encoding="utf-8")
+    clf_path.write_text("0\ta b c\n1\td e f\n" * 3, encoding="utf-8")
+    return {"segment-train": ["segment-train", "--corpus", str(seg_path)],
+            "classify-train": ["classify-train", "--train", str(clf_path)]}
+
+
+def _assert_one_usage_line(caplog, code, word, out):
+    assert code == 1
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert word in message and "\n" not in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model,flag", [
+    ("segment", "--dim"), ("segment", "--hidden"), ("rcnn", "--dim"),
+    ("rcnn", "--hidden"), ("rcnn", "--context-dim"), ("wincnn", "--dim"),
+    ("wincnn", "--hidden")])
+def test_cli_seg_clf_nonpositive_size_is_usage_error(tmp_path, caplog,
+                                                     seg_and_clf_files,
+                                                     model, flag):
+    if model == "segment":
+        args = seg_and_clf_files["segment-train"]
+    else:
+        args = [*seg_and_clf_files["classify-train"], "--model", model]
+    out = tmp_path / "model.bin"
+    code = run([*args, "--epochs", "1", flag, "0", "--out", str(out)])
+    _assert_one_usage_line(caplog, code, flag[2:].replace("-", "_"), out)
+
+
+def test_cli_segment_train_negative_epochs_is_usage_error(tmp_path, caplog,
+                                                          seg_and_clf_files):
+    out = tmp_path / "model.bin"
+    code = run([*seg_and_clf_files["segment-train"], "--dim", "3",
+                "--hidden", "3", "--epochs", "-1", "--out", str(out)])
+    _assert_one_usage_line(caplog, code, "epochs", out)
+
+
+@pytest.mark.parametrize("command", ["segment-train", "classify-train"])
+@pytest.mark.parametrize("fraction", ["-0.5", "1.0", "2"])
+def test_cli_dev_fraction_outside_unit_interval_is_usage_error(
+        tmp_path, caplog, seg_and_clf_files, command, fraction):
+    out = tmp_path / "model.bin"
+    code = run([*seg_and_clf_files[command], "--dim", "3", "--hidden", "3",
+                "--epochs", "1", "--dev-fraction", fraction,
+                "--out", str(out)])
+    _assert_one_usage_line(caplog, code, "--dev-fraction", out)
+
+
+@pytest.fixture
 def cooccur_files(tmp_path, tiny_corpus_file):
     vocab_path, cooc_path = tmp_path / "vocab.tsv", tmp_path / "cooc.tsv"
     assert run(["cooccur", "--corpus", str(tiny_corpus_file), "--win", "5",
@@ -472,13 +525,17 @@ def test_cli_divergence_is_one_error_line(tmp_path, tiny_corpus_file, command):
     if command == "train-emb":
         args = ["train-emb", "--kind", "skipgram", "--corpus",
                 str(tiny_corpus_file), "--dim", "4", "--epochs", "3"]
+        lr = "1e200"
     else:
         corpus = tmp_path / "seg.txt"
         corpus.write_text("的有/我/不\n一了/是/人\n" * 5, encoding="utf-8")
         args = ["segment-train", "--corpus", str(corpus), "--dim", "4",
                 "--hidden", "6", "--epochs", "3"]
+        # at 1e200 a mini-batch step can saturate tanh and stay finite,
+        # depending on the batch size; 1e308 overflows at every size
+        lr = "1e308"
     code, stderr = _run_cli_process([*args, "--optimizer", "sgd", "--lr",
-                                     "1e200", "--out", str(out)])
+                                     lr, "--out", str(out)])
     assert code == 3
     errors = [line for line in stderr if line.startswith("[ERROR]")]
     assert len(errors) == 1 and "numeric failure" in errors[0]

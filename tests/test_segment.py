@@ -6,9 +6,10 @@ from embkit.cli import run
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import flat_checker, in_noise_band
-from embkit.errors import DataError
-from embkit.optim import gradient_check, log_softmax
+from conftest import dense_grads, flat_checker, in_noise_band
+from embkit.errors import DataError, NumericError
+from embkit.optim import apply_grads, gradient_check, log_softmax
+from embkit.seeding import substream
 from embkit.segment import (LEGAL_END, LEGAL_NEXT, LEGAL_START, TAG_ID,
                             TAGS, SegmenterNet, TaggedSentence,
                             decode_sentence, decode_sentences,
@@ -205,6 +206,7 @@ def test_unknown_char_maps_to_unk_row():
 # --- training ----------------------------------------------------------------------
 
 def test_segment_gradients():
+    # batches of 1-4 windows, as train_segmenter steps on
     worst = 0.0
     master = np.random.default_rng(5)
     checked = 0
@@ -213,16 +215,117 @@ def test_segment_gradients():
         net = SegmenterNet(list("abcdef"), dim=3, hidden=4, win=5, rng=r)
         for v in net.params().values():
             v[...] = r.normal(0, 0.8, v.shape)
-        window = r.integers(0, len(net.chars), 5)
-        gold = int(r.integers(4))
+        b = int(r.integers(1, 5))
+        windows = r.integers(0, len(net.chars), (b, 5))
+        golds = r.integers(4, size=b)
         f, theta = flat_checker(net.params(),
-                                lambda: segment_loss_grads(net, window, gold))
+                                lambda: segment_loss_grads(net, windows, golds))
         _, g0 = f(theta)
         if in_noise_band(g0):
             continue
         worst = max(worst, gradient_check(f, theta))
         checked += 1
     assert worst < 1e-4
+
+
+def one_window_loss_grads(net, window, gold):
+    """Oracle: the loss and gradients of one window, as the per-sample
+    trainer computed them."""
+    X, h, lsm = segment._forward(net, window[None, :])
+    dy = np.exp(lsm)
+    dy[0, gold] -= 1.0
+    dz = (dy @ net.U) * (1.0 - h * h)
+    de = (dz @ net.H).reshape(net.win, net.dim)
+    return -float(lsm[0, gold]), {"e": (window, de), "H": dz.T @ X,
+                                  "b1": dz[0], "U": dy.T @ h, "b2": dy[0]}
+
+
+def per_sample_train(net, corpus, lr, epochs, seed, optimizer, batch=1):
+    """Oracle: the per-sample trainer, walking train_segmenter's per-epoch
+    permutation in slices of `batch` samples; each slice steps once on the
+    sum of its samples' one-window gradients. Returns the mean losses."""
+    windows = np.concatenate([net.windows(s.chars) for s in corpus])
+    golds = [TAG_ID[t] for s in corpus for t in s.tags]
+    params = net.params()
+    rates = dict.fromkeys(params, -lr)
+    accum = {} if optimizer == "adagrad" else None
+    means = []
+    for epoch in range(epochs):
+        order = substream(seed, f"segmenter-epoch-{epoch}").permutation(len(golds))
+        total = 0.0
+        for lo in range(0, len(order), batch):
+            parts = [one_window_loss_grads(net, windows[n], golds[n])
+                     for n in order[lo:lo + batch]]
+            grads = {"e": tuple(np.concatenate([g["e"][k] for _, g in parts])
+                                for k in (0, 1))}
+            for name in ("H", "b1", "U", "b2"):
+                grads[name] = np.sum([g[name] for _, g in parts], axis=0)
+            total += sum(loss for loss, _ in parts)
+            apply_grads(params, grads, rates, accum)
+        means.append(total / len(golds))
+    return means
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_train_segmenter_matches_per_sample_oracle(monkeypatch, optimizer,
+                                                   batch):
+    # batch 1 is the per-sample trainer, bit for bit
+    monkeypatch.setattr(segment, "TRAIN_BATCH", batch)
+    tagged = [tags_from_segmentation(s)
+              for s in make_toy_sentences(6, np.random.default_rng(8))]
+    chars = sorted({c for t in tagged for c in t.chars})
+    nets = [SegmenterNet(chars, dim=4, hidden=5, win=5,
+                         rng=np.random.default_rng(1)) for _ in range(2)]
+    history = train_segmenter(nets[0], tagged, lr=0.1, epochs=3, seed=9,
+                              optimizer=optimizer)
+    means = per_sample_train(nets[1], tagged, 0.1, 3, 9, optimizer, batch)
+    tol = 0.0 if batch == 1 else 1e-10
+    assert [h["mean_loss"] for h in history] == pytest.approx(means, rel=tol,
+                                                              abs=0.0)
+    for name, value in nets[0].params().items():
+        np.testing.assert_allclose(value, nets[1].params()[name], rtol=tol,
+                                   atol=0.0, err_msg=name)
+
+
+def test_batched_loss_grads_sums_single_windows():
+    rng = np.random.default_rng(11)
+    net = SegmenterNet(list("abcd"), dim=3, hidden=5, win=5, rng=rng)
+    for v in net.params().values():
+        v[...] = rng.normal(0, 0.8, v.shape)
+    pad = net.padding_id
+    # repeats inside a window (PADDING, 'a') and across windows
+    windows = np.array([[pad, pad, 0, 0, 1],
+                        [pad, 0, 0, 1, 0],
+                        [2, 2, 2, 3, pad],
+                        [pad, 0, 0, 1, 0]])
+    golds = np.array([TAG_ID[t] for t in "BMSE"])
+    loss, grads = segment_loss_grads(net, windows, golds)
+    params = net.params()
+    got = dense_grads(params, grads)
+    want = {k: np.zeros(v.shape) for k, v in params.items()}
+    want_loss = 0.0
+    for k in range(len(golds)):
+        one_loss, one = segment_loss_grads(net, windows[k:k + 1], golds[k:k + 1])
+        oracle_loss, oracle = one_window_loss_grads(net, windows[k], golds[k])
+        assert one_loss == oracle_loss
+        one = dense_grads(params, one)
+        for name, g in dense_grads(params, oracle).items():
+            assert np.array_equal(one[name], g), name
+            want[name] += g
+        want_loss += one_loss
+    assert loss == pytest.approx(want_loss, abs=1e-12)
+    for name in params:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
+
+
+def test_train_segmenter_checks_each_batch_loss(monkeypatch):
+    tagged = [tags_from_segmentation(["ab", "c"])]
+    net = SegmenterNet(list("abc"), dim=2, hidden=3, win=3)
+    monkeypatch.setattr(segment, "segment_loss_grads",
+                        lambda *args: (float("inf"), {}))
+    with pytest.raises(NumericError, match="training loss"):
+        train_segmenter(net, tagged, epochs=1)
 
 
 def make_toy_sentences(n_sentences, rng):
@@ -402,6 +505,20 @@ def test_decode_sentences_across_blocks_matches_oracle(monkeypatch):
     got = list(decode_sentences(net, iter(sentences)))
     assert got == [oracle_words(net, chars) for chars in sentences]
     assert decode_sentence(net, sentences[5]) == got[5]
+
+
+def test_decoded_words_match_segmentation_from_tags():
+    net = toy_net(16)
+    rng = np.random.default_rng(16)
+    alphabet = list("的一是在有了不人我")
+    block = [[alphabet[int(k)] for k in rng.integers(9, size=n)]
+             for n in rng.integers(1, 14, size=40)]
+    tags, _ = viterbi_decode_block([sentence_log_probs(net, chars)
+                                    for chars in block])
+    want = [segmentation_from_tags(TaggedSentence(tuple(chars), t))
+            for chars, t in zip(block, tags)]
+    assert segment._decode_block(net, block) == want
+    assert list(decode_sentences(net, block)) == want
 
 
 def test_cli_segment_decode_streams_blocks(tmp_path):
