@@ -399,8 +399,9 @@ def _cmd_classify_train(args):
     else:
         meta["win"] = args.win
     save_container(args.out, model.params(), meta)
-    best_epoch = max(history, key=lambda h: h["dev_accuracy"])
-    print(f"best_dev_accuracy: {best_epoch['dev_accuracy']:.4f}")
+    if history:
+        best_epoch = max(history, key=lambda h: h["dev_accuracy"])
+        print(f"best_dev_accuracy: {best_epoch['dev_accuracy']:.4f}")
     log.info("wrote %s", args.out)
 
 

@@ -123,7 +123,7 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    tokens, counts = [], []
+    tokens, counts, seen = [], [], set()
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -132,11 +132,19 @@ def load_vocabulary(path) -> Vocabulary:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected 'token<TAB>count'")
-            tokens.append(parts[0])
             try:
-                counts.append(int(parts[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad count {parts[1]!r}") from exc
+                count = int(parts[1])
+            except ValueError:
+                count = 0
+            if count < 1:
+                raise DataError(f"{path}:{lineno}: count {parts[1]!r} is not "
+                                f"a positive integer")
+            if parts[0] in seen:
+                raise DataError(f"{path}:{lineno}: token {parts[0]!r} "
+                                f"appears twice")
+            seen.add(parts[0])
+            tokens.append(parts[0])
+            counts.append(count)
     return Vocabulary(tokens, counts)
 
 
@@ -171,10 +179,15 @@ def normalize_token(raw: str, mode: str = "none") -> str:
     return "".join(out)
 
 
+_PSEUDO_FIRST = frozenset(p[0] for p in PSEUDO_TOKENS)
+
+
 def _pseudo_at(raw: str, i: int):
-    for pseudo in PSEUDO_TOKENS:
-        if raw.startswith(pseudo, i):
-            return pseudo
+    """The pseudo-token that starts at raw[i], or None; i < len(raw)."""
+    if raw[i] in _PSEUDO_FIRST:  # skips the scan for almost every character
+        for pseudo in PSEUDO_TOKENS:
+            if raw.startswith(pseudo, i):
+                return pseudo
     return None
 
 
@@ -285,32 +298,51 @@ def iter_windows(
             yield WindowSample(int(ids[i]), context, i - lo)
 
 
+def concatenate_documents(docs: Sequence[np.ndarray]):
+    """The ids of all `docs` in one array, and the start offset of each
+    document in it: the `ids` and `starts` of `window_matrix`."""
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *docs])
+    return ids, np.cumsum([0] + [len(d) for d in docs[:-1]])
+
+
 def document_window_arrays(ids: np.ndarray, win: int):
-    """Vectorized windowing of one encoded document.
+    """Targets and (n, win-1) context slots of one encoded document, -1 in
+    the slots outside it: `window_matrix` without its middle column."""
+    return ids, np.delete(window_matrix(ids, win, -1), (win - 1) // 2, 1)
 
-    Returns (targets, context) where context is (n, win-1) with -1 in slots
-    that fall outside the document. Column s corresponds to relative offset
-    offsets[s] with offsets = [-h..-1, 1..h].
+
+def window_matrix(ids: np.ndarray, win: int, pad: int,
+                  starts: Optional[Sequence[int]] = None, lo: int = 0,
+                  hi: Optional[int] = None) -> np.ndarray:
+    """Windows of the positions lo..hi-1 of `ids`, one row each.
+
+    Row r holds ids[i-h .. i+h] for i = lo + r and h = (win-1)/2. `ids` is
+    one sequence, or with `starts` (ascending document start offsets, the
+    first 0) the concatenation of several; a slot outside row i's
+    document holds `pad`.
     """
-    half = (win - 1) // 2
-    return ids, _offset_columns(ids, [o for o in range(-half, half + 1) if o], -1)
-
-
-def window_matrix(ids: np.ndarray, win: int, pad: int) -> np.ndarray:
-    """(n, win) matrix whose row i holds ids[i-h .. i+h], h = (win-1)/2,
-    with `pad` in the slots beyond either end of the sequence."""
-    half = (win - 1) // 2
-    return _offset_columns(ids, range(-half, half + 1), pad)
-
-
-def _offset_columns(ids: np.ndarray, offsets, pad: int) -> np.ndarray:
-    """Row i, column k holds ids[i + offsets[k]], or `pad` outside [0, n)."""
     n = len(ids)
-    out = np.full((n, len(offsets)), pad, dtype=np.int64)
+    if hi is None:
+        hi = n
+    half = (win - 1) // 2
+    offsets = range(-half, half + 1)
+    out = np.full((hi - lo, win), pad, dtype=np.int64)
+    # Conditional expressions, not max/min: a one-sentence call is mostly
+    # interpreter time.
     for col, off in enumerate(offsets):
-        k = max(0, n - abs(off))  # rows whose neighbour at `off` exists
-        if off < 0:
-            out[n - k:, col] = ids[:k]
-        else:
-            out[:k, col] = ids[n - k:]
+        a = lo if lo > -off else -off  # rows i in [a, b) have i + off in [0, n)
+        b = hi if hi < n - off else n - off
+        if a < b:
+            out[a - lo:b - lo, col] = ids[a + off:b + off]
+    if starts is None:
+        return out
+    # Blank the slots that reach across a document start s: rows s..s+|off|-1
+    # to its left, rows s-off..s-1 to its right.
+    starts = np.asarray(starts)
+    first, last = np.searchsorted(starts, (lo - half + 1, hi + half))
+    cuts = starts[max(first, 1):last]
+    for col, off in enumerate(offsets):
+        shift = np.arange(abs(off)) - max(off, 0) - lo
+        rows = (cuts[:, None] + shift).ravel()
+        out[rows[(rows >= 0) & (rows < hi - lo)], col] = pad
     return out

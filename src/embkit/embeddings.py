@@ -32,8 +32,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, decompose_word,
-                     document_window_arrays, subsample_ids)
+from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary,
+                     concatenate_documents, decompose_word, subsample_ids,
+                     window_matrix)
 from .errors import DataError
 from .optim import (NoiseSampler, apply_grads, check_finite, log_sigmoid,
                     log_softmax, sigmoid)
@@ -457,70 +458,55 @@ def _convert_params(model, dtype) -> None:
 
 def _train_one_pass(model, docs, cfg, sampler, space, srng, nrng):
     """One pass over `docs`; returns (loss sum, unit count, token count)."""
-    win = model.win
-    chunk_windows = max(cfg.batch_size * 8, 4096)
-    tgt_buf: List[np.ndarray] = []
-    ctx_buf: List[np.ndarray] = []
-    buffered = 0
-    loss_sum, units, tokens = 0.0, 0, 0
-    subsample = cfg.subsample_t is not None
-
-    def flush():
-        nonlocal loss_sum, units, buffered
-        if not tgt_buf:
-            return
-        tgt = np.concatenate(tgt_buf)
-        ctx = np.concatenate(ctx_buf, axis=0)
-        tgt_buf.clear()
-        ctx_buf.clear()
-        buffered = 0
-        loss_sum_, units_ = _process_chunk(model, cfg, sampler, space, nrng, tgt, ctx)
-        loss_sum += loss_sum_
-        units += units_
-
-    for ids in docs:
-        if subsample:
-            ids = subsample_ids(ids, model.vocab, srng)
-        if len(ids) == 0:
-            continue
-        tokens += len(ids)
-        for t, c in _document_windows_segmented(ids, win):
-            tgt_buf.append(t)
-            ctx_buf.append(c)
-            buffered += len(t)
-            if buffered >= chunk_windows:
-                flush()
-    flush()
-    return loss_sum, units, tokens
+    if cfg.subsample_t is not None:
+        docs = [subsample_ids(ids, model.vocab, srng) for ids in docs]
+    ids, starts = concatenate_documents(docs)
+    loss_sum, units = 0.0, 0
+    for lo, hi in _chunk_bounds(starts, len(ids), max(cfg.batch_size * 8, 4096)):
+        windows = window_matrix(ids, model.win, -1, starts, lo, hi)
+        loss, n = _process_chunk(model, cfg, sampler, space, nrng, windows)
+        loss_sum += loss
+        units += n
+    return loss_sum, units, len(ids)
 
 
 _MAX_SEGMENT = 131072
 
 
-def _document_windows_segmented(ids, win):
-    """Window arrays for one document, split with a correct halo so very
-    long documents never materialize all their windows at once."""
-    n = len(ids)
-    if n <= _MAX_SEGMENT:
-        yield document_window_arrays(ids, win)
-        return
-    half = (win - 1) // 2
-    for start in range(0, n, _MAX_SEGMENT):
-        end = min(n, start + _MAX_SEGMENT)
-        lo = max(0, start - half)
-        hi = min(n, end + half)
-        t, c = document_window_arrays(ids[lo:hi], win)
-        yield t[start - lo:end - lo], c[start - lo:end - lo]
+def _chunk_bounds(starts, n, size):
+    """[lo, hi) position ranges of a pass's chunks, so a very long document
+    never materializes all its windows at once. A chunk closes at the first
+    document end, or end of a _MAX_SEGMENT-position piece of a longer
+    document, that brings it to at least `size` windows."""
+    ends = np.append(starts[1:], n)
+    long = ends - starts > _MAX_SEGMENT
+    pieces = np.sort(np.concatenate(
+        [ends] + [np.arange(s + _MAX_SEGMENT, e, _MAX_SEGMENT)
+                  for s, e in zip(starts[long], ends[long])]))
+    lo = 0
+    while lo < n:
+        hi = int(pieces[min(np.searchsorted(pieces, lo + size), len(pieces) - 1)])
+        yield lo, hi
+        lo = hi
 
 
-def _process_chunk(model, cfg, sampler, space, nrng, tgt, ctx) -> tuple:
+def _process_chunk(model, cfg, sampler, space, nrng, windows) -> tuple:
     """Draw each batch's negatives or corrupt words, then take one step per
-    batch; returns (loss sum, unit count)."""
+    batch; returns (loss sum, unit count). `windows` is (n, win) with -1 in
+    the slots outside the document."""
     B = cfg.batch_size
+    mid = (model.win - 1) // 2
     loss_sum = 0.0
+    if model.kind == "cw":
+        for lo in range(0, len(windows), B):
+            w = windows[lo:lo + B]
+            neg = _corrupt_words(w[:, mid], len(model.vocab), nrng)
+            loss_sum += _apply_step(model, cfg, *_window_batch_cw(model, w, neg))
+        return loss_sum, len(windows)
+    tgt, ctx = windows[:, mid], np.delete(windows, mid, 1)
     if model.kind == "skipgram":
         beta, char_ctx = ((cfg.beta, cfg.char_context) if space is not None
-                           else (0.0, False))
+                          else (0.0, False))
         rows, tgts, wgts = _expand_charword_arrays(space, tgt, ctx, beta, char_ctx)
         for lo in range(0, len(rows), B):
             r, t, w = rows[lo:lo + B], tgts[lo:lo + B], wgts[lo:lo + B]
@@ -531,14 +517,6 @@ def _process_chunk(model, cfg, sampler, space, nrng, tgt, ctx) -> tuple:
                 out = _pair_batch_ns(model, r, t, w, negs)
             loss_sum += _apply_step(model, cfg, *out)
         return loss_sum, len(rows)
-    if model.kind == "cw":
-        windows = _assemble_cw_windows(model.win, tgt, ctx)
-        mid = (model.win - 1) // 2
-        for lo in range(0, len(windows), B):
-            w = windows[lo:lo + B]
-            neg = _corrupt_words(w[:, mid], len(model.vocab), nrng)
-            loss_sum += _apply_step(model, cfg, *_window_batch_cw(model, w, neg))
-        return loss_sum, len(windows)
     keep = (ctx >= 0).any(axis=1)  # predictive window kinds need context
     tgt, ctx = tgt[keep], ctx[keep]
     for lo in range(0, len(tgt), B):
@@ -558,14 +536,3 @@ def _corrupt_words(tgt, n_words, rng) -> np.ndarray:
         if not clash.any():
             return neg
         neg[clash] = rng.integers(n_words, size=int(clash.sum()))
-
-
-def _assemble_cw_windows(win, tgt, ctx) -> np.ndarray:
-    """Insert the target column into the middle of the context slots."""
-    half = (win - 1) // 2
-    b = len(tgt)
-    out = np.empty((b, win), dtype=np.int64)
-    out[:, :half] = ctx[:, :half]
-    out[:, half] = tgt
-    out[:, half + 1:] = ctx[:, half:]
-    return out

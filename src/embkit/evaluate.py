@@ -75,7 +75,14 @@ def load_similarity(path) -> List[SimilarityPair]:
                 parts = line.split()
             if len(parts) < 3:
                 raise DataError(f"{path}:{lineno}: expected 'a<TAB>b<TAB>score'")
-            pairs.append(SimilarityPair(parts[0], parts[1], float(parts[2])))
+            try:
+                score = float(parts[2])
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise DataError(f"{path}:{lineno}: score {parts[2]!r} is not "
+                                f"a finite number")
+            pairs.append(SimilarityPair(parts[0], parts[1], score))
     return pairs
 
 
@@ -90,6 +97,9 @@ def load_choice(path) -> List[ChoiceQuestion]:
             if len(parts) != 6:
                 raise DataError(
                     f"{path}:{lineno}: expected 'query<TAB>opt1..opt4<TAB>answer_index'")
+            if parts[5] not in ("0", "1", "2", "3"):
+                raise DataError(f"{path}:{lineno}: answer index {parts[5]!r} "
+                                f"is not one of 0..3")
             questions.append(ChoiceQuestion(parts[0], tuple(parts[1:5]), int(parts[5])))
     return questions
 

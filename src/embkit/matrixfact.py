@@ -12,7 +12,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .corpus import CorpusStream, Vocabulary
+from .corpus import (CorpusStream, Vocabulary, concatenate_documents,
+                     window_matrix)
 from .errors import DataError
 from .io_formats import _atomic_open, open_text
 from .optim import softmax, step_distinct_rows
@@ -97,6 +98,9 @@ class CooccurrenceMatrix:
         return cls(vocab, win, entries)
 
 
+_COUNT_BLOCK = 1 << 20  # positions windowed at once by count_cooccurrences
+
+
 def count_cooccurrences(corpus: CorpusStream, vocab: Vocabulary,
                         win: int) -> CooccurrenceMatrix:
     """x_ij = number of windows in which j appears in the context of i.
@@ -107,14 +111,16 @@ def count_cooccurrences(corpus: CorpusStream, vocab: Vocabulary,
     if win % 2 == 0 or win < 1:
         raise ValueError("window size must be odd and positive")
     v = len(vocab)
-    encoded = [vocab.encode(doc) for doc in corpus.documents]
-    ids = np.concatenate([np.empty(0, dtype=np.int64), *encoded])
-    doc = np.repeat(np.arange(len(encoded)), [len(e) for e in encoded])
+    ids, starts = concatenate_documents(
+        [vocab.encode(doc) for doc in corpus.documents])
+    half = (win - 1) // 2
     keys = [np.empty(0, dtype=np.int64)]
-    for off in range(1, (win - 1) // 2 + 1):
-        same = doc[off:] == doc[:-off]
-        left, right = ids[:-off][same], ids[off:][same]
-        keys += [left * v + right, right * v + left]
+    # windows a block at a time: only the pair keys span the whole corpus
+    for lo in range(0, len(ids), _COUNT_BLOCK):
+        windows = window_matrix(ids, win, -1, starts, lo,
+                                min(lo + _COUNT_BLOCK, len(ids)))
+        ctx = np.delete(windows, half, 1)
+        keys.append((windows[:, half:half + 1] * v + ctx)[ctx >= 0])
     cells, counts = np.unique(np.concatenate(keys), return_counts=True)
     entries = dict(zip(zip((cells // v).tolist(), (cells % v).tolist()),
                        counts.astype(np.float64).tolist()))

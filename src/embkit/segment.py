@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .corpus import (PSEUDO_TOKENS, TOKEN_PADDING, decompose_word,
+from .corpus import (TOKEN_PADDING, _pseudo_at, decompose_word,
                      normalize_token, window_matrix)
 from .errors import DataError
 from .io_formats import EmbeddingTable, open_text
@@ -53,7 +53,7 @@ def tags_from_segmentation(words: Sequence[str]) -> TaggedSentence:
     chars: List[str] = []
     tags: List[str] = []
     for word in words:
-        pieces = _word_units(word)
+        pieces = decompose_word(word)  # NUMBER and WORD act as one character
         if not pieces:
             raise DataError("empty word in segmentation")
         chars.extend(pieces)
@@ -64,11 +64,6 @@ def tags_from_segmentation(words: Sequence[str]) -> TaggedSentence:
             tags.extend("M" * (len(pieces) - 2))
             tags.append("E")
     return TaggedSentence(tuple(chars), "".join(tags))
-
-
-def _word_units(word: str) -> List[str]:
-    # Pseudo-tokens (NUMBER, WORD) act as single characters.
-    return decompose_word(word)
 
 
 def segmentation_from_tags(sentence: TaggedSentence) -> List[str]:
@@ -87,16 +82,8 @@ def _words_from_tags(chars: Sequence[str], tags: str) -> List[str]:
 
 
 def prf_score(pred_words: Sequence[str], gold_words: Sequence[str]) -> dict:
-    """Span precision/recall/F over (start, end) word spans."""
-    if "".join(pred_words) != "".join(gold_words):
-        raise DataError("predicted and gold segmentations cover different text")
-    pred_spans = _spans(pred_words)
-    gold_spans = _spans(gold_words)
-    hits = len(pred_spans & gold_spans)
-    precision = hits / len(pred_spans) if pred_spans else 0.0
-    recall = hits / len(gold_spans) if gold_spans else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return {"precision": precision, "recall": recall, "f1": f1}
+    """Span precision/recall/F over (start, end) word spans of one sentence."""
+    return prf_corpus([pred_words], [gold_words])
 
 
 def _spans(words: Sequence[str]) -> set:
@@ -361,14 +348,9 @@ def line_to_chars(line: str, normalize: bool = True) -> List[str]:
     chars: List[str] = []
     i = 0
     while i < len(text):
-        for pseudo in PSEUDO_TOKENS:
-            if text.startswith(pseudo, i):
-                chars.append(pseudo)
-                i += len(pseudo)
-                break
-        else:
-            chars.append(text[i])
-            i += 1
+        char = _pseudo_at(text, i) or text[i]
+        chars.append(char)
+        i += len(char)
     return chars
 
 

@@ -21,9 +21,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import window_matrix
-from .errors import DataError, NumericError
+from .errors import DataError
 from .io_formats import open_text
-from .optim import apply_grads, log_softmax
+from .optim import apply_grads, check_finite, log_softmax
 from .seeding import substream
 
 UNK_TOKEN = "\x02UNK"
@@ -309,8 +309,11 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
     """SGD over randomly ordered documents; keeps the best-on-dev checkpoint.
 
     Returns (best parameter snapshot, history). The snapshot maps parameter
-    names to copies; apply with `load_params`.
+    names to copies; apply with `load_params`. With zero epochs it holds
+    the initial parameters.
     """
+    if cfg.epochs < 0:
+        raise ValueError("epochs must be >= 0")
     classes = {d.class_id for d in train_docs}
     if len(classes) < 2:
         raise DataError("training set must contain at least two classes")
@@ -329,9 +332,7 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
         for n in order:
             ids, class_id = encoded[n]
             loss, grads = model.loss_grads(ids, class_id, truncate=cfg.truncate)
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at document {n}")
-            total += loss
+            total += check_finite(loss, "training loss")
             apply_grads(params, grads, rates)
         dev_acc = model.accuracy(dev_docs) if dev_docs else float("nan")
         entry = {"epoch": epoch, "train_loss": total / len(encoded),

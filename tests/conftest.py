@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from embkit.corpus import CorpusStream, Vocabulary, build_vocabulary
-from embkit.embeddings import (_assemble_cw_windows, _expand_charword_arrays,
-                               _pair_batch_ns, _window_batch_cw,
-                               _window_batch_predictive)
+from embkit.embeddings import (_expand_charword_arrays, _pair_batch_ns,
+                               _window_batch_cw, _window_batch_predictive)
 
 
 def pack(arrs):
@@ -96,6 +95,13 @@ def random_windows(rng, n_words, n_windows, win=5):
     return tgt, ctx
 
 
+def slotwise_windows(ids, win, pad):
+    """Oracle: row i holds ids[i + off] for off in -h..h, pad outside."""
+    half = (win - 1) // 2
+    return [[int(ids[i + off]) if 0 <= i + off < len(ids) else pad
+             for off in range(-half, half + 1)] for i in range(len(ids))]
+
+
 def predictive_batch(model, rng, n_words, k=3):
     """Forward/backward closure over 1-3 random windows with k random
     negatives per scored unit: the pair batch (one pair per context word)
@@ -114,7 +120,7 @@ def cw_batch(model, rng, n_words):
     words, or None unless every window violates its margin by more than
     0.02, which keeps central differences clear of the hinge kink."""
     tgt, ctx = random_windows(rng, n_words, int(rng.integers(1, 4)), model.win)
-    windows = _assemble_cw_windows(model.win, tgt, ctx)
+    windows = np.insert(ctx, (model.win - 1) // 2, tgt, axis=1)
     neg = rng.integers(0, n_words, len(tgt))
     if (neg == tgt).any():
         return None

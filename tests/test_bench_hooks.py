@@ -1,6 +1,8 @@
 """The benchmark's tracer (bench/spans.py) wraps embkit functions by name
 and binds some of their parameters by name. Running small commands under it
-here makes a rename that would break `bench/run.py --trace 1` fail tier-1.
+here makes a rename that would break `bench/run.py --trace 1`, or a trainer
+that stops calling a wrapped name and so zeroes a per-layer count, fail
+tier-1.
 """
 
 import sys
@@ -50,3 +52,24 @@ def test_tracer_counts_segmenter_samples_and_factorization_cells(tmp_path,
     assert n_cells > 0
     assert tracer.counts["segment.samples"] == 6 * 2
     assert tracer.counts["matrixfact.cells"] == n_cells * 3
+
+
+def test_tracer_counts_embedding_units_negatives_and_subsampling(tmp_path,
+                                                                 tracer):
+    # 100 words twice each: --t 1e-3 keeps about 40% of them
+    corpus = tmp_path / "corpus.txt"
+    words = [f"w{i}" for i in range(100)] * 2
+    corpus.write_text("\n".join(" ".join(words[i:i + 20])
+                                for i in range(0, 200, 20)) + "\n",
+                      encoding="utf-8")
+    common = ["--corpus", str(corpus), "--dim", "2", "--hidden", "3",
+              "--epochs", "1", "--out", str(tmp_path / "e.vec")]
+    assert cli.run(["train-emb", "--kind", "skipgram", "--t", "1e-3",
+                    *common]) == 0
+    assert tracer.counts["embeddings.units"] > 0
+    assert tracer.counts["optim.negatives_drawn"] > 0
+    assert tracer.counts["corpus.subsample_in"] == len(words)
+
+    tracer.reset()
+    assert cli.run(["train-emb", "--kind", "cw", *common]) == 0
+    assert tracer.counts["embeddings.units"] == len(words)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import slotwise_windows
 from embkit.corpus import (CorpusStream, build_vocabulary, decompose_word,
                            document_window_arrays, iter_windows,
                            load_vocabulary, normalize_token, save_vocabulary,
@@ -187,13 +188,6 @@ def test_oov_tokens_removed_before_windowing():
             for s in samples] == [("a", ("b",)), ("b", ("a",))]
 
 
-def slotwise_windows(ids, win, pad):
-    """Oracle: row i holds ids[i + off] for off in -h..h, pad outside."""
-    half = (win - 1) // 2
-    return [[int(ids[i + off]) if 0 <= i + off < len(ids) else pad
-             for off in range(-half, half + 1)] for i in range(len(ids))]
-
-
 @pytest.mark.parametrize("win", [1, 3, 5, 7, 9, 13])
 def test_window_matrix_matches_slotwise_oracle(win):
     # documents shorter than, as long as and longer than the window
@@ -202,6 +196,24 @@ def test_window_matrix_matches_slotwise_oracle(win):
         out = window_matrix(ids, win, -7)
         assert out.shape == (n, win) and out.dtype == np.int64
         assert out.tolist() == slotwise_windows(ids, win, -7)
+
+
+@pytest.mark.parametrize("win", [1, 3, 5, 7, 13])
+def test_window_matrix_stops_at_document_starts(win):
+    # documents of 1..9 ids, concatenated; every row range of the result
+    # matches windowing each document on its own
+    rng = np.random.default_rng(win)
+    lengths = rng.integers(1, 10, 12)
+    docs = np.split(np.arange(100, 100 + lengths.sum()), np.cumsum(lengths)[:-1])
+    ids = np.concatenate(docs)
+    starts = np.cumsum(lengths) - lengths
+    expected = [row for d in docs for row in slotwise_windows(d, win, -7)]
+    assert window_matrix(ids, win, -7, starts).tolist() == expected
+    for _ in range(30):
+        lo, hi = sorted(rng.integers(0, len(ids) + 1, 2))
+        out = window_matrix(ids, win, -7, starts, lo, hi)
+        assert out.shape == (hi - lo, win)
+        assert out.tolist() == expected[lo:hi]
 
 
 @pytest.mark.parametrize("win", [3, 5, 7, 9, 13])

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import (ascent_checker, charword_batch, cw_batch, in_noise_band,
-                      predictive_batch)
-from embkit.corpus import Vocabulary
+                      predictive_batch, slotwise_windows)
+from embkit import embeddings as emb_module
+from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
+                           subsample_ids, window_matrix)
 from embkit.embeddings import (KINDS, EmbeddingModel, TrainConfig,
-                               _apply_step, _assemble_cw_windows,
-                               _context_inputs, _convert_params, _cw_scores,
-                               _expand_charword_arrays, _ns_scores,
+                               _apply_step, _context_inputs, _convert_params,
+                               _cw_scores, _expand_charword_arrays, _ns_scores,
                                _pair_batch_ns, _process_chunk,
                                _window_batch_cw, _window_batch_predictive,
                                build_charword_space, train_epochs)
@@ -30,7 +31,8 @@ def make_model(kind, vocab, dim=3, win=5, hidden=4, seed=0, randomize=True):
 
 
 def slots(*ids):
-    """One window's context slots, left to right; -1 marks an empty slot."""
+    """One window's context slots, or all its slots with the target in the
+    middle, left to right; -1 marks an empty slot."""
     return np.array([ids], dtype=np.int64)
 
 
@@ -184,8 +186,7 @@ def test_cbow_single_step_matches_hand_computation():
     sampler = NoiseSampler(vocab.counts)
     # target a, context b on its left, so the negative must be b
     loss, units = _process_chunk(model, cfg, sampler, None,
-                                 np.random.default_rng(1), np.array([0]),
-                                 slots(1, -1))
+                                 np.random.default_rng(1), slots(1, 0, -1))
     assert units == 1
 
     x = e[1]
@@ -308,8 +309,10 @@ def test_cw_window_length_enforced(small_vocab):
 
 
 def test_sample_to_window_padding():
-    # target 7 with both context words on its right
-    windows = _assemble_cw_windows(5, np.array([7]), slots(-1, -1, 1, 2))
+    # target 7 opens the second document, so both its context words lie on
+    # its right
+    ids = np.array([5, 6, 7, 1, 2])
+    windows = window_matrix(ids, 5, -1, starts=[0, 2], lo=2, hi=3)
     assert windows.tolist() == [[-1, -1, 7, 1, 2]]
 
 
@@ -318,8 +321,7 @@ def test_train_sample_cw_updates_only_on_violation(small_vocab):
     rng = np.random.default_rng(0)
     cfg = TrainConfig(optimizer="sgd", lr=0.05)
     before = {k: p.copy() for k, p in model.params().items()}
-    loss, _ = _process_chunk(model, cfg, None, None, rng, np.array([2]),
-                             slots(0, 1, 3, 4))
+    loss, _ = _process_chunk(model, cfg, None, None, rng, slots(0, 1, 2, 3, 4))
     changed = any(not np.array_equal(p, before[k])
                   for k, p in model.params().items())
     assert changed == (loss > 0)
@@ -400,8 +402,7 @@ def test_charword_beta_one_freezes_word_context_vectors(char_setup):
     words_before = model.e[:space.n_words].copy()
     chars_before = model.e[space.n_words:].copy()
     for _ in range(5):
-        _process_chunk(model, cfg, sampler, space, rng, np.array([0]),
-                       slots(-1, 1, 2, -1))
+        _process_chunk(model, cfg, sampler, space, rng, slots(-1, 1, 0, 2, -1))
     assert np.array_equal(model.e[:space.n_words], words_before)
     assert not np.array_equal(model.e[space.n_words:], chars_before)
 
@@ -512,6 +513,85 @@ def test_multi_worker_runs(toy_corpus, toy_vocab):
     cfg = TrainConfig(epochs=1, seed=1, workers=2, batch_size=32)
     stats = train_epochs(model, toy_corpus, cfg)
     assert stats[0].n_units > 0
+
+
+def buffered_pass(model, docs, cfg, sampler, space, srng, nrng):
+    """Reference for `_train_one_pass`: the per-document buffer loop it
+    replaced. Each document is subsampled, then windowed on its own in
+    _MAX_SEGMENT pieces; a chunk is flushed to `_process_chunk` once it
+    holds max(8 * batch, 4096) windows."""
+    chunk_windows = max(cfg.batch_size * 8, 4096)
+    buf, totals = [], [0.0, 0, 0]
+
+    def flush():
+        if buf:
+            loss, units = _process_chunk(model, cfg, sampler, space, nrng,
+                                         np.concatenate(buf))
+            totals[0] += loss
+            totals[1] += units
+            buf.clear()
+
+    for ids in docs:
+        if cfg.subsample_t is not None:
+            ids = subsample_ids(ids, model.vocab, srng)
+        totals[2] += len(ids)
+        windows = np.array(slotwise_windows(ids, model.win, -1),
+                           dtype=np.int64).reshape(len(ids), model.win)
+        for start in range(0, len(ids), emb_module._MAX_SEGMENT):
+            buf.append(windows[start:start + emb_module._MAX_SEGMENT])
+            if sum(map(len, buf)) >= chunk_windows:
+                flush()
+    flush()
+    return tuple(totals)
+
+
+@pytest.mark.parametrize("t", [None, 0.01], ids=["all", "subsampled"])
+@pytest.mark.parametrize("kind", KINDS + ("charword",))
+def test_train_pass_matches_buffered_reference(kind, t, monkeypatch):
+    # documents of 1..300 tokens, most longer than the patched segment, and
+    # enough tokens for several chunks
+    monkeypatch.setattr(emb_module, "_MAX_SEGMENT", 50)
+    rng = np.random.default_rng(7)
+    zipf = 1.0 / np.arange(1, 61)
+    docs = [[f"w{i}" for i in rng.choice(60, int(n), p=zipf / zipf.sum())]
+            for n in rng.integers(1, 301, 80)]
+    corpus = CorpusStream(docs)
+    vocab = build_vocabulary(corpus.all_tokens())
+    space = build_charword_space(vocab) if kind == "charword" else None
+    cfg = TrainConfig(negatives=2, epochs=1, seed=3, batch_size=100,
+                      subsample_t=t, beta=0.4, char_context=True)
+    runs = []
+    for one_pass in (buffered_pass, emb_module._train_one_pass):
+        passes = []
+
+        def recorded(*args, one_pass=one_pass):
+            passes.append(one_pass(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(emb_module, "_train_one_pass", recorded)
+        model = EmbeddingModel.create(
+            "skipgram" if space else kind, vocab, 4, 5, 6,
+            np.random.default_rng(1), tokens=space.tokens if space else None)
+        stats = train_epochs(model, corpus, cfg, space=space)
+        runs.append((passes, [(s.epoch, s.mean_loss, s.n_units) for s in stats],
+                     model.params()))
+    (ref_passes, ref_stats, ref_params), (passes, stats, params) = runs
+    assert ref_passes[0][2] > 2 * 4096  # several chunks per pass
+    assert passes == ref_passes
+    assert stats == ref_stats
+    for name, value in ref_params.items():
+        assert np.array_equal(params[name], value), name
+
+
+def test_chunk_bounds_close_at_first_piece_end_reaching_size(monkeypatch):
+    # the second document ends exactly 4096 windows in; a third one of
+    # 7000 is cut into pieces of 3000, 3000 and 1000
+    monkeypatch.setattr(emb_module, "_MAX_SEGMENT", 3000)
+    starts, n = np.array([0, 4095, 4096]), 11096
+    assert list(emb_module._chunk_bounds(starts, n, 4096)) == [
+        (0, 4096), (4096, 10096), (10096, 11096)]
+    assert list(emb_module._chunk_bounds(starts, n, 20000)) == [(0, 11096)]
+    assert list(emb_module._chunk_bounds(np.array([0]), 0, 4096)) == []
 
 
 @pytest.mark.parametrize("kind", ["skipgram", "cbow", "nnlm"])

@@ -457,6 +457,29 @@ def test_cli_segment_train_negative_epochs_is_usage_error(tmp_path, caplog,
     _assert_one_usage_line(caplog, code, "epochs", out)
 
 
+def test_cli_classify_train_negative_epochs_is_usage_error(tmp_path, caplog,
+                                                           seg_and_clf_files):
+    out = tmp_path / "model.bin"
+    code = run([*seg_and_clf_files["classify-train"], "--dim", "3",
+                "--hidden", "3", "--epochs", "-1", "--out", str(out)])
+    _assert_one_usage_line(caplog, code, "epochs", out)
+
+
+def test_cli_classify_train_zero_epochs_writes_initial_model(tmp_path,
+                                                             seg_and_clf_files):
+    from embkit.seeding import substream
+    from embkit.textclass import RcnnModel
+    out = tmp_path / "model.bin"
+    assert run([*seg_and_clf_files["classify-train"], "--dim", "3",
+                "--context-dim", "2", "--hidden", "3", "--epochs", "0",
+                "--seed", "4", "--out", str(out)]) == 0
+    arrays, meta = load_container(out)
+    initial = RcnnModel(meta["tokens"], meta["n_classes"], 3, 2, 3,
+                        rng=substream(4, "init"))
+    for name, value in initial.params().items():
+        assert np.array_equal(arrays[name], value), name
+
+
 @pytest.mark.parametrize("command", ["segment-train", "classify-train"])
 @pytest.mark.parametrize("fraction", ["-0.5", "1.0", "2"])
 def test_cli_dev_fraction_outside_unit_interval_is_usage_error(
@@ -619,6 +642,38 @@ def test_cli_non_finite_vector_is_data_error(tmp_path, caplog, container):
     assert code == 2
     message = _one_error_line(caplog)
     assert where in message and "non-finite" in message
+
+
+@pytest.mark.parametrize("task,good,bad", [
+    ("ws", "a\tb\t0.5", "b\ta\tx"),
+    ("ws", "a\tb\t0.5", "b\ta\tnan"),
+    ("tfl", "a\ta\tb\ta\tb\t0", "a\ta\tb\ta\tb\tz"),
+    ("tfl", "a\ta\tb\ta\tb\t0", "a\ta\tb\ta\tb\t9")],
+    ids=["ws-score", "ws-nan-score", "tfl-index", "tfl-index-range"])
+def test_cli_malformed_eval_dataset_is_data_error(tmp_path, caplog, task,
+                                                  good, bad):
+    emb = tmp_path / "e.vec"
+    save_embeddings(EmbeddingTable(["a", "b"], np.eye(2)), emb)
+    data = tmp_path / "data.tsv"
+    data.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    code = run(["eval", "--embeddings", str(emb), "--task", task,
+                "--dataset", str(data)])
+    assert code == 2
+    assert f"{data}:2:" in _one_error_line(caplog)
+
+
+@pytest.mark.parametrize("line", ["w1\t0", "w0\t7"],
+                         ids=["zero-count", "duplicate"])
+def test_cli_malformed_vocabulary_is_data_error(tmp_path, tiny_corpus_file,
+                                                caplog, line):
+    vocab, out = tmp_path / "vocab.txt", tmp_path / "e.vec"
+    vocab.write_text(f"w0\t3\n{line}\n", encoding="utf-8")
+    code = run(["train-emb", "--kind", "skipgram", "--corpus",
+                str(tiny_corpus_file), "--vocab", str(vocab), "--dim", "4",
+                "--out", str(out)])
+    assert code == 2
+    assert f"{vocab}:2:" in _one_error_line(caplog)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["text", "container", "vocabulary",

@@ -6,6 +6,7 @@ import pytest
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
                            iter_windows)
 from embkit.embeddings import EmbeddingModel
+from embkit import matrixfact
 from embkit.errors import DataError, NumericError
 from embkit.matrixfact import (CooccurrenceMatrix, _conflict_free_runs,
                                _fit_cells, _init_factors, count_cooccurrences,
@@ -53,6 +54,15 @@ def test_counts_match_bruteforce_oracle():
     vocab = build_vocabulary(corpus.all_tokens())
     matrix = count_cooccurrences(corpus, vocab, 5)
     oracle = brute_force_counts(docs, vocab, 5)
+    assert matrix.entries == {k: float(v) for k, v in oracle.items()}
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_counts_do_not_depend_on_window_block(block, monkeypatch, toy_corpus,
+                                              toy_vocab):
+    monkeypatch.setattr(matrixfact, "_COUNT_BLOCK", block)
+    matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
+    oracle = brute_force_counts(toy_corpus.documents, toy_vocab, 5)
     assert matrix.entries == {k: float(v) for k, v in oracle.items()}
 
 
