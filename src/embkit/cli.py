@@ -423,12 +423,10 @@ def _load_classifier(path):
 def _cmd_classify_predict(args):
     model = _load_classifier(args.model)
     docs = tc.load_labeled_documents(args.input)
-    hits = 0
+    predicted = model.predict_all([d.tokens for d in docs])
+    hits = sum(p == d.class_id for p, d in zip(predicted, docs))
     with _atomic_open(args.out, "w", encoding="utf-8") as out:
-        for d in docs:
-            pred = model.predict(d.tokens)
-            hits += int(pred == d.class_id)
-            out.write(f"{pred}\n")
+        out.writelines(f"{p}\n" for p in predicted)
     print(f"accuracy: {hits / len(docs):.4f}")
     log.info("wrote %s", args.out)
 

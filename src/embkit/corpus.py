@@ -346,3 +346,20 @@ def window_matrix(ids: np.ndarray, win: int, pad: int,
         rows = (cuts[:, None] + shift).ravel()
         out[rows[(rows >= 0) & (rows < hi - lo)], col] = pad
     return out
+
+
+def padded_blocks(seqs: Iterable[Sequence], limit: int) -> Iterator[list]:
+    """Consecutive blocks of `seqs`, read lazily. A block grows while its
+    size times its longest length (at least 1) stays within `limit`, the
+    padded positions of a batch; a longer sequence is a block alone."""
+    block: list = []
+    width = 0
+    for seq in seqs:
+        n = max(len(seq), 1)
+        if block and (len(block) + 1) * max(width, n) > limit:
+            yield block
+            block, width = [], 0
+        block.append(seq)
+        width = max(width, n)
+    if block:
+        yield block

@@ -5,10 +5,9 @@ log-count factorization, and the report comparing a full-softmax skipgram
 model's conditionals against the empirical co-occurrence conditionals.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -23,55 +22,55 @@ GLOVE_ALPHA = 0.75
 
 
 class CooccurrenceMatrix:
-    """Sparse (target, context) counts over windows, no subsampling."""
+    """Sparse (target, context) counts over windows, no subsampling.
 
-    def __init__(self, vocab: Vocabulary, win: int,
-                 entries: Optional[Dict[Tuple[int, int], float]] = None):
+    The nonzero cells are three arrays in (row, col) order, each cell once:
+    `rows`, `cols` and `vals`.
+    """
+
+    def __init__(self, vocab: Vocabulary, win: int, rows=(), cols=(),
+                 vals=()):
         self.vocab = vocab
         self.win = win
-        self.entries = entries if entries is not None else {}
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.vals = np.asarray(vals, dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.vals)
 
     def get(self, i: int, j: int) -> float:
-        return self.entries.get((i, j), 0.0)
+        return float(self.vals[(self.rows == i) & (self.cols == j)].sum())
 
     def total_mass(self) -> float:
-        return sum(self.entries.values())
+        return float(self.vals.sum())
 
     def column_sums(self) -> np.ndarray:
-        _, cols, vals = self.nonzero_arrays()
-        return np.bincount(cols, vals, minlength=len(self.vocab))
+        return np.bincount(self.cols, self.vals, minlength=len(self.vocab))
 
     def to_dense(self) -> np.ndarray:
-        rows, cols, vals = self.nonzero_arrays()
         dense = np.zeros((len(self.vocab), len(self.vocab)))
-        dense[rows, cols] = vals
+        dense[self.rows, self.cols] = self.vals
         return dense
 
     def nonzero_arrays(self):
         """(rows, cols, values) arrays in (row, col) order."""
-        n = len(self.entries)
-        ij = np.fromiter(itertools.chain.from_iterable(self.entries),
-                         dtype=np.int64, count=2 * n).reshape(n, 2)
-        vals = np.fromiter(self.entries.values(), dtype=np.float64, count=n)
-        order = np.lexsort((ij[:, 1], ij[:, 0]))
-        return ij[order, 0], ij[order, 1], vals[order]
+        return self.rows, self.cols, self.vals
 
     def save(self, path) -> None:
         # 17 significant digits round-trip any float; integers print as such
-        rows, cols, vals = self.nonzero_arrays()
         with _atomic_open(path, "w", encoding="utf-8") as fh:
             fh.writelines("%d\t%d\t%.17g\n" % cell for cell in
-                          zip(rows.tolist(), cols.tolist(), vals.tolist()))
+                          zip(self.rows.tolist(), self.cols.tolist(),
+                              self.vals.tolist()))
 
     @classmethod
     def load(cls, path, vocab: Vocabulary, win: int) -> "CooccurrenceMatrix":
         """Read `i<TAB>j<TAB>x` lines: ids in [0, |V|), x finite and > 0,
         each (i, j) cell at most once."""
         v = len(vocab)
-        entries: Dict[Tuple[int, int], float] = {}
+        rows, cols, vals = [], [], []
+        seen = set()
         with open_text(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -91,11 +90,18 @@ class CooccurrenceMatrix:
                 if not (math.isfinite(x) and x > 0):
                     raise DataError(f"{path}:{lineno}: count {parts[2]!r} is "
                                     f"not finite and positive")
-                if (i, j) in entries:
+                key = i * v + j
+                if key in seen:
                     raise DataError(f"{path}:{lineno}: cell ({i}, {j}) "
                                     f"appears twice")
-                entries[(i, j)] = x
-        return cls(vocab, win, entries)
+                seen.add(key)
+                rows.append(i)
+                cols.append(j)
+                vals.append(x)
+        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+        order = np.lexsort((cols, rows))
+        return cls(vocab, win, rows[order], cols[order],
+                   np.array(vals, dtype=np.float64)[order])
 
 
 _COUNT_BLOCK = 1 << 20  # positions windowed at once by count_cooccurrences
@@ -122,9 +128,8 @@ def count_cooccurrences(corpus: CorpusStream, vocab: Vocabulary,
         ctx = np.delete(windows, half, 1)
         keys.append((windows[:, half:half + 1] * v + ctx)[ctx >= 0])
     cells, counts = np.unique(np.concatenate(keys), return_counts=True)
-    entries = dict(zip(zip((cells // v).tolist(), (cells % v).tolist()),
-                       counts.astype(np.float64).tolist()))
-    return CooccurrenceMatrix(vocab, win, entries)
+    return CooccurrenceMatrix(vocab, win, cells // v, cells % v,
+                              counts.astype(np.float64))
 
 
 def glove_weight(x, x_max: float = GLOVE_X_MAX, alpha: float = GLOVE_ALPHA):
@@ -158,6 +163,13 @@ class FactorModel:
         return s
 
 
+def _check_fit_args(d: int, epochs: int) -> None:
+    if d < 1:
+        raise ValueError("dim must be >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+
+
 def _init_factors(v: int, d: int, rng: np.random.Generator, biases: bool) -> FactorModel:
     scale = 0.5 / d
     model = FactorModel(P=rng.uniform(-scale, scale, size=(v, d)),
@@ -173,6 +185,7 @@ def train_glove(matrix: CooccurrenceMatrix, d: int, epochs: int,
                 alpha: float = GLOVE_ALPHA, seed: int = 0):
     """Minimize sum f(x_ij) (p_i.q_j + b_i + b_j - log x_ij)^2 by AdaGrad
     over shuffled nonzero cells. Returns (model, final objective)."""
+    _check_fit_args(d, epochs)
     if len(matrix) == 0:
         raise DataError("empty co-occurrence matrix")
     rows, cols, vals = matrix.nonzero_arrays()
@@ -194,6 +207,7 @@ def factorize_log_counts(matrix: CooccurrenceMatrix, d: int,
     """
     if mode not in ("raw_log", "conditional_log"):
         raise ValueError(f"unknown factorization mode {mode!r}")
+    _check_fit_args(d, epochs)
     rows, cols, vals = matrix.nonzero_arrays()
     if len(vals) == 0:
         raise DataError("no nonzero cells to factorize")
@@ -215,13 +229,14 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
     """AdaGrad descent on sum_n w_n (fit(i_n, j_n) - t_n)^2, one cell at a
     time in a fresh shuffled order per epoch. Returns the final objective.
 
-    Each order is cut into maximal runs in which no row and no column
-    repeats. The cells of a run read and write disjoint rows of P, Q and
-    the biases, so one gather/compute/scatter per run does what the
-    cell-by-cell loop does, up to the rounding of the dot products. P over
-    Q, with the biases as a last column, form one table whose views the
-    model keeps, so a run moves all its rows at once. A run whose new rows
-    are not all finite raises NumericError before they are written.
+    Each order is scheduled by dependency level (`_levels`): the cells of a
+    level read and write disjoint rows of P, Q and the biases, and every
+    row meets its cells in shuffled order, so one gather/compute/scatter
+    per level does what the cell-by-cell loop does, up to the rounding of
+    the dot products. P over Q, with the biases as a last column, form one
+    table whose views the model keeps, so a level moves all its rows at
+    once. A level whose new rows are not all finite raises NumericError
+    before they are written.
     """
     v, d = model.P.shape
     biased = model.bias1 is not None
@@ -232,17 +247,34 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
         model.bias1, model.bias2 = table[:v, d], table[v:, d]
     model.P, model.Q = table[:v, :d], table[v:, :d]
     accum = np.zeros_like(table)
-    # overflow is caught by the finite check on each run's new rows
+    # overflow is caught by the finite check on each level's new rows
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             order = rng.permutation(len(rows))
+            level = _levels(rows[order], cols[order] + v, 2 * v)
+            order = order[np.argsort(level, kind="stable")]
             i, j = rows[order], cols[order] + v
             t, w2 = targets[order], 2.0 * weights[order]
-            bounds = _conflict_free_runs(i, j)
+            bounds = np.cumsum(np.bincount(level)).tolist()
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 _fit_run(table, accum, np.concatenate((i[lo:hi], j[lo:hi])),
                          t[lo:hi], w2[lo:hi], lr, d)
     return _glove_objective(model, rows, cols, targets, weights)
+
+
+def _levels(i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
+    """Dependency level of each cell of the sequence of (i, j) table rows:
+    1 + the highest level of the earlier cells that share its i or its j.
+
+    No two cells of a level share a row, and a row's cells have rising
+    levels in sequence order."""
+    top = [0] * size  # highest level so far that touches each table row
+    level = []
+    for a, b in zip(i.tolist(), j.tolist()):
+        x, y = top[a], top[b]
+        top[a] = top[b] = x = (x if x > y else y) + 1
+        level.append(x)
+    return np.array(level, dtype=np.int64)
 
 
 def _fit_run(table, accum, ids, targets, w2, lr: float, d: int) -> None:
@@ -262,27 +294,6 @@ def _fit_run(table, accum, ids, targets, w2, lr: float, d: int) -> None:
     if biased:
         g[:, :, d] = err
     step_distinct_rows(table, ids, g.reshape(2 * n, -1), -lr, accum)
-
-
-def _conflict_free_runs(rows: np.ndarray, cols: np.ndarray) -> list:
-    """Bounds [0, ..., len] of the greedy maximal runs of the sequence of
-    (row, col) cells in which no row and no column occurs twice."""
-    last = np.maximum(_previous_occurrence(rows), _previous_occurrence(cols))
-    bounds = [0]
-    for k, prev in enumerate(last.tolist()):
-        if prev >= bounds[-1]:
-            bounds.append(k)
-    bounds.append(len(rows))
-    return bounds
-
-
-def _previous_occurrence(x: np.ndarray) -> np.ndarray:
-    """Position of the previous equal element of `x`, or -1."""
-    order = np.argsort(x, kind="stable")
-    same = x[order[1:]] == x[order[:-1]]
-    prev = np.full(len(x), -1)
-    prev[order[1:][same]] = order[:-1][same]
-    return prev
 
 
 def _glove_objective(model, rows, cols, targets, weights) -> float:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from .corpus import (TOKEN_PADDING, _pseudo_at, decompose_word,
-                     normalize_token, window_matrix)
+                     normalize_token, padded_blocks, window_matrix)
 from .errors import DataError
 from .io_formats import EmbeddingTable, open_text
 from .optim import apply_grads, check_finite, log_softmax
@@ -307,16 +307,7 @@ def decode_sentences(net: SegmenterNet,
     Reads `sentences` lazily in blocks of at most DECODE_BLOCK padded
     positions: one lattice per sentence, one batched Viterbi per block.
     """
-    block: List[Sequence[str]] = []
-    width = 0
-    for chars in sentences:
-        n = max(len(chars), 1)
-        if block and (len(block) + 1) * max(width, n) > DECODE_BLOCK:
-            yield from _decode_block(net, block)
-            block, width = [], 0
-        block.append(chars)
-        width = max(width, n)
-    if block:
+    for block in padded_blocks(sentences, DECODE_BLOCK):
         yield from _decode_block(net, block)
 
 

@@ -2,10 +2,11 @@
 fixed-window CNN baseline.
 
 The RCNN represents each word as [left context; word vector; right context]
-where the contexts come from one forward and one backward tanh scan (linear
-in document length), then max-pools position-wise hidden vectors into a
-document vector. The window CNN replaces the scans with a concatenation of
-win word vectors, boundary slots taken by a trainable PADDING row.
+where the contexts come from a left-to-right and a right-to-left tanh scan
+(linear in document length, run as one joint scan), then max-pools
+position-wise hidden vectors into a document vector. The window CNN
+replaces the scans with a concatenation of win word vectors, boundary slots
+taken by a trainable PADDING row.
 
 Gradients flow through the pooling layer only at argmax positions (ties to
 the smallest index) and through the scans by backpropagation through time,
@@ -16,11 +17,12 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .corpus import window_matrix
+from .corpus import concatenate_documents, padded_blocks, window_matrix
 from .errors import DataError
 from .io_formats import open_text
 from .optim import apply_grads, check_finite, log_softmax
@@ -28,6 +30,7 @@ from .seeding import substream
 
 UNK_TOKEN = "\x02UNK"
 PAD_TOKEN = "\x02PAD"
+EVAL_BLOCK = 1 << 13  # padded positions per batched classifier forward
 
 
 class LabeledDocument(NamedTuple):
@@ -77,8 +80,11 @@ def _uniform(rng, shape, fan_in):
 class _PooledClassifier:
     """Shared max-pooling head: y2 = tanh(W2 x + b2), y3 = max, y4 = W4 y3 + b4.
 
-    A model supplies `_inputs(ids)`, the dict of its per-position inputs X
-    and whatever its backward pass needs; `_forward` adds the head.
+    `_forward` runs a batch of documents, left-aligned in a time-major
+    padded layout. A model supplies `_inputs(docs, lengths)`, the dict of
+    its (T, B, in) inputs X and whatever its backward pass needs. Training
+    runs a batch of one document; evaluation runs blocks of at most
+    EVAL_BLOCK padded positions.
     """
 
     def _init_head(self, rng, in_dim, hidden, n_classes):
@@ -89,33 +95,48 @@ class _PooledClassifier:
         self._lr_scale = {"W2": 1.0 / in_dim, "W4": 1.0 / hidden,
                           "b2": 1.0, "b4": 1.0}
 
-    def _forward(self, ids: np.ndarray) -> dict:
-        cache = self._inputs(ids)
-        Y2 = np.tanh(cache["X"] @ self.W2.T + self.b2)
-        argmax = Y2.argmax(axis=0)  # first index wins ties
-        y3 = Y2[argmax, np.arange(Y2.shape[1])]
-        y4 = self.W4 @ y3 + self.b4
-        cache.update(ids=ids, Y2=Y2, argmax=argmax, y3=y3, y4=y4,
-                     lsm=log_softmax(y4))
+    def _forward(self, docs: Sequence[np.ndarray]) -> dict:
+        lengths = np.array([len(d) for d in docs])
+        if not lengths.all():
+            raise DataError("empty document")
+        cache = self._inputs(docs, lengths)
+        X = cache["X"]
+        T, B, m = X.shape
+        Y2 = np.tanh(X.reshape(T * B, m) @ self.W2.T + self.b2).reshape(T, B, -1)
+        # padded positions hold -inf, so they never win the pooling; the
+        # first index wins ties
+        Y2[np.arange(T)[:, None] >= lengths] = -np.inf
+        y3 = Y2.max(axis=0)
+        cache.update(Y2=Y2, argmax=Y2.argmax(axis=0), y3=y3,
+                     y4=y3 @ self.W4.T + self.b4)
         return cache
 
     def _head_backward(self, cache: dict, class_id: int):
-        """Cross-entropy loss, its gradients for the head and d loss / d X."""
-        Y2, lsm = cache["Y2"], cache["lsm"]
+        """Cross-entropy loss of the one document of `cache`, its gradients
+        for the head and d loss / d X, an (n, in) array."""
+        X, Y2 = cache["X"][:, 0], cache["Y2"][:, 0]
+        lsm = log_softmax(cache["y4"][0])
         dy4 = np.exp(lsm)
         dy4[class_id] -= 1.0
         dY2 = np.zeros_like(Y2)
-        dY2[cache["argmax"], np.arange(Y2.shape[1])] = self.W4.T @ dy4
+        dY2[cache["argmax"][0], np.arange(Y2.shape[1])] = self.W4.T @ dy4
         dA = dY2 * (1.0 - Y2 * Y2)
-        grads = {"W2": dA.T @ cache["X"], "b2": dA.sum(axis=0),
-                 "W4": np.outer(dy4, cache["y3"]), "b4": dy4}
+        grads = {"W2": dA.T @ X, "b2": dA.sum(axis=0),
+                 "W4": np.outer(dy4, cache["y3"][0]), "b4": dy4}
         return -float(lsm[class_id]), grads, dA @ self.W2
 
+    def _caches(self, docs: Iterable[Sequence[str]]) -> Iterator[dict]:
+        """`_forward` of consecutive blocks of `docs`, each of at most
+        EVAL_BLOCK padded positions."""
+        for block in padded_blocks((self.encode(t) for t in docs), EVAL_BLOCK):
+            yield self._forward(block)
+
+    def batch_logits(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
+        """(len(docs), n_classes) logits, one row per document."""
+        return np.concatenate([c["y4"] for c in self._caches(docs)])
+
     def logits(self, tokens: Sequence[str]) -> np.ndarray:
-        ids = self.encode(tokens)
-        if len(ids) == 0:
-            raise DataError("empty document")
-        return self._forward(ids)["y4"]
+        return self.batch_logits([tokens])[0]
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         unk = self.token_to_id[UNK_TOKEN]
@@ -124,8 +145,12 @@ class _PooledClassifier:
     def predict(self, tokens: Sequence[str]) -> int:
         return int(np.argmax(self.logits(tokens)))
 
+    def predict_all(self, docs: Sequence[Sequence[str]]) -> List[int]:
+        return self.batch_logits(docs).argmax(axis=1).tolist()
+
     def accuracy(self, docs: Sequence[LabeledDocument]) -> float:
-        hits = sum(self.predict(d.tokens) == d.class_id for d in docs)
+        predicted = self.predict_all([d.tokens for d in docs])
+        hits = sum(p == d.class_id for p, d in zip(predicted, docs))
         return hits / len(docs)
 
     def log_probs(self, tokens: Sequence[str]) -> np.ndarray:
@@ -174,74 +199,79 @@ class RcnnModel(_PooledClassifier):
                 ("e", "W_l", "W_r", "W_sl", "W_sr", "cl_init", "cr_init",
                  "W2", "b2", "W4", "b4")}
 
-    def context_scans(self, ids: np.ndarray, E: Optional[np.ndarray] = None):
-        """Left and right context sequences; one pass each direction.
-
-        The input projections W_sl e and W_sr e are one matmul each; the
-        scans keep only the recurrent matvec. `E` is `e[ids]` when the
-        caller already holds it."""
-        E = self.e[ids] if E is None else E
-        n = len(ids)
+    def _recurrent(self) -> np.ndarray:
         c = self.context_dim
-        CL = np.empty((n, c))
-        CR = np.empty((n, c))
-        PL = E[:-1] @ self.W_sl.T  # PL[i - 1] feeds CL[i]
-        PR = E[1:] @ self.W_sr.T   # PR[i] feeds CR[i]
-        W_l, W_r = self.W_l, self.W_r
-        CL[0] = self.cl_init
-        for i in range(1, n):
-            CL[i] = np.tanh(W_l @ CL[i - 1] + PL[i - 1])
-        CR[n - 1] = self.cr_init
-        for i in range(n - 2, -1, -1):
-            CR[i] = np.tanh(W_r @ CR[i + 1] + PR[i])
-        return CL, CR
+        W = np.zeros((2 * c, 2 * c))
+        W[:c, :c], W[c:, c:] = self.W_l, self.W_r
+        return W
 
-    def _inputs(self, ids):
+    def _inputs(self, docs, lengths):
+        """X from one joint scan. Row k of its state S holds [CL[k],
+        CR[n-1-k]] of each document of length n: both directions run
+        forward in k, with the block-diagonal recurrent matrix (W_l, W_r),
+        and row k >= 1 reads E[k-1] on the left and E[n-k] on the right."""
+        T, c = int(lengths.max()), self.context_dim
+        ids = np.zeros((T, len(docs)), dtype=np.int64)
+        for b, doc in enumerate(docs):
+            ids[:len(doc), b] = doc
+        # rev[k, b] = n_b - 1 - k: the right scan's position at row k
+        rev = np.maximum(lengths - 1 - np.arange(T)[:, None], 0)
+        batch = np.arange(len(docs))
         E = self.e[ids]
-        CL, CR = self.context_scans(ids, E)
-        return {"CL": CL, "CR": CR, "E": E,
-                "X": np.concatenate([CL, E, CR], axis=1)}
+        S = self._scan(E[:-1], E[rev[:-1], batch])
+        X = np.concatenate([S[:, :, :c], E, S[rev, batch, c:]], axis=2)
+        return {"E": E, "S": S, "X": X}
+
+    def _scan(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """(T, B, 2c) joint states from the (T-1, B, e) inputs of each
+        direction. The input projections W_sl e and W_sr e are one matmul
+        each; the loop keeps only the recurrent matmul."""
+        steps, B, e = left.shape
+        c = self.context_dim
+        S = np.empty((steps + 1, B, 2 * c))
+        S[0, :, :c], S[0, :, c:] = self.cl_init, self.cr_init
+        S[1:, :, :c] = (left.reshape(-1, e) @ self.W_sl.T).reshape(steps, B, c)
+        S[1:, :, c:] = (right.reshape(-1, e) @ self.W_sr.T).reshape(steps, B, c)
+        WT, pre = self._recurrent().T, np.empty((B, 2 * c))
+        for prev, row in zip(S[:-1], S[1:]):
+            row += np.dot(prev, WT, out=pre)
+            np.tanh(row, out=row)
+        return S
 
     def loss_grads(self, tokens_or_ids, class_id: int,
                    truncate: Optional[int] = None):
         """Cross-entropy loss of one document and gradients of that loss;
         the `e` gradient is an `(ids, rows)` pair.
 
-        The backward scans keep only the recurrent chain; each step's
-        pre-activation gradient is stored, and the weight gradients and
-        the input contributions are one matmul each afterwards."""
+        The backward pass runs the joint scan back once, keeping only the
+        recurrent chain; both directions cut it at rows k with
+        k % truncate == 0. Each step's pre-activation gradient is stored,
+        and the weight gradients and the input contributions are one
+        matmul each afterwards."""
         ids = tokens_or_ids if isinstance(tokens_or_ids, np.ndarray) \
             else self.encode(tokens_or_ids)
-        cache = self._forward(ids)
+        cache = self._forward([ids])
         loss, grads, dX = self._head_backward(cache, class_id)
-        c, e = self.context_dim, self.dim
-        dCL = dX[:, :c].copy()
+        c, e, n = self.context_dim, self.dim, len(ids)
+        S, E = cache["S"][:, 0], cache["E"][:, 0]
+        dS = np.concatenate([dX[:, :c], dX[::-1, c + e:]], axis=1)
         dE = dX[:, c:c + e].copy()
-        dCR = dX[:, c + e:].copy()
-        n = len(ids)
-        CL, CR, E = cache["CL"], cache["CR"], cache["E"]
-        GL = 1.0 - CL * CL
-        GR = 1.0 - CR * CR
-        # DL[i] is d loss / d pre-activation of CL[i + 1]; DR[i] of CR[i]
-        DL = np.empty((n - 1, c))
-        DR = np.empty((n - 1, c))
-        W_l, W_r = self.W_l, self.W_r
-        for i in range(n - 1, 0, -1):
-            dpre = DL[i - 1] = dCL[i] * GL[i]
-            if truncate is None or i % truncate != 0:
-                dCL[i - 1] += dpre @ W_l
-        for i in range(0, n - 1):
-            dpre = DR[i] = dCR[i] * GR[i]
-            if truncate is None or (n - 1 - i) % truncate != 0:
-                dCR[i + 1] += dpre @ W_r
-        grads["W_l"] = DL.T @ CL[:-1]
+        G = 1.0 - S * S
+        D = np.empty((n - 1, 2 * c))  # D[k - 1]: d loss / d pre-activation of S[k]
+        W, back, rows = self._recurrent(), np.empty(2 * c), list(dS)
+        for k in range(n - 1, 0, -1):
+            dpre = np.multiply(rows[k], G[k], out=D[k - 1])
+            if truncate is None or k % truncate != 0:
+                rows[k - 1] += np.dot(dpre, W, out=back)
+        # DL[i] belongs to CL[i + 1], DR[i] to CR[i]; sums run in position order
+        DL, DR = D[:, :c], D[::-1, c:]
+        grads["W_l"] = DL.T @ S[:-1, :c]
+        grads["W_r"] = DR.T @ S[-2::-1, c:]
         grads["W_sl"] = DL.T @ E[:-1]
-        grads["W_r"] = DR.T @ CR[1:]
         grads["W_sr"] = DR.T @ E[1:]
         dE[:-1] += DL @ self.W_sl
         dE[1:] += DR @ self.W_sr
-        grads["cl_init"] = dCL[0]
-        grads["cr_init"] = dCR[n - 1]
+        grads["cl_init"], grads["cr_init"] = dS[0, :c], dS[0, c:]
         grads["e"] = (ids, dE)
         return loss, grads
 
@@ -282,22 +312,22 @@ class WindowCnnModel(_PooledClassifier):
     def params(self) -> Dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in ("e", "W2", "b2", "W4", "b4")}
 
-    def window_ids(self, ids: np.ndarray) -> np.ndarray:
-        """(n, win) id matrix with PADDING beyond the document edges."""
-        return window_matrix(ids, self.win, self.pad_id)
-
     def window_representation(self, ids: np.ndarray, i: int) -> np.ndarray:
-        return self.e[self.window_ids(ids)[i]].reshape(-1)
+        return self.e[window_matrix(ids, self.win, self.pad_id)[i]].reshape(-1)
 
-    def _inputs(self, ids):
-        windows = self.window_ids(ids)
-        return {"windows": windows, "X": self.e[windows].reshape(len(ids), -1)}
+    def _inputs(self, docs, lengths):
+        ids, starts = concatenate_documents(docs)
+        windows = window_matrix(ids, self.win, self.pad_id, starts)
+        X = np.zeros((int(lengths.max()), len(docs), self.win * self.dim))
+        valid = np.arange(X.shape[0]) < lengths[:, None]
+        X.swapaxes(0, 1)[valid] = self.e[windows].reshape(len(ids), -1)
+        return {"windows": windows, "X": X}
 
     def loss_grads(self, tokens_or_ids, class_id: int,
                    truncate: Optional[int] = None):
         ids = tokens_or_ids if isinstance(tokens_or_ids, np.ndarray) \
             else self.encode(tokens_or_ids)
-        cache = self._forward(ids)
+        cache = self._forward([ids])
         loss, grads, dX = self._head_backward(cache, class_id)
         grads["e"] = (cache["windows"].ravel(), dX.reshape(-1, self.dim))
         return loss, grads
@@ -314,6 +344,8 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
     """
     if cfg.epochs < 0:
         raise ValueError("epochs must be >= 0")
+    if cfg.truncate is not None and cfg.truncate < 1:
+        raise ValueError("truncate must be >= 1")
     classes = {d.class_id for d in train_docs}
     if len(classes) < 2:
         raise DataError("training set must contain at least two classes")
@@ -369,15 +401,15 @@ def extract_key_phrases(model: RcnnModel, docs: Sequence[Sequence[str]],
         raise ValueError("phrase_len must be odd")
     half = (phrase_len - 1) // 2
     counters: Dict[Optional[int], Counter] = {}
-    for doc_idx, tokens in enumerate(docs):
-        tokens = list(tokens)
-        ids = model.encode(tokens)
-        cache = model._forward(ids)
+    docs = [list(tokens) for tokens in docs]
+    argmaxes = (row for cache in model._caches(docs)
+                for row in cache["argmax"].tolist())
+    for doc_idx, (tokens, positions) in enumerate(zip(docs, argmaxes)):
         label = labels[doc_idx] if labels is not None else None
         counter = counters.setdefault(label, Counter())
-        for pos in cache["argmax"]:
-            lo = max(0, int(pos) - half)
-            hi = min(len(tokens), int(pos) + half + 1)
+        for pos in positions:
+            lo = max(0, pos - half)
+            hi = min(len(tokens), pos + half + 1)
             counter[tuple(tokens[lo:hi])] += 1
     def ranked(counter):
         return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -165,7 +165,7 @@ def _pooled_config(make_model):
         n = int(rng.integers(2, 6))
         ids = model.encode([TC_VOCAB[int(rng.integers(7))] for _ in range(n)])
         cls = int(rng.integers(2))
-        Y2 = model._forward(ids)["Y2"]
+        Y2 = model._forward([ids])["Y2"][:, 0]
         if Y2.shape[0] > 1:
             top2 = np.sort(Y2, axis=0)[-2:, :]
             if float(np.min(top2[1] - top2[0])) <= 1e-3:

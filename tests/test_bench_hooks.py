@@ -73,3 +73,16 @@ def test_tracer_counts_embedding_units_negatives_and_subsampling(tmp_path,
     tracer.reset()
     assert cli.run(["train-emb", "--kind", "cw", *common]) == 0
     assert tracer.counts["embeddings.units"] == len(words)
+
+
+def test_tracer_counts_classifier_documents_and_dev_evaluations(tmp_path,
+                                                                tracer):
+    train, dev = tmp_path / "train.tsv", tmp_path / "dev.tsv"
+    train.write_text("0\ta b c\n1\td e f\n0\tb a\n", encoding="utf-8")
+    dev.write_text("0\ta c\n1\tf e d\n", encoding="utf-8")
+    assert cli.run(["classify-train", "--model", "rcnn", "--train", str(train),
+                    "--dev", str(dev), "--dim", "2", "--context-dim", "2",
+                    "--hidden", "3", "--epochs", "4",
+                    "--out", str(tmp_path / "rcnn.bin")]) == 0
+    assert tracer.counts["textclass.docs"] == 3 * 4
+    assert sum(span[0] == "textclass.dev_eval" for span in tracer.spans) == 4

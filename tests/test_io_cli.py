@@ -480,6 +480,17 @@ def test_cli_classify_train_zero_epochs_writes_initial_model(tmp_path,
         assert np.array_equal(arrays[name], value), name
 
 
+@pytest.mark.parametrize("model", ["rcnn", "wincnn"])
+@pytest.mark.parametrize("truncate", ["0", "-1"])
+def test_cli_classify_train_truncate_below_one_is_usage_error(
+        tmp_path, caplog, seg_and_clf_files, model, truncate):
+    out = tmp_path / "model.bin"
+    code = run([*seg_and_clf_files["classify-train"], "--model", model,
+                "--dim", "3", "--hidden", "3", "--epochs", "1",
+                "--truncate", truncate, "--out", str(out)])
+    _assert_one_usage_line(caplog, code, "truncate", out)
+
+
 @pytest.mark.parametrize("command", ["segment-train", "classify-train"])
 @pytest.mark.parametrize("fraction", ["-0.5", "1.0", "2"])
 def test_cli_dev_fraction_outside_unit_interval_is_usage_error(
@@ -521,6 +532,23 @@ def test_cli_factorize_rejects_bad_cooccurrence_line(tmp_path, cooccur_files,
     message = errors[0].getMessage()
     assert f"{cooc_path}:2:" in message and "\n" not in message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("objective", ["glove", "log", "conditional"])
+@pytest.mark.parametrize("flag,value,word", [("--dim", "0", "dim"),
+                                             ("--dim", "-2", "dim"),
+                                             ("--epochs", "-1", "epochs")])
+def test_cli_factorize_bad_dim_or_epochs_is_usage_error(
+        tmp_path, cooccur_files, caplog, objective, flag, value, word):
+    vocab_path, cooc_path = cooccur_files
+    out = tmp_path / "fact.bin"
+    args = {"--dim": "3", "--epochs": "1", flag: value}
+    caplog.clear()
+    code = run(["factorize", "--cooccur", str(cooc_path), "--vocab",
+                str(vocab_path), "--objective", objective,
+                *[x for item in args.items() for x in item],
+                "--out", str(out)])
+    _assert_one_usage_line(caplog, code, word, out)
 
 
 def test_cli_factorize_divergence_is_numeric_error(tmp_path, cooccur_files):

@@ -8,11 +8,24 @@ from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
 from embkit.embeddings import EmbeddingModel
 from embkit import matrixfact
 from embkit.errors import DataError, NumericError
-from embkit.matrixfact import (CooccurrenceMatrix, _conflict_free_runs,
-                               _fit_cells, _init_factors, count_cooccurrences,
+from embkit.matrixfact import (CooccurrenceMatrix, _fit_cells, _fit_run,
+                               _init_factors, _levels, count_cooccurrences,
                                factorize_log_counts, glove_weight,
                                skipgram_equivalence_report, train_glove)
 from embkit.optim import ADAGRAD_EPS
+
+
+def matrix_of(vocab, win, entries):
+    """A matrix holding the {(i, j): x} cells of `entries`."""
+    keys = sorted(entries)
+    return CooccurrenceMatrix(vocab, win, [i for i, _ in keys],
+                              [j for _, j in keys], [entries[k] for k in keys])
+
+
+def cells_of(matrix):
+    """The matrix's cells as {(i, j): x}."""
+    rows, cols, vals = matrix.nonzero_arrays()
+    return dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
 
 
 def brute_force_counts(docs, vocab, win):
@@ -54,7 +67,7 @@ def test_counts_match_bruteforce_oracle():
     vocab = build_vocabulary(corpus.all_tokens())
     matrix = count_cooccurrences(corpus, vocab, 5)
     oracle = brute_force_counts(docs, vocab, 5)
-    assert matrix.entries == {k: float(v) for k, v in oracle.items()}
+    assert cells_of(matrix) == {k: float(v) for k, v in oracle.items()}
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -63,7 +76,7 @@ def test_counts_do_not_depend_on_window_block(block, monkeypatch, toy_corpus,
     monkeypatch.setattr(matrixfact, "_COUNT_BLOCK", block)
     matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
     oracle = brute_force_counts(toy_corpus.documents, toy_vocab, 5)
-    assert matrix.entries == {k: float(v) for k, v in oracle.items()}
+    assert cells_of(matrix) == {k: float(v) for k, v in oracle.items()}
 
 
 def test_counts_symmetric_under_corpus_reversal(toy_corpus, toy_vocab):
@@ -71,7 +84,8 @@ def test_counts_symmetric_under_corpus_reversal(toy_corpus, toy_vocab):
     reversed_corpus = CorpusStream([list(reversed(d))
                                     for d in toy_corpus.documents])
     backward = count_cooccurrences(reversed_corpus, toy_vocab, 5)
-    assert forward.entries == {(j, i): x for (i, j), x in backward.entries.items()}
+    assert cells_of(forward) == {(j, i): x for (i, j), x in
+                                cells_of(backward).items()}
 
 
 def test_glove_weight_saturates_at_xmax():
@@ -98,7 +112,7 @@ def test_glove_weight_monotone_bounded():
 
 def test_glove_single_cell_exact_fit():
     vocab = Vocabulary(["a"], [1])
-    matrix = CooccurrenceMatrix(vocab, 3, {(0, 0): math.e})
+    matrix = matrix_of(vocab, 3, {(0, 0): math.e})
     model, objective = train_glove(matrix, 1, epochs=200, lr=0.1)
     assert model.score(0, 0) == pytest.approx(1.0, abs=1e-4)
     assert objective < 1e-8
@@ -110,7 +124,7 @@ def test_glove_rank1_synthetic_recovery():
     vocab = Vocabulary([f"w{i}" for i in range(6)], [1] * 6)
     entries = {(i, j): math.exp(u[i] * v[j])
                for i in range(6) for j in range(6)}
-    matrix = CooccurrenceMatrix(vocab, 3, entries)
+    matrix = matrix_of(vocab, 3, entries)
     _, objective = train_glove(matrix, 1, epochs=800, lr=0.1)
     assert objective < 1e-6
 
@@ -122,7 +136,7 @@ def test_glove_objective_trend_nonincreasing():
     while len(entries) < 300:
         i, j = rng.integers(50, size=2)
         entries[(int(i), int(j))] = float(rng.integers(1, 40))
-    matrix = CooccurrenceMatrix(vocab, 5, entries)
+    matrix = matrix_of(vocab, 5, entries)
     # same seed means run k is a prefix of run k+1
     objectives = [train_glove(matrix, 8, epochs=ep, lr=0.05, seed=3)[1]
                   for ep in (1, 2, 4, 8)]
@@ -132,8 +146,8 @@ def test_glove_objective_trend_nonincreasing():
 
 def test_factorize_all_ones_reaches_zero():
     vocab = Vocabulary([f"w{i}" for i in range(6)], [1] * 6)
-    matrix = CooccurrenceMatrix(vocab, 3,
-                                {(i, j): 1.0 for i in range(6) for j in range(6)})
+    matrix = matrix_of(vocab, 3,
+                       {(i, j): 1.0 for i in range(6) for j in range(6)})
     _, objective = factorize_log_counts(matrix, 2, "raw_log", epochs=400, lr=0.1)
     assert objective < 1e-8
 
@@ -143,7 +157,7 @@ def test_factorize_capacity_exact_fit():
     vocab = Vocabulary([f"v{i}" for i in range(5)], [1] * 5)
     entries = {(i, j): float(rng.integers(1, 50))
                for i in range(5) for j in range(5)}
-    matrix = CooccurrenceMatrix(vocab, 3, entries)
+    matrix = matrix_of(vocab, 3, entries)
     _, objective = factorize_log_counts(matrix, 6, "raw_log",
                                         epochs=1500, lr=0.2)
     assert objective < 1e-6
@@ -154,7 +168,7 @@ def test_factorize_conditional_recovers_conditionals():
     vocab = Vocabulary([f"u{i}" for i in range(10)], [1] * 10)
     entries = {(i, j): float(rng.integers(1, 100))
                for i in range(10) for j in range(10)}
-    matrix = CooccurrenceMatrix(vocab, 5, entries)
+    matrix = matrix_of(vocab, 5, entries)
     model, _ = factorize_log_counts(matrix, 12, "conditional_log",
                                     epochs=2500, lr=0.2)
     dense = matrix.to_dense()
@@ -211,7 +225,7 @@ def test_matrix_save_load_round_trip(tmp_path, toy_corpus, toy_vocab):
     path = tmp_path / "cooc.tsv"
     matrix.save(path)
     loaded = CooccurrenceMatrix.load(path, toy_vocab, 5)
-    assert loaded.entries == matrix.entries
+    assert cells_of(loaded) == cells_of(matrix)
 
 
 @pytest.mark.parametrize("win", [1, 3, 5, 7])
@@ -230,18 +244,20 @@ def test_counts_match_iter_windows(win):
         for j in sample.context:
             key = (sample.target, int(j))
             expected[key] = expected.get(key, 0.0) + 1.0
-    assert count_cooccurrences(corpus, vocab, win).entries == expected
+    assert cells_of(count_cooccurrences(corpus, vocab, win)) == expected
 
 
-def test_nonzero_arrays_in_row_col_order():
+def test_nonzero_arrays_in_row_col_order(tmp_path):
     rng = np.random.default_rng(8)
     vocab = Vocabulary([f"w{i}" for i in range(30)], [1] * 30)
     cells = {(int(i), int(j)): float(x) for i, j, x in
              rng.integers(1, 30, size=(200, 3))}
     keys = list(cells)
     rng.shuffle(keys)
-    matrix = CooccurrenceMatrix(vocab, 3, {k: cells[k] for k in keys})
-    rows, cols, vals = matrix.nonzero_arrays()
+    path = tmp_path / "cooc.tsv"
+    path.write_text("".join(f"{i}\t{j}\t{cells[i, j]:g}\n" for i, j in keys),
+                    encoding="utf-8")
+    rows, cols, vals = CooccurrenceMatrix.load(path, vocab, 3).nonzero_arrays()
     assert list(zip(rows.tolist(), cols.tolist())) == sorted(cells)
     assert vals.tolist() == [cells[k] for k in sorted(cells)]
 
@@ -250,10 +266,62 @@ def test_matrix_save_is_lossless(tmp_path):
     vocab = Vocabulary(["a", "b"], [1, 1])
     entries = {(0, 1): 1234567.0, (1, 0): 0.1, (1, 1): 3.0}
     path = tmp_path / "cooc.tsv"
-    CooccurrenceMatrix(vocab, 3, entries).save(path)
+    matrix_of(vocab, 3, entries).save(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert "0\t1\t1234567" in lines and "1\t1\t3" in lines
-    assert CooccurrenceMatrix.load(path, vocab, 3).entries == entries
+    assert cells_of(CooccurrenceMatrix.load(path, vocab, 3)) == entries
+
+
+def test_load_names_the_first_bad_line(tmp_path):
+    vocab = Vocabulary(["a", "b"], [1, 1])
+    path = tmp_path / "cooc.tsv"
+    path.write_text("0\t1\t3\n1\t1\t2\n0\t1\t5\n7\t1\t2\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"cooc.tsv:3: cell \(0, 1\) appears twice"):
+        CooccurrenceMatrix.load(path, vocab, 3)
+
+
+def _conflict_free_runs(rows: np.ndarray, cols: np.ndarray) -> list:
+    """Bounds [0, ..., len] of the greedy maximal runs of the sequence of
+    (row, col) cells in which no row and no column occurs twice."""
+    last = np.maximum(_previous_occurrence(rows), _previous_occurrence(cols))
+    bounds = [0]
+    for k, prev in enumerate(last.tolist()):
+        if prev >= bounds[-1]:
+            bounds.append(k)
+    bounds.append(len(rows))
+    return bounds
+
+
+def _previous_occurrence(x: np.ndarray) -> np.ndarray:
+    """Position of the previous equal element of `x`, or -1."""
+    order = np.argsort(x, kind="stable")
+    same = x[order[1:]] == x[order[:-1]]
+    prev = np.full(len(x), -1)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+def _fit_cells_by_runs(model, rows, cols, targets, weights, epochs, lr, rng):
+    """Oracle of `_fit_cells`: the same AdaGrad steps, one `_fit_run` per
+    greedy conflict-free run of each epoch's shuffled order."""
+    v, d = model.P.shape
+    biased = model.bias1 is not None
+    table = np.concatenate([model.P, model.Q])
+    if biased:
+        table = np.column_stack(
+            [table, np.concatenate([model.bias1, model.bias2])])
+        model.bias1, model.bias2 = table[:v, d], table[v:, d]
+    model.P, model.Q = table[:v, :d], table[v:, :d]
+    accum = np.zeros_like(table)
+    for _ in range(epochs):
+        order = rng.permutation(len(rows))
+        i, j = rows[order], cols[order] + v
+        t, w2 = targets[order], 2.0 * weights[order]
+        bounds = _conflict_free_runs(i, j)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            _fit_run(table, accum, np.concatenate((i[lo:hi], j[lo:hi])),
+                     t[lo:hi], w2[lo:hi], lr, d)
+    return matrixfact._glove_objective(model, rows, cols, targets, weights)
 
 
 def test_conflict_free_runs_are_maximal():
@@ -268,9 +336,66 @@ def test_conflict_free_runs_are_maximal():
             assert rows[hi] in rows[lo:hi] or cols[hi] in cols[lo:hi]
 
 
+def _zipf_matrix(seed, v=120, n_tokens=4000, win=5):
+    """Co-occurrence counts of a Zipf(1.1) corpus: a few rows and columns
+    hold most of the cells, as in real counts."""
+    rng = np.random.default_rng(seed)
+    p = 1.0 / np.arange(1, v + 1) ** 1.1
+    words = rng.choice(v, size=n_tokens, p=p / p.sum())
+    docs = [[f"w{k}" for k in words[lo:lo + 50]]
+            for lo in range(0, n_tokens, 50)]
+    corpus = CorpusStream(docs)
+    vocab = build_vocabulary(corpus.all_tokens())
+    return count_cooccurrences(corpus, vocab, win)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("objective", ["glove", "raw_log", "conditional_log"])
+def test_level_schedule_matches_greedy_runs_bitwise(objective, seed,
+                                                    monkeypatch):
+    matrix = _zipf_matrix(seed)
+    rows, cols, _ = matrix.nonzero_arrays()
+    assert np.bincount(rows).max() > 20 and np.bincount(cols).max() > 20
+
+    def fit():
+        if objective == "glove":
+            return train_glove(matrix, 8, 3, lr=0.05, seed=seed)
+        return factorize_log_counts(matrix, 8, objective, 3, lr=0.1,
+                                    seed=seed)
+
+    model, value = fit()
+    monkeypatch.setattr(matrixfact, "_fit_cells", _fit_cells_by_runs)
+    want, want_value = fit()
+    assert value == want_value
+    assert np.array_equal(model.P, want.P) and np.array_equal(model.Q, want.Q)
+    if objective == "glove":
+        assert np.array_equal(model.bias1, want.bias1)
+        assert np.array_equal(model.bias2, want.bias2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_levels_are_conflict_free_and_rise_along_rows(seed):
+    rows, cols, _ = _zipf_matrix(seed).nonzero_arrays()
+    order = np.random.default_rng(seed).permutation(len(rows))
+    v = int(max(rows.max(), cols.max())) + 1
+    i, j = rows[order], cols[order] + v
+    level = _levels(i, j, 2 * v)
+    assert level.min() == 1 and len(np.unique(level)) == level.max()
+    for lev in np.unique(level):
+        at = level == lev
+        assert len(np.unique(i[at])) == len(np.unique(j[at])) == at.sum()
+    for ids in (i, j):
+        for row in np.unique(ids):
+            assert np.all(np.diff(level[ids == row]) > 0)
+    # each cell sits just above the latest earlier cell of its row or column
+    for k in range(len(level)):
+        earlier = (i[:k] == i[k]) | (j[:k] == j[k])
+        assert level[k] == 1 + (level[:k][earlier].max() if earlier.any() else 0)
+
+
 def _reference_fit(v, d, rows, cols, targets, weights, epochs, lr, seed,
                    biases):
-    """The cell-by-cell AdaGrad loop that the run-wise updates reproduce."""
+    """The cell-by-cell AdaGrad loop that the level-wise updates reproduce."""
     rng = np.random.default_rng(seed)
     scale = 0.5 / d
     P = rng.uniform(-scale, scale, size=(v, d))
@@ -306,7 +431,7 @@ def _repeat_heavy_matrix():
         i = rng.integers(4) if rng.random() < 0.5 else rng.integers(v)
         j = rng.integers(5) if rng.random() < 0.5 else rng.integers(v)
         entries[(int(i), int(j))] = float(rng.integers(1, 250))
-    return CooccurrenceMatrix(vocab, 5, entries)
+    return matrix_of(vocab, 5, entries)
 
 
 @pytest.mark.parametrize("objective", ["glove", "raw_log", "conditional_log"])
@@ -356,7 +481,7 @@ def test_divergence_stops_before_tables_turn_non_finite(biases):
 
 def test_glove_rejects_nan_counts():
     vocab = Vocabulary(["a", "b"], [1, 1])
-    matrix = CooccurrenceMatrix(vocab, 3, {(0, 1): float("nan"), (1, 0): 2.0})
+    matrix = matrix_of(vocab, 3, {(0, 1): float("nan"), (1, 0): 2.0})
     with pytest.raises(DataError):
         train_glove(matrix, 2, 1)
     with pytest.raises(DataError):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from collections import Counter
+
 from conftest import dense_grads, flat_checker, in_noise_band
+from embkit import textclass
+from embkit.corpus import window_matrix
 from embkit.errors import DataError
 from embkit.optim import gradient_check, log_softmax
 from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
@@ -10,6 +14,48 @@ from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
                               train_classifier)
 
 VOCAB = [f"t{i}" for i in range(8)]
+
+
+def forward_one(model, ids):
+    """The batched forward of one document, without its batch axis."""
+    cache = model._forward([ids])
+    return {"X": cache["X"][:, 0], "Y2": cache["Y2"][:, 0],
+            "argmax": cache["argmax"][0], "y3": cache["y3"][0],
+            "y4": cache["y4"][0]}
+
+
+def context_scans(model, ids):
+    """Left and right context sequences of one document, read from X."""
+    X = forward_one(model, ids)["X"]
+    c = model.context_dim
+    return X[:, :c], X[:, c + model.dim:]
+
+
+def _direction_scans(model, ids):
+    """Oracle: one tanh scan per direction, one position at a time."""
+    n, c = len(ids), model.context_dim
+    CL, CR = np.empty((n, c)), np.empty((n, c))
+    CL[0], CR[n - 1] = model.cl_init, model.cr_init
+    for i in range(1, n):
+        CL[i] = np.tanh(model.W_l @ CL[i - 1] + model.W_sl @ model.e[ids[i - 1]])
+    for i in range(n - 2, -1, -1):
+        CR[i] = np.tanh(model.W_r @ CR[i + 1] + model.W_sr @ model.e[ids[i + 1]])
+    return CL, CR
+
+
+def _document_forward(model, ids):
+    """Oracle: the pooled head on one unpadded document."""
+    if isinstance(model, RcnnModel):
+        CL, CR = _direction_scans(model, ids)
+        X = np.concatenate([CL, model.e[ids], CR], axis=1)
+    else:
+        X = model.e[window_matrix(ids, model.win, model.pad_id)].reshape(
+            len(ids), -1)
+    Y2 = np.tanh(X @ model.W2.T + model.b2)
+    argmax = Y2.argmax(axis=0)
+    y3 = Y2[argmax, np.arange(Y2.shape[1])]
+    return {"X": X, "Y2": Y2, "argmax": argmax, "y3": y3,
+            "y4": model.W4 @ y3 + model.b4}
 
 
 def rand_rcnn(seed, n_classes=2, dim=3, cdim=3, hidden=4):
@@ -22,7 +68,7 @@ def rand_rcnn(seed, n_classes=2, dim=3, cdim=3, hidden=4):
 
 def test_context_scans_single_word_doc():
     model = rand_rcnn(0)
-    CL, CR = model.context_scans(model.encode(["t3"]))
+    CL, CR = context_scans(model, model.encode(["t3"]))
     assert CL[0] == pytest.approx(model.cl_init)
     assert CR[0] == pytest.approx(model.cr_init)
 
@@ -31,7 +77,7 @@ def test_context_scans_zero_matrices():
     model = rand_rcnn(1)
     model.W_l[...] = 0.0
     model.W_sl[...] = 0.0
-    CL, _ = model.context_scans(model.encode(["t0", "t1", "t2"]))
+    CL, _ = context_scans(model, model.encode(["t0", "t1", "t2"]))
     assert CL[0] == pytest.approx(model.cl_init)
     assert CL[1:] == pytest.approx(np.zeros((2, 3)), abs=1e-15)
 
@@ -39,7 +85,7 @@ def test_context_scans_zero_matrices():
 def test_context_scans_match_hand_arithmetic():
     model = rand_rcnn(2)
     ids = model.encode(["t1", "t4"])
-    CL, CR = model.context_scans(ids)
+    CL, CR = context_scans(model, ids)
     assert CL[0] == pytest.approx(model.cl_init)
     assert CL[1] == pytest.approx(
         np.tanh(model.W_l @ model.cl_init + model.W_sl @ model.e[ids[0]]),
@@ -52,8 +98,8 @@ def test_context_scans_match_hand_arithmetic():
 
 def test_left_scan_ignores_right_words():
     model = rand_rcnn(3)
-    base = model.context_scans(model.encode(["t0", "t1", "t2", "t3"]))[0]
-    changed = model.context_scans(model.encode(["t0", "t1", "t7", "t5"]))[0]
+    base = context_scans(model, model.encode(["t0", "t1", "t2", "t3"]))[0]
+    changed = context_scans(model, model.encode(["t0", "t1", "t7", "t5"]))[0]
     # c_l at positions 0..2 only depends on words 0..1
     assert base[:3] == pytest.approx(changed[:3], abs=1e-15)
     assert not np.allclose(base[3], changed[3])
@@ -61,8 +107,8 @@ def test_left_scan_ignores_right_words():
 
 def test_right_scan_ignores_left_words():
     model = rand_rcnn(4)
-    base = model.context_scans(model.encode(["t0", "t1", "t2", "t3"]))[1]
-    changed = model.context_scans(model.encode(["t6", "t5", "t2", "t3"]))[1]
+    base = context_scans(model, model.encode(["t0", "t1", "t2", "t3"]))[1]
+    changed = context_scans(model, model.encode(["t6", "t5", "t2", "t3"]))[1]
     assert base[1:] == pytest.approx(changed[1:], abs=1e-15)
     assert not np.allclose(base[0], changed[0])
 
@@ -71,7 +117,7 @@ def test_document_logits_sum_to_one_and_match_recompute():
     model = rand_rcnn(5)
     tokens = ["t2", "t6", "t1"]
     ids = model.encode(tokens)
-    CL, CR = model.context_scans(ids)
+    CL, CR = context_scans(model, ids)
     X = np.concatenate([CL, model.e[ids], CR], axis=1)
     Y2 = np.tanh(X @ model.W2.T + model.b2)
     y3 = Y2.max(axis=0)
@@ -84,7 +130,7 @@ def test_document_logits_sum_to_one_and_match_recompute():
 def test_single_word_doc_pooling_is_identity():
     model = rand_rcnn(6)
     ids = model.encode(["t0"])
-    cache = model._forward(ids)
+    cache = forward_one(model, ids)
     assert cache["y3"] == pytest.approx(cache["Y2"][0])
 
 
@@ -94,14 +140,14 @@ def test_duplicating_max_word_keeps_pooled_vector():
     model = rand_rcnn(7)
     for name in ("W_l", "W_r", "W_sl", "W_sr", "cl_init", "cr_init"):
         getattr(model, name)[...] = 0.0
-    y3_before = model._forward(model.encode(["t0", "t1"]))["y3"].copy()
-    cache2 = model._forward(model.encode(["t0", "t1", "t0", "t1"]))
+    y3_before = forward_one(model, model.encode(["t0", "t1"]))["y3"]
+    cache2 = forward_one(model, model.encode(["t0", "t1", "t0", "t1"]))
     assert cache2["y3"] == pytest.approx(y3_before, abs=1e-12)
 
 
 def test_pooling_perturbation_dead_zone():
     model = rand_rcnn(8)
-    cache = model._forward(model.encode(["t0", "t3", "t5"]))
+    cache = forward_one(model, model.encode(["t0", "t3", "t5"]))
     Y2 = cache["Y2"].copy()
     am = cache["argmax"]
     for k in range(Y2.shape[1]):
@@ -117,7 +163,7 @@ def test_pooling_ties_break_to_first_position():
     # zero head weights tie every position at tanh(0); first index must win
     model.W2[...] = 0.0
     model.b2[...] = 0.0
-    cache = model._forward(model.encode(["t4", "t1", "t6"]))
+    cache = forward_one(model, model.encode(["t4", "t1", "t6"]))
     assert np.all(cache["argmax"] == 0)
 
 
@@ -134,7 +180,7 @@ def test_rcnn_gradients_through_pooling_and_scans():
         f, theta = flat_checker(model.params(),
                                 lambda: model.loss_grads(ids, cls))
         _, g0 = f(theta)
-        Y2 = model._forward(ids)["Y2"]
+        Y2 = forward_one(model, ids)["Y2"]
         gap_ok = True
         if Y2.shape[0] > 1:
             top2 = np.sort(Y2, axis=0)[-2:, :]
@@ -161,7 +207,7 @@ def test_wincnn_gradients():
         f, theta = flat_checker(model.params(),
                                 lambda: model.loss_grads(ids, cls))
         _, g0 = f(theta)
-        Y2 = model._forward(ids)["Y2"]
+        Y2 = forward_one(model, ids)["Y2"]
         gap_ok = True
         if Y2.shape[0] > 1:
             top2 = np.sort(Y2, axis=0)[-2:, :]
@@ -187,24 +233,25 @@ def test_truncated_bptt_matches_full_on_short_docs():
 
 
 def _positionwise_loss_grads(model, ids, class_id, truncate):
-    """Oracle: scans and backpropagation through time one position at a
-    time, each step forming its own input projection and outer products."""
+    """Oracle: one scan per direction and backpropagation through time one
+    position at a time, each step forming its own input projection and
+    outer products."""
     n, c, e = len(ids), model.context_dim, model.dim
-    CL, CR = np.empty((n, c)), np.empty((n, c))
-    CL[0], CR[n - 1] = model.cl_init, model.cr_init
-    for i in range(1, n):
-        CL[i] = np.tanh(model.W_l @ CL[i - 1] + model.W_sl @ model.e[ids[i - 1]])
-    for i in range(n - 2, -1, -1):
-        CR[i] = np.tanh(model.W_r @ CR[i + 1] + model.W_sr @ model.e[ids[i + 1]])
+    CL, CR = _direction_scans(model, ids)
     E = model.e[ids]
     X = np.concatenate([CL, E, CR], axis=1)
     Y2 = np.tanh(X @ model.W2.T + model.b2)
     argmax = Y2.argmax(axis=0)
     y3 = Y2[argmax, np.arange(Y2.shape[1])]
-    y4 = model.W4 @ y3 + model.b4
-    cache = {"X": X, "Y2": Y2, "argmax": argmax, "y3": y3,
-             "lsm": log_softmax(y4)}
-    loss, grads, dX = model._head_backward(cache, class_id)
+    lsm = log_softmax(model.W4 @ y3 + model.b4)
+    dy4 = np.exp(lsm)
+    dy4[class_id] -= 1.0
+    dY2 = np.zeros_like(Y2)
+    dY2[argmax, np.arange(Y2.shape[1])] = model.W4.T @ dy4
+    dA = dY2 * (1.0 - Y2 * Y2)
+    grads = {"W2": dA.T @ X, "b2": dA.sum(axis=0), "W4": np.outer(dy4, y3),
+             "b4": dy4}
+    dX = dA @ model.W2
     for name in ("W_l", "W_r", "W_sl", "W_sr"):
         grads[name] = np.zeros_like(getattr(model, name))
     dCL, dE, dCR = dX[:, :c].copy(), dX[:, c:c + e].copy(), dX[:, c + e:].copy()
@@ -225,7 +272,7 @@ def _positionwise_loss_grads(model, ids, class_id, truncate):
             dCR[i + 1] += model.W_r.T @ dpre
     grads["cr_init"] = dCR[n - 1]
     grads["e"] = (ids, dE)
-    return loss, grads
+    return -float(lsm[class_id]), grads
 
 
 @pytest.mark.parametrize("truncate", [None, 1, 2, 7])
@@ -241,6 +288,84 @@ def test_rcnn_loss_grads_match_positionwise_oracle(n, truncate):
     want = dense_grads(model.params(), want)
     for k in want:
         assert np.abs(got[k] - want[k]).max() <= 1e-12, k
+
+
+def _trained(kind, truncate):
+    """A classifier after two epochs on keyword documents."""
+    rng = np.random.default_rng(30)
+    train = make_keyword_docs(rng, 12)
+    tokens = sorted({t for d in train for t in d.tokens})
+    init = np.random.default_rng(1)
+    if kind == "rcnn":
+        model = RcnnModel(tokens, 3, dim=4, context_dim=5, hidden=6, rng=init)
+    else:
+        model = WindowCnnModel(tokens, 3, dim=4, win=3, hidden=6, rng=init)
+    cfg = ClassifierConfig(lr=0.05, epochs=2, seed=2, truncate=truncate)
+    best, _ = train_classifier(model, train, train, cfg)
+    load_params(model, best)
+    return model
+
+
+def _mixed_docs(seed):
+    """Documents of lengths 1, 2 and 40 and a few between; some tokens are
+    out of the vocabulary."""
+    rng = np.random.default_rng(seed)
+    words = [f"t{i}" for i in range(8)] + ["goodkw", "badkw", "unseen"]
+    return [[words[int(k)] for k in rng.integers(len(words), size=n)]
+            for n in (1, 40, 2, 1, 17, 2, 40, 5)]
+
+
+def _oracle_key_phrases(model, docs, phrase_len, labels=None):
+    half = (phrase_len - 1) // 2
+    counters = {}
+    for k, tokens in enumerate(docs):
+        counter = counters.setdefault(None if labels is None else labels[k],
+                                      Counter())
+        for pos in _document_forward(model, model.encode(tokens))["argmax"]:
+            counter[tuple(tokens[max(0, pos - half):pos + half + 1])] += 1
+    ranked = {label: sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))
+              for label, c in counters.items()}
+    return ranked[None] if labels is None else ranked
+
+
+@pytest.mark.parametrize("truncate", [None, 3])
+@pytest.mark.parametrize("kind", ["rcnn", "wincnn"])
+def test_batched_forward_matches_per_document_oracle(kind, truncate):
+    model = _trained(kind, truncate)
+    ids = [model.encode(d) for d in _mixed_docs(31)]
+    cache = model._forward(ids)
+    assert cache["X"].shape[:2] == (40, len(ids))
+    for b, doc in enumerate(ids):
+        want, n = _document_forward(model, doc), len(doc)
+        assert np.abs(cache["X"][:n, b] - want["X"]).max() <= 1e-12
+        assert np.abs(cache["Y2"][:n, b] - want["Y2"]).max() <= 1e-12
+        assert np.all(cache["Y2"][n:, b] == -np.inf)
+        assert np.array_equal(cache["argmax"][b], want["argmax"])
+        assert np.abs(cache["y4"][b] - want["y4"]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("block", [24, textclass.EVAL_BLOCK])
+@pytest.mark.parametrize("truncate", [None, 3])
+@pytest.mark.parametrize("kind", ["rcnn", "wincnn"])
+def test_batched_evaluation_matches_per_document_oracle(kind, truncate, block,
+                                                        monkeypatch):
+    monkeypatch.setattr(textclass, "EVAL_BLOCK", block)
+    model = _trained(kind, truncate)
+    docs = _mixed_docs(32)
+    want = np.array([_document_forward(model, model.encode(d))["y4"]
+                     for d in docs])
+    assert np.abs(model.batch_logits(docs) - want).max() <= 1e-12
+    predicted = want.argmax(axis=1).tolist()
+    assert model.predict_all(docs) == predicted
+    assert [model.predict(d) for d in docs] == predicted
+    labeled = [LabeledDocument(tuple(d), k % 3) for k, d in enumerate(docs)]
+    hits = sum(p == d.class_id for p, d in zip(predicted, labeled))
+    assert model.accuracy(labeled) == hits / len(docs)
+    labels = [d.class_id for d in labeled]
+    assert extract_key_phrases(model, docs, 3) == \
+        _oracle_key_phrases(model, docs, 3)
+    assert extract_key_phrases(model, docs, 5, labels) == \
+        _oracle_key_phrases(model, docs, 5, labels)
 
 
 def test_window_representation_win1_is_word_vector():
