@@ -148,11 +148,8 @@ def _cmd_train_emb(args):
     model = emb.EmbeddingModel.create(args.kind, vocab, args.dim, args.win,
                                       args.hidden, rng)
     cfg = _train_config(args)
-    stats = emb.train_epochs(model, stream, cfg,
-                             checkpoint_dir=args.checkpoint_dir, log_fn=log.info)
-    for st in stats:
-        log.info("epoch %d: mean_loss=%.6f tokens/s=%.0f",
-                 st.epoch, st.mean_loss, st.tokens_per_sec)
+    emb.train_epochs(model, stream, cfg,
+                     checkpoint_dir=args.checkpoint_dir, log_fn=log.info)
     _write_embeddings(args, EmbeddingTable(model.tokens, model.e), args.out)
     if args.model_out:
         _save_embedding_model(model, args.model_out)
@@ -199,12 +196,14 @@ def _cmd_factorize(args):
     matrix = mf.CooccurrenceMatrix.load(args.cooccur, vocab, args.win)
     if args.objective == "glove":
         model, objective = mf.train_glove(matrix, args.dim, args.epochs,
-                                          args.lr, seed=args.seed)
+                                          args.lr, seed=args.seed,
+                                          log_fn=log.info)
     else:
         mode = "raw_log" if args.objective == "log" else "conditional_log"
         model, objective = mf.factorize_log_counts(matrix, args.dim, mode,
                                                    args.epochs, args.lr,
-                                                   seed=args.seed)
+                                                   seed=args.seed,
+                                                   log_fn=log.info)
     arrays = {"P": model.P, "Q": model.Q}
     if model.bias1 is not None:
         arrays["bias1"] = model.bias1
@@ -390,7 +389,7 @@ def _cmd_classify_train(args):
                                   args.hidden, rng=rng, vectors=vectors)
     cfg = tc.ClassifierConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
                               truncate=args.truncate)
-    best, history = tc.train_classifier(model, train, dev, cfg, log_fn=log.info)
+    best, records = tc.train_classifier(model, train, dev, cfg, log_fn=log.info)
     tc.load_params(model, best)
     meta = {"model": args.model, "tokens": model.tokens,
             "n_classes": n_classes, "dim": args.dim, "hidden": args.hidden}
@@ -399,9 +398,8 @@ def _cmd_classify_train(args):
     else:
         meta["win"] = args.win
     save_container(args.out, model.params(), meta)
-    if history:
-        best_epoch = max(history, key=lambda h: h["dev_accuracy"])
-        print(f"best_dev_accuracy: {best_epoch['dev_accuracy']:.4f}")
+    if records:
+        print(f"best_dev_accuracy: {max(r.dev_accuracy for r in records):.4f}")
     log.info("wrote %s", args.out)
 
 

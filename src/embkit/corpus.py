@@ -5,7 +5,7 @@ are independent training units: windows never cross document boundaries, and
 only the order of whole documents may be shuffled.
 """
 
-import math
+from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,8 +25,9 @@ CHAR_PREFIX = "\x01"
 NOISE_EXPONENT = 0.75
 
 
-def subsample_keep_probability(freq: float, t: float, variant: str = "toolkit") -> float:
-    """Probability of keeping a token of relative frequency `freq`.
+def subsample_keep_probability(freq, t: float, variant: str = "toolkit"):
+    """Probability of keeping a token of relative frequency `freq`, or an
+    array of them for an array of frequencies.
 
     `variant` selects between the published skip formula ("paper",
     1 - sqrt(t/f)) and the widely used toolkit formula ("toolkit",
@@ -36,12 +37,12 @@ def subsample_keep_probability(freq: float, t: float, variant: str = "toolkit") 
     if t <= 0:
         raise ValueError("subsampling threshold t must be positive")
     if variant == "paper":
-        skip = 1.0 - math.sqrt(t / freq)
+        skip = 1.0 - np.sqrt(t / freq)
     elif variant == "toolkit":
-        skip = (freq - t) / freq - math.sqrt(t / freq)
+        skip = (freq - t) / freq - np.sqrt(t / freq)
     else:
         raise ValueError(f"unknown subsampling variant: {variant!r}")
-    return min(1.0, max(0.0, 1.0 - skip))
+    return np.clip(1.0 - skip, 0.0, 1.0)
 
 
 class Vocabulary:
@@ -75,13 +76,9 @@ class Vocabulary:
 
     def configure_subsampling(self, t: Optional[float], variant: str = "toolkit") -> None:
         """Set per-token keep probabilities; t=None disables subsampling."""
-        if t is None:
-            self.keep_prob = np.ones(len(self.tokens))
-            return
         freqs = self.counts / self.total_count
-        self.keep_prob = np.array(
-            [subsample_keep_probability(f, t, variant) for f in freqs]
-        )
+        self.keep_prob = (np.ones(len(self.tokens)) if t is None
+                          else subsample_keep_probability(freqs, t, variant))
 
     def encode(self, doc: Sequence[str]) -> np.ndarray:
         """Map a document to an id array, dropping out-of-vocabulary tokens."""
@@ -102,18 +99,16 @@ def build_vocabulary(
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts: dict = {}
-    allowed = set(fixed_vocab) if fixed_vocab is not None else None
-    for tok in tokens:
-        if allowed is not None and tok not in allowed:
-            continue
-        counts[tok] = counts.get(tok, 0) + 1
-    kept = [(tok, c) for tok, c in counts.items() if c >= min_count]
+    if fixed_vocab is not None:
+        tokens = filter(set(fixed_vocab).__contains__, tokens)
+    counts = Counter(tokens)
+    kept = sorted(tok for tok, c in counts.items() if c >= min_count)
     if not kept:
         raise DataError("no token reaches min_count; vocabulary would be empty")
-    # Sort by descending count, then token, so ids are deterministic.
-    kept.sort(key=lambda item: (-item[1], item[0]))
-    return Vocabulary([t for t, _ in kept], [c for _, c in kept])
+    # By descending count, then token, so ids are deterministic: the sort
+    # is stable, so equal counts stay in token order.
+    kept.sort(key=counts.__getitem__, reverse=True)
+    return Vocabulary(kept, [counts[tok] for tok in kept])
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -19,15 +19,14 @@ Each objective has one batched forward/backward, `_pair_batch_ns`,
 nothing, and returns the batch loss and the ASCENT gradients d(-loss):
 `(ids, rows)` for a row-sparse table (e, e_prime, b2), a dense array for
 H, b1, U and the full-softmax e_prime. `train_epochs` draws the samples
-per batch, checks the loss and hands the gradients to `optim.apply_grads`;
-the gradient checks run these same functions.
+per batch and hands the batches to `optim.run_epochs`; the gradient checks
+run these same functions.
 """
 
 import math
 import os
-import threading
-import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -36,8 +35,9 @@ from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary,
                      concatenate_documents, decompose_word, subsample_ids,
                      window_matrix)
 from .errors import DataError
-from .optim import (NoiseSampler, apply_grads, check_finite, log_sigmoid,
-                    log_softmax, sigmoid)
+from .io_formats import EmbeddingTable, save_embeddings
+from .optim import (EpochRecord, NoiseSampler, apply_grads, log_sigmoid,
+                    log_softmax, run_epochs, sigmoid)
 from .seeding import substream
 
 KINDS = ("skipgram", "cbow", "order", "lbl", "nnlm", "cw")
@@ -71,8 +71,8 @@ class TrainConfig:
             raise ValueError("full softmax is only supported for skipgram")
         if self.precision not in ("float64", "float32"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.epochs < 0 or self.workers < 1 or self.batch_size < 1:
-            raise ValueError("epochs, workers and batch_size must be sensible")
+        if self.workers < 1 or self.batch_size < 1:
+            raise ValueError("workers and batch_size must be >= 1")
 
 
 class EmbeddingModel:
@@ -323,27 +323,9 @@ def _window_batch_cw(model, windows, neg):
                   "e": (np.concatenate(row_ids), np.concatenate(row_grads))}
 
 
-def _apply_step(model: EmbeddingModel, cfg: TrainConfig, loss: float,
-                grads: dict) -> float:
-    """Check a batch's loss, then take one optimizer step per parameter."""
-    check_finite(loss, "training loss")
-    apply_grads(model.params(), grads, dict.fromkeys(grads, cfg.lr),
-                model.accum if cfg.optimizer == "adagrad" else None)
-    return loss
-
-
 # ---------------------------------------------------------------------------
 # epoch training
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EpochStats:
-    epoch: int
-    mean_loss: float
-    tokens_per_sec: float
-    n_units: int
-    seconds: float
-
 
 def _expand_charword_arrays(space: CharWordSpace, tgt, ctx, beta, char_context):
     """Weighted (input_row, target, weight) arrays for a chunk of windows.
@@ -383,14 +365,10 @@ def _expand_charword_arrays(space: CharWordSpace, tgt, ctx, beta, char_context):
     return np.concatenate(rows), np.concatenate(tgts), np.concatenate(wgts)
 
 
-def _shard_documents(docs: List[np.ndarray], workers: int) -> List[List[np.ndarray]]:
-    return [docs[i::workers] for i in range(workers)]
-
-
 def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
                  space: Optional[CharWordSpace] = None,
-                 checkpoint_dir=None, log_fn=None) -> List[EpochStats]:
-    """Run full corpus passes with per-epoch stats and checkpoints.
+                 checkpoint_dir=None, log_fn=None) -> List[EpochRecord]:
+    """Run full corpus passes with per-epoch records and checkpoints.
 
     Deterministic for workers=1 under a fixed seed. With workers > 1,
     document shards train concurrently and update shared tables without
@@ -401,6 +379,7 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
     vocab.configure_subsampling(cfg.subsample_t, cfg.subsample_variant)
     docs = [ids for ids in (vocab.encode(doc) for doc in corpus.documents)
             if len(ids) > 0]
+    shards = [docs[w::cfg.workers] for w in range(cfg.workers)]
     sampler = NoiseSampler(vocab.counts) if not cfg.full_softmax else None
     charword = space is not None and (cfg.beta > 0.0 or cfg.char_context)
     if charword and model.kind != "skipgram":
@@ -408,46 +387,26 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
     if cfg.precision == "float32":
         _convert_params(model, np.float32)
 
-    stats: List[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        totals = [0.0, 0, 0]  # loss, units, tokens
+    def epoch_shards(epoch):
+        passes = [_train_one_pass(model, shard, cfg, sampler, space,
+                                  substream(cfg.seed, f"subsample-{epoch}-w{w}"),
+                                  substream(cfg.seed, f"negatives-{epoch}-w{w}"))
+                  for w, shard in enumerate(shards)]
+        return sum(n for n, _ in passes), [batches for _, batches in passes]
 
-        def run_shard(shard_docs, worker_id):
-            srng = substream(cfg.seed, f"subsample-{epoch}-w{worker_id}")
-            nrng = substream(cfg.seed, f"negatives-{epoch}-w{worker_id}")
-            loss, units, tokens = _train_one_pass(
-                model, shard_docs, cfg, sampler, space, srng, nrng)
-            totals[0] += loss
-            totals[1] += units
-            totals[2] += tokens
+    def checkpoint(record):
+        path = os.path.join(str(checkpoint_dir), f"checkpoint-ep{record.epoch}.vec")
+        save_embeddings(EmbeddingTable(model.tokens, model.e), path)
 
-        if cfg.workers == 1:
-            run_shard(docs, 0)
-        else:
-            threads = [threading.Thread(target=run_shard, args=(shard, i))
-                       for i, shard in enumerate(_shard_documents(docs, cfg.workers))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-
-        seconds = time.perf_counter() - t0
-        mean_loss = totals[0] / max(totals[1], 1)
-        st = EpochStats(epoch=epoch, mean_loss=mean_loss,
-                        tokens_per_sec=totals[2] / max(seconds, 1e-9),
-                        n_units=totals[1], seconds=seconds)
-        stats.append(st)
-        if log_fn is not None:
-            log_fn(f"epoch={epoch} mean_loss={mean_loss:.6f} "
-                   f"tokens_per_sec={st.tokens_per_sec:.0f}")
-        if checkpoint_dir is not None:
-            from .io_formats import EmbeddingTable, save_embeddings
-            path = os.path.join(str(checkpoint_dir), f"checkpoint-ep{epoch}.vec")
-            save_embeddings(EmbeddingTable(model.tokens, model.e), path)
+    params = model.params()
+    step = partial(apply_grads, params, rates=dict.fromkeys(params, cfg.lr),
+                   accum=model.accum if cfg.optimizer == "adagrad" else None)
+    records = run_epochs(cfg.epochs, epoch_shards, step,
+                         checkpoint if checkpoint_dir is not None else None,
+                         log_fn)
     if cfg.precision == "float32":
         _convert_params(model, np.float64)
-    return stats
+    return records
 
 
 def _convert_params(model, dtype) -> None:
@@ -457,17 +416,18 @@ def _convert_params(model, dtype) -> None:
 
 
 def _train_one_pass(model, docs, cfg, sampler, space, srng, nrng):
-    """One pass over `docs`; returns (loss sum, unit count, token count)."""
+    """Subsample `docs`; returns the pass's token count and its lazy
+    (loss, grads, units) batches, one chunk of windows at a time."""
     if cfg.subsample_t is not None:
         docs = [subsample_ids(ids, model.vocab, srng) for ids in docs]
     ids, starts = concatenate_documents(docs)
-    loss_sum, units = 0.0, 0
-    for lo, hi in _chunk_bounds(starts, len(ids), max(cfg.batch_size * 8, 4096)):
-        windows = window_matrix(ids, model.win, -1, starts, lo, hi)
-        loss, n = _process_chunk(model, cfg, sampler, space, nrng, windows)
-        loss_sum += loss
-        units += n
-    return loss_sum, units, len(ids)
+
+    def batches():
+        for lo, hi in _chunk_bounds(starts, len(ids), max(cfg.batch_size * 8, 4096)):
+            windows = window_matrix(ids, model.win, -1, starts, lo, hi)
+            yield from _process_chunk(model, cfg, sampler, space, nrng, windows)
+
+    return len(ids), batches()
 
 
 _MAX_SEGMENT = 131072
@@ -490,19 +450,18 @@ def _chunk_bounds(starts, n, size):
         lo = hi
 
 
-def _process_chunk(model, cfg, sampler, space, nrng, windows) -> tuple:
-    """Draw each batch's negatives or corrupt words, then take one step per
-    batch; returns (loss sum, unit count). `windows` is (n, win) with -1 in
-    the slots outside the document."""
+def _process_chunk(model, cfg, sampler, space, nrng, windows):
+    """Yield (loss, grads, units) per batch of a chunk, drawing each batch's
+    negatives or corrupt words just before its forward pass. `windows` is
+    (n, win) with -1 in the slots outside the document."""
     B = cfg.batch_size
     mid = (model.win - 1) // 2
-    loss_sum = 0.0
     if model.kind == "cw":
         for lo in range(0, len(windows), B):
             w = windows[lo:lo + B]
             neg = _corrupt_words(w[:, mid], len(model.vocab), nrng)
-            loss_sum += _apply_step(model, cfg, *_window_batch_cw(model, w, neg))
-        return loss_sum, len(windows)
+            yield (*_window_batch_cw(model, w, neg), len(w))
+        return
     tgt, ctx = windows[:, mid], np.delete(windows, mid, 1)
     if model.kind == "skipgram":
         beta, char_ctx = ((cfg.beta, cfg.char_context) if space is not None
@@ -515,16 +474,14 @@ def _process_chunk(model, cfg, sampler, space, nrng, windows) -> tuple:
             else:
                 negs = sampler.sample_matrix((len(t), cfg.negatives), t, nrng)
                 out = _pair_batch_ns(model, r, t, w, negs)
-            loss_sum += _apply_step(model, cfg, *out)
-        return loss_sum, len(rows)
+            yield (*out, len(t))
+        return
     keep = (ctx >= 0).any(axis=1)  # predictive window kinds need context
     tgt, ctx = tgt[keep], ctx[keep]
     for lo in range(0, len(tgt), B):
         t, c = tgt[lo:lo + B], ctx[lo:lo + B]
         negs = sampler.sample_matrix((len(t), cfg.negatives), t, nrng)
-        loss_sum += _apply_step(model, cfg,
-                                *_window_batch_predictive(model, t, c, negs))
-    return loss_sum, len(tgt)
+        yield (*_window_batch_predictive(model, t, c, negs), len(t))
 
 
 def _corrupt_words(tgt, n_words, rng) -> np.ndarray:

@@ -9,13 +9,14 @@ toward the lowest token id.
 """
 
 import math
+from functools import partial
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DataError
 from .io_formats import EmbeddingTable, open_text
-from .optim import apply_grads, log_softmax
+from .optim import apply_grads, log_softmax, run_epochs
 
 
 def cosine(u, v) -> float:
@@ -258,16 +259,14 @@ class LogisticClassifier:
 
 
 def logistic_loss_grads(weights, bias, x, y, l2):
-    """Softmax log-loss with L2 on the weights only; returns loss and grads."""
+    """Softmax log-loss with L2 on the weights only; returns the loss and
+    the gradients of `W` and `b` by name."""
     logits = weights @ x + bias
     lsm = log_softmax(logits)
     loss = -lsm[y] + 0.5 * l2 * float((weights * weights).sum())
-    p = np.exp(lsm)
-    dlogits = p.copy()
+    dlogits = np.exp(lsm)
     dlogits[y] -= 1.0
-    dW = np.outer(dlogits, x) + l2 * weights
-    db = dlogits
-    return float(loss), dW, db
+    return float(loss), {"W": np.outer(dlogits, x) + l2 * weights, "b": dlogits}
 
 
 def train_logistic_classifier(features, labels, l2: float = 0.0,
@@ -282,11 +281,14 @@ def train_logistic_classifier(features, labels, l2: float = 0.0,
     rng = np.random.default_rng(seed)
     W = np.zeros((classes, xs.shape[1]))
     b = np.zeros(classes)
-    params, rates = {"W": W, "b": b}, {"W": -lr, "b": -lr}  # descent
-    for _ in range(epochs):
+
+    def batches():
         for n in rng.permutation(len(xs)):
-            _, dW, db = logistic_loss_grads(W, b, xs[n], int(ys[n]), l2)
-            apply_grads(params, {"W": dW, "b": db}, rates)
+            yield (*logistic_loss_grads(W, b, xs[n], int(ys[n]), l2), 1)
+
+    run_epochs(epochs, lambda epoch: (len(xs), [batches()]),
+               partial(apply_grads, {"W": W, "b": b},
+                       rates={"W": -lr, "b": -lr}))  # descent
     return LogisticClassifier(W, b)
 
 

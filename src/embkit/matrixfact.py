@@ -15,7 +15,7 @@ from .corpus import (CorpusStream, Vocabulary, concatenate_documents,
                      window_matrix)
 from .errors import DataError
 from .io_formats import _atomic_open, open_text
-from .optim import softmax, step_distinct_rows
+from .optim import run_epochs, softmax, step_distinct_rows
 
 GLOVE_X_MAX = 100.0
 GLOVE_ALPHA = 0.75
@@ -163,14 +163,9 @@ class FactorModel:
         return s
 
 
-def _check_fit_args(d: int, epochs: int) -> None:
+def _init_factors(v: int, d: int, rng: np.random.Generator, biases: bool) -> FactorModel:
     if d < 1:
         raise ValueError("dim must be >= 1")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-
-
-def _init_factors(v: int, d: int, rng: np.random.Generator, biases: bool) -> FactorModel:
     scale = 0.5 / d
     model = FactorModel(P=rng.uniform(-scale, scale, size=(v, d)),
                         Q=rng.uniform(-scale, scale, size=(v, d)))
@@ -182,24 +177,22 @@ def _init_factors(v: int, d: int, rng: np.random.Generator, biases: bool) -> Fac
 
 def train_glove(matrix: CooccurrenceMatrix, d: int, epochs: int,
                 lr: float = 0.05, x_max: float = GLOVE_X_MAX,
-                alpha: float = GLOVE_ALPHA, seed: int = 0):
+                alpha: float = GLOVE_ALPHA, seed: int = 0, log_fn=None):
     """Minimize sum f(x_ij) (p_i.q_j + b_i + b_j - log x_ij)^2 by AdaGrad
     over shuffled nonzero cells. Returns (model, final objective)."""
-    _check_fit_args(d, epochs)
     if len(matrix) == 0:
         raise DataError("empty co-occurrence matrix")
     rows, cols, vals = matrix.nonzero_arrays()
     weights = glove_weight(vals, x_max, alpha)
     rng = np.random.default_rng(seed)
     model = _init_factors(len(matrix.vocab), d, rng, biases=True)
-    objective = _fit_cells(model, rows, cols, np.log(vals), weights,
-                           epochs, lr, rng)
-    return model, objective
+    return model, _fit_cells(model, rows, cols, np.log(vals), weights, epochs,
+                             lr, rng, log_fn)
 
 
 def factorize_log_counts(matrix: CooccurrenceMatrix, d: int,
                          mode: str = "raw_log", epochs: int = 200,
-                         lr: float = 0.1, seed: int = 0):
+                         lr: float = 0.1, seed: int = 0, log_fn=None):
     """Unweighted squared-error factorization of log counts.
 
     raw_log fits log(x_ij); conditional_log fits log(x_ij / column_sum_j).
@@ -207,7 +200,6 @@ def factorize_log_counts(matrix: CooccurrenceMatrix, d: int,
     """
     if mode not in ("raw_log", "conditional_log"):
         raise ValueError(f"unknown factorization mode {mode!r}")
-    _check_fit_args(d, epochs)
     rows, cols, vals = matrix.nonzero_arrays()
     if len(vals) == 0:
         raise DataError("no nonzero cells to factorize")
@@ -219,13 +211,12 @@ def factorize_log_counts(matrix: CooccurrenceMatrix, d: int,
         targets = np.log(vals / matrix.column_sums()[cols])
     rng = np.random.default_rng(seed)
     model = _init_factors(len(matrix.vocab), d, rng, biases=False)
-    objective = _fit_cells(model, rows, cols, targets, np.ones(len(vals)),
-                           epochs, lr, rng)
-    return model, objective
+    return model, _fit_cells(model, rows, cols, targets, np.ones(len(vals)),
+                             epochs, lr, rng, log_fn)
 
 
 def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
-               lr: float, rng: np.random.Generator) -> float:
+               lr: float, rng: np.random.Generator, log_fn=None) -> float:
     """AdaGrad descent on sum_n w_n (fit(i_n, j_n) - t_n)^2, one cell at a
     time in a fresh shuffled order per epoch. Returns the final objective.
 
@@ -247,18 +238,23 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
         model.bias1, model.bias2 = table[:v, d], table[v:, d]
     model.P, model.Q = table[:v, :d], table[v:, :d]
     accum = np.zeros_like(table)
+
+    def levels(epoch):
+        order = rng.permutation(len(rows))
+        level = _levels(rows[order], cols[order] + v, 2 * v)
+        order = order[np.argsort(level, kind="stable")]
+        i, j = rows[order], cols[order] + v
+        t, w2 = targets[order], 2.0 * weights[order]
+        bounds = np.cumsum(np.bincount(level)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield (None, (np.concatenate((i[lo:hi], j[lo:hi])), t[lo:hi],
+                          w2[lo:hi]), hi - lo)
+
     # overflow is caught by the finite check on each level's new rows
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            order = rng.permutation(len(rows))
-            level = _levels(rows[order], cols[order] + v, 2 * v)
-            order = order[np.argsort(level, kind="stable")]
-            i, j = rows[order], cols[order] + v
-            t, w2 = targets[order], 2.0 * weights[order]
-            bounds = np.cumsum(np.bincount(level)).tolist()
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                _fit_run(table, accum, np.concatenate((i[lo:hi], j[lo:hi])),
-                         t[lo:hi], w2[lo:hi], lr, d)
+        run_epochs(epochs, lambda epoch: (len(rows), [levels(epoch)]),
+                   lambda level: _fit_run(table, accum, *level, lr, d),
+                   log_fn=log_fn)
     return _glove_objective(model, rows, cols, targets, weights)
 
 

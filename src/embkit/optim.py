@@ -1,15 +1,19 @@
-"""Activations, SGD/AdaGrad steps, noise sampling and a finite-difference
-gradient checker.
+"""Activations, SGD/AdaGrad steps, the epoch loop, noise sampling and a
+finite-difference gradient checker.
 
-Every trainer steps through `apply_grads`. Steps follow the ascent
-convention (theta += lr * grad); callers training a loss pass negative
-rates. `step_rows` updates the rows a batch touched, `step_dense` a whole
-array; with `accum=None` either is plain SGD, otherwise AdaGrad. Both
-write nothing unless every new value is finite.
+Every trainer runs its epochs through `run_epochs` and steps through
+`apply_grads`, but for the factorization's own row step. Steps follow the
+ascent convention (theta += lr * grad); callers training a loss pass
+negative rates. `step_rows` updates the rows a batch touched, `step_dense`
+a whole array; with `accum=None` either is plain SGD, otherwise AdaGrad.
+Both write nothing unless every new value is finite.
 """
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +49,8 @@ def sigmoid(x):
 
 def log_sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
+    tail = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, -tail, x - tail)
 
 
 def check_finite(x, what: str):
@@ -121,6 +126,68 @@ def apply_grads(params: Dict[str, np.ndarray], grads: dict,
             step_rows(value, *g, rates[name], a)
         else:
             step_dense(value, g, rates[name], a)
+
+
+@dataclass
+class EpochRecord:
+    """One epoch of any trainer. `mean_loss` is per unit, None where the
+    trainer computes no loss; `tokens_per_sec` counts the tokens, examples
+    or cells the epoch read; `seconds` leaves out `end_epoch`."""
+    epoch: int
+    mean_loss: Optional[float]
+    n_units: int
+    seconds: float
+    tokens_per_sec: float
+    dev_accuracy: Optional[float] = None
+
+    def log_line(self) -> str:
+        loss = "" if self.mean_loss is None else f" mean_loss={self.mean_loss:.6f}"
+        dev = "" if self.dev_accuracy is None else f" dev_accuracy={self.dev_accuracy:.4f}"
+        return (f"epoch={self.epoch}{loss} units={self.n_units} tokens_per_sec="
+                f"{self.tokens_per_sec:.0f} seconds={self.seconds:.3f}{dev}")
+
+
+def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
+               log_fn=None) -> List[EpochRecord]:
+    """Run `epochs` epochs and return their records. `epoch_shards(epoch)`
+    gives the epoch's input token count and shards: lazy iterables of
+    (loss, grads, units) batches computed from the current parameters. A
+    loss is checked unless it is None; then `step(grads)`. Several shards
+    run a thread each and step the shared parameters without locking.
+    `end_epoch(record)` may set `dev_accuracy` before the record is logged."""
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    records = []
+    for epoch in range(epochs):
+        t0 = time.perf_counter()
+        n_tokens, shards = epoch_shards(epoch)
+        if len(shards) == 1:  # on this thread, under its numpy error state
+            totals = [_run_shard(shards[0], step)]
+        else:
+            with ThreadPoolExecutor(len(shards)) as pool:
+                totals = list(pool.map(_run_shard, shards, [step] * len(shards)))
+        seconds = time.perf_counter() - t0
+        losses = [loss for loss, _ in totals if loss is not None]
+        units = sum(n for _, n in totals)
+        records.append(EpochRecord(
+            epoch, sum(losses) / max(units, 1) if losses else None, units,
+            seconds, n_tokens / max(seconds, 1e-9)))
+        if end_epoch is not None:
+            end_epoch(records[-1])
+        if log_fn is not None:
+            log_fn(records[-1].log_line())
+    return records
+
+
+def _run_shard(batches, step):
+    loss_sum, units = None, 0
+    for loss, grads, n in batches:
+        if loss is not None:
+            loss_sum = (loss_sum or 0.0) + check_finite(loss, "training loss")
+        step(grads)
+        units += n
+        del grads  # so one batch's gradients, not two, are alive at a time
+    return loss_sum, units
 
 
 class NoiseSampler:

@@ -7,7 +7,7 @@ E->{B,S}, S->{B,S}; sentences must start in {B,S} and end in {E,S}.
 """
 
 import math
-import time
+from functools import partial
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,7 +16,7 @@ from .corpus import (TOKEN_PADDING, _pseudo_at, decompose_word,
                      normalize_token, padded_blocks, window_matrix)
 from .errors import DataError
 from .io_formats import EmbeddingTable, open_text
-from .optim import apply_grads, check_finite, log_softmax
+from .optim import EpochRecord, apply_grads, log_softmax, run_epochs
 from .seeding import substream
 
 TAGS = "BMES"
@@ -202,38 +202,30 @@ TRAIN_BATCH = 8  # (character, gold tag) samples per optimizer step
 
 def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
                     lr: float = 0.1, epochs: int = 20, seed: int = 0,
-                    optimizer: str = "adagrad", log_fn=None) -> List[dict]:
+                    optimizer: str = "adagrad", log_fn=None) -> List[EpochRecord]:
     """One step per batch of TRAIN_BATCH (character, gold tag) samples,
     taken in random order; the gradient of a batch is its summed loss's.
 
     Character vectors are parameters and receive updates, including the
     PADDING row when it falls inside a window.
     """
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
     if not corpus:
         raise DataError("empty training corpus")
     sents = [sent.check() for sent in corpus]
     windows = np.concatenate([net.windows(s.chars) for s in sents])
     golds = np.array([TAG_ID[t] for s in sents for t in s.tags])
-    params = net.params()
-    rates = dict.fromkeys(params, -lr)  # descent
-    accum = {} if optimizer == "adagrad" else None
-    history = []
-    for epoch in range(epochs):
-        rng = substream(seed, f"segmenter-epoch-{epoch}")
-        order = rng.permutation(len(golds))
-        total, t0 = 0.0, time.perf_counter()
+
+    def batches(epoch):
+        order = substream(seed, f"segmenter-epoch-{epoch}").permutation(len(golds))
         for lo in range(0, len(order), TRAIN_BATCH):
             batch = order[lo:lo + TRAIN_BATCH]
-            loss, grads = segment_loss_grads(net, windows[batch], golds[batch])
-            total += check_finite(loss, "training loss")
-            apply_grads(params, grads, rates, accum)
-        history.append({"epoch": epoch, "mean_loss": total / len(golds),
-                        "seconds": time.perf_counter() - t0})
-        if log_fn is not None:
-            log_fn(f"epoch={epoch} mean_loss={history[-1]['mean_loss']:.6f}")
-    return history
+            yield (*segment_loss_grads(net, windows[batch], golds[batch]),
+                   len(batch))
+
+    params = net.params()
+    step = partial(apply_grads, params, rates=dict.fromkeys(params, -lr),  # descent
+                   accum={} if optimizer == "adagrad" else None)
+    return run_epochs(epochs, lambda e: (len(golds), [batches(e)]), step, log_fn=log_fn)
 
 
 # A block holds the tags as the 2x2 grid [[M, E], [B, S]]: the successors

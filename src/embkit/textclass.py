@@ -14,9 +14,10 @@ over the full sequence unless truncated.
 """
 
 import math
-import time
 from collections import Counter
+from copy import deepcopy
 from dataclasses import dataclass
+from functools import partial
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -25,7 +26,7 @@ import numpy as np
 from .corpus import concatenate_documents, padded_blocks, window_matrix
 from .errors import DataError
 from .io_formats import open_text
-from .optim import apply_grads, check_finite, log_softmax
+from .optim import apply_grads, log_softmax, run_epochs
 from .seeding import substream
 
 UNK_TOKEN = "\x02UNK"
@@ -338,48 +339,39 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
                      cfg: ClassifierConfig, log_fn=None):
     """SGD over randomly ordered documents; keeps the best-on-dev checkpoint.
 
-    Returns (best parameter snapshot, history). The snapshot maps parameter
-    names to copies; apply with `load_params`. With zero epochs it holds
-    the initial parameters.
+    Returns (best parameter snapshot, epoch records). The snapshot maps
+    parameter names to copies; apply with `load_params`. Without dev
+    documents, or with zero epochs, it holds the final parameters.
     """
-    if cfg.epochs < 0:
-        raise ValueError("epochs must be >= 0")
     if cfg.truncate is not None and cfg.truncate < 1:
         raise ValueError("truncate must be >= 1")
     classes = {d.class_id for d in train_docs}
     if len(classes) < 2:
         raise DataError("training set must contain at least two classes")
     encoded = [(model.encode(d.tokens), d.class_id) for d in train_docs]
+    n_tokens = sum(len(ids) for ids, _ in encoded)
     params = model.params()
+
+    def batches(epoch):
+        for n in substream(cfg.seed, f"classifier-epoch-{epoch}").permutation(
+                len(encoded)):
+            ids, class_id = encoded[n]
+            yield (*model.loss_grads(ids, class_id, truncate=cfg.truncate), 1)
+
+    best = [-1.0, None]  # best dev accuracy so far and its snapshot
+
+    def evaluate_dev(record):
+        if dev_docs:
+            record.dev_accuracy = model.accuracy(dev_docs)
+            if record.dev_accuracy >= best[0]:
+                best[:] = record.dev_accuracy, deepcopy(params)
+
     # descent, each matrix's rate scaled by 1/fan-in
     rates = {name: -cfg.lr * scale for name, scale in model._lr_scale.items()}
-    history = []
-    best = None
-    best_acc = -1.0
-    for epoch in range(cfg.epochs):
-        rng = substream(cfg.seed, f"classifier-epoch-{epoch}")
-        order = rng.permutation(len(encoded))
-        total = 0.0
-        t0 = time.perf_counter()
-        for n in order:
-            ids, class_id = encoded[n]
-            loss, grads = model.loss_grads(ids, class_id, truncate=cfg.truncate)
-            total += check_finite(loss, "training loss")
-            apply_grads(params, grads, rates)
-        dev_acc = model.accuracy(dev_docs) if dev_docs else float("nan")
-        entry = {"epoch": epoch, "train_loss": total / len(encoded),
-                 "dev_accuracy": dev_acc,
-                 "seconds": time.perf_counter() - t0}
-        history.append(entry)
-        if log_fn is not None:
-            log_fn(f"epoch={epoch} train_loss={entry['train_loss']:.4f} "
-                   f"dev_acc={dev_acc:.4f}")
-        if dev_docs and dev_acc >= best_acc:
-            best_acc = dev_acc
-            best = {k: v.copy() for k, v in model.params().items()}
-    if best is None:
-        best = {k: v.copy() for k, v in model.params().items()}
-    return best, history
+    records = run_epochs(cfg.epochs, lambda epoch: (n_tokens, [batches(epoch)]),
+                         partial(apply_grads, params, rates=rates),
+                         evaluate_dev, log_fn)
+    return best[1] or deepcopy(params), records
 
 
 def load_params(model, snapshot: Dict[str, np.ndarray]) -> None:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import slotwise_windows
-from embkit.corpus import (CorpusStream, build_vocabulary, decompose_word,
+from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
+                           decompose_word,
                            document_window_arrays, iter_windows,
                            load_vocabulary, normalize_token, save_vocabulary,
                            shuffle_documents, subsample_keep_probability,
@@ -39,6 +40,8 @@ def test_build_vocabulary_matches_counter_oracle():
     oracle = {t: c for t, c in collections.Counter(tokens).items() if c >= 5}
     assert len(vocab) == len(oracle)
     assert dict(zip(vocab.tokens, vocab.counts)) == oracle
+    # ids by descending count, ties by token
+    assert vocab.tokens == sorted(oracle, key=lambda t: (-oracle[t], t))
 
 
 def test_fixed_vocabulary_drops_outside_tokens():
@@ -79,6 +82,29 @@ def test_subsample_keep_monotone_nonincreasing(t, variant, a, b):
     lo, hi = min(a, b), max(a, b)
     assert subsample_keep_probability(lo, t, variant) >= \
         subsample_keep_probability(hi, t, variant) - 1e-12
+
+
+@pytest.mark.parametrize("variant", ["paper", "toolkit"])
+def test_configure_subsampling_matches_scalar_formula_bitwise(variant):
+    counts = [1, 2, 3, 5, 8, 40, 100, 1000, 5000]
+    vocab = Vocabulary([f"w{i}" for i in range(len(counts))], counts)
+    t = 2 / vocab.total_count  # the frequency of count 2: f < t and f == t occur
+    freqs = (vocab.counts / vocab.total_count).tolist()
+
+    def closed_form(f):
+        skip = (1.0 - math.sqrt(t / f) if variant == "paper"
+                else (f - t) / f - math.sqrt(t / f))
+        return min(1.0, max(0.0, 1.0 - skip))
+
+    vocab.configure_subsampling(t, variant)
+    keep = vocab.keep_prob.tolist()
+    assert keep == [subsample_keep_probability(f, t, variant) for f in freqs]
+    assert keep == [closed_form(f) for f in freqs]
+    assert keep[:2] == [1.0, 1.0] and keep[-1] < 0.1
+    with pytest.raises(ValueError):
+        vocab.configure_subsampling(0.0, variant)
+    with pytest.raises(ValueError):
+        vocab.configure_subsampling(t, "other")
 
 
 def test_normalize_digit_run():

@@ -1,5 +1,6 @@
 import math
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,14 +11,15 @@ from embkit import embeddings as emb_module
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
                            subsample_ids, window_matrix)
 from embkit.embeddings import (KINDS, EmbeddingModel, TrainConfig,
-                               _apply_step, _context_inputs, _convert_params,
+                               _context_inputs, _convert_params,
                                _cw_scores, _expand_charword_arrays, _ns_scores,
                                _pair_batch_ns, _process_chunk,
                                _window_batch_cw, _window_batch_predictive,
                                build_charword_space, train_epochs)
 from embkit.errors import NumericError
 from embkit.optim import (ADAGRAD_EPS, NoiseSampler, _aggregate_rows,
-                          gradient_check, sigmoid, step_rows)
+                          _run_shard, apply_grads, gradient_check, sigmoid,
+                          step_rows)
 
 
 def make_model(kind, vocab, dim=3, win=5, hidden=4, seed=0, randomize=True):
@@ -28,6 +30,21 @@ def make_model(kind, vocab, dim=3, win=5, hidden=4, seed=0, randomize=True):
         for p in model.params().values():
             p[...] = r.normal(0, 0.8, p.shape)
     return model
+
+
+def trainer_step(model, cfg):
+    """The step `train_epochs` takes: `apply_grads` at rate cfg.lr, with
+    the model's AdaGrad accumulators or as SGD."""
+    params = model.params()
+    return partial(apply_grads, params, rates=dict.fromkeys(params, cfg.lr),
+                   accum=model.accum if cfg.optimizer == "adagrad" else None)
+
+
+def step_chunk(model, cfg, sampler, space, rng, windows):
+    """Train on one chunk of windows through the epoch loop's batch runner;
+    returns the loss sum and the unit count."""
+    return _run_shard(_process_chunk(model, cfg, sampler, space, rng, windows),
+                      trainer_step(model, cfg))
 
 
 def slots(*ids):
@@ -185,8 +202,8 @@ def test_cbow_single_step_matches_hand_computation():
     cfg = TrainConfig(negatives=1, lr=0.1, optimizer="sgd", epochs=1)
     sampler = NoiseSampler(vocab.counts)
     # target a, context b on its left, so the negative must be b
-    loss, units = _process_chunk(model, cfg, sampler, None,
-                                 np.random.default_rng(1), slots(1, 0, -1))
+    loss, units = step_chunk(model, cfg, sampler, None,
+                             np.random.default_rng(1), slots(1, 0, -1))
     assert units == 1
 
     x = e[1]
@@ -277,7 +294,7 @@ def test_cw_hinge_dead_zone(small_vocab):
     loss, grads = _window_batch_cw(model, np.array([window]), np.array([neg]))
     assert loss == 0.0
     assert grads == {}
-    _apply_step(model, TrainConfig(), loss, grads)
+    trainer_step(model, TrainConfig())(grads)
     for k, p in model.params().items():
         assert np.array_equal(p, before[k])
 
@@ -321,7 +338,7 @@ def test_train_sample_cw_updates_only_on_violation(small_vocab):
     rng = np.random.default_rng(0)
     cfg = TrainConfig(optimizer="sgd", lr=0.05)
     before = {k: p.copy() for k, p in model.params().items()}
-    loss, _ = _process_chunk(model, cfg, None, None, rng, slots(0, 1, 2, 3, 4))
+    loss, _ = step_chunk(model, cfg, None, None, rng, slots(0, 1, 2, 3, 4))
     changed = any(not np.array_equal(p, before[k])
                   for k, p in model.params().items())
     assert changed == (loss > 0)
@@ -402,7 +419,7 @@ def test_charword_beta_one_freezes_word_context_vectors(char_setup):
     words_before = model.e[:space.n_words].copy()
     chars_before = model.e[space.n_words:].copy()
     for _ in range(5):
-        _process_chunk(model, cfg, sampler, space, rng, slots(-1, 1, 0, 2, -1))
+        step_chunk(model, cfg, sampler, space, rng, slots(-1, 1, 0, 2, -1))
     assert np.array_equal(model.e[:space.n_words], words_before)
     assert not np.array_equal(model.e[space.n_words:], chars_before)
 
@@ -518,31 +535,28 @@ def test_multi_worker_runs(toy_corpus, toy_vocab):
 def buffered_pass(model, docs, cfg, sampler, space, srng, nrng):
     """Reference for `_train_one_pass`: the per-document buffer loop it
     replaced. Each document is subsampled, then windowed on its own in
-    _MAX_SEGMENT pieces; a chunk is flushed to `_process_chunk` once it
-    holds max(8 * batch, 4096) windows."""
+    _MAX_SEGMENT pieces; a chunk goes to `_process_chunk` once it holds
+    max(8 * batch, 4096) windows. Returns the token count and the batches."""
+    if cfg.subsample_t is not None:
+        docs = [subsample_ids(ids, model.vocab, srng) for ids in docs]
     chunk_windows = max(cfg.batch_size * 8, 4096)
-    buf, totals = [], [0.0, 0, 0]
 
-    def flush():
+    def batches():
+        buf = []
+        for ids in docs:
+            windows = np.array(slotwise_windows(ids, model.win, -1),
+                               dtype=np.int64).reshape(len(ids), model.win)
+            for start in range(0, len(ids), emb_module._MAX_SEGMENT):
+                buf.append(windows[start:start + emb_module._MAX_SEGMENT])
+                if sum(map(len, buf)) >= chunk_windows:
+                    chunk, buf = np.concatenate(buf), []
+                    yield from _process_chunk(model, cfg, sampler, space,
+                                              nrng, chunk)
         if buf:
-            loss, units = _process_chunk(model, cfg, sampler, space, nrng,
-                                         np.concatenate(buf))
-            totals[0] += loss
-            totals[1] += units
-            buf.clear()
+            yield from _process_chunk(model, cfg, sampler, space, nrng,
+                                      np.concatenate(buf))
 
-    for ids in docs:
-        if cfg.subsample_t is not None:
-            ids = subsample_ids(ids, model.vocab, srng)
-        totals[2] += len(ids)
-        windows = np.array(slotwise_windows(ids, model.win, -1),
-                           dtype=np.int64).reshape(len(ids), model.win)
-        for start in range(0, len(ids), emb_module._MAX_SEGMENT):
-            buf.append(windows[start:start + emb_module._MAX_SEGMENT])
-            if sum(map(len, buf)) >= chunk_windows:
-                flush()
-    flush()
-    return tuple(totals)
+    return sum(map(len, docs)), batches()
 
 
 @pytest.mark.parametrize("t", [None, 0.01], ids=["all", "subsampled"])
@@ -565,8 +579,15 @@ def test_train_pass_matches_buffered_reference(kind, t, monkeypatch):
         passes = []
 
         def recorded(*args, one_pass=one_pass):
-            passes.append(one_pass(*args))
-            return passes[-1]
+            tokens, batches = one_pass(*args)
+            seen = []  # (loss, units) of every batch, in order
+            passes.append((tokens, seen))
+
+            def watched():
+                for loss, grads, units in batches:
+                    seen.append((loss, units))
+                    yield loss, grads, units
+            return tokens, watched()
 
         monkeypatch.setattr(emb_module, "_train_one_pass", recorded)
         model = EmbeddingModel.create(
@@ -576,7 +597,7 @@ def test_train_pass_matches_buffered_reference(kind, t, monkeypatch):
         runs.append((passes, [(s.epoch, s.mean_loss, s.n_units) for s in stats],
                      model.params()))
     (ref_passes, ref_stats, ref_params), (passes, stats, params) = runs
-    assert ref_passes[0][2] > 2 * 4096  # several chunks per pass
+    assert ref_passes[0][0] > 2 * 4096  # several chunks per pass
     assert passes == ref_passes
     assert stats == ref_stats
     for name, value in ref_params.items():

@@ -366,8 +366,8 @@ def test_logistic_loss_gradients():
     def f(theta):
         w = theta[:12].reshape(3, 4)
         bias = theta[12:]
-        loss, dW, db = logistic_loss_grads(w, bias, x, 2, l2=0.1)
-        return loss, np.concatenate([dW.ravel(), db])
+        loss, grads = logistic_loss_grads(w, bias, x, 2, l2=0.1)
+        return loss, np.concatenate([grads["W"].ravel(), grads["b"]])
 
     assert gradient_check(f, np.concatenate([W.ravel(), b])) < 1e-6
 

@@ -1,4 +1,7 @@
+import logging
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -375,6 +378,10 @@ def test_cli_eval_avg_task(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "train_accuracy: 1.0000" in out
     assert "accuracy: 1.0000" in out
+    assert run(["eval", "--embeddings", str(emb), "--task", "avg",
+                "--train", str(data), "--test", str(data),
+                "--epochs", "-1"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_numeric_failure_exit_code(tmp_path, tiny_corpus_file):
@@ -508,6 +515,42 @@ def cooccur_files(tmp_path, tiny_corpus_file):
     assert run(["cooccur", "--corpus", str(tiny_corpus_file), "--win", "5",
                 "--out", str(cooc_path), "--save-vocab", str(vocab_path)]) == 0
     return vocab_path, cooc_path
+
+
+# The loss keys that bench/run.py's finite-loss gate reads from the log.
+LOSS_KEY = re.compile(r"(?:mean_loss|train_loss)=(\S+)")
+
+
+@pytest.mark.parametrize("command", ["skipgram", "cbow", "charword", "segment",
+                                     "classify", "factorize"])
+def test_cli_training_logs_one_line_per_epoch(tmp_path, tiny_corpus_file,
+                                              seg_and_clf_files, cooccur_files,
+                                              caplog, command):
+    out = str(tmp_path / "model.bin")
+    small = ["--dim", "2", "--hidden", "3", "--epochs", "3", "--out", out]
+    emb = ["--corpus", str(tiny_corpus_file), *small]
+    vocab, cooc = cooccur_files
+    argv = {"skipgram": ["train-emb", "--kind", "skipgram", *emb],
+            "cbow": ["train-emb", "--kind", "cbow", *emb],
+            "charword": ["train-charword", *emb],
+            "segment": [*seg_and_clf_files["segment-train"], *small],
+            "classify": [*seg_and_clf_files["classify-train"],
+                         "--context-dim", "2", *small],
+            "factorize": ["factorize", "--cooccur", str(cooc), "--vocab",
+                          str(vocab), "--dim", "2", "--epochs", "3",
+                          "--out", out]}[command]
+    caplog.set_level(logging.INFO)
+    caplog.clear()
+    assert run(argv) == 0
+    # "epoch=0 ..." or "epoch 0: ..."; the config line's "'epochs': 3" is not one
+    lines = [r.getMessage() for r in caplog.records
+             if re.search(r"\bepoch[= ]\d", r.getMessage())]
+    assert [int(re.search(r"\bepoch[= ](\d+)", m).group(1))
+            for m in lines] == [0, 1, 2]
+    if command != "factorize":  # the factorization computes no per-epoch loss
+        for line in lines:
+            losses = LOSS_KEY.findall(line)
+            assert len(losses) == 1 and math.isfinite(float(losses[0])), line
 
 
 @pytest.mark.parametrize("line", ["10\t1\t2",      # id == |V| (10 words)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from embkit.embeddings import EmbeddingModel, TrainConfig, train_epochs
 from embkit.errors import NumericError
-from embkit.optim import (NoiseSampler, apply_grads, gradient_check,
-                          log_softmax, sigmoid, softmax, step_dense, step_rows)
+from embkit.optim import (EpochRecord, NoiseSampler, apply_grads,
+                          gradient_check, log_sigmoid, log_softmax, run_epochs,
+                          sigmoid, softmax, step_dense, step_rows)
 
 
 def test_softmax_symmetry():
@@ -258,3 +259,71 @@ def test_sigmoid_extremes():
     assert sigmoid(np.array([800.0]))[0] == pytest.approx(1.0)
     assert sigmoid(np.array([-800.0]))[0] == pytest.approx(0.0)
     assert sigmoid(np.array([0.0]))[0] == 0.5
+
+
+def test_log_sigmoid_matches_two_branch_formula_bitwise():
+    x = np.array([-800.0, -30.0, -1.5, -0.0, 0.0, 1e-300, 2.0, 40.0, 800.0,
+                  np.inf, -np.inf])
+    tail = lambda v: np.log1p(np.exp(-np.abs(v)))  # noqa: E731
+    want = np.where(x >= 0, -tail(x), x - tail(x))
+    # compare bit patterns, so a zero's sign counts
+    assert log_sigmoid(x).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_run_epochs_checks_steps_counts_and_logs():
+    stepped, lines, ends = [], [], []
+
+    def epoch_shards(epoch):
+        return 10, [iter([(1.5, "g0", 2), (None, "g1", 3), (0.5, "g2", 1)])]
+
+    records = run_epochs(2, epoch_shards, stepped.append, ends.append,
+                         lines.append)
+    assert stepped == ["g0", "g1", "g2"] * 2
+    assert ends == records and [r.epoch for r in records] == [0, 1]
+    assert all(isinstance(r, EpochRecord) for r in records)
+    assert [(r.mean_loss, r.n_units) for r in records] == [(2.0 / 6, 6)] * 2
+    assert all(r.tokens_per_sec == 10 / max(r.seconds, 1e-9) for r in records)
+    assert [line.split()[:3] for line in lines] == [
+        ["epoch=0", "mean_loss=0.333333", "units=6"],
+        ["epoch=1", "mean_loss=0.333333", "units=6"]]
+
+
+def test_run_epochs_without_losses_records_none():
+    records = run_epochs(1, lambda epoch: (4, [[(None, "g", 4)]]),
+                         lambda grads: None)
+    assert records[0].mean_loss is None and records[0].n_units == 4
+    assert "mean_loss" not in records[0].log_line()
+
+
+def test_run_epochs_dev_accuracy_set_by_end_epoch_is_logged():
+    lines = []
+
+    def end_epoch(record):
+        record.dev_accuracy = 0.25
+
+    run_epochs(1, lambda epoch: (1, [[(1.0, "g", 1)]]), lambda grads: None,
+               end_epoch, lines.append)
+    assert lines[0].endswith(" dev_accuracy=0.2500")
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_run_epochs_stops_at_non_finite_loss_before_stepping(shards):
+    stepped = []
+
+    def epoch_shards(epoch):
+        return 1, [iter([(1.0, k, 1), (math.inf, "bad", 1)])
+                   for k in range(shards)]
+
+    with pytest.raises(NumericError):
+        run_epochs(1, epoch_shards, stepped.append)
+    assert sorted(stepped) == list(range(shards))
+
+
+def test_run_epochs_sums_shards_and_rejects_negative_epochs():
+    def epoch_shards(epoch):
+        return 6, [[(1.0, "a", 1)], [(2.0, "b", 2), (3.0, "c", 1)]]
+
+    record, = run_epochs(1, epoch_shards, lambda grads: None)
+    assert (record.mean_loss, record.n_units) == (6.0 / 4, 4)
+    with pytest.raises(ValueError):
+        run_epochs(-1, epoch_shards, lambda grads: None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_grads, flat_checker, in_noise_band
 from embkit.errors import DataError, NumericError
-from embkit.optim import apply_grads, gradient_check, log_softmax
+from embkit.optim import EpochRecord, apply_grads, gradient_check, log_softmax
 from embkit.seeding import substream
 from embkit.segment import (LEGAL_END, LEGAL_NEXT, LEGAL_START, TAG_ID,
                             TAGS, SegmenterNet, TaggedSentence,
@@ -281,7 +281,8 @@ def test_train_segmenter_matches_per_sample_oracle(monkeypatch, optimizer,
                               optimizer=optimizer)
     means = per_sample_train(nets[1], tagged, 0.1, 3, 9, optimizer, batch)
     tol = 0.0 if batch == 1 else 1e-10
-    assert [h["mean_loss"] for h in history] == pytest.approx(means, rel=tol,
+    assert all(isinstance(h, EpochRecord) for h in history)
+    assert [h.mean_loss for h in history] == pytest.approx(means, rel=tol,
                                                               abs=0.0)
     for name, value in nets[0].params().items():
         np.testing.assert_allclose(value, nets[1].params()[name], rtol=tol,

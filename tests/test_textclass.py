@@ -7,7 +7,7 @@ from conftest import dense_grads, flat_checker, in_noise_band
 from embkit import textclass
 from embkit.corpus import window_matrix
 from embkit.errors import DataError
-from embkit.optim import gradient_check, log_softmax
+from embkit.optim import EpochRecord, gradient_check, log_softmax
 from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
                               WindowCnnModel, extract_key_phrases,
                               load_labeled_documents, load_params,
@@ -428,6 +428,31 @@ def test_wincnn_trains_on_keywords():
     best, _ = train_classifier(model, train, train, cfg)
     load_params(model, best)
     assert model.accuracy(train) == 1.0
+
+
+@pytest.mark.parametrize("model_cls", [RcnnModel, WindowCnnModel])
+def test_train_classifier_records_dev_accuracy_and_keeps_best(model_cls):
+    rng = np.random.default_rng(18)
+    train, dev = make_keyword_docs(rng, 6), make_keyword_docs(rng, 2)
+    tokens = sorted({t for d in train for t in d.tokens})
+
+    def trained(epochs, dev_accuracies):
+        model = model_cls(tokens, 2, dim=4, hidden=6,
+                          rng=np.random.default_rng(2))
+        scripted = iter(dev_accuracies)
+        model.accuracy = lambda docs: next(scripted)
+        cfg = ClassifierConfig(lr=0.05, epochs=epochs, seed=4)
+        return model, *train_classifier(model, train, dev, cfg)
+
+    _, best, records = trained(5, [0.5, 0.75, 0.25, 0.75, 0.5])
+    assert all(isinstance(r, EpochRecord) for r in records)
+    assert [(r.epoch, r.n_units, r.dev_accuracy) for r in records] == [
+        (0, 6, 0.5), (1, 6, 0.75), (2, 6, 0.25), (3, 6, 0.75), (4, 6, 0.5)]
+    assert all(np.isfinite(r.mean_loss) and r.mean_loss > 0 for r in records)
+    # the snapshot holds the parameters after epoch 3, the last best on dev
+    replay, _, _ = trained(4, [0.0] * 4)
+    for name, value in replay.params().items():
+        assert np.array_equal(best[name], value), name
 
 
 def test_train_classifier_requires_two_classes():
