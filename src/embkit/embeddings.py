@@ -13,14 +13,17 @@ All predictive kinds (everything but cw) train with negative sampling by
 default; full softmax is available for skipgram only (the matrix-equivalence
 harness needs it and it scales with vocabulary size).
 
-Each objective has one batched forward/backward, `_pair_batch_ns`,
-`_pair_batch_full_softmax`, `_window_batch_predictive` or
-`_window_batch_cw`. It takes pre-drawn negatives or corrupt words, writes
-nothing, and returns the batch loss and the ASCENT gradients d(-loss):
-`(ids, rows)` for a row-sparse table (e, e_prime, b2), a dense array for
-H, b1, U and the full-softmax e_prime. `train_epochs` draws the samples
-per batch and hands the batches to `optim.run_epochs`; the gradient checks
-run these same functions.
+There are three objectives, each with one batched forward/backward:
+negative sampling (`_window_batch_predictive`), full softmax
+(`_pair_batch_full_softmax`) and the cw hinge (`_window_batch_cw`). A
+skipgram or char-word (input row -> target) pair is a one-slot window, so
+all five predictive kinds share the negative-sampling function and its
+batch loop. Each function takes its pre-drawn negatives or corrupt words,
+writes nothing, and returns the batch loss and the ASCENT gradients
+d(-loss): `(ids, rows)` for a row-sparse table (e, e_prime, b2), a dense
+array for H, b1, U and the full-softmax e_prime. `train_epochs` draws the
+samples per batch and hands the batches to `optim.run_epochs`; the
+gradient checks run these same functions.
 """
 
 import math
@@ -177,10 +180,11 @@ def build_charword_space(word_vocab: Vocabulary) -> CharWordSpace:
 # ---------------------------------------------------------------------------
 
 def _slot_rows(e: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """(b, n, dim) rows of `e` for (b, n) slot ids; empty slots (-1) stay zero."""
-    mask = ids >= 0
-    S = np.zeros((*ids.shape, e.shape[1]), dtype=e.dtype)
-    S[mask] = e[ids[mask]]
+    """(b, n, dim) rows of `e` for (b, n) slot ids; empty slots (-1) are zero.
+    One plain gather, then zeros: a boolean-mask scatter of the rows costs
+    over ten times as much."""
+    S = e[np.maximum(ids, 0)]
+    S[ids < 0] = 0.0
     return S
 
 
@@ -218,19 +222,6 @@ def _ns_loss(s: np.ndarray):
     return loss, g
 
 
-def _pair_batch_ns(model, ctx, tgt, wgt, negs):
-    """Weighted negative sampling over (input row -> target) pairs."""
-    X = model.e[ctx]
-    tids = np.concatenate([tgt[:, None], negs], axis=1)
-    s, _, R = _ns_scores(model, X, tids)
-    loss, g = _ns_loss(s)
-    g *= wgt[:, None]
-    dR = g[:, :, None] * X[:, None, :]
-    dX = np.einsum("bm,bmd->bd", g, R)
-    return float((loss * wgt).sum()), {
-        "e_prime": (tids.ravel(), dR.reshape(-1, dR.shape[-1])), "e": (ctx, dX)}
-
-
 def _pair_batch_full_softmax(model, ctx, tgt, wgt):
     """Exact softmax over the vocabulary; meant for small vocabularies."""
     X = model.e[ctx]
@@ -244,17 +235,19 @@ def _pair_batch_full_softmax(model, ctx, tgt, wgt):
                                                   "e": (ctx, G @ ep)}
 
 
-def _window_batch_predictive(model, tgt, ctx, negs):
-    """Negative sampling for cbow/order/lbl/nnlm windows.
+def _window_batch_predictive(model, tgt, ctx, wgt, negs):
+    """Weighted negative sampling for every predictive kind.
 
-    `ctx` is (b, win-1) with -1 in empty slots; every window needs at least
-    one context word.
+    `ctx` is (b, slots) with -1 in empty slots; every window needs at least
+    one context word. A skipgram or char-word (input row -> target) pair is
+    a one-slot window, `ctx = rows[:, None]`; `wgt` is each window's weight.
     """
     p = model._params
     X = _context_inputs(model, ctx)
     tids = np.concatenate([tgt[:, None], negs], axis=1)
     s, A, R = _ns_scores(model, X, tids)
     loss, g = _ns_loss(s)
+    g *= wgt[:, None]
     dR = g[:, :, None] * A[:, None, :]
     dX = np.einsum("bm,bmh->bh", g, R)
     grads = {"e_prime": (tids.ravel(), dR.reshape(-1, dR.shape[-1]))}
@@ -270,7 +263,7 @@ def _window_batch_predictive(model, tgt, ctx, negs):
     else:
         rows = dX.reshape(*ctx.shape, model.dim)[mask]
     grads["e"] = (ctx[mask], rows)
-    return float(loss.sum()), grads
+    return float((loss * wgt).sum()), grads
 
 
 def _cw_scores(model: EmbeddingModel, X: np.ndarray):
@@ -463,25 +456,27 @@ def _process_chunk(model, cfg, sampler, space, nrng, windows):
             yield (*_window_batch_cw(model, w, neg), len(w))
         return
     tgt, ctx = windows[:, mid], np.delete(windows, mid, 1)
-    if model.kind == "skipgram":
+    if model.kind == "skipgram":  # (row -> target) pairs as one-slot windows
         beta, char_ctx = ((cfg.beta, cfg.char_context) if space is not None
                           else (0.0, False))
-        rows, tgts, wgts = _expand_charword_arrays(space, tgt, ctx, beta, char_ctx)
-        for lo in range(0, len(rows), B):
-            r, t, w = rows[lo:lo + B], tgts[lo:lo + B], wgts[lo:lo + B]
-            if cfg.full_softmax:
-                out = _pair_batch_full_softmax(model, r, t, w)
-            else:
-                negs = sampler.sample_matrix((len(t), cfg.negatives), t, nrng)
-                out = _pair_batch_ns(model, r, t, w, negs)
-            yield (*out, len(t))
-        return
-    keep = (ctx >= 0).any(axis=1)  # predictive window kinds need context
-    tgt, ctx = tgt[keep], ctx[keep]
+        rows, tgt, wgt = _expand_charword_arrays(space, tgt, ctx, beta, char_ctx)
+        ctx = rows[:, None]
+    else:
+        keep = (ctx >= 0).any(axis=1)  # predictive window kinds need context
+        tgt, ctx = tgt[keep], ctx[keep]
+        wgt = np.ones(len(tgt))
     for lo in range(0, len(tgt), B):
-        t, c = tgt[lo:lo + B], ctx[lo:lo + B]
-        negs = sampler.sample_matrix((len(t), cfg.negatives), t, nrng)
-        yield (*_window_batch_predictive(model, t, c, negs), len(t))
+        t, c, w = tgt[lo:lo + B], ctx[lo:lo + B], wgt[lo:lo + B]
+        yield (*_predictive_batch(model, cfg, sampler, nrng, t, c, w), len(t))
+
+
+def _predictive_batch(model, cfg, sampler, nrng, tgt, ctx, wgt):
+    """(loss, grads) of one batch. A call of its own, so that no local of
+    the suspended batch loop keeps the grads alive while they are stepped."""
+    if cfg.full_softmax:
+        return _pair_batch_full_softmax(model, ctx[:, 0], tgt, wgt)
+    negs = sampler.sample_matrix((len(tgt), cfg.negatives), tgt, nrng)
+    return _window_batch_predictive(model, tgt, ctx, wgt, negs)
 
 
 def _corrupt_words(tgt, n_words, rng) -> np.ndarray:

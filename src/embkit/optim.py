@@ -13,6 +13,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -37,14 +38,10 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
-    # Branch on sign to avoid overflow in exp.
+    # exp(-|x|) never overflows; each sign takes its own stable branch
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 def log_sigmoid(x):
@@ -161,11 +158,12 @@ def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
     for epoch in range(epochs):
         t0 = time.perf_counter()
         n_tokens, shards = epoch_shards(epoch)
-        if len(shards) == 1:  # on this thread, under its numpy error state
+        if len(shards) == 1:
             totals = [_run_shard(shards[0], step)]
-        else:
+        else:  # pool threads start with numpy's default error state
+            run = partial(_run_shard, step=step, errors=np.geterr())
             with ThreadPoolExecutor(len(shards)) as pool:
-                totals = list(pool.map(_run_shard, shards, [step] * len(shards)))
+                totals = list(pool.map(run, shards))
         seconds = time.perf_counter() - t0
         losses = [loss for loss, _ in totals if loss is not None]
         units = sum(n for _, n in totals)
@@ -179,14 +177,16 @@ def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
     return records
 
 
-def _run_shard(batches, step):
-    loss_sum, units = None, 0
-    for loss, grads, n in batches:
-        if loss is not None:
-            loss_sum = (loss_sum or 0.0) + check_finite(loss, "training loss")
-        step(grads)
-        units += n
-        del grads  # so one batch's gradients, not two, are alive at a time
+def _run_shard(batches, step, errors=None):
+    """Run one shard's batches, under numpy error state `errors` if given."""
+    with np.errstate(**(errors or {})):
+        loss_sum, units = None, 0
+        for loss, grads, n in batches:
+            if loss is not None:
+                loss_sum = (loss_sum or 0.0) + check_finite(loss, "training loss")
+            step(grads)
+            units += n
+            del grads  # so one batch's gradients, not two, are alive at a time
     return loss_sum, units
 
 

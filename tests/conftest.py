@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from embkit.corpus import CorpusStream, Vocabulary, build_vocabulary
-from embkit.embeddings import (_expand_charword_arrays, _pair_batch_ns,
-                               _window_batch_cw, _window_batch_predictive)
+from embkit.embeddings import (_expand_charword_arrays, _window_batch_cw,
+                               _window_batch_predictive)
 
 
 def pack(arrs):
@@ -104,15 +104,16 @@ def slotwise_windows(ids, win, pad):
 
 def predictive_batch(model, rng, n_words, k=3):
     """Forward/backward closure over 1-3 random windows with k random
-    negatives per scored unit: the pair batch (one pair per context word)
-    for skipgram, the window batch for cbow, order, lbl and nnlm."""
+    negatives per scored unit: a one-slot window per context word for
+    skipgram, the windows themselves for cbow, order, lbl and nnlm."""
     tgt, ctx = random_windows(rng, n_words, int(rng.integers(1, 4)), model.win)
     if model.kind == "skipgram":
-        rows, tgts, wgts = _expand_charword_arrays(None, tgt, ctx, 0.0, False)
-        negs = rng.integers(0, n_words, (len(rows), k))
-        return lambda: _pair_batch_ns(model, rows, tgts, wgts, negs)
+        rows, tgt, wgt = _expand_charword_arrays(None, tgt, ctx, 0.0, False)
+        ctx = rows[:, None]
+    else:
+        wgt = np.ones(len(tgt))
     negs = rng.integers(0, n_words, (len(tgt), k))
-    return lambda: _window_batch_predictive(model, tgt, ctx, negs)
+    return lambda: _window_batch_predictive(model, tgt, ctx, wgt, negs)
 
 
 def cw_batch(model, rng, n_words):
@@ -133,12 +134,14 @@ def cw_batch(model, rng, n_words):
 
 def charword_batch(model, space, rng, n_words, beta, char_context=False):
     """Forward/backward closure over the weighted pairs of 1-3 random
-    windows of the joint char-word objective, two negatives per pair."""
+    windows of the joint char-word objective, as one-slot windows, two
+    negatives per pair."""
     tgt, ctx = random_windows(rng, n_words, int(rng.integers(1, 4)), model.win)
     rows, tgts, wgts = _expand_charword_arrays(space, tgt, ctx, beta,
                                                char_context)
     negs = rng.integers(0, n_words, (len(rows), 2))
-    return lambda: _pair_batch_ns(model, rows, tgts, wgts, negs)
+    return lambda: _window_batch_predictive(model, tgts, rows[:, None], wgts,
+                                            negs)
 
 
 @pytest.fixture

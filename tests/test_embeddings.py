@@ -12,8 +12,8 @@ from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
                            subsample_ids, window_matrix)
 from embkit.embeddings import (KINDS, EmbeddingModel, TrainConfig,
                                _context_inputs, _convert_params,
-                               _cw_scores, _expand_charword_arrays, _ns_scores,
-                               _pair_batch_ns, _process_chunk,
+                               _cw_scores, _expand_charword_arrays, _ns_loss,
+                               _ns_scores, _process_chunk,
                                _window_batch_cw, _window_batch_predictive,
                                build_charword_space, train_epochs)
 from embkit.errors import NumericError
@@ -45,6 +45,20 @@ def step_chunk(model, cfg, sampler, space, rng, windows):
     returns the loss sum and the unit count."""
     return _run_shard(_process_chunk(model, cfg, sampler, space, rng, windows),
                       trainer_step(model, cfg))
+
+
+def pair_batch_ns(model, ctx, tgt, wgt, negs):
+    """Oracle: weighted negative sampling over (input row -> target) pairs,
+    the pair path that one-slot windows replaced."""
+    X = model.e[ctx]
+    tids = np.concatenate([tgt[:, None], negs], axis=1)
+    s, _, R = _ns_scores(model, X, tids)
+    loss, g = _ns_loss(s)
+    g *= wgt[:, None]
+    dR = g[:, :, None] * X[:, None, :]
+    dX = np.einsum("bm,bmd->bd", g, R)
+    return float((loss * wgt).sum()), {
+        "e_prime": (tids.ravel(), dR.reshape(-1, dR.shape[-1])), "e": (ctx, dX)}
 
 
 def slots(*ids):
@@ -97,9 +111,11 @@ def test_skipgram_single_context_word(small_vocab):
     assert rows.tolist() == [4, 1] and tgts.tolist() == [0, 0]
     assert wgts.tolist() == [1.0, 1.0]
     negs = np.array([[2, 3], [5, 2]])
-    loss, grads = _pair_batch_ns(model, rows, tgts, wgts, negs)
-    singles = [_pair_batch_ns(model, rows[i:i + 1], tgts[i:i + 1],
-                              wgts[i:i + 1], negs[i:i + 1])[0] for i in range(2)]
+    ctx = rows[:, None]  # each pair is a one-slot window
+    loss, grads = _window_batch_predictive(model, tgts, ctx, wgts, negs)
+    singles = [_window_batch_predictive(model, tgts[i:i + 1], ctx[i:i + 1],
+                                        wgts[i:i + 1], negs[i:i + 1])[0]
+               for i in range(2)]
     assert loss == pytest.approx(sum(singles), abs=1e-12)
     assert grads["e"][0].tolist() == [4, 1]
 
@@ -178,7 +194,7 @@ def test_zero_energy_loss_is_ln2_terms(small_vocab):
     model = make_model("cbow", small_vocab, randomize=False)
     k = 5
     loss, _ = _window_batch_predictive(model, np.array([0]), slots(-1, 1, 2, -1),
-                                       np.array([[3, 4, 5, 3, 4]]))
+                                       np.ones(1), np.array([[3, 4, 5, 3, 4]]))
     assert loss == pytest.approx((1 + k) * math.log(2), abs=1e-12)
 
 
@@ -186,8 +202,9 @@ def test_negative_permutation_invariance(small_vocab):
     model = make_model("order", small_vocab)
     tgt, ctx = np.array([1]), slots(0, 2, 3, 4)
     negs = np.array([[2, 5, 3]])
-    loss1, _ = _window_batch_predictive(model, tgt, ctx, negs)
-    loss2, _ = _window_batch_predictive(model, tgt, ctx, negs[:, ::-1].copy())
+    loss1, _ = _window_batch_predictive(model, tgt, ctx, np.ones(1), negs)
+    loss2, _ = _window_batch_predictive(model, tgt, ctx, np.ones(1),
+                                        negs[:, ::-1].copy())
     assert loss1 == pytest.approx(loss2, abs=1e-12)
 
 
@@ -377,7 +394,7 @@ def test_charword_beta_interpolation(char_setup):
     rows, tgts, wgts = _expand_charword_arrays(
         space, np.array([0]), slots(-1, 1, 3, -1), beta, False)
     negs = rng.integers(0, 5, (len(rows), 2))
-    loss, _ = _pair_batch_ns(model, rows, tgts, wgts, negs)
+    loss, _ = _window_batch_predictive(model, tgts, rows[:, None], wgts, negs)
 
     # recompute each pair independently at the same negatives
     expected = 0.0
@@ -482,6 +499,31 @@ def test_char_context_gradients(char_setup):
     assert gradient_check(f, theta) < 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("beta,char_context", [(None, False), (0.4, False),
+                                               (1.0, True)],
+                         ids=["skipgram", "charword", "char-context"])
+def test_one_slot_windows_match_pair_oracle_bitwise(char_setup, beta,
+                                                    char_context, dtype):
+    vocab, space, model = char_setup
+    _convert_params(model, dtype)
+    rng = np.random.default_rng(17)
+    windows = rng.integers(-1, len(vocab), (40, model.win))
+    tgt, ctx = windows[:, 2] % len(vocab), np.delete(windows, 2, 1)
+    rows, tgts, wgts = _expand_charword_arrays(
+        None if beta is None else space, tgt, ctx, beta or 0.0, char_context)
+    negs = rng.integers(0, len(vocab), (len(rows), 3))
+    want_loss, want = pair_batch_ns(model, rows, tgts, wgts, negs)
+    loss, grads = _window_batch_predictive(model, tgts, rows[:, None], wgts,
+                                           negs)
+    assert loss == want_loss
+    assert grads.keys() == want.keys()
+    for name, (ids, g) in want.items():
+        got_ids, got = grads[name]
+        assert np.array_equal(got_ids, ids), name
+        assert got.dtype == g.dtype and got.tobytes() == g.tobytes(), name
+
+
 # --- epoch training ---------------------------------------------------------------
 
 def test_zero_epochs_leaves_model_unchanged(toy_corpus, toy_vocab):
@@ -530,6 +572,52 @@ def test_multi_worker_runs(toy_corpus, toy_vocab):
     cfg = TrainConfig(epochs=1, seed=1, workers=2, batch_size=32)
     stats = train_epochs(model, toy_corpus, cfg)
     assert stats[0].n_units > 0
+
+
+@pytest.mark.parametrize("kind", ["skipgram", "charword", "cbow", "order",
+                                  "nnlm"])
+def test_process_chunk_units_are_pairs_or_kept_windows(kind, char_setup):
+    # units per batch: one per (row -> target) pair for skipgram and
+    # charword, one per window with some context for the window kinds
+    vocab, space, _ = char_setup
+    space = space if kind == "charword" else None
+    model = EmbeddingModel.create("skipgram" if space else kind, vocab, 3, 5,
+                                  4, np.random.default_rng(0),
+                                  tokens=space.tokens if space else None)
+    ids = np.random.default_rng(5).integers(0, len(vocab), 30)
+    starts = np.array([0, 1, 8, 9, 13])  # two one-token documents
+    windows = window_matrix(ids, 5, -1, starts)
+    ctx = np.delete(windows, 2, 1)
+    words = ctx[ctx >= 0]
+    if kind == "skipgram":
+        n = len(words)
+    elif kind == "charword":  # word pairs, char pairs, char-context pairs
+        n = len(words) + 2 * sum(len(space.char_rows(w)) for w in words)
+    else:
+        n = len(windows) - 2
+    cfg = TrainConfig(negatives=2, batch_size=7, beta=0.5, char_context=True)
+    got = [units for _, _, units in _process_chunk(
+        model, cfg, NoiseSampler(vocab.counts), space,
+        np.random.default_rng(1), windows)]
+    assert got == [min(7, n - lo) for lo in range(0, n, 7)]
+
+
+@pytest.mark.parametrize("kind,full_softmax", [("skipgram", False),
+                                               ("skipgram", True),
+                                               ("order", False)])
+def test_process_chunk_holds_no_grads_while_suspended(kind, full_softmax,
+                                                       small_vocab):
+    # the consumer steps on a batch's grads while the loop is suspended; a
+    # local still naming them would keep two batches' grads alive
+    model = make_model(kind, small_vocab)
+    cfg = TrainConfig(negatives=2, batch_size=4, full_softmax=full_softmax)
+    windows = window_matrix(np.arange(20) % 6, 5, -1, np.array([0]))
+    batches = _process_chunk(model, cfg, NoiseSampler(small_vocab.counts),
+                             None, np.random.default_rng(0), windows)
+    _, grads, _ = next(batches)
+    held = [name for name, v in batches.gi_frame.f_locals.items()
+            if v is grads or (isinstance(v, tuple) and any(x is grads for x in v))]
+    assert held == []
 
 
 def buffered_pass(model, docs, cfg, sampler, space, srng, nrng):

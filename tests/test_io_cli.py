@@ -638,6 +638,21 @@ def test_cli_divergence_is_one_error_line(tmp_path, tiny_corpus_file, command):
     assert not out.exists()
 
 
+def test_cli_multi_worker_divergence_warns_nothing(tmp_path, tiny_corpus_file):
+    # the shard threads run under the CLI's numpy error state, as one
+    # worker does
+    out = tmp_path / "e.vec"
+    code, stderr = _run_cli_process(
+        ["train-emb", "--kind", "skipgram", "--corpus", str(tiny_corpus_file),
+         "--dim", "4", "--epochs", "3", "--optimizer", "sgd", "--lr", "1e200",
+         "--workers", "2", "--out", str(out)])
+    assert code == 3
+    assert not any("RuntimeWarning" in line for line in stderr), stderr
+    errors = [line for line in stderr if line.startswith("[ERROR]")]
+    assert len(errors) == 1 and "numeric failure" in errors[0]
+    assert not out.exists()
+
+
 def test_cli_non_utf8_corpus_is_data_error(tmp_path, caplog):
     corpus = tmp_path / "latin1.txt"
     corpus.write_bytes("café au lait\n".encode("latin-1"))

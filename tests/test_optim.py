@@ -270,6 +270,21 @@ def test_log_sigmoid_matches_two_branch_formula_bitwise():
     assert log_sigmoid(x).view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+def test_sigmoid_matches_two_branch_formula_bitwise():
+    x = np.concatenate([
+        s * np.random.default_rng(4).normal(size=200)
+        for s in (1e-3, 1.0, 30.0, 800.0)] + [
+        np.array([-745.0, -0.0, 0.0, 745.0, 1e-300, np.inf, -np.inf])])
+    # the sign-masked formula: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) else
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    # compare bit patterns, so a zero's sign counts
+    assert sigmoid(x).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_run_epochs_checks_steps_counts_and_logs():
     stepped, lines, ends = [], [], []
 
