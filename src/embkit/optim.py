@@ -158,10 +158,11 @@ def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
     for epoch in range(epochs):
         t0 = time.perf_counter()
         n_tokens, shards = epoch_shards(epoch)
+        # pool threads start with numpy's default error state, not the caller's
+        run = partial(_run_shard, step=step, errors=np.geterr())
         if len(shards) == 1:
-            totals = [_run_shard(shards[0], step)]
-        else:  # pool threads start with numpy's default error state
-            run = partial(_run_shard, step=step, errors=np.geterr())
+            totals = [run(shards[0])]
+        else:
             with ThreadPoolExecutor(len(shards)) as pool:
                 totals = list(pool.map(run, shards))
         seconds = time.perf_counter() - t0
@@ -177,9 +178,9 @@ def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
     return records
 
 
-def _run_shard(batches, step, errors=None):
-    """Run one shard's batches, under numpy error state `errors` if given."""
-    with np.errstate(**(errors or {})):
+def _run_shard(batches, step, errors):
+    """Run one shard's batches under numpy error state `errors`."""
+    with np.errstate(**errors):
         loss_sum, units = None, 0
         for loss, grads, n in batches:
             if loss is not None:

@@ -44,7 +44,7 @@ def step_chunk(model, cfg, sampler, space, rng, windows):
     """Train on one chunk of windows through the epoch loop's batch runner;
     returns the loss sum and the unit count."""
     return _run_shard(_process_chunk(model, cfg, sampler, space, rng, windows),
-                      trainer_step(model, cfg))
+                      trainer_step(model, cfg), np.geterr())
 
 
 def pair_batch_ns(model, ctx, tgt, wgt, negs):

@@ -3,11 +3,12 @@
 Generates a workload's inputs with `bench/gen.py` into a temporary
 directory, runs one cycle of `bench/workloads.py`'s commands through
 `embkit.cli.main` with embkit imported from `--src`, and prints one
-`<sha256>  <name>` line per command's stdout and per output file. With
-`--extra` it also trains the variants the cycle does not cover: full
-softmax, `--char-context`, `--beta 1`, `lbl`, two SGD epochs and float32
-charword and cbow, on the workload's small corpus. Two sources produce the
-same bytes when their listings `diff` clean:
+`<sha256>  <name>` line per command's stdout and per output file. After
+the cycle it runs the bench's zero-epoch GloVe command and trains the
+variants the cycle does not cover: full softmax, `--char-context`,
+`--beta 1`, `lbl`, two SGD epochs and float32 charword and cbow, on the
+workload's small corpus. Two sources produce the same bytes when their
+listings `diff` clean:
 
     python3 tools/hash_outputs.py --src src --workload pairs-bigvocab > a.txt
     python3 tools/hash_outputs.py --src /path/to/other/src \\
@@ -43,9 +44,13 @@ EXTRAS = {
 }
 
 
-def extra_commands(name, files, out_dir, seed):
-    dim = str(workloads.WORKLOADS[name]["dim"])
-    cmds = []
+def extra_commands(name, files, out, out_dir, seed):
+    """The zero-epoch GloVe run, then the EXTRAS variants."""
+    w = workloads.WORKLOADS[name]
+    dim = str(w["dim"])
+    # its own output, so the cycle's glove.bin is hashed as the cycle left it
+    glove_out = {**out, "glove": os.path.join(out_dir, "glove_initial.bin")}
+    cmds = [("glove_initial", workloads.glove_argv(w, glove_out, seed, 0))]
     for cmd_id, head in EXTRAS.items():
         # a later flag overrides the shared one, as `--epochs 2` does
         argv = [head[0], "--corpus", files["corpus_small"], "--dim", dim,
@@ -66,8 +71,6 @@ def main(argv=None):
     ap.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
                     required=True)
     ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--extra", action="store_true",
-                    help="also run the training variants in EXTRAS")
     args = ap.parse_args(argv)
 
     # before numpy loads, as in the bench worker
@@ -86,17 +89,17 @@ def main(argv=None):
                                 workloads.generator_params(args.workload))
         out_dir = os.path.join(work, "out")
         os.makedirs(out_dir)
+        out = workloads.output_paths(out_dir)
         commands = [(cmd_id, argv) for cmd_id, argv, _ in workloads.cycle(
-            args.workload, manifest["files"], manifest["sizes"],
-            workloads.output_paths(out_dir), args.seed)]
-        if args.extra:
-            commands += extra_commands(args.workload, manifest["files"],
-                                       out_dir, args.seed)
+            args.workload, manifest["files"], manifest["sizes"], out,
+            args.seed)]
+        commands += extra_commands(args.workload, manifest["files"], out,
+                                   out_dir, args.seed)
         for cmd_id, cmd_argv in commands:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
                 rc = cli.main(cmd_argv)
-            text = out.getvalue().replace(work, "<work>")
+            text = buf.getvalue().replace(work, "<work>")
             print(f"{sha256(text.encode())}  stdout:{cmd_id} exit={rc}")
         for name in sorted(os.listdir(out_dir)):
             with open(os.path.join(out_dir, name), "rb") as fh:
