@@ -20,8 +20,9 @@ from . import segment as seg
 from . import textclass as tc
 from .errors import DataError, NumericError
 from .io_formats import (EmbeddingTable, _atomic_open, load_container,
-                         load_embeddings, open_text, save_container,
-                         save_embeddings, save_embeddings_binary)
+                         load_embeddings, open_text, restore_params,
+                         save_container, save_embeddings,
+                         save_embeddings_binary)
 from .seeding import substream
 
 log = logging.getLogger("embkit")
@@ -34,8 +35,7 @@ def _setup_logging():
 
 
 def main(argv=None) -> int:
-    code = run(argv if argv is not None else sys.argv[1:])
-    return code
+    return run(argv if argv is not None else sys.argv[1:])
 
 
 def run(argv) -> int:
@@ -78,11 +78,14 @@ def _load_corpus(args) -> corpus_mod.CorpusStream:
 
 
 def _build_vocab(args, stream) -> corpus_mod.Vocabulary:
-    if getattr(args, "vocab", None):
-        fixed = corpus_mod.load_vocabulary(args.vocab)
-        return corpus_mod.build_vocabulary(stream.all_tokens(), args.min_count,
-                                           fixed_vocab=fixed.tokens)
-    return corpus_mod.build_vocabulary(stream.all_tokens(), args.min_count)
+    """The corpus vocabulary, closed to `--vocab` if given, and written to
+    `--save-vocab` if given."""
+    fixed = corpus_mod.load_vocabulary(args.vocab).tokens if args.vocab else None
+    vocab = corpus_mod.build_vocabulary(stream.all_tokens(), args.min_count,
+                                        fixed_vocab=fixed)
+    if args.save_vocab:
+        corpus_mod.save_vocabulary(vocab, args.save_vocab)
+    return vocab
 
 
 def _train_config(args, **overrides) -> emb.TrainConfig:
@@ -106,28 +109,47 @@ def _save_embedding_model(model, path):
     save_container(path, model.params(), meta)
 
 
-def _check_meta(path, meta, what, keys):
-    """A container whose metadata lacks one of `keys` holds another kind of
-    model: a data error, not a KeyError."""
-    if not all(key in meta for key in keys):
-        raise DataError(f"{path}: container is not {what}")
-
-
 def _check_dev_fraction(args):
     if not 0.0 <= args.dev_fraction < 1.0:
         raise ValueError("--dev-fraction must lie in [0, 1)")
 
 
-def _load_embedding_model(path) -> emb.EmbeddingModel:
+def _split_dev(items, n_dev, seed, stream):
+    """(train, dev): the first `n_dev` of a seeded permutation go to dev,
+    and both keep the input order."""
+    dev_idx = set(substream(seed, stream).permutation(len(items))[:n_dev].tolist())
+    return ([x for i, x in enumerate(items) if i not in dev_idx],
+            [x for i, x in enumerate(items) if i in dev_idx])
+
+
+def _load_model(path, what, build):
+    """Read a model container back into a model: `build(get)` makes the
+    model from the metadata values `get(key)`, and `restore_params` copies
+    the arrays in. A missing key means the container holds another kind of
+    model; it and a value the constructors refuse are data errors naming
+    `path`."""
     arrays, meta = load_container(path)
-    _check_meta(path, meta, "an embedding model",
-                ("kind", "dim", "win", "hidden", "tokens", "vocab_tokens",
-                 "vocab_counts"))
-    vocab = corpus_mod.Vocabulary(meta["vocab_tokens"], meta["vocab_counts"])
-    model = emb.EmbeddingModel(meta["kind"], vocab, meta["dim"], meta["win"],
-                               meta["hidden"], tokens=meta["tokens"])
-    model.params().update(arrays)
+
+    def get(key):
+        if key not in meta:
+            raise DataError(f"container is not {what}")
+        return meta[key]
+
+    try:
+        model = build(get)
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    restore_params(model, arrays, path)
     return model
+
+
+def _load_embedding_model(path) -> emb.EmbeddingModel:
+    def build(get):
+        vocab = corpus_mod.Vocabulary(get("vocab_tokens"), get("vocab_counts"))
+        return emb.EmbeddingModel.create(get("kind"), vocab, get("dim"),
+                                         get("win"), get("hidden"),
+                                         tokens=get("tokens"))
+    return _load_model(path, "an embedding model", build)
 
 
 # --- train-emb / train-charword ------------------------------------------------
@@ -142,8 +164,6 @@ def _write_embeddings(args, table, path):
 def _cmd_train_emb(args):
     stream = _load_corpus(args)
     vocab = _build_vocab(args, stream)
-    if args.save_vocab:
-        corpus_mod.save_vocabulary(vocab, args.save_vocab)
     rng = substream(args.seed, "init")
     model = emb.EmbeddingModel.create(args.kind, vocab, args.dim, args.win,
                                       args.hidden, rng)
@@ -159,8 +179,6 @@ def _cmd_train_emb(args):
 def _cmd_train_charword(args):
     stream = _load_corpus(args)
     vocab = _build_vocab(args, stream)
-    if args.save_vocab:
-        corpus_mod.save_vocabulary(vocab, args.save_vocab)
     space = emb.build_charword_space(vocab)
     rng = substream(args.seed, "init")
     model = emb.EmbeddingModel.create("skipgram", vocab, args.dim, args.win,
@@ -184,8 +202,6 @@ def _cmd_train_charword(args):
 def _cmd_cooccur(args):
     stream = _load_corpus(args)
     vocab = _build_vocab(args, stream)
-    if args.save_vocab:
-        corpus_mod.save_vocabulary(vocab, args.save_vocab)
     matrix = mf.count_cooccurrences(stream, vocab, args.win)
     matrix.save(args.out)
     log.info("wrote %d nonzero cells to %s", len(matrix), args.out)
@@ -216,9 +232,12 @@ def _cmd_factorize(args):
 
 
 def _cmd_equiv_report(args):
+    model = _load_embedding_model(args.model)
+    if model.kind not in ("skipgram", "cbow"):
+        raise DataError(f"{args.model}: equiv-report scores skipgram and "
+                        f"cbow models, not {model.kind}")
     vocab = corpus_mod.load_vocabulary(args.vocab)
     matrix = mf.CooccurrenceMatrix.load(args.cooccur, vocab, args.win)
-    model = _load_embedding_model(args.model)
     report = mf.skipgram_equivalence_report(matrix, model)
     print(f"mean_kl: {report['mean_kl']:.6f}")
     print(f"max_kl: {report['max_kl']:.6f}")
@@ -255,8 +274,6 @@ def _cmd_eval(args):
         for token, sim in ev.nearest_neighbors(table, args.word, args.k):
             print(f"{token}\t{sim:.4f}")
         return
-    else:
-        raise ValueError(f"unknown task {args.task!r}")
     if args.pgr_rand is not None and args.pgr_best is not None:
         ratio = ev.pgr(ev.PgrInput(score * args.scale, args.pgr_rand, args.pgr_best))
         print(f"pgr: {ratio:.4f} ({ev.pgr_percent(ratio)}%)")
@@ -289,12 +306,8 @@ def _eval_avg(args, table) -> float:
 def _cmd_segment_train(args):
     _check_dev_fraction(args)
     sentences = seg.load_segmented_corpus(args.corpus, normalize=not args.no_normalize)
-    rng = substream(args.seed, "segment-split")
-    order = rng.permutation(len(sentences))
-    n_dev = int(len(sentences) * args.dev_fraction)
-    dev_idx = set(order[:n_dev].tolist())
-    train = [sentences[i] for i in range(len(sentences)) if i not in dev_idx]
-    dev = [sentences[i] for i in range(len(sentences)) if i in dev_idx]
+    train, dev = _split_dev(sentences, int(len(sentences) * args.dev_fraction),
+                            args.seed, "segment-split")
     tagged = [seg.tags_from_segmentation(words) for words in train]
     chars = sorted({c for t in tagged for c in t.chars})
     net = seg.SegmenterNet(chars, args.dim, args.hidden, args.win,
@@ -320,12 +333,8 @@ def _cmd_segment_train(args):
 
 
 def _load_segmenter(path) -> seg.SegmenterNet:
-    arrays, meta = load_container(path)
-    _check_meta(path, meta, "a segmenter model", ("chars", "dim", "hidden", "win"))
-    net = seg.SegmenterNet(meta["chars"], meta["dim"], meta["hidden"], meta["win"])
-    for name, arr in arrays.items():
-        getattr(net, name)[...] = arr
-    return net
+    return _load_model(path, "a segmenter model", lambda get: seg.SegmenterNet(
+        get("chars"), get("dim"), get("hidden"), get("win")))
 
 
 def _cmd_segment_decode(args):
@@ -352,12 +361,10 @@ def _cmd_segment_score(args):
 
 # --- classification ---------------------------------------------------------------
 
-def _classifier_vocab(docs):
-    seen = {}
-    for d in docs:
-        for t in d.tokens:
-            seen.setdefault(t, len(seen))
-    return sorted(seen, key=seen.get)
+# --classify-train --model -> the model class and the metadata key of the
+# argument its constructors take between dim and hidden
+_CLASSIFIERS = {"rcnn": (tc.RcnnModel, "context_dim"),
+                "wincnn": (tc.WindowCnnModel, "win")}
 
 
 def _cmd_classify_train(args):
@@ -366,37 +373,27 @@ def _cmd_classify_train(args):
     if args.dev:
         dev = tc.load_labeled_documents(args.dev)
     else:
-        rng = substream(args.seed, "classify-split")
-        order = rng.permutation(len(train))
-        n_dev = max(1, int(len(train) * args.dev_fraction))
-        dev_idx = set(order[:n_dev].tolist())
-        dev = [train[i] for i in range(len(train)) if i in dev_idx]
-        train = [train[i] for i in range(len(train)) if i not in dev_idx]
+        train, dev = _split_dev(train, max(1, int(len(train) * args.dev_fraction)),
+                                args.seed, "classify-split")
     n_classes = max(d.class_id for d in train + dev) + 1
-    tokens = _classifier_vocab(train)
+    tokens = list(dict.fromkeys(t for d in train for t in d.tokens))
     vectors = None
     if args.embeddings:
         table = load_embeddings(args.embeddings)
         vectors = np.array([table.vector(t) if t in table
                             else np.zeros(table.dim) for t in tokens])
         args.dim = table.dim
-    rng = substream(args.seed, "init")
-    if args.model == "rcnn":
-        model = tc.RcnnModel(tokens, n_classes, args.dim, args.context_dim,
-                             args.hidden, rng=rng, vectors=vectors)
-    else:
-        model = tc.WindowCnnModel(tokens, n_classes, args.dim, args.win,
-                                  args.hidden, rng=rng, vectors=vectors)
+    model_cls, shape_key = _CLASSIFIERS[args.model]
+    model = model_cls(tokens, n_classes, args.dim, getattr(args, shape_key),
+                      args.hidden, rng=substream(args.seed, "init"),
+                      vectors=vectors)
     cfg = tc.ClassifierConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
                               truncate=args.truncate)
     best, records = tc.train_classifier(model, train, dev, cfg, log_fn=log.info)
-    tc.load_params(model, best)
+    restore_params(model, best, "best-on-dev snapshot")
     meta = {"model": args.model, "tokens": model.tokens,
-            "n_classes": n_classes, "dim": args.dim, "hidden": args.hidden}
-    if args.model == "rcnn":
-        meta["context_dim"] = args.context_dim
-    else:
-        meta["win"] = args.win
+            "n_classes": n_classes, "dim": args.dim, "hidden": args.hidden,
+            shape_key: getattr(args, shape_key)}
     save_container(args.out, model.params(), meta)
     if records:
         print(f"best_dev_accuracy: {max(r.dev_accuracy for r in records):.4f}")
@@ -404,18 +401,12 @@ def _cmd_classify_train(args):
 
 
 def _load_classifier(path):
-    arrays, meta = load_container(path)
-    shape_key = "context_dim" if meta.get("model") == "rcnn" else "win"
-    _check_meta(path, meta, "a classifier model",
-                ("model", "tokens", "n_classes", "dim", "hidden", shape_key))
-    if meta["model"] == "rcnn":
-        model = tc.RcnnModel(meta["tokens"], meta["n_classes"], meta["dim"],
-                             meta["context_dim"], meta["hidden"])
-    else:
-        model = tc.WindowCnnModel(meta["tokens"], meta["n_classes"],
-                                  meta["dim"], meta["win"], meta["hidden"])
-    tc.load_params(model, arrays)
-    return model
+    def build(get):
+        model_cls, shape_key = _CLASSIFIERS.get(get("model"),
+                                                _CLASSIFIERS["wincnn"])
+        return model_cls(get("tokens"), get("n_classes"), get("dim"),
+                         get(shape_key), get("hidden"))
+    return _load_model(path, "a classifier model", build)
 
 
 def _cmd_classify_predict(args):

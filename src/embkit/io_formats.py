@@ -198,6 +198,24 @@ def load_container(path):
                             f"({exc})") from exc
 
 
+def restore_params(model, arrays: Dict[str, np.ndarray], source) -> None:
+    """Copy `arrays`, a model container's or a snapshot's, into
+    `model.params()` in place: the one way arrays go back into a model.
+    They must name exactly the model's arrays, each with the model's
+    shape; otherwise a DataError names `source` and nothing is copied."""
+    params = model.params()
+    missing, extra = params.keys() - arrays.keys(), arrays.keys() - params.keys()
+    if missing or extra:
+        raise DataError(f"{source}: arrays do not match the model (missing "
+                        f"{sorted(missing)}, unexpected {sorted(extra)})")
+    for name, value in arrays.items():
+        if value.shape != params[name].shape:
+            raise DataError(f"{source}: array {name!r} has shape {value.shape}, "
+                            f"the model's is {params[name].shape}")
+    for name, value in arrays.items():
+        params[name][...] = value
+
+
 def _read_container_body(fh, path):
     (meta_len,) = struct.unpack("<I", fh.read(4))
     meta = json.loads(fh.read(meta_len).decode("utf-8"))

@@ -83,17 +83,39 @@ class _PooledClassifier:
 
     `_forward` runs a batch of documents, left-aligned in a time-major
     padded layout. A model supplies `_inputs(docs, lengths)`, the dict of
-    its (T, B, in) inputs X and whatever its backward pass needs. Training
-    runs a batch of one document; evaluation runs blocks of at most
-    EVAL_BLOCK padded positions.
+    its (T, B, in) inputs X and whatever its backward pass needs, and
+    `_input_grads(ids, cache, dX, truncate)`, the gradients of its own
+    parameters from d loss / d X. Training runs a batch of one document;
+    evaluation runs blocks of at most EVAL_BLOCK padded positions.
     """
 
-    def _init_head(self, rng, in_dim, hidden, n_classes):
+    def __init__(self, tokens, specials, n_classes, dim, hidden, rng,
+                 vectors):
+        """The token list with `specials` appended where missing, and the
+        (len(tokens), dim) table `e`, uniform in [-1, 1] unless `vectors`
+        preloads its first rows."""
+        vocab = list(tokens)
+        for special in specials:
+            if special not in vocab:
+                vocab.append(special)
+        self.tokens = vocab
+        self.token_to_id = {t: i for i, t in enumerate(vocab)}
+        self.dim = dim
+        self.hidden = hidden
+        self.n_classes = n_classes
+        self.e = rng.uniform(-1.0, 1.0, size=(len(vocab), dim))
+        if vectors is not None:
+            if vectors.shape[1] != dim:
+                raise DataError("preloaded vectors have the wrong dimension")
+            self.e[:vectors.shape[0]] = vectors
+
+    def _init_head(self, rng, in_dim):
+        hidden, n_classes = self.hidden, self.n_classes
         self.W2 = _uniform(rng, (hidden, in_dim), in_dim)
         self.b2 = np.zeros(hidden)
         self.W4 = _uniform(rng, (n_classes, hidden), hidden)
         self.b4 = np.zeros(n_classes)
-        self._lr_scale = {"W2": 1.0 / in_dim, "W4": 1.0 / hidden,
+        self._lr_scale = {"e": 1.0, "W2": 1.0 / in_dim, "W4": 1.0 / hidden,
                           "b2": 1.0, "b4": 1.0}
 
     def _forward(self, docs: Sequence[np.ndarray]) -> dict:
@@ -112,9 +134,15 @@ class _PooledClassifier:
                      y4=y3 @ self.W4.T + self.b4)
         return cache
 
-    def _head_backward(self, cache: dict, class_id: int):
-        """Cross-entropy loss of the one document of `cache`, its gradients
-        for the head and d loss / d X, an (n, in) array."""
+    def loss_grads(self, tokens_or_ids, class_id: int,
+                   truncate: Optional[int] = None):
+        """Cross-entropy loss of one document and gradients of that loss;
+        the `e` gradient is an `(ids, rows)` pair. The head's backward
+        pass ends in d loss / d X, an (n, in) array, and the model's
+        `_input_grads` takes it from there."""
+        ids = tokens_or_ids if isinstance(tokens_or_ids, np.ndarray) \
+            else self.encode(tokens_or_ids)
+        cache = self._forward([ids])
         X, Y2 = cache["X"][:, 0], cache["Y2"][:, 0]
         lsm = log_softmax(cache["y4"][0])
         dy4 = np.exp(lsm)
@@ -124,7 +152,8 @@ class _PooledClassifier:
         dA = dY2 * (1.0 - Y2 * Y2)
         grads = {"W2": dA.T @ X, "b2": dA.sum(axis=0),
                  "W4": np.outer(dy4, cache["y3"][0]), "b4": dy4}
-        return -float(lsm[class_id]), grads, dA @ self.W2
+        grads.update(self._input_grads(ids, cache, dA @ self.W2, truncate))
+        return -float(lsm[class_id]), grads
 
     def _caches(self, docs: Iterable[Sequence[str]]) -> Iterator[dict]:
         """`_forward` of consecutive blocks of `docs`, each of at most
@@ -167,30 +196,19 @@ class RcnnModel(_PooledClassifier):
                  vectors: Optional[np.ndarray] = None):
         _check_sizes(dim=dim, context_dim=context_dim, hidden=hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
-        vocab = list(tokens)
-        if UNK_TOKEN not in vocab:
-            vocab.append(UNK_TOKEN)
-        self.tokens = vocab
-        self.token_to_id = {t: i for i, t in enumerate(vocab)}
-        self.dim = dim
+        super().__init__(tokens, (UNK_TOKEN,), n_classes, dim, hidden, rng,
+                         vectors)
         self.context_dim = context_dim
-        self.hidden = hidden
-        self.n_classes = n_classes
         c, e = context_dim, dim
-        self.e = rng.uniform(-1.0, 1.0, size=(len(vocab), e))
-        if vectors is not None:
-            if vectors.shape[1] != e:
-                raise DataError("preloaded vectors have the wrong dimension")
-            self.e[:vectors.shape[0]] = vectors
         self.W_l = _uniform(rng, (c, c), c)
         self.W_r = _uniform(rng, (c, c), c)
         self.W_sl = _uniform(rng, (c, e), e)
         self.W_sr = _uniform(rng, (c, e), e)
         self.cl_init = rng.uniform(-1.0, 1.0, size=c)
         self.cr_init = rng.uniform(-1.0, 1.0, size=c)
-        self._init_head(rng, e + 2 * c, hidden, n_classes)
+        self._init_head(rng, e + 2 * c)
         self._lr_scale.update({
-            "e": 1.0, "cl_init": 1.0, "cr_init": 1.0,
+            "cl_init": 1.0, "cr_init": 1.0,
             "W_l": 1.0 / c, "W_r": 1.0 / c,
             "W_sl": 1.0 / e, "W_sr": 1.0 / e,
         })
@@ -239,20 +257,13 @@ class RcnnModel(_PooledClassifier):
             np.tanh(row, out=row)
         return S
 
-    def loss_grads(self, tokens_or_ids, class_id: int,
-                   truncate: Optional[int] = None):
-        """Cross-entropy loss of one document and gradients of that loss;
-        the `e` gradient is an `(ids, rows)` pair.
-
-        The backward pass runs the joint scan back once, keeping only the
+    def _input_grads(self, ids, cache, dX, truncate):
+        """The backward pass runs the joint scan back once, keeping only the
         recurrent chain; both directions cut it at rows k with
         k % truncate == 0. Each step's pre-activation gradient is stored,
         and the weight gradients and the input contributions are one
         matmul each afterwards."""
-        ids = tokens_or_ids if isinstance(tokens_or_ids, np.ndarray) \
-            else self.encode(tokens_or_ids)
-        cache = self._forward([ids])
-        loss, grads, dX = self._head_backward(cache, class_id)
+        grads = {}
         c, e, n = self.context_dim, self.dim, len(ids)
         S, E = cache["S"][:, 0], cache["E"][:, 0]
         dS = np.concatenate([dX[:, :c], dX[::-1, c + e:]], axis=1)
@@ -274,7 +285,7 @@ class RcnnModel(_PooledClassifier):
         dE[1:] += DR @ self.W_sr
         grads["cl_init"], grads["cr_init"] = dS[0, :c], dS[0, c:]
         grads["e"] = (ids, dE)
-        return loss, grads
+        return grads
 
 
 class WindowCnnModel(_PooledClassifier):
@@ -288,23 +299,10 @@ class WindowCnnModel(_PooledClassifier):
             raise ValueError("win must be odd")
         _check_sizes(dim=dim, hidden=hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
-        vocab = list(tokens)
-        for special in (UNK_TOKEN, PAD_TOKEN):
-            if special not in vocab:
-                vocab.append(special)
-        self.tokens = vocab
-        self.token_to_id = {t: i for i, t in enumerate(vocab)}
-        self.dim = dim
+        super().__init__(tokens, (UNK_TOKEN, PAD_TOKEN), n_classes, dim,
+                         hidden, rng, vectors)
         self.win = win
-        self.hidden = hidden
-        self.n_classes = n_classes
-        self.e = rng.uniform(-1.0, 1.0, size=(len(vocab), dim))
-        if vectors is not None:
-            if vectors.shape[1] != dim:
-                raise DataError("preloaded vectors have the wrong dimension")
-            self.e[:vectors.shape[0]] = vectors
-        self._init_head(rng, win * dim, hidden, n_classes)
-        self._lr_scale.update({"e": 1.0})
+        self._init_head(rng, win * dim)
 
     @property
     def pad_id(self) -> int:
@@ -324,14 +322,8 @@ class WindowCnnModel(_PooledClassifier):
         X.swapaxes(0, 1)[valid] = self.e[windows].reshape(len(ids), -1)
         return {"windows": windows, "X": X}
 
-    def loss_grads(self, tokens_or_ids, class_id: int,
-                   truncate: Optional[int] = None):
-        ids = tokens_or_ids if isinstance(tokens_or_ids, np.ndarray) \
-            else self.encode(tokens_or_ids)
-        cache = self._forward([ids])
-        loss, grads, dX = self._head_backward(cache, class_id)
-        grads["e"] = (cache["windows"].ravel(), dX.reshape(-1, self.dim))
-        return loss, grads
+    def _input_grads(self, ids, cache, dX, truncate):
+        return {"e": (cache["windows"].ravel(), dX.reshape(-1, self.dim))}
 
 
 def train_classifier(model, train_docs: Sequence[LabeledDocument],
@@ -340,8 +332,9 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
     """SGD over randomly ordered documents; keeps the best-on-dev checkpoint.
 
     Returns (best parameter snapshot, epoch records). The snapshot maps
-    parameter names to copies; apply with `load_params`. Without dev
-    documents, or with zero epochs, it holds the final parameters.
+    parameter names to copies; apply with `io_formats.restore_params`.
+    Without dev documents, or with zero epochs, it holds the final
+    parameters.
     """
     if cfg.truncate is not None and cfg.truncate < 1:
         raise ValueError("truncate must be >= 1")
@@ -372,11 +365,6 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
                          partial(apply_grads, params, rates=rates),
                          evaluate_dev, log_fn)
     return best[1] or deepcopy(params), records
-
-
-def load_params(model, snapshot: Dict[str, np.ndarray]) -> None:
-    for name, value in snapshot.items():
-        getattr(model, name)[...] = value
 
 
 def extract_key_phrases(model: RcnnModel, docs: Sequence[Sequence[str]],

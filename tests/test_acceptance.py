@@ -25,7 +25,7 @@ from embkit.embeddings import (EmbeddingModel, TrainConfig,
 from embkit.evaluate import (PgrInput, eval_analogy, eval_similarity,
                              load_analogies, load_similarity, pgr,
                              pgr_percent)
-from embkit.io_formats import EmbeddingTable
+from embkit.io_formats import EmbeddingTable, restore_params
 from embkit.matrixfact import (count_cooccurrences, factorize_log_counts,
                                skipgram_equivalence_report)
 from embkit.optim import gradient_check
@@ -36,7 +36,7 @@ from embkit.segment import (LEGAL_END, LEGAL_NEXT, LEGAL_START, TAG_ID,
 from embkit.seeding import substream
 from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
                               WindowCnnModel, extract_key_phrases,
-                              load_params, train_classifier)
+                              train_classifier)
 from embkit.corpus import Vocabulary
 
 
@@ -515,14 +515,14 @@ def test_criterion_9_rcnn_properties():
                      rng=substream(99, "init"))
     best, _ = train_classifier(rcnn, train, dev,
                                ClassifierConfig(lr=0.05, epochs=40, seed=99))
-    load_params(rcnn, best)
+    restore_params(rcnn, best, "snapshot")
     rcnn_acc = rcnn.accuracy(test)
 
     cnn = WindowCnnModel(tokens, 2, dim=12, win=1, hidden=24,
                          rng=substream(99, "init2"))
     best2, _ = train_classifier(cnn, train, dev,
                                 ClassifierConfig(lr=0.05, epochs=40, seed=99))
-    load_params(cnn, best2)
+    restore_params(cnn, best2, "snapshot")
     cnn_acc = cnn.accuracy(test)
 
     # (a) forward cost is linear: doubling length <= 2.3x, 100 runs each

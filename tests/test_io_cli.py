@@ -705,6 +705,122 @@ def test_cli_wrong_kind_container_is_data_error(tmp_path, tiny_corpus_file,
         f"data error: {model}: container is not a {what} model")
 
 
+# --- model containers back into models ----------------------------------------
+
+def _train_commands(d):
+    """Training argv per model container name; every model is tiny."""
+    emb = ["--corpus", str(d / "corpus.txt"), "--dim", "4", "--epochs", "1",
+           "--binary", "--out", str(d / "emb.bin")]
+    cmds = {kind: ["train-emb", "--kind", kind, "--hidden", "5", *emb]
+            for kind in ("skipgram", "order", "lbl", "nnlm", "cw")}
+    cmds["full_softmax"] = [*cmds["skipgram"], "--full-softmax"]
+    cmds["charword"] = ["train-charword", "--char-context", *emb]
+    cmds = {name: [*argv, "--model-out", str(d / f"{name}.bin")]
+            for name, argv in cmds.items()}
+    cmds["segmenter"] = ["segment-train", "--corpus", str(d / "seg.txt"),
+                         "--dim", "3", "--hidden", "4", "--epochs", "1",
+                         "--out", str(d / "segmenter.bin")]
+    for model in ("rcnn", "wincnn"):
+        cmds[model] = ["classify-train", "--model", model, "--train",
+                       str(d / "clf.tsv"), "--dim", "3", "--context-dim", "3",
+                       "--hidden", "4", "--epochs", "1",
+                       "--out", str(d / f"{model}.bin")]
+    return cmds
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    """A directory of trained model containers, `<name>.bin` for each name
+    of `_train_commands`, and the inputs the loading commands read."""
+    d = tmp_path_factory.mktemp("models")
+    rng = np.random.default_rng(3)
+    (d / "corpus.txt").write_text("".join(
+        " ".join(f"w{rng.integers(10)}" for _ in range(25)) + "\n"
+        for _ in range(40)), encoding="utf-8")
+    (d / "seg.txt").write_text("的有/我/不\n一了/是/人\n" * 3, encoding="utf-8")
+    (d / "clf.tsv").write_text("0\ta b c\n1\td e f\n" * 3, encoding="utf-8")
+    for argv in _train_commands(d).values():
+        assert run(argv) == 0
+    assert run(["cooccur", "--corpus", str(d / "corpus.txt"), "--out",
+                str(d / "cooc.tsv"), "--save-vocab", str(d / "vocab.tsv")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("name", ["full_softmax", "charword", "nnlm", "cw",
+                                  "segmenter", "rcnn", "wincnn"])
+def test_model_container_round_trip_is_bitwise(model_dir, name):
+    from embkit import cli
+    load = {"segmenter": cli._load_segmenter, "rcnn": cli._load_classifier,
+            "wincnn": cli._load_classifier}.get(name, cli._load_embedding_model)
+    path = model_dir / f"{name}.bin"
+    params = load(path).params()
+    arrays, _ = load_container(path)
+    assert sorted(params) == sorted(arrays)
+    for key, value in arrays.items():
+        assert params[key].dtype == value.dtype
+        assert params[key].tobytes() == value.tobytes(), key
+    if name == "nnlm":
+        assert {"H", "b1", "b2"} <= set(params)
+    if name == "cw":
+        assert "U" in params
+
+
+# command -> the container it reads, the array to tamper with and metadata
+# its constructor refuses
+_LOADERS = {
+    "segment-decode": ("segmenter", "H", {"win": 4}),
+    "classify-predict": ("rcnn", "W_l", {"context_dim": 0}),
+    "key-phrases": ("rcnn", "W_l", {"context_dim": 0}),
+    "equiv-report": ("skipgram", "e_prime", {"win": 4}),
+}
+
+
+def _loading_argv(command, d, model):
+    if command == "equiv-report":
+        return [command, "--cooccur", str(d / "cooc.tsv"), "--vocab",
+                str(d / "vocab.tsv"), "--model", str(model)]
+    inputs = {"segment-decode": "seg.txt", "classify-predict": "clf.tsv",
+              "key-phrases": "clf.tsv"}
+    argv = [command, "--model", str(model), "--input", str(d / inputs[command])]
+    if command != "key-phrases":
+        argv += ["--out", str(d / "loaded.out")]
+    return argv
+
+
+_UNSCORED_KINDS = ("cw", "order", "lbl", "nnlm")
+
+
+@pytest.mark.parametrize("command,fault", [
+    *[(command, fault) for command in _LOADERS
+      for fault in ("missing", "extra", "shape", "meta")],
+    ("equiv-report", "counts"),
+    *[("equiv-report", kind) for kind in _UNSCORED_KINDS]])
+def test_cli_unusable_model_container_is_data_error(tmp_path, model_dir,
+                                                    caplog, command, fault):
+    name, array, bad_meta = _LOADERS[command]
+    model = tmp_path / "model.bin"
+    if fault in _UNSCORED_KINDS:  # embedding kinds equiv-report cannot score
+        model = model_dir / f"{fault}.bin"
+    else:
+        arrays, meta = load_container(model_dir / f"{name}.bin")
+        if fault == "missing":
+            del arrays[array]
+        elif fault == "extra":
+            arrays["extra"] = np.zeros(3)
+        elif fault == "shape":
+            arrays[array] = arrays[array][..., :-1]
+        elif fault == "meta":
+            meta.update(bad_meta)
+        else:  # refused by the Vocabulary constructor
+            meta["vocab_counts"] = [0] * len(meta["vocab_counts"])
+        save_container(model, arrays, meta)
+    (model_dir / "loaded.out").unlink(missing_ok=True)
+    caplog.clear()
+    assert run(_loading_argv(command, model_dir, model)) == 2
+    assert f"{model}: " in _one_error_line(caplog)
+    assert not (model_dir / "loaded.out").exists()
+
+
 @pytest.mark.parametrize("container", [False, True], ids=["text", "container"])
 def test_cli_non_finite_vector_is_data_error(tmp_path, caplog, container):
     from embkit.io_formats import save_embeddings_binary

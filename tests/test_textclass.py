@@ -7,11 +7,11 @@ from conftest import dense_grads, flat_checker, in_noise_band
 from embkit import textclass
 from embkit.corpus import window_matrix
 from embkit.errors import DataError
+from embkit.io_formats import restore_params
 from embkit.optim import EpochRecord, gradient_check, log_softmax
 from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
                               WindowCnnModel, extract_key_phrases,
-                              load_labeled_documents, load_params,
-                              train_classifier)
+                              load_labeled_documents, train_classifier)
 
 VOCAB = [f"t{i}" for i in range(8)]
 
@@ -302,7 +302,7 @@ def _trained(kind, truncate):
         model = WindowCnnModel(tokens, 3, dim=4, win=3, hidden=6, rng=init)
     cfg = ClassifierConfig(lr=0.05, epochs=2, seed=2, truncate=truncate)
     best, _ = train_classifier(model, train, train, cfg)
-    load_params(model, best)
+    restore_params(model, best, "snapshot")
     return model
 
 
@@ -414,7 +414,7 @@ def test_rcnn_overfits_planted_keywords():
                       rng=np.random.default_rng(0))
     cfg = ClassifierConfig(lr=0.05, epochs=50, seed=1)
     best, history = train_classifier(model, train, train, cfg)
-    load_params(model, best)
+    restore_params(model, best, "snapshot")
     assert model.accuracy(train) == 1.0
 
 
@@ -426,7 +426,7 @@ def test_wincnn_trains_on_keywords():
                            rng=np.random.default_rng(0))
     cfg = ClassifierConfig(lr=0.05, epochs=50, seed=1)
     best, _ = train_classifier(model, train, train, cfg)
-    load_params(model, best)
+    restore_params(model, best, "snapshot")
     assert model.accuracy(train) == 1.0
 
 

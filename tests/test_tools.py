@@ -38,4 +38,5 @@ def test_hash_outputs_lists_every_command_and_output():
     cycle_files = {Path(p).name
                    for p in hash_outputs.workloads.output_paths("out").values()}
     assert files == (cycle_files | {"glove_initial.bin"}
-                     | {f"{e}.bin" for e in extra_ids})
+                     | {f"{e}.bin" for e in extra_ids}
+                     | {f"extra_{k}_model.bin" for k in hash_outputs.MODEL_OUT})

@@ -7,7 +7,8 @@ directory, runs one cycle of `bench/workloads.py`'s commands through
 the cycle it runs the bench's zero-epoch GloVe command and trains the
 variants the cycle does not cover: full softmax, `--char-context`,
 `--beta 1`, `lbl`, two SGD epochs and float32 charword and cbow, on the
-workload's small corpus. Two sources produce the same bytes when their
+workload's small corpus; the `--char-context` and `lbl` runs also write
+their model containers. Two sources produce the same bytes when their
 listings `diff` clean:
 
     python3 tools/hash_outputs.py --src src --workload pairs-bigvocab > a.txt
@@ -42,6 +43,9 @@ EXTRAS = {
     "charword_f32": ["train-charword", "--precision", "float32"],
     "cbow_f32": ["train-emb", "--kind", "cbow", "--precision", "float32"],
 }
+# extras that also write their model container, extra_<id>_model.bin: one
+# with H/b1/b2 and one with character rows
+MODEL_OUT = ("char_context", "lbl")
 
 
 def extra_commands(name, files, out, out_dir, seed):
@@ -56,6 +60,9 @@ def extra_commands(name, files, out, out_dir, seed):
         argv = [head[0], "--corpus", files["corpus_small"], "--dim", dim,
                 "--epochs", "1", "--seed", str(seed), "--binary", *head[1:],
                 "--out", os.path.join(out_dir, f"extra_{cmd_id}.bin")]
+        if cmd_id in MODEL_OUT:
+            argv += ["--model-out",
+                     os.path.join(out_dir, f"extra_{cmd_id}_model.bin")]
         cmds.append((f"extra_{cmd_id}", argv))
     return cmds
 
