@@ -126,8 +126,8 @@ def _load_model(path, what, build):
     """Read a model container back into a model: `build(get)` makes the
     model from the metadata values `get(key)`, and `restore_params` copies
     the arrays in. A missing key means the container holds another kind of
-    model; it and a value the constructors refuse are data errors naming
-    `path`."""
+    model; it and a value the constructors refuse, or one of the wrong
+    type, are data errors naming `path`."""
     arrays, meta = load_container(path)
 
     def get(key):
@@ -137,7 +137,7 @@ def _load_model(path, what, build):
 
     try:
         model = build(get)
-    except (ValueError, DataError) as exc:
+    except (ValueError, TypeError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     restore_params(model, arrays, path)
     return model

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DataError
 from .io_formats import EmbeddingTable, open_text
-from .optim import apply_grads, log_softmax, run_epochs
+from .optim import (apply_grads, blas_idle_threads, log_softmax, map_threads,
+                    run_epochs)
 
 
 def cosine(u, v) -> float:
@@ -167,22 +168,32 @@ def eval_choice(table: EmbeddingTable, questions: Sequence[ChoiceQuestion]) -> f
 _BLOCK_SCORES = 2 ** 20
 
 
-def _cosine_blocks(table: EmbeddingTable, unit_queries: np.ndarray):
-    """Yield (rows, scores) for consecutive blocks of unit-norm query rows:
-    scores[i, j] is the cosine of query rows.start + i with table row j (a
-    zero table row scores 0). One matrix product per block."""
-    unit = table.unit_vectors()
-    step = max(1, _BLOCK_SCORES // len(unit))
-    for start in range(0, len(unit_queries), step):
+def _block_rows(n_vocab: int) -> int:
+    return max(1, _BLOCK_SCORES // n_vocab)
+
+
+def _cosine_blocks(unit: np.ndarray, unit_queries: np.ndarray, out: np.ndarray,
+                   first: int = 0, every: int = 1):
+    """Yield (rows, scores) for the blocks first, first + every, ... of
+    `_block_rows` unit-norm query rows: scores[i, j] is the cosine of query
+    rows.start + i with row j of the unit-norm table `unit` (a zero row
+    scores 0). One matrix product per block, written into the leading rows
+    of `out`, which has a block's rows and is overwritten by the next."""
+    step = _block_rows(len(unit))
+    for start in range(first * step, len(unit_queries), every * step):
         rows = slice(start, start + step)
-        yield rows, unit_queries[rows] @ unit.T
+        q = unit_queries[rows]
+        yield rows, np.matmul(q, unit.T, out=out[:len(q)])
 
 
 def eval_analogy(table: EmbeddingTable, questions: Sequence[AnalogyQuestion]) -> dict:
     """3CosAdd: argmax cosine(v, e(b) - e(a) + e(c)) excluding {a, b, c}.
 
     Questions with an OOV word or a zero query vector are skipped; the
-    others are answered in blocks, and a tie goes to the lowest id."""
+    others are answered in blocks, and a tie goes to the lowest id. The
+    blocks are spread over the cores BLAS leaves idle, thread k taking
+    blocks k, k + T, ...; each block is the same product on any thread, so
+    the result does not depend on the thread count."""
     ids, categories = [], []
     for q in questions:
         qids = [table.token_to_id.get(w) for w in (q.a, q.b, q.c, q.expected)]
@@ -195,10 +206,22 @@ def eval_analogy(table: EmbeddingTable, questions: Sequence[AnalogyQuestion]) ->
     norms = np.linalg.norm(queries, axis=1)
     nonzero = norms != 0.0
     ids, queries, norms = ids[nonzero], queries[nonzero], norms[nonzero]
+    unit_queries = queries / norms[:, None]
+    # normalise the table and allocate every buffer on this thread: large
+    # arrays allocated on pool threads stay resident in glibc's per-thread
+    # arenas after they are freed
+    unit = table.unit_vectors()
+    step = _block_rows(len(unit))
+    threads = min(blas_idle_threads(), -(-len(ids) // step))
+    bufs = [np.empty((min(step, len(ids)), len(unit))) for _ in range(threads)]
     guesses = np.empty(len(ids), dtype=np.int64)
-    for rows, scores in _cosine_blocks(table, queries / norms[:, None]):
-        scores[np.arange(len(scores))[:, None], ids[rows, :3]] = -np.inf
-        guesses[rows] = np.argmax(scores, axis=1)  # first max: lowest id
+
+    def answer(k):
+        for rows, scores in _cosine_blocks(unit, unit_queries, bufs[k], k, threads):
+            scores[np.arange(len(scores))[:, None], ids[rows, :3]] = -np.inf
+            guesses[rows] = np.argmax(scores, axis=1)  # first max: lowest id
+
+    map_threads(answer, range(threads), threads)
     categories = [c for c, keep in zip(categories, nonzero) if keep]
     hits = (guesses == ids[:, 3]).tolist()
     per_category: dict = {}
@@ -225,8 +248,7 @@ def nearest_neighbors(table: EmbeddingTable, word: str, k: int) -> List[Tuple[st
     norm = np.linalg.norm(query)
     if norm == 0.0:
         raise DataError("query vector is zero")
-    _, scores = next(_cosine_blocks(table, (query / norm)[np.newaxis]))
-    sims = scores[0]
+    sims = ((query / norm)[np.newaxis] @ table.unit_vectors().T)[0]
     sims[wid] = -np.inf
     order = np.lexsort((np.arange(len(sims)), -sims))  # cosine desc, id asc
     return [(table.tokens[i], float(sims[i])) for i in order[:k]]

@@ -1,5 +1,5 @@
-"""Activations, SGD/AdaGrad steps, the epoch loop, noise sampling and a
-finite-difference gradient checker.
+"""Activations, SGD/AdaGrad steps, the epoch loop, an ordered thread map,
+noise sampling and a finite-difference gradient checker.
 
 Every trainer runs its epochs through `run_epochs` and steps through
 `apply_grads`, but for the factorization's own row step. Steps follow the
@@ -10,6 +10,7 @@ Both write nothing unless every new value is finite.
 """
 
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -158,13 +159,7 @@ def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
     for epoch in range(epochs):
         t0 = time.perf_counter()
         n_tokens, shards = epoch_shards(epoch)
-        # pool threads start with numpy's default error state, not the caller's
-        run = partial(_run_shard, step=step, errors=np.geterr())
-        if len(shards) == 1:
-            totals = [run(shards[0])]
-        else:
-            with ThreadPoolExecutor(len(shards)) as pool:
-                totals = list(pool.map(run, shards))
+        totals = map_threads(partial(_run_shard, step=step), shards, len(shards))
         seconds = time.perf_counter() - t0
         losses = [loss for loss, _ in totals if loss is not None]
         units = sum(n for _, n in totals)
@@ -178,17 +173,50 @@ def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
     return records
 
 
-def _run_shard(batches, step, errors):
-    """Run one shard's batches under numpy error state `errors`."""
-    with np.errstate(**errors):
-        loss_sum, units = None, 0
-        for loss, grads, n in batches:
-            if loss is not None:
-                loss_sum = (loss_sum or 0.0) + check_finite(loss, "training loss")
-            step(grads)
-            units += n
-            del grads  # so one batch's gradients, not two, are alive at a time
+def _run_shard(batches, step):
+    """Step through one shard; return its loss sum (None if it computed no
+    loss) and its units."""
+    loss_sum, units = None, 0
+    for loss, grads, n in batches:
+        if loss is not None:
+            loss_sum = (loss_sum or 0.0) + check_finite(loss, "training loss")
+        step(grads)
+        units += n
+        del grads  # so one batch's gradients, not two, are alive at a time
     return loss_sum, units
+
+
+def map_threads(fn, items, threads: int) -> list:
+    """`[fn(item) for item in items]` on up to `threads` threads, inline for
+    one. Each call runs under the caller's numpy error state, which pool
+    threads would not inherit. Results come back in input order; if calls
+    raise, the exception of the first such item in input order is raised."""
+    if threads <= 1:
+        return [fn(item) for item in items]
+    errors = np.geterr()
+
+    def call(item):
+        with np.errstate(**errors):
+            return fn(item)
+
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(call, items))
+
+
+def blas_idle_threads() -> int:
+    """How many BLAS calls can run at once without sharing a core: the
+    usable CPUs over the BLAS threads per call, from `OPENBLAS_NUM_THREADS`
+    or else `OMP_NUM_THREADS`. Unset, BLAS is taken to use every CPU, so
+    the answer is 1."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows have no sched_getaffinity
+        cpus = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
 
 
 class NoiseSampler:

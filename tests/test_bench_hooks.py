@@ -5,12 +5,15 @@ that stops calling a wrapped name and so zeroes a per-layer count, fail
 tier-1.
 """
 
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from embkit import cli
+from embkit import cli, evaluate
+from embkit.io_formats import EmbeddingTable, save_embeddings
 
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
@@ -86,3 +89,25 @@ def test_tracer_counts_classifier_documents_and_dev_evaluations(tmp_path,
                     "--out", str(tmp_path / "rcnn.bin")]) == 0
     assert tracer.counts["textclass.docs"] == 3 * 4
     assert sum(span[0] == "textclass.dev_eval" for span in tracer.spans) == 4
+
+
+def test_tracer_sees_one_analogy_span_when_blocks_run_on_threads(
+        tmp_path, tracer, monkeypatch):
+    # the tracer's span stack is not thread-safe: no wrapped name may run
+    # on the pool threads that score the blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    n = 4096  # 256 query rows per block of 2**20 scores
+    rng = np.random.default_rng(0)
+    tokens = [f"w{i}" for i in range(n)]
+    emb, ana = tmp_path / "e.vec", tmp_path / "ana.txt"
+    save_embeddings(EmbeddingTable(tokens, rng.normal(size=(n, 3))), emb)
+    ana.write_text("".join(" ".join(tokens[i] for i in rng.choice(n, 4)) + "\n"
+                           for _ in range(600)), encoding="utf-8")
+    assert -(-600 // evaluate._block_rows(n)) >= 2
+    assert cli.run(["eval", "--embeddings", str(emb), "--task", "analogy",
+                    "--dataset", str(ana)]) == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("evaluate.analogy") == 1
+    assert names.count("evaluate.unit_vectors") == 1

@@ -1,12 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from embkit import evaluate, optim
 from embkit.errors import DataError
 from embkit.evaluate import (AnalogyQuestion, ChoiceQuestion, PgrInput,
-                             SimilarityPair, _cosine_blocks,
+                             SimilarityPair, _block_rows, _cosine_blocks,
                              avg_document_vector, classify,
                              cosine, eval_analogy, eval_choice,
                              eval_similarity, load_analogies,
@@ -194,25 +197,31 @@ def test_eval_analogy_scale_invariant():
     assert base["accuracy"] == scaled["accuracy"]
 
 
+def oracle_guess(table, q):
+    """The per-question 3CosAdd loop, one matrix-vector product per
+    question: the guessed id, or None for a skipped question."""
+    ids = [table.token_to_id.get(w) for w in (q.a, q.b, q.c, q.expected)]
+    if any(i is None for i in ids):
+        return None
+    ia, ib, ic, _ = ids
+    query = table.vectors[ib] - table.vectors[ia] + table.vectors[ic]
+    norm = np.linalg.norm(query)
+    if norm == 0.0:
+        return None
+    sims = table.unit_vectors() @ (query / norm)
+    sims[[ia, ib, ic]] = -np.inf
+    return int(np.argmax(sims))
+
+
 def analogy_oracle(table, questions):
-    """The per-question 3CosAdd loop: one matrix-vector product each."""
-    unit = table.unit_vectors()
     answered = correct = skipped = 0
     per_category = {}
     for q in questions:
-        ids = [table.token_to_id.get(w) for w in (q.a, q.b, q.c, q.expected)]
-        if any(i is None for i in ids):
+        guess = oracle_guess(table, q)
+        if guess is None:
             skipped += 1
             continue
-        ia, ib, ic, expected = ids
-        query = table.vectors[ib] - table.vectors[ia] + table.vectors[ic]
-        norm = np.linalg.norm(query)
-        if norm == 0.0:
-            skipped += 1
-            continue
-        sims = unit @ (query / norm)
-        sims[[ia, ib, ic]] = -np.inf
-        hit = int(np.argmax(sims)) == expected
+        hit = table.tokens[guess] == q.expected
         answered += 1
         correct += int(hit)
         cat = per_category.setdefault(q.category, [0, 0])
@@ -226,7 +235,45 @@ def analogy_oracle(table, questions):
     }
 
 
-def test_eval_analogy_blocks_match_per_question_oracle():
+def analogy_at_thread_counts(monkeypatch, table, questions):
+    """eval_analogy's result with 1 and with 3 threads, forced through the
+    CPU count and the BLAS pin; the two must agree, every block must be
+    scored exactly once, and every guess must match the oracle's. Also
+    returns the thread counts used."""
+    calls, starts = [], []
+
+    def map_spy(fn, items, threads):
+        calls.append(threads)
+        return optim.map_threads(fn, items, threads)
+
+    def blocks_spy(*args):
+        for rows, scores in _cosine_blocks(*args):
+            starts.append(rows.start)
+            yield rows, scores
+
+    monkeypatch.setattr(evaluate, "map_threads", map_spy)
+    monkeypatch.setattr(evaluate, "_cosine_blocks", blocks_spy)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    results = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        starts.clear()
+        results.append(eval_analogy(table, questions))
+        assert sorted(starts) == list(range(0, results[-1]["answered"],
+                                            _block_rows(len(table))))
+        # every guess the oracle's: a question asking for it is a hit
+        guessed = [q._replace(expected=table.tokens[g], category="")
+                   for q in questions
+                   if (g := oracle_guess(table, q)) is not None]
+        assert eval_analogy(table, guessed)["accuracy"] == (1.0 if guessed
+                                                            else 0.0)
+    assert results[0] == results[1]
+    return results[0], calls
+
+
+def test_eval_analogy_blocks_match_per_question_oracle(monkeypatch):
     rng = np.random.default_rng(9)
     n = 10_000
     tokens = [f"t{i}" for i in range(n)]
@@ -241,18 +288,22 @@ def test_eval_analogy_blocks_match_per_question_oracle():
             vectors[k + 3] = vectors[k + 2] + vectors[k + 1] - vectors[k]
             questions.append(AnalogyQuestion(*tokens[k:k + 4], category="p"))
     table = table_from(tokens, vectors)
+    unit = table.unit_vectors()
+    buf = np.empty((_block_rows(n), n))
     covered = blocks = 0
-    for rows, scores in _cosine_blocks(table, table.unit_vectors()[:400]):
+    for rows, scores in _cosine_blocks(unit, unit[:400], buf):
         assert rows.start == covered and scores.size <= 2 ** 20
+        assert np.shares_memory(scores, buf)
         covered += len(scores)
         blocks += 1
     assert covered == 400 and blocks >= 3
-    result = eval_analogy(table, questions)
+    result, calls = analogy_at_thread_counts(monkeypatch, table, questions)
+    assert max(calls) == 3  # with 3 CPUs, 3 threads share the 4 blocks
     assert result == analogy_oracle(table, questions)
     assert result["answered"] == 400 and result["per_category"]["p"] == 1.0
 
 
-def test_eval_analogy_edge_cases_match_oracle():
+def test_eval_analogy_edge_cases_match_oracle(monkeypatch):
     # basis rows make every score exact, so ties are exact: the lowest id wins
     tokens = ["e0", "e1", "e2", "e3", "zero", "twin", "twin2"]
     vectors = np.vstack([np.eye(4), np.zeros((1, 4)), np.eye(4)[[3, 3]]])
@@ -265,11 +316,18 @@ def test_eval_analogy_edge_cases_match_oracle():
         AnalogyQuestion("e0", "e0", "zero", "e1", "zero"),   # zero query
         AnalogyQuestion("e0", "e1", "e2", "oov", "oov"),     # OOV expected
     ]
-    result = eval_analogy(table, questions)
+    result, _ = analogy_at_thread_counts(monkeypatch, table, questions)
     assert result == analogy_oracle(table, questions)
     assert result == {"accuracy": 0.75, "answered": 4, "skipped": 2,
                       "per_category": {"tie": 1.0, "twin": 1.0,
                                        "repeat": 0.5}}
+    # every question OOV: nothing is answered, on any thread count
+    oov = [AnalogyQuestion("e0", "e1", "e2", "oov"),
+           AnalogyQuestion("oov", "e1", "e2", "e3")]
+    result, _ = analogy_at_thread_counts(monkeypatch, table, oov)
+    assert result == analogy_oracle(table, oov)
+    assert result == {"accuracy": 0.0, "answered": 0, "skipped": 2,
+                      "per_category": {}}
 
 
 def test_nearest_neighbors_basics():

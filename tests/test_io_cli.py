@@ -821,6 +821,21 @@ def test_cli_unusable_model_container_is_data_error(tmp_path, model_dir,
     assert not (model_dir / "loaded.out").exists()
 
 
+def test_cli_wrongly_typed_model_metadata_is_data_error(tmp_path, model_dir):
+    # a string where the constructor compares a number raises TypeError
+    arrays, meta = load_container(model_dir / "skipgram.bin")
+    meta["dim"] = str(meta["dim"])
+    model = tmp_path / "model.bin"
+    save_container(model, arrays, meta)
+    code, stderr = _run_cli_process(_loading_argv("equiv-report", model_dir,
+                                                  model))
+    assert code == 2
+    # no traceback: every line is a log line, and one of them the error
+    assert all(line.startswith(("[INFO]", "[ERROR]")) for line in stderr), stderr
+    errors = [line for line in stderr if line.startswith("[ERROR]")]
+    assert len(errors) == 1 and f"data error: {model}: " in errors[0]
+
+
 @pytest.mark.parametrize("container", [False, True], ids=["text", "container"])
 def test_cli_non_finite_vector_is_data_error(tmp_path, caplog, container):
     from embkit.io_formats import save_embeddings_binary

@@ -1,4 +1,7 @@
 import math
+import os
+import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,8 +12,9 @@ from hypothesis import strategies as st
 from embkit.embeddings import EmbeddingModel, TrainConfig, train_epochs
 from embkit.errors import NumericError
 from embkit.optim import (EpochRecord, NoiseSampler, apply_grads,
-                          gradient_check, log_sigmoid, log_softmax, run_epochs,
-                          sigmoid, softmax, step_dense, step_rows)
+                          blas_idle_threads, gradient_check, log_sigmoid,
+                          log_softmax, map_threads, run_epochs, sigmoid,
+                          softmax, step_dense, step_rows)
 
 
 def test_softmax_symmetry():
@@ -342,3 +346,54 @@ def test_run_epochs_sums_shards_and_rejects_negative_epochs():
     assert (record.mean_loss, record.n_units) == (6.0 / 4, 4)
     with pytest.raises(ValueError):
         run_epochs(-1, epoch_shards, lambda grads: None)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_map_threads_returns_results_in_input_order(threads):
+    def square_late_first(k):
+        time.sleep(0.01 * (6 - k))  # later items finish first
+        return k * k
+
+    assert map_threads(square_late_first, range(6), threads) == [
+        k * k for k in range(6)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_threads_runs_under_the_callers_error_state(threads):
+    def overflow(k):
+        return float(np.exp(np.float64(1000.0)))
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        map_threads(overflow, range(4), threads)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning on any thread raises
+        assert map_threads(overflow, range(4), threads) == [math.inf] * 4
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_map_threads_raises_the_first_items_exception(threads):
+    def odd_fails(k):
+        if k % 2:
+            raise KeyError(k)
+        return k
+
+    with pytest.raises(KeyError) as err:
+        map_threads(odd_fails, range(6), threads)
+    assert err.value.args == (1,)
+
+
+def test_blas_idle_threads_divides_usable_cpus_by_blas_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert blas_idle_threads() == 1  # unset: BLAS may use every CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert blas_idle_threads() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read before OMP's
+    assert blas_idle_threads() == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    assert blas_idle_threads() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert blas_idle_threads() == 3
