@@ -40,7 +40,7 @@ def main(argv=None) -> int:
 
 def run(argv) -> int:
     _setup_logging()
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -476,13 +476,7 @@ def _add_train_args(p):
     p.add_argument("--out", required=True, help="embedding file")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="embkit",
-        description="word/character embedding and text representation workbench")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("train-emb", help="train one of the six embedding kinds")
+def _args_train_emb(p):
     _add_corpus_args(p)
     _add_train_args(p)
     p.add_argument("--kind", choices=list(emb.KINDS), required=True)
@@ -490,7 +484,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exact softmax output layer (skipgram, small vocabularies)")
     p.set_defaults(handler=_cmd_train_emb)
 
-    p = sub.add_parser("train-charword", help="joint character/word training")
+
+def _args_train_charword(p):
     _add_corpus_args(p)
     _add_train_args(p)
     p.add_argument("--beta", type=float, default=0.5,
@@ -500,14 +495,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chars-out", help="embedding file for bare characters")
     p.set_defaults(handler=_cmd_train_charword)
 
-    p = sub.add_parser("cooccur", help="count a word-word co-occurrence matrix")
+
+def _args_cooccur(p):
     _add_corpus_args(p, with_subsample=False)
     p.add_argument("--win", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_cooccur)
 
-    p = sub.add_parser("factorize", help="factorize a co-occurrence matrix")
+
+def _args_factorize(p):
     p.add_argument("--cooccur", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--win", type=int, default=5)
@@ -520,16 +517,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_factorize)
 
-    p = sub.add_parser("equiv-report",
-                       help="KL between co-occurrence conditionals and a "
-                            "full-softmax skipgram model")
+
+def _args_equiv_report(p):
     p.add_argument("--cooccur", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--win", type=int, default=5)
     p.add_argument("--model", required=True, help="container from train-emb")
     p.set_defaults(handler=_cmd_equiv_report)
 
-    p = sub.add_parser("eval", help="evaluate an embedding file")
+
+def _args_eval(p):
     p.add_argument("--embeddings", required=True)
     p.add_argument("--task", choices=["ws", "tfl", "analogy", "avg", "nn"],
                    required=True)
@@ -548,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="multiply the score before PGR (e.g. 100 for percents)")
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("segment-train", help="train the BMES segmenter")
+
+def _args_segment_train(p):
     p.add_argument("--corpus", required=True, help="segmented sentences")
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--dim", type=int, default=50)
@@ -563,19 +561,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_segment_train)
 
-    p = sub.add_parser("segment-decode", help="segment raw text")
+
+def _args_segment_decode(p):
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_segment_decode)
 
-    p = sub.add_parser("segment-score", help="P/R/F of predictions vs gold")
+
+def _args_segment_score(p):
     p.add_argument("--pred", required=True)
     p.add_argument("--gold", required=True)
     p.set_defaults(handler=_cmd_segment_score)
 
-    p = sub.add_parser("classify-train", help="train rcnn or window-cnn")
+
+def _args_classify_train(p):
     p.add_argument("--train", required=True)
     p.add_argument("--dev")
     p.add_argument("--dev-fraction", type=float, default=0.1)
@@ -592,13 +593,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_classify_train)
 
-    p = sub.add_parser("classify-predict", help="predict labels for documents")
+
+def _args_classify_predict(p):
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_classify_predict)
 
-    p = sub.add_parser("key-phrases", help="max-pooling phrase extraction")
+
+def _args_key_phrases(p):
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--phrase-len", type=int, default=3)
@@ -606,6 +609,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", action="store_true")
     p.set_defaults(handler=_cmd_key_phrases)
 
+
+# subcommand -> its help line and the function that adds its arguments
+_COMMANDS = {
+    "train-emb": ("train one of the six embedding kinds", _args_train_emb),
+    "train-charword": ("joint character/word training", _args_train_charword),
+    "cooccur": ("count a word-word co-occurrence matrix", _args_cooccur),
+    "factorize": ("factorize a co-occurrence matrix", _args_factorize),
+    "equiv-report": ("KL between co-occurrence conditionals and a "
+                     "full-softmax skipgram model", _args_equiv_report),
+    "eval": ("evaluate an embedding file", _args_eval),
+    "segment-train": ("train the BMES segmenter", _args_segment_train),
+    "segment-decode": ("segment raw text", _args_segment_decode),
+    "segment-score": ("P/R/F of predictions vs gold", _args_segment_score),
+    "classify-train": ("train rcnn or window-cnn", _args_classify_train),
+    "classify-predict": ("predict labels for documents",
+                         _args_classify_predict),
+    "key-phrases": ("max-pooling phrase extraction", _args_key_phrases),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every subcommand registered. Only `command`'s
+    arguments are added when it names a subcommand, since argparse parses
+    with that subcommand alone; otherwise every subcommand gets its own."""
+    parser = argparse.ArgumentParser(
+        prog="embkit",
+        description="word/character embedding and text representation workbench")
+    sub = parser.add_subparsers(dest="command")
+    for name, (help_text, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command not in _COMMANDS or command == name:
+            add_args(p)
     return parser
 
 

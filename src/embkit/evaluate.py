@@ -10,6 +10,7 @@ toward the lowest token id.
 
 import math
 from functools import partial
+from itertools import chain, repeat
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -121,7 +122,8 @@ def load_analogies(path) -> List[AnalogyQuestion]:
             parts = line.split()
             if len(parts) != 4:
                 raise DataError(f"{path}:{lineno}: expected 4 words per question")
-            questions.append(AnalogyQuestion(*parts, category=category))
+            parts.append(category)
+            questions.append(AnalogyQuestion._make(parts))
     return questions
 
 
@@ -162,9 +164,9 @@ def eval_choice(table: EmbeddingTable, questions: Sequence[ChoiceQuestion]) -> f
     return correct / len(questions)
 
 
-# Query rows are scored a block at a time: 2**20 float64 scores (8 MiB) per
-# block make an efficient matrix product, and memory does not grow with the
-# number of questions.
+# Query rows are scored a block at a time, `_block_rows` rows of at most
+# 2**20 scores: an efficient matrix product, and memory does not grow with
+# the number of questions.
 _BLOCK_SCORES = 2 ** 20
 
 
@@ -173,56 +175,145 @@ def _block_rows(n_vocab: int) -> int:
 
 
 def _cosine_blocks(unit: np.ndarray, unit_queries: np.ndarray, out: np.ndarray,
-                   first: int = 0, every: int = 1):
-    """Yield (rows, scores) for the blocks first, first + every, ... of
+                   blocks):
+    """Yield (rows, scores) for each block number in `blocks`, a block being
     `_block_rows` unit-norm query rows: scores[i, j] is the cosine of query
     rows.start + i with row j of the unit-norm table `unit` (a zero row
-    scores 0). One matrix product per block, written into the leading rows
-    of `out`, which has a block's rows and is overwritten by the next."""
+    scores 0). One matrix product per block, in the dtype of its inputs,
+    written into the leading rows of `out`, which has a block's rows and is
+    overwritten by the next."""
     step = _block_rows(len(unit))
-    for start in range(first * step, len(unit_queries), every * step):
-        rows = slice(start, start + step)
+    for b in blocks:
+        rows = slice(b * step, (b + 1) * step)
         q = unit_queries[rows]
         yield rows, np.matmul(q, unit.T, out=out[:len(q)])
+
+
+# The float32 screen, and why its guesses are those of the float64 blocks.
+#
+# Let u and q be unit-norm float64 rows of width d, S = sum_i |u_i q_i|
+# <= |u| |q| (1 up to float64 rounding of the norms), and
+# gamma_d(r) = d r / (1 - d r) for a unit roundoff r (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., sec. 3.1). The float64 block
+# score s64 is within gamma_d(2**-53) S of the exact u . q, in any
+# summation order. The float32 score s32 is the product of fl32(u) and
+# fl32(q): rounding the inputs moves the exact product by at most
+# (2 * 2**-24 + 2**-48) S, and their float32 sum, in any order and with or
+# without FMA, adds at most gamma_d(2**-24) (1 + 2**-24)**2 S. Underflow
+# adds at most 2**-150 per input rounding and per product. For
+# d <= 2**17, 1 / (1 - d 2**-24) < 1.008, so in all
+#     |s32 - s64| <= eps = 1.01 (d + 2) 2**-24 + d 2**-125.
+# Wider tables take eps = 2, more than any two scores can differ, so that
+# every row is settled in float64.
+#
+# Each row, with its a, b and c masked to -inf, is decided in three steps:
+# 1. Screen: top is the float32 argmax, best its score and second the
+#    largest other. If best > second + 2 eps, then for every other j,
+#    s64[top] >= best - eps > second + eps >= s64[j]: top is the unique
+#    float64 maximum.
+# 2. Candidates: otherwise the float64 argmax j* has
+#    s32[j*] >= s64[j*] - eps >= s64[top] - eps >= best - 2 eps, so it lies
+#    in C = {j : s32[j] >= best - 2 eps}. C is scored in float64 as
+#    unit[C] @ q, whose scores are within 2 gamma_d(2**-53) S
+#    < 2 (d + 2) 2**-53 of the block's. A winner that leads every other
+#    candidate by more than twice that is the block's argmax.
+# 3. Block: otherwise (exact ties, twin rows, every entry masked) the
+#    row's own float64 block is computed by `_cosine_blocks`, the same
+#    rows in the same product, and its argmax, lowest id first, is taken.
+# Every threshold is compared in float64.
+
+def _candidate_winner(unit, query, cand, masked, tol) -> int:
+    """Step 2: the id in `cand` whose float64 score leads every other
+    candidate's by more than `tol`, with the ids in `masked` excluded; or
+    -1 if none does."""
+    if not len(cand):
+        return -1
+    s = unit[cand] @ query
+    s[np.isin(cand, masked)] = -np.inf
+    w = np.argmax(s)
+    lead = s[w]
+    s[w] = -np.inf
+    return int(cand[w]) if lead > s.max() + tol else -1
+
+
+def _analogy_guesses(unit: np.ndarray, unit_queries: np.ndarray,
+                     masked: np.ndarray) -> np.ndarray:
+    """For each unit-norm query row i, the argmax over table rows j of the
+    float64 block score unit[j] . unit_queries[i], with the ids masked[i]
+    excluded and ties going to the lowest id. Blocks are screened in float32
+    on the cores BLAS leaves idle, thread k taking blocks k, k + T, ...; the
+    rows the screen cannot decide are settled in float64 on this thread."""
+    n, d = unit_queries.shape
+    eps = 1.01 * (d + 2) * 2.0 ** -24 + d * 2.0 ** -125 if d <= 2 ** 17 else 2.0
+    step = _block_rows(len(unit))
+    n_blocks = -(-n // step)
+    threads = min(blas_idle_threads(), n_blocks)
+    # every buffer is allocated on this thread: large arrays allocated on
+    # pool threads stay resident in glibc's per-thread arenas after they
+    # are freed
+    unit32 = unit.astype(np.float32)
+    queries32 = unit_queries.astype(np.float32)
+    bufs = [np.empty((min(step, n), len(unit)), dtype=np.float32)
+            for _ in range(threads)]
+    guesses = np.empty(n, dtype=np.int64)
+    unsure = [[] for _ in range(threads)]  # (row, C) per thread
+
+    def screen(k):
+        for rows, scores in _cosine_blocks(unit32, queries32, bufs[k],
+                                           range(k, n_blocks, threads)):
+            r = np.arange(len(scores))
+            scores[r[:, None], masked[rows]] = -np.inf
+            top = np.argmax(scores, axis=1)
+            best = scores[r, top].astype(np.float64)
+            scores[r, top] = -np.inf
+            second = scores.max(axis=1).astype(np.float64)
+            guesses[rows] = top
+            for i in np.flatnonzero(~(best > second + 2 * eps)):
+                scores[i, top[i]] = best[i]
+                unsure[k].append((rows.start + i,
+                                  np.flatnonzero(scores[i] >= best[i] - 2 * eps)))
+
+    map_threads(screen, range(threads), threads)
+    tol = 4 * (d + 2) * 2.0 ** -53
+    left = []
+    for row, cand in chain.from_iterable(unsure):
+        guesses[row] = _candidate_winner(unit, unit_queries[row], cand,
+                                         masked[row], tol)
+        if guesses[row] < 0:
+            left.append(row)
+    if left:
+        left = np.array(left)
+        buf = np.empty((min(step, n), len(unit)))
+        for rows, scores in _cosine_blocks(unit, unit_queries, buf,
+                                           np.unique(left // step)):
+            for row in left[(left >= rows.start) & (left < rows.stop)]:
+                s = scores[row - rows.start]
+                s[masked[row]] = -np.inf
+                guesses[row] = np.argmax(s)  # first max: lowest id
+    return guesses
 
 
 def eval_analogy(table: EmbeddingTable, questions: Sequence[AnalogyQuestion]) -> dict:
     """3CosAdd: argmax cosine(v, e(b) - e(a) + e(c)) excluding {a, b, c}.
 
     Questions with an OOV word or a zero query vector are skipped; the
-    others are answered in blocks, and a tie goes to the lowest id. The
-    blocks are spread over the cores BLAS leaves idle, thread k taking
-    blocks k, k + T, ...; each block is the same product on any thread, so
-    the result does not depend on the thread count."""
-    ids, categories = [], []
-    for q in questions:
-        qids = [table.token_to_id.get(w) for w in (q.a, q.b, q.c, q.expected)]
-        if None not in qids:
-            ids.append(qids)
-            categories.append(q.category)
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 4)
+    others are answered by `_analogy_guesses`, and a tie goes to the lowest
+    id. Every guess is the argmax of the float64 block scores, whatever the
+    thread count."""
+    ids = np.fromiter(map(table.token_to_id.get,
+                          chain.from_iterable(q[:4] for q in questions),
+                          repeat(-1)),
+                      dtype=np.int64, count=4 * len(questions)).reshape(-1, 4)
+    keep = (ids >= 0).all(axis=1)  # no OOV word
     v = table.vectors
-    queries = v[ids[:, 1]] - v[ids[:, 0]] + v[ids[:, 2]]
+    queries = v[ids[keep, 1]] - v[ids[keep, 0]] + v[ids[keep, 2]]
     norms = np.linalg.norm(queries, axis=1)
     nonzero = norms != 0.0
-    ids, queries, norms = ids[nonzero], queries[nonzero], norms[nonzero]
-    unit_queries = queries / norms[:, None]
-    # normalise the table and allocate every buffer on this thread: large
-    # arrays allocated on pool threads stay resident in glibc's per-thread
-    # arenas after they are freed
-    unit = table.unit_vectors()
-    step = _block_rows(len(unit))
-    threads = min(blas_idle_threads(), -(-len(ids) // step))
-    bufs = [np.empty((min(step, len(ids)), len(unit))) for _ in range(threads)]
-    guesses = np.empty(len(ids), dtype=np.int64)
-
-    def answer(k):
-        for rows, scores in _cosine_blocks(unit, unit_queries, bufs[k], k, threads):
-            scores[np.arange(len(scores))[:, None], ids[rows, :3]] = -np.inf
-            guesses[rows] = np.argmax(scores, axis=1)  # first max: lowest id
-
-    map_threads(answer, range(threads), threads)
-    categories = [c for c, keep in zip(categories, nonzero) if keep]
+    keep[keep] = nonzero
+    ids = ids[keep]
+    unit_queries = queries[nonzero] / norms[nonzero, None]
+    guesses = _analogy_guesses(table.unit_vectors(), unit_queries, ids[:, :3])
+    categories = [q.category for q, k in zip(questions, keep.tolist()) if k]
     hits = (guesses == ids[:, 3]).tolist()
     per_category: dict = {}
     for cat, hit in zip(categories, hits):

@@ -64,7 +64,7 @@ class EmbeddingTable:
             raise DataError("empty embedding table")
         self.tokens = list(tokens)
         self.vectors = vectors
-        self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
+        self.token_to_id = dict(zip(self.tokens, range(len(self.tokens))))
         if len(self.token_to_id) != len(self.tokens):
             raise DataError("duplicate tokens in embedding table")
         self._unit = None

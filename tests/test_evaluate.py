@@ -3,13 +3,14 @@ import os
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embkit import evaluate, optim
 from embkit.errors import DataError
 from embkit.evaluate import (AnalogyQuestion, ChoiceQuestion, PgrInput,
-                             SimilarityPair, _block_rows, _cosine_blocks,
+                             SimilarityPair, _block_rows,
+                             _candidate_winner, _cosine_blocks,
                              avg_document_vector, classify,
                              cosine, eval_analogy, eval_choice,
                              eval_similarity, load_analogies,
@@ -235,24 +236,40 @@ def analogy_oracle(table, questions):
     }
 
 
-def analogy_at_thread_counts(monkeypatch, table, questions):
+def analogy_at_thread_counts(monkeypatch, table, questions, reference=None):
     """eval_analogy's result with 1 and with 3 threads, forced through the
     CPU count and the BLAS pin; the two must agree, every block must be
-    scored exactly once, and every guess must match the oracle's. Also
-    returns the thread counts used."""
-    calls, starts = [], []
+    screened exactly once, and every guess must match the reference's,
+    `reference(table, questions)` (by default the oracle's). Also
+    returns the thread counts used and the settling counts, equal on both
+    thread counts: "candidates", the rows settled by the float64 candidate
+    step, "blocks", the rows it left to the block step, and
+    "float64_blocks", the blocks that step computed."""
+    calls, starts, counts, settled = [], [], {}, []
 
     def map_spy(fn, items, threads):
         calls.append(threads)
         return optim.map_threads(fn, items, threads)
 
-    def blocks_spy(*args):
-        for rows, scores in _cosine_blocks(*args):
-            starts.append(rows.start)
+    def blocks_spy(unit, *args):
+        for rows, scores in _cosine_blocks(unit, *args):
+            if scores.dtype == np.float32:
+                starts.append(rows.start)
+            else:
+                assert scores.dtype == np.float64
+                counts["float64_blocks"] += 1
             yield rows, scores
 
+    def winner_spy(*args):
+        guess = _candidate_winner(*args)
+        counts["blocks" if guess < 0 else "candidates"] += 1
+        return guess
+
+    if reference is None:
+        reference = lambda table, qs: [oracle_guess(table, q) for q in qs]
     monkeypatch.setattr(evaluate, "map_threads", map_spy)
     monkeypatch.setattr(evaluate, "_cosine_blocks", blocks_spy)
+    monkeypatch.setattr(evaluate, "_candidate_winner", winner_spy)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     results = []
@@ -260,17 +277,20 @@ def analogy_at_thread_counts(monkeypatch, table, questions):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid, cpus=cpus: set(range(cpus)))
         starts.clear()
+        counts.update(candidates=0, blocks=0, float64_blocks=0)
         results.append(eval_analogy(table, questions))
+        settled.append(dict(counts))
         assert sorted(starts) == list(range(0, results[-1]["answered"],
                                             _block_rows(len(table))))
-        # every guess the oracle's: a question asking for it is a hit
+        # every guess the reference's: a question asking for it is a hit
         guessed = [q._replace(expected=table.tokens[g], category="")
-                   for q in questions
-                   if (g := oracle_guess(table, q)) is not None]
+                   for q, g in zip(questions, reference(table, questions))
+                   if g is not None]
         assert eval_analogy(table, guessed)["accuracy"] == (1.0 if guessed
                                                             else 0.0)
     assert results[0] == results[1]
-    return results[0], calls
+    assert settled[0] == settled[1]
+    return results[0], calls, settled[0]
 
 
 def test_eval_analogy_blocks_match_per_question_oracle(monkeypatch):
@@ -289,16 +309,24 @@ def test_eval_analogy_blocks_match_per_question_oracle(monkeypatch):
             questions.append(AnalogyQuestion(*tokens[k:k + 4], category="p"))
     table = table_from(tokens, vectors)
     unit = table.unit_vectors()
-    buf = np.empty((_block_rows(n), n))
-    covered = blocks = 0
-    for rows, scores in _cosine_blocks(unit, unit[:400], buf):
+    queries = unit[:400]
+    n_blocks = -(-400 // _block_rows(n))
+    buf, alone = np.empty((2, _block_rows(n), n))
+    covered = 0
+    for b, (rows, scores) in enumerate(_cosine_blocks(unit, queries, buf,
+                                                      range(n_blocks))):
         assert rows.start == covered and scores.size <= 2 ** 20
         assert np.shares_memory(scores, buf)
+        assert np.array_equal(scores, queries[rows] @ unit.T)
+        # the block step computes one block alone, bitwise as in the run
+        assert next(_cosine_blocks(unit, queries, alone, [b]))[0] == rows
+        assert np.array_equal(alone[:len(scores)], scores)
         covered += len(scores)
-        blocks += 1
-    assert covered == 400 and blocks >= 3
-    result, calls = analogy_at_thread_counts(monkeypatch, table, questions)
+    assert covered == 400 and n_blocks >= 3
+    result, calls, settled = analogy_at_thread_counts(monkeypatch, table,
+                                                      questions)
     assert max(calls) == 3  # with 3 CPUs, 3 threads share the 4 blocks
+    assert settled["blocks"] == settled["float64_blocks"] == 0
     assert result == analogy_oracle(table, questions)
     assert result["answered"] == 400 and result["per_category"]["p"] == 1.0
 
@@ -316,18 +344,139 @@ def test_eval_analogy_edge_cases_match_oracle(monkeypatch):
         AnalogyQuestion("e0", "e0", "zero", "e1", "zero"),   # zero query
         AnalogyQuestion("e0", "e1", "e2", "oov", "oov"),     # OOV expected
     ]
-    result, _ = analogy_at_thread_counts(monkeypatch, table, questions)
+    result, _, settled = analogy_at_thread_counts(monkeypatch, table,
+                                                  questions)
     assert result == analogy_oracle(table, questions)
     assert result == {"accuracy": 0.75, "answered": 4, "skipped": 2,
                       "per_category": {"tie": 1.0, "twin": 1.0,
                                        "repeat": 0.5}}
+    # the exact ties reach the float64 block, computed once
+    assert settled == {"candidates": 0, "blocks": 4, "float64_blocks": 1}
+    # every entry masked: every score is -inf, and id 0 is the guess
+    table = table_from(["e0", "e1", "e2"], np.eye(3))
+    masked = [AnalogyQuestion("e0", "e1", "e2", "e0")]
+    result, _, settled = analogy_at_thread_counts(monkeypatch, table, masked)
+    assert result == analogy_oracle(table, masked)
+    assert result["accuracy"] == 1.0
+    assert settled == {"candidates": 0, "blocks": 1, "float64_blocks": 1}
+    # two scores 4 ulps apart: too close for the candidate step, so the
+    # float64 block decides, for the higher score
+    table = table_from(["a", "near", "b", "c", "best"],
+                       [[0, 1], [1, 3e-8], [0, 2], [1, -1], [1, 0]])
+    near = [AnalogyQuestion("a", "b", "c", "best")]  # the query is (1, 0)
+    result, _, settled = analogy_at_thread_counts(monkeypatch, table, near)
+    assert result == analogy_oracle(table, near)
+    assert result["accuracy"] == 1.0
+    assert settled == {"candidates": 0, "blocks": 1, "float64_blocks": 1}
     # every question OOV: nothing is answered, on any thread count
     oov = [AnalogyQuestion("e0", "e1", "e2", "oov"),
            AnalogyQuestion("oov", "e1", "e2", "e3")]
-    result, _ = analogy_at_thread_counts(monkeypatch, table, oov)
+    result, _, settled = analogy_at_thread_counts(monkeypatch, table, oov)
     assert result == analogy_oracle(table, oov)
     assert result == {"accuracy": 0.0, "answered": 0, "skipped": 2,
                       "per_category": {}}
+    assert settled == {"candidates": 0, "blocks": 0, "float64_blocks": 0}
+
+
+def test_eval_analogy_near_ties_are_settled_by_float64_candidates(monkeypatch):
+    # two rows near each query whose cosines differ by about 1e-10: above
+    # float64's resolution, d 2**-53, and below float32's, d 2**-24
+    rng = np.random.default_rng(12)
+    n, d = 2000, 20
+    tokens = [f"t{i}" for i in range(n)]
+    vectors = rng.normal(size=(n, d))
+    questions = []
+    for j in range(60):
+        a, b, c, x, y = 5 * j + np.arange(5)
+        if j % 2:
+            x, y = y, x  # the winner is sometimes the higher id
+        q = vectors[b] - vectors[a] + vectors[c]
+        q /= np.linalg.norm(q)
+        r = rng.normal(size=d)
+        r -= (r @ q) * q
+        r /= np.linalg.norm(r)
+        vectors[x] = q + 0.1 * r
+        vectors[y] = q + 0.1 * (1 + 1e-8) * r
+        questions.append(AnalogyQuestion(*(tokens[i] for i in (a, b, c, x))))
+    table = table_from(tokens, vectors)
+    result, _, settled = analogy_at_thread_counts(monkeypatch, table,
+                                                  questions)
+    assert result == analogy_oracle(table, questions)
+    assert result["accuracy"] == 1.0
+    assert settled == {"candidates": 60, "blocks": 0, "float64_blocks": 0}
+
+
+def test_eval_analogy_wide_table_settles_every_row(monkeypatch):
+    # wider than 2**17 the float32 bound is not claimed: every row goes to
+    # the float64 candidates, even a parallelogram's clear answer
+    rng = np.random.default_rng(13)
+    tokens = [f"t{i}" for i in range(8)]
+    vectors = rng.normal(size=(8, 2 ** 17 + 1))
+    vectors[3] = vectors[2] + vectors[1] - vectors[0]
+    questions = [AnalogyQuestion(*tokens[:4])] + [
+        AnalogyQuestion(*(tokens[i] for i in rng.choice(8, 4, replace=False)))
+        for _ in range(7)]
+    table = table_from(tokens, vectors)
+    result, _, settled = analogy_at_thread_counts(monkeypatch, table,
+                                                  questions)
+    assert result == analogy_oracle(table, questions)
+    assert settled["candidates"] + settled["blocks"] == 8
+
+
+def block_reference(table, questions):
+    """The unscreened float64 scoring: the answered questions' unit queries
+    are cut into blocks of `_block_rows` rows, each block is one float64
+    matrix product with the unit table, and each row's argmax with a, b
+    and c masked is its guess; None for a skipped question."""
+    answered = [k for k, q in enumerate(questions)
+                if all(w in table for w in q[:4])]
+    ids = np.array([[table.token_to_id[w] for w in questions[k][:3]]
+                    for k in answered], dtype=np.int64).reshape(-1, 3)
+    v = table.vectors
+    queries = v[ids[:, 1]] - v[ids[:, 0]] + v[ids[:, 2]]
+    norms = np.linalg.norm(queries, axis=1)
+    nonzero = norms != 0.0
+    answered, ids = np.array(answered, dtype=np.int64)[nonzero], ids[nonzero]
+    queries = queries[nonzero] / norms[nonzero, None]
+    guesses = [None] * len(questions)
+    step = _block_rows(len(table))
+    for start in range(0, len(answered), step):
+        scores = queries[start:start + step] @ table.unit_vectors().T
+        for k, masked, s in zip(answered[start:start + step],
+                                ids[start:start + step], scores):
+            s[masked] = -np.inf
+            guesses[k] = int(np.argmax(s))
+    return guesses
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 40), d=st.integers(1, 300),
+       twins=st.integers(0, 10), zeros=st.integers(0, 4),
+       blocks=st.floats(0.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_analogy_matches_oracle_on_random_tables(n, d, twins, zeros,
+                                                      blocks, seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, d))
+    vectors[rng.integers(n, size=twins)] = vectors[rng.integers(n, size=twins)]
+    vectors[rng.integers(n, size=zeros)] = 0.0
+    tokens = [f"t{i}" for i in range(n)]
+    table = table_from(tokens, vectors)
+    with pytest.MonkeyPatch.context() as mp:
+        # 256 scores per block: the questions fill up to 3 blocks
+        mp.setattr(evaluate, "_BLOCK_SCORES", 256)
+        questions = [AnalogyQuestion(*(tokens[i] for i in
+                                       rng.integers(n, size=4)))
+                     for _ in range(max(1, int(blocks * _block_rows(n))))]
+        result, _, _ = analogy_at_thread_counts(mp, table, questions,
+                                                block_reference)
+        # the float64 blocks may score twin rows a last bit apart, so
+        # their guess is the oracle's or a twin of it
+        for q, g in zip(questions, block_reference(table, questions)):
+            o = oracle_guess(table, q)
+            assert (g is None and o is None) or \
+                np.array_equal(vectors[g], vectors[o])
+    if not twins:
+        assert result == analogy_oracle(table, questions)
 
 
 def test_nearest_neighbors_basics():

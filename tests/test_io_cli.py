@@ -1,3 +1,4 @@
+import argparse
 import logging
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import embkit
-from embkit.cli import run
+from embkit.cli import _build_parser, run
 from embkit.corpus import Vocabulary, save_vocabulary
 from embkit.errors import DataError
 from embkit.io_formats import (EmbeddingTable, load_container,
@@ -116,6 +117,30 @@ def tiny_corpus_file(tmp_path):
 
 def test_cli_unknown_command_is_usage_error():
     assert run(["definitely-not-a-command"]) == 1
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_cli_parser_for_one_command_matches_the_full_parser():
+    full = _build_parser()
+    assert _build_parser("not-a-command").format_help() == full.format_help()
+    for name, sub in _subparsers(full).items():
+        one = _build_parser(name)
+        assert one.format_help() == full.format_help()
+        assert _subparsers(one)[name].format_help() == sub.format_help()
+        assert all(len(other._actions) == 1  # only -h
+                   for other_name, other in _subparsers(one).items()
+                   if other_name != name)
+        argv = [name]
+        for action in sub._actions:
+            if action.required:
+                argv += [action.option_strings[-1],
+                         action.choices[0] if action.choices else "1"]
+        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
 
 
 def test_cli_missing_file_is_data_error(tmp_path):

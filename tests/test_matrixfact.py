@@ -272,6 +272,34 @@ def test_matrix_save_is_lossless(tmp_path):
     assert cells_of(CooccurrenceMatrix.load(path, vocab, 3)) == entries
 
 
+def test_load_one_pass_equals_the_line_loop(tmp_path):
+    vocab = Vocabulary([f"w{i}" for i in range(5)], [1] * 5)
+    text = ("\n3\t1\t0.1\n0\t4\t1e-3\n\n\n1\t1\t1234567\n0\t0\t"
+            "2.5000000000000004\n4\t0\t7")  # blank lines, no final newline
+    path = tmp_path / "cooc.tsv"
+    path.write_text(text, encoding="utf-8")
+    fast = matrixfact._parse_cells(text, 5)
+    loop = matrixfact._parse_cell_lines(path, text, 5)
+    assert fast is not None
+    for a, b in zip(fast, loop):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    loaded = CooccurrenceMatrix.load(path, vocab, 3).nonzero_arrays()
+    assert all(np.array_equal(a, b) for a, b in zip(loaded, loop))
+    assert len(loop[0]) == 5
+    # a line of spaces is blank to the loop alone: the one pass declines it
+    spaced = text.replace("\n\n\n", "\n \t\n\n")
+    assert matrixfact._parse_cells(spaced, 5) is None
+    path.write_text(spaced, encoding="utf-8")
+    loaded = CooccurrenceMatrix.load(path, vocab, 3).nonzero_arrays()
+    assert all(np.array_equal(a, b) for a, b in zip(loaded, loop))
+    # spaces for tabs: the fields count right, but the loop refuses the line
+    bad = text.replace("0\t4\t1e-3", "0 4 1e-3")
+    assert matrixfact._parse_cells(bad, 5) is None
+    path.write_text(bad, encoding="utf-8")
+    with pytest.raises(DataError, match=r"cooc.tsv:3: expected 'i<TAB>j<TAB>x'"):
+        CooccurrenceMatrix.load(path, vocab, 3)
+
+
 def test_load_names_the_first_bad_line(tmp_path):
     vocab = Vocabulary(["a", "b"], [1, 1])
     path = tmp_path / "cooc.tsv"

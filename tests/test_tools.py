@@ -31,7 +31,8 @@ def test_hash_outputs_lists_every_command_and_output():
     files = {n for n in names if not n.startswith("stdout:")}
 
     extra_ids = [f"extra_{k}" for k in hash_outputs.EXTRAS]
-    tail = ["glove_initial"] + extra_ids
+    tail = (["glove_initial"] + extra_ids
+            + [f"analogy_{t}" for t in hash_outputs.ANALOGY_TABLES])
     assert list(stdouts)[-len(tail):] == tail
     assert {"skipgram", "charword", "cbow", "glove", "rcnn"} <= set(stdouts)
     assert set(stdouts.values()) == {"exit=0"}

@@ -8,8 +8,12 @@ the cycle it runs the bench's zero-epoch GloVe command and trains the
 variants the cycle does not cover: full softmax, `--char-context`,
 `--beta 1`, `lbl`, two SGD epochs and float32 charword and cbow, on the
 workload's small corpus; the `--char-context` and `lbl` runs also write
-their model containers. Two sources produce the same bytes when their
-listings `diff` clean:
+their model containers. Last it hashes the analogy answers over every
+embedding table the cycle writes (`ANALOGY_TABLES`): the bench's questions
+are asked again, each under its own category and expecting this tool's own
+float64 3CosAdd answer, so `eval --task analogy` prints, question by
+question, whether embkit's guess equals it. Two sources produce the same
+bytes when their listings `diff` clean:
 
     python3 tools/hash_outputs.py --src src --workload pairs-bigvocab > a.txt
     python3 tools/hash_outputs.py --src /path/to/other/src \\
@@ -46,6 +50,10 @@ EXTRAS = {
 # extras that also write their model container, extra_<id>_model.bin: one
 # with H/b1/b2 and one with character rows
 MODEL_OUT = ("char_context", "lbl")
+# the cycle's embedding tables whose analogy answers are hashed, as
+# stdout:analogy_<table>
+ANALOGY_TABLES = ("skipgram", "skipgram_f32", "charword", "cbow", "order",
+                  "nnlm", "cw")
 
 
 def extra_commands(name, files, out, out_dir, seed):
@@ -65,6 +73,31 @@ def extra_commands(name, files, out, out_dir, seed):
                      os.path.join(out_dir, f"extra_{cmd_id}_model.bin")]
         cmds.append((f"extra_{cmd_id}", argv))
     return cmds
+
+
+def answer_questions(table_path, questions_path, out_path):
+    """Write the analogy questions of `questions_path` again, each under its
+    own category `q<k>` and expecting the 3CosAdd answer over the table at
+    `table_path` as computed here: the float64 argmax of the unit rows'
+    dot products with the query, a, b and c excluded."""
+    import numpy as np
+    from embkit.evaluate import load_analogies
+    from embkit.io_formats import load_embeddings
+
+    table = load_embeddings(table_path)
+    unit = table.unit_vectors()
+    lines = []
+    for k, q in enumerate(load_analogies(questions_path)):
+        ids = [table.token_to_id.get(w) for w in (q.a, q.b, q.c)]
+        if None in ids:
+            continue
+        v = table.vectors
+        scores = unit @ (v[ids[1]] - v[ids[0]] + v[ids[2]])
+        scores[ids] = -np.inf
+        answer = table.tokens[int(np.argmax(scores))]
+        lines.append(f": q{k}\n{q.a} {q.b} {q.c} {answer}\n")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def sha256(data: bytes) -> str:
@@ -102,12 +135,21 @@ def main(argv=None):
             args.seed)]
         commands += extra_commands(args.workload, manifest["files"], out,
                                    out_dir, args.seed)
-        for cmd_id, cmd_argv in commands:
+
+        def run(cmd_id, cmd_argv):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
                 rc = cli.main(cmd_argv)
             text = buf.getvalue().replace(work, "<work>")
             print(f"{sha256(text.encode())}  stdout:{cmd_id} exit={rc}")
+
+        for cmd_id, cmd_argv in commands:
+            run(cmd_id, cmd_argv)
+        for name in ANALOGY_TABLES:
+            questions = os.path.join(work, f"answers_{name}.txt")
+            answer_questions(out[name], manifest["files"]["analogy"], questions)
+            run(f"analogy_{name}", ["eval", "--task", "analogy", "--embeddings",
+                                    out[name], "--dataset", questions])
         for name in sorted(os.listdir(out_dir)):
             with open(os.path.join(out_dir, name), "rb") as fh:
                 print(f"{sha256(fh.read())}  {name}")
