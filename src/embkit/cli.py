@@ -352,7 +352,8 @@ def _cmd_segment_score(args):
     pred = seg.load_segmented_corpus(args.pred, normalize=False)
     gold = seg.load_segmented_corpus(args.gold, normalize=False)
     if len(pred) != len(gold):
-        raise DataError("prediction and gold files differ in sentence count")
+        raise DataError(f"prediction and gold files differ in sentence count: "
+                        f"{args.pred} has {len(pred)}, {args.gold} has {len(gold)}")
     scores = seg.prf_corpus(pred, gold)
     print(f"precision: {scores['precision']:.4f}")
     print(f"recall: {scores['recall']:.4f}")

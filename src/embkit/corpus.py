@@ -11,7 +11,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
-from .io_formats import _atomic_open, open_text
+from .io_formats import (_atomic_open, line_error, numbered_lines, open_text,
+                         strip_newline)
 
 TOKEN_NUMBER = "NUMBER"
 TOKEN_WORD = "WORD"
@@ -71,9 +72,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
-    def id_of(self, token: str) -> Optional[int]:
-        return self.token_to_id.get(token)
-
     def configure_subsampling(self, t: Optional[float], variant: str = "toolkit") -> None:
         """Set per-token keep probabilities; t=None disables subsampling."""
         freqs = self.counts / self.total_count
@@ -119,27 +117,22 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 def load_vocabulary(path) -> Vocabulary:
     tokens, counts, seen = [], [], set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'token<TAB>count'")
-            try:
-                count = int(parts[1])
-            except ValueError:
-                count = 0
-            if count < 1:
-                raise DataError(f"{path}:{lineno}: count {parts[1]!r} is not "
-                                f"a positive integer")
-            if parts[0] in seen:
-                raise DataError(f"{path}:{lineno}: token {parts[0]!r} "
-                                f"appears twice")
-            seen.add(parts[0])
-            tokens.append(parts[0])
-            counts.append(count)
+    for lineno, line in numbered_lines(path, strip_newline):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise line_error(path, lineno, "expected 'token<TAB>count'")
+        try:
+            count = int(parts[1])
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise line_error(path, lineno, f"count {parts[1]!r} is not "
+                             f"a positive integer")
+        if parts[0] in seen:
+            raise line_error(path, lineno, f"token {parts[0]!r} appears twice")
+        seen.add(parts[0])
+        tokens.append(parts[0])
+        counts.append(count)
     return Vocabulary(tokens, counts)
 
 
@@ -208,9 +201,6 @@ class CorpusStream:
 
     def __iter__(self):
         return iter(self.documents)
-
-    def token_count(self) -> int:
-        return sum(len(d) for d in self.documents)
 
     def all_tokens(self) -> Iterator[str]:
         for doc in self.documents:

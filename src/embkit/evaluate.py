@@ -4,8 +4,9 @@ and the Performance Gain Ratio.
 
 OOV policy, per task: similarity pairs with an OOV word are skipped and
 reported via coverage; OOV choice options score -inf and an OOV query is
-wrong; analogy questions with any OOV word are skipped. Ties always break
-toward the lowest token id.
+wrong; analogy questions with any OOV word are skipped. Ties break toward
+the lowest id; in analogy, among equal float64 block scores, and identical
+rows may not score equal.
 """
 
 import math
@@ -16,7 +17,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import DataError
-from .io_formats import EmbeddingTable, open_text
+from .io_formats import EmbeddingTable, line_error, numbered_lines
 from .optim import (apply_grads, blas_idle_threads, log_softmax, map_threads,
                     run_epochs)
 
@@ -68,42 +69,36 @@ class AnalogyQuestion(NamedTuple):
 
 def load_similarity(path) -> List[SimilarityPair]:
     pairs = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                parts = line.split()
-            if len(parts) < 3:
-                raise DataError(f"{path}:{lineno}: expected 'a<TAB>b<TAB>score'")
-            try:
-                score = float(parts[2])
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise DataError(f"{path}:{lineno}: score {parts[2]!r} is not "
-                                f"a finite number")
-            pairs.append(SimilarityPair(parts[0], parts[1], score))
+    for lineno, line in numbered_lines(path):
+        if line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 3:
+            parts = line.split()
+        if len(parts) < 3:
+            raise line_error(path, lineno, "expected 'a<TAB>b<TAB>score'")
+        try:
+            score = float(parts[2])
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise line_error(path, lineno, f"score {parts[2]!r} is not "
+                             f"a finite number")
+        pairs.append(SimilarityPair(parts[0], parts[1], score))
     return pairs
 
 
 def load_choice(path) -> List[ChoiceQuestion]:
     questions = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise DataError(
-                    f"{path}:{lineno}: expected 'query<TAB>opt1..opt4<TAB>answer_index'")
-            if parts[5] not in ("0", "1", "2", "3"):
-                raise DataError(f"{path}:{lineno}: answer index {parts[5]!r} "
-                                f"is not one of 0..3")
-            questions.append(ChoiceQuestion(parts[0], tuple(parts[1:5]), int(parts[5])))
+    for lineno, line in numbered_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 6:
+            raise line_error(path, lineno, "expected "
+                             "'query<TAB>opt1..opt4<TAB>answer_index'")
+        if parts[5] not in ("0", "1", "2", "3"):
+            raise line_error(path, lineno, f"answer index {parts[5]!r} "
+                             f"is not one of 0..3")
+        questions.append(ChoiceQuestion(parts[0], tuple(parts[1:5]), int(parts[5])))
     return questions
 
 
@@ -111,19 +106,15 @@ def load_analogies(path) -> List[AnalogyQuestion]:
     """Question lines "a b c expected" grouped under ": category" headers."""
     questions = []
     category = ""
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(":"):
-                category = line[1:].strip()
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 words per question")
-            parts.append(category)
-            questions.append(AnalogyQuestion._make(parts))
+    for lineno, line in numbered_lines(path):
+        if line.startswith(":"):
+            category = line[1:].strip()
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise line_error(path, lineno, "expected 4 words per question")
+        parts.append(category)
+        questions.append(AnalogyQuestion._make(parts))
     return questions
 
 
@@ -403,10 +394,6 @@ def train_logistic_classifier(features, labels, l2: float = 0.0,
                partial(apply_grads, {"W": W, "b": b},
                        rates={"W": -lr, "b": -lr}))  # descent
     return LogisticClassifier(W, b)
-
-
-def classify(classifier: LogisticClassifier, vector) -> int:
-    return classifier.predict(vector)
 
 
 # --- performance gain ratio ---------------------------------------------------

@@ -1,4 +1,5 @@
-"""Persistence formats: text embedding files and a binary array container.
+"""Persistence formats: text embedding files and a binary array container,
+and the one reader of line-oriented input files.
 
 The text format follows the common interchange convention: a header line
 "<vocab_size> <dim>" then one line per token "token v_1 ... v_dim". The
@@ -8,6 +9,7 @@ layout, so identical runs produce identical bytes.
 
 import contextlib
 import json
+import operator
 import os
 import struct
 from typing import Dict, Optional
@@ -29,6 +31,27 @@ def open_text(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+strip_newline = operator.methodcaller("rstrip", "\n")  # keeps other spaces
+
+
+def numbered_lines(source, strip=str.strip, start=1):
+    """Yield `(lineno, strip(line))` for each line of `source` that `strip`
+    leaves non-empty, numbering lines from `start`. `source` is the path of
+    a UTF-8 text file or an iterable of lines. Every line-oriented loader
+    reads through here and names a bad line with `line_error`."""
+    with (open_text(source) if isinstance(source, (str, os.PathLike))
+          else contextlib.nullcontext(source)) as lines:
+        for lineno, line in enumerate(lines, start):
+            line = strip(line)
+            if line:
+                yield lineno, line
+
+
+def line_error(path, lineno, message) -> DataError:
+    """The error for a malformed line: "path:line: message"."""
+    return DataError(f"{path}:{lineno}: {message}")
 
 
 @contextlib.contextmanager
@@ -126,37 +149,31 @@ def load_embeddings(path) -> EmbeddingTable:
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
-            raise DataError(f"{path}:1: expected header '<vocab_size> <dim>'")
+            raise line_error(path, 1, "expected header '<vocab_size> <dim>'")
         try:
             n, dim = int(header[0]), int(header[1])
         except ValueError as exc:
-            raise DataError(f"{path}:1: bad header {header!r}") from exc
+            raise line_error(path, 1, f"bad header {header!r}") from exc
         tokens, linenos = [], []
         vectors = np.empty((n, dim))
-        row = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if row >= n:
-                raise DataError(f"{path}:{lineno}: more rows than the header says")
+        for lineno, line in numbered_lines(fh, strip_newline, start=2):
+            if len(tokens) >= n:
+                raise line_error(path, lineno, "more rows than the header says")
             parts = line.split(" ")
             if len(parts) != dim + 1:
-                raise DataError(
-                    f"{path}:{lineno}: expected 1 token and {dim} values, "
-                    f"got {len(parts)} fields")
+                raise line_error(path, lineno, f"expected 1 token and {dim} "
+                                 f"values, got {len(parts)} fields")
+            try:
+                vectors[len(tokens)] = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise line_error(path, lineno, "bad float") from exc
             tokens.append(parts[0])
             linenos.append(lineno)
-            try:
-                vectors[row] = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad float") from exc
-            row += 1
-        if row != n:
-            raise DataError(f"{path}: header says {n} rows, found {row}")
+        if len(tokens) != n:
+            raise DataError(f"{path}: header says {n} rows, found {len(tokens)}")
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if len(bad):
-        raise DataError(f"{path}:{linenos[bad[0]]}: non-finite vector value")
+        raise line_error(path, linenos[bad[0]], "non-finite vector value")
     return EmbeddingTable(tokens, vectors)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .corpus import (CorpusStream, Vocabulary, concatenate_documents,
                      window_matrix)
 from .errors import DataError
-from .io_formats import _atomic_open, open_text
+from .io_formats import _atomic_open, line_error, numbered_lines, open_text
 from .optim import run_epochs, softmax, step_distinct_rows
 
 GLOVE_X_MAX = 100.0
@@ -38,12 +38,6 @@ class CooccurrenceMatrix:
 
     def __len__(self) -> int:
         return len(self.vals)
-
-    def get(self, i: int, j: int) -> float:
-        return float(self.vals[(self.rows == i) & (self.cols == j)].sum())
-
-    def total_mass(self) -> float:
-        return float(self.vals.sum())
 
     def column_sums(self) -> np.ndarray:
         return np.bincount(self.cols, self.vals, minlength=len(self.vocab))
@@ -109,28 +103,24 @@ def _parse_cell_lines(path, text, v):
     a DataError naming `path:line`."""
     rows, cols, vals = [], [], []
     seen = set()
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(text.split("\n")):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 'i<TAB>j<TAB>x'")
+            raise line_error(path, lineno, "expected 'i<TAB>j<TAB>x'")
         try:
             i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: expected integer ids "
-                            f"and a numeric count") from exc
+            raise line_error(path, lineno, "expected integer ids "
+                             "and a numeric count") from exc
         if not (0 <= i < v and 0 <= j < v):
-            raise DataError(f"{path}:{lineno}: index outside the "
-                            f"vocabulary of {v} words")
+            raise line_error(path, lineno, f"index outside the "
+                             f"vocabulary of {v} words")
         if not (math.isfinite(x) and x > 0):
-            raise DataError(f"{path}:{lineno}: count {parts[2]!r} is "
-                            f"not finite and positive")
+            raise line_error(path, lineno, f"count {parts[2]!r} is "
+                             f"not finite and positive")
         key = i * v + j
         if key in seen:
-            raise DataError(f"{path}:{lineno}: cell ({i}, {j}) "
-                            f"appears twice")
+            raise line_error(path, lineno, f"cell ({i}, {j}) appears twice")
         seen.add(key)
         rows.append(i)
         cols.append(j)
@@ -185,18 +175,6 @@ class FactorModel:
     Q: np.ndarray  # context-side vectors, |V| x d
     bias1: Optional[np.ndarray] = None  # per-word target bias
     bias2: Optional[np.ndarray] = None  # per-word context bias
-
-    def score(self, i: int, j: int) -> float:
-        s = float(self.P[i] @ self.Q[j])
-        if self.bias1 is not None:
-            s += float(self.bias1[i]) + float(self.bias2[j])
-        return s
-
-    def score_matrix(self) -> np.ndarray:
-        s = self.P @ self.Q.T
-        if self.bias1 is not None:
-            s = s + self.bias1[:, None] + self.bias2[None, :]
-        return s
 
 
 def _init_factors(v: int, d: int, rng: np.random.Generator, biases: bool) -> FactorModel:

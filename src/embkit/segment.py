@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import (TOKEN_PADDING, _pseudo_at, decompose_word,
                      normalize_token, padded_blocks, window_matrix)
 from .errors import DataError
-from .io_formats import EmbeddingTable, open_text
+from .io_formats import EmbeddingTable, numbered_lines
 from .optim import EpochRecord, apply_grads, log_softmax, run_epochs
 from .seeding import substream
 
@@ -66,10 +66,6 @@ def tags_from_segmentation(words: Sequence[str]) -> TaggedSentence:
     return TaggedSentence(tuple(chars), "".join(tags))
 
 
-def segmentation_from_tags(sentence: TaggedSentence) -> List[str]:
-    return _words_from_tags(*sentence.check())
-
-
 def _words_from_tags(chars: Sequence[str], tags: str) -> List[str]:
     # a word ends at each E or S; the tags must be legal
     words: List[str] = []
@@ -79,11 +75,6 @@ def _words_from_tags(chars: Sequence[str], tags: str) -> List[str]:
             words.append("".join(chars[start:i + 1]))
             start = i + 1
     return words
-
-
-def prf_score(pred_words: Sequence[str], gold_words: Sequence[str]) -> dict:
-    """Span precision/recall/F over (start, end) word spans of one sentence."""
-    return prf_corpus([pred_words], [gold_words])
 
 
 def _spans(words: Sequence[str]) -> set:
@@ -98,9 +89,10 @@ def _spans(words: Sequence[str]) -> set:
 def prf_corpus(pred: Sequence[Sequence[str]], gold: Sequence[Sequence[str]]) -> dict:
     """Micro-averaged P/R/F over a corpus of sentences."""
     hits = n_pred = n_gold = 0
-    for p, g in zip(pred, gold):
+    for k, (p, g) in enumerate(zip(pred, gold), start=1):
         if "".join(p) != "".join(g):
-            raise DataError("predicted and gold segmentations cover different text")
+            raise DataError("predicted and gold segmentations cover different "
+                            f"text in sentence {k}")
         ps, gs = _spans(p), _spans(g)
         hits += len(ps & gs)
         n_pred += len(ps)
@@ -350,11 +342,10 @@ def parse_segmented_line(line: str, normalize: bool = True) -> List[str]:
 
 def load_segmented_corpus(path, normalize: bool = True) -> List[List[str]]:
     sentences = []
-    with open_text(path) as fh:
-        for line in fh:
-            words = parse_segmented_line(line, normalize)
-            if words:
-                sentences.append(words)
+    for _, line in numbered_lines(path):
+        words = parse_segmented_line(line, normalize)
+        if words:
+            sentences.append(words)
     if not sentences:
         raise DataError(f"{path}: no sentences found")
     return sentences

@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import concatenate_documents, padded_blocks, window_matrix
 from .errors import DataError
-from .io_formats import open_text
+from .io_formats import line_error, numbered_lines, strip_newline
 from .optim import apply_grads, log_softmax, run_epochs
 from .seeding import substream
 
@@ -42,19 +42,15 @@ class LabeledDocument(NamedTuple):
 def load_labeled_documents(path) -> List[LabeledDocument]:
     """Lines of "label<TAB>space-separated-tokens"; labels are integers."""
     docs = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2 or not parts[1].split():
-                raise DataError(f"{path}:{lineno}: expected 'label<TAB>tokens'")
-            try:
-                label = int(parts[0])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
-            docs.append(LabeledDocument(tuple(parts[1].split()), label))
+    for lineno, line in numbered_lines(path, strip_newline):
+        parts = line.split("\t", 1)
+        if len(parts) != 2 or not parts[1].split():
+            raise line_error(path, lineno, "expected 'label<TAB>tokens'")
+        try:
+            label = int(parts[0])
+        except ValueError as exc:
+            raise line_error(path, lineno, f"bad label {parts[0]!r}") from exc
+        docs.append(LabeledDocument(tuple(parts[1].split()), label))
     if not docs:
         raise DataError(f"{path}: no documents")
     return docs
@@ -183,9 +179,6 @@ class _PooledClassifier:
         hits = sum(p == d.class_id for p, d in zip(predicted, docs))
         return hits / len(docs)
 
-    def log_probs(self, tokens: Sequence[str]) -> np.ndarray:
-        return log_softmax(self.logits(tokens))
-
 
 class RcnnModel(_PooledClassifier):
     """Bidirectional recurrent scans feeding a max-pooled classifier."""
@@ -310,9 +303,6 @@ class WindowCnnModel(_PooledClassifier):
 
     def params(self) -> Dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in ("e", "W2", "b2", "W4", "b4")}
-
-    def window_representation(self, ids: np.ndarray, i: int) -> np.ndarray:
-        return self.e[window_matrix(ids, self.win, self.pad_id)[i]].reshape(-1)
 
     def _inputs(self, docs, lengths):
         ids, starts = concatenate_documents(docs)

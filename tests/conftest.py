@@ -67,6 +67,15 @@ def in_noise_band(flat_grad, hi=1e-6):
     return bool(np.any((mag > 0.0) & (mag < hi)))
 
 
+def score_matrix(model):
+    """The |V| x |V| scores P Q^T (+ bias1[i] + bias2[j]) of a matrixfact
+    FactorModel: the oracle its fits are checked against."""
+    s = model.P @ model.Q.T
+    if model.bias1 is not None:
+        s = s + model.bias1[:, None] + model.bias2[None, :]
+    return s
+
+
 def ascent_checker(params, forward_backward):
     """flat_checker for a batched forward/backward of the embedding trainer,
     whose `forward_backward()` returns (loss, ascent grads): the densified

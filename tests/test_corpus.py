@@ -52,7 +52,7 @@ def test_fixed_vocabulary_drops_outside_tokens():
 
 def test_vocabulary_bijection(small_vocab):
     for i, tok in enumerate(small_vocab.tokens):
-        assert small_vocab.id_of(tok) == i
+        assert small_vocab.token_to_id[tok] == i
         assert small_vocab.tokens[i] == tok
 
 
@@ -153,7 +153,7 @@ def test_decompose_round_trip(word):
 def test_iter_windows_win3_enumeration():
     corpus = CorpusStream([["a", "b", "c"]])
     vocab = build_vocabulary(corpus.all_tokens())
-    a, b, c = (vocab.id_of(t) for t in "abc")
+    a, b, c = (vocab.token_to_id[t] for t in "abc")
     samples = list(iter_windows(corpus, vocab, 3))
     assert [(s.target, s.context) for s in samples] == [
         (a, (b,)), (b, (a, c)), (c, (b,))]
@@ -165,8 +165,9 @@ def test_iter_windows_win5_middle_target():
     vocab = build_vocabulary(corpus.all_tokens())
     samples = list(iter_windows(corpus, vocab, 5))
     middle = samples[2]
-    assert middle.target == vocab.id_of("c")
-    assert middle.context == tuple(vocab.id_of(t) for t in ("a", "b", "d", "e"))
+    assert middle.target == vocab.token_to_id["c"]
+    assert middle.context == tuple(vocab.token_to_id[t]
+                                   for t in ("a", "b", "d", "e"))
     assert middle.n_left == 2
 
 

@@ -381,7 +381,7 @@ def test_charword_space_rows(char_setup):
     assert space.n_words == 5
     chars = set("星期天空江明")
     assert set(space.char_tokens) == chars
-    rows = space.char_rows(vocab.id_of("星期天"))
+    rows = space.char_rows(vocab.token_to_id["星期天"])
     got = [space.tokens[r][1:] for r in rows]
     assert got == ["星", "期", "天"]
 
@@ -445,7 +445,7 @@ def test_charword_single_char_word_weights(char_setup):
     # at beta = 0.5 a single-character context word gives the character pair
     # the same weight as the word pair
     vocab, space, _ = char_setup
-    wid = vocab.id_of("江")
+    wid = vocab.token_to_id["江"]
     rows, _, wgts = _expand_charword_arrays(space, np.array([0]),
                                             slots(-1, wid, -1, -1), 0.5, False)
     assert rows.tolist() == [wid, space.char_rows(wid)[0]]
@@ -454,7 +454,8 @@ def test_charword_single_char_word_weights(char_setup):
 
 def test_char_context_flag_doubles_units(char_setup):
     vocab, space, _ = char_setup
-    tgt, ctx = np.array([0]), slots(-1, vocab.id_of("江"), vocab.id_of("明天"), -1)
+    ids = vocab.token_to_id
+    tgt, ctx = np.array([0]), slots(-1, ids["江"], ids["明天"], -1)
     plain = _expand_charword_arrays(space, tgt, ctx, 0.5, False)
     extended = _expand_charword_arrays(space, tgt, ctx, 0.5, True)
     n = len(plain[0])

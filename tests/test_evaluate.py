@@ -11,9 +11,8 @@ from embkit.errors import DataError
 from embkit.evaluate import (AnalogyQuestion, ChoiceQuestion, PgrInput,
                              SimilarityPair, _block_rows,
                              _candidate_winner, _cosine_blocks,
-                             avg_document_vector, classify,
-                             cosine, eval_analogy, eval_choice,
-                             eval_similarity, load_analogies,
+                             avg_document_vector, cosine, eval_analogy,
+                             eval_choice, eval_similarity, load_analogies,
                              logistic_loss_grads, nearest_neighbors, pearson,
                              pgr, pgr_percent, train_logistic_classifier)
 from embkit.io_formats import EmbeddingTable
@@ -543,7 +542,7 @@ def test_logistic_classifier_separable():
     ys = [0] * 30 + [1] * 30
     clf = train_logistic_classifier(xs, ys, epochs=30, lr=0.5, seed=0)
     assert clf.accuracy(xs, ys) == 1.0
-    assert classify(clf, [2.0, 2.0]) == 0
+    assert clf.predict([2.0, 2.0]) == 0
 
 
 def test_logistic_large_l2_predicts_majority():
@@ -555,7 +554,7 @@ def test_logistic_large_l2_predicts_majority():
     clf = train_logistic_classifier(xs, ys, l2=5000.0, epochs=200, lr=1e-4,
                                     seed=0)
     assert np.abs(clf.weights).max() < 1e-3
-    preds = [classify(clf, x) for x in xs]
+    preds = [clf.predict(x) for x in xs]
     assert preds == [0] * 50
 
 

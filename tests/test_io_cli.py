@@ -56,8 +56,9 @@ def test_embedding_empty_vocabulary_errors():
 def test_embedding_header_mismatch_errors(tmp_path):
     path = tmp_path / "bad.vec"
     path.write_text("2 3\na 1 2 3\nb 1 2 3\nc 1 2 3\n", encoding="utf-8")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as err:
         load_embeddings(path)
+    assert str(err.value) == f"{path}:4: more rows than the header says"
 
 
 def test_embedding_short_row_errors(tmp_path):
@@ -886,14 +887,20 @@ def test_cli_non_finite_vector_is_data_error(tmp_path, caplog, container):
     assert where in message and "non-finite" in message
 
 
-@pytest.mark.parametrize("task,good,bad", [
-    ("ws", "a\tb\t0.5", "b\ta\tx"),
-    ("ws", "a\tb\t0.5", "b\ta\tnan"),
-    ("tfl", "a\ta\tb\ta\tb\t0", "a\ta\tb\ta\tb\tz"),
-    ("tfl", "a\ta\tb\ta\tb\t0", "a\ta\tb\ta\tb\t9")],
-    ids=["ws-score", "ws-nan-score", "tfl-index", "tfl-index-range"])
+@pytest.mark.parametrize("task,good,bad,message", [
+    ("ws", "a\tb\t0.5", "b\ta\tx", "score 'x' is not a finite number"),
+    ("ws", "a\tb\t0.5", "b\ta\tnan", "score 'nan' is not a finite number"),
+    ("tfl", "a\ta\tb\ta\tb\t0", "a\ta\tb\ta\tb\tz",
+     "answer index 'z' is not one of 0..3"),
+    ("tfl", "a\ta\tb\ta\tb\t0", "a\ta\tb\ta\tb\t9",
+     "answer index '9' is not one of 0..3"),
+    ("tfl", "a\ta\tb\ta\tb\t0", "a\ta\tb\ta\tb",
+     "expected 'query<TAB>opt1..opt4<TAB>answer_index'"),
+    ("analogy", "a b a b", "a b a", "expected 4 words per question")],
+    ids=["ws-score", "ws-nan-score", "tfl-index", "tfl-index-range",
+         "tfl-five-fields", "analogy-three-words"])
 def test_cli_malformed_eval_dataset_is_data_error(tmp_path, caplog, task,
-                                                  good, bad):
+                                                  good, bad, message):
     emb = tmp_path / "e.vec"
     save_embeddings(EmbeddingTable(["a", "b"], np.eye(2)), emb)
     data = tmp_path / "data.tsv"
@@ -901,7 +908,23 @@ def test_cli_malformed_eval_dataset_is_data_error(tmp_path, caplog, task,
     code = run(["eval", "--embeddings", str(emb), "--task", task,
                 "--dataset", str(data)])
     assert code == 2
-    assert f"{data}:2:" in _one_error_line(caplog)
+    logged = _one_error_line(caplog)
+    assert f"{data}:2:" in logged
+    assert logged == f"data error: {data}:2: {message}"
+
+
+@pytest.mark.parametrize("gold_text,where", [
+    ("ab/c\nc/ab\nab\n", "{pred} has 2, {gold} has 3"),
+    ("ab/c\nc/abd\n", "in sentence 2")],
+    ids=["sentence-count", "different-text"])
+def test_cli_segment_score_error_names_location(tmp_path, caplog, gold_text,
+                                                where):
+    pred, gold = tmp_path / "pred.txt", tmp_path / "gold.txt"
+    pred.write_text("ab/c\nc/ab\n", encoding="utf-8")
+    gold.write_text(gold_text, encoding="utf-8")
+    caplog.clear()
+    assert run(["segment-score", "--pred", str(pred), "--gold", str(gold)]) == 2
+    assert where.format(pred=pred, gold=gold) in _one_error_line(caplog)
 
 
 @pytest.mark.parametrize("line", ["w1\t0", "w0\t7"],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import score_matrix
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
                            iter_windows)
 from embkit.embeddings import EmbeddingModel
@@ -33,7 +34,7 @@ def brute_force_counts(docs, vocab, win):
     half = (win - 1) // 2
     counts = {}
     for doc in docs:
-        ids = [vocab.id_of(t) for t in doc if t in vocab]
+        ids = [vocab.token_to_id[t] for t in doc if t in vocab]
         for i, target in enumerate(ids):
             for j in range(max(0, i - half), min(len(ids), i + half + 1)):
                 if j != i:
@@ -44,11 +45,11 @@ def brute_force_counts(docs, vocab, win):
 def test_count_cooccurrences_small_example():
     corpus = CorpusStream([["a", "b", "a"]])
     vocab = build_vocabulary(corpus.all_tokens())
-    a, b = vocab.id_of("a"), vocab.id_of("b")
+    a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
     matrix = count_cooccurrences(corpus, vocab, 3)
-    assert matrix.get(a, b) == 2
-    assert matrix.get(b, a) == 2
-    assert matrix.get(a, a) == 0 and matrix.get(b, b) == 0
+    assert matrix.to_dense()[a, b] == 2
+    assert matrix.to_dense()[b, a] == 2
+    assert matrix.to_dense()[a, a] == 0 and matrix.to_dense()[b, b] == 0
 
 
 def test_total_mass_conservation(toy_corpus, toy_vocab):
@@ -56,7 +57,7 @@ def test_total_mass_conservation(toy_corpus, toy_vocab):
     from embkit.corpus import iter_windows
     expected = sum(len(s.context)
                    for s in iter_windows(toy_corpus, toy_vocab, 5))
-    assert matrix.total_mass() == expected
+    assert float(matrix.vals.sum()) == expected
 
 
 def test_counts_match_bruteforce_oracle():
@@ -114,7 +115,7 @@ def test_glove_single_cell_exact_fit():
     vocab = Vocabulary(["a"], [1])
     matrix = matrix_of(vocab, 3, {(0, 0): math.e})
     model, objective = train_glove(matrix, 1, epochs=200, lr=0.1)
-    assert model.score(0, 0) == pytest.approx(1.0, abs=1e-4)
+    assert score_matrix(model)[0, 0] == pytest.approx(1.0, abs=1e-4)
     assert objective < 1e-8
 
 
@@ -173,7 +174,7 @@ def test_factorize_conditional_recovers_conditionals():
                                     epochs=2500, lr=0.2)
     dense = matrix.to_dense()
     target = np.log(dense / dense.sum(axis=0))
-    assert np.max(np.abs(model.score_matrix() - target)) < 1e-3
+    assert np.max(np.abs(score_matrix(model) - target)) < 1e-3
 
 
 def test_factorize_rejects_empty():

@@ -12,10 +12,10 @@ from embkit.optim import EpochRecord, apply_grads, gradient_check, log_softmax
 from embkit.seeding import substream
 from embkit.segment import (LEGAL_END, LEGAL_NEXT, LEGAL_START, TAG_ID,
                             TAGS, SegmenterNet, TaggedSentence,
-                            decode_sentence, decode_sentences,
-                            line_to_chars, parse_segmented_line, prf_score,
-                            segment_loss_grads, segmentation_from_tags,
-                            sentence_log_probs,
+                            _words_from_tags, decode_sentence,
+                            decode_sentences, line_to_chars,
+                            parse_segmented_line, prf_corpus,
+                            segment_loss_grads, sentence_log_probs,
                             tags_from_segmentation, train_segmenter,
                             viterbi_decode, viterbi_decode_block)
 
@@ -90,27 +90,27 @@ def test_tags_empty_word_errors():
                 min_size=1, max_size=6))
 def test_round_trip_tags_segmentation(words):
     tagged = tags_from_segmentation(words)
-    assert segmentation_from_tags(tagged) == words
+    assert _words_from_tags(*tagged.check()) == words
 
 
 def test_segmentation_rejects_illegal_tags():
     with pytest.raises(DataError):
-        segmentation_from_tags(TaggedSentence(("a", "b"), "BS"))
+        _words_from_tags(*TaggedSentence(("a", "b"), "BS").check())
 
 
 def test_prf_identical():
-    scores = prf_score(["中国", "人"], ["中国", "人"])
+    scores = prf_corpus([["中国", "人"]], [["中国", "人"]])
     assert scores == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
 
 
 def test_prf_all_splits_vs_one_word():
-    scores = prf_score(["中", "国", "人"], ["中国人"])
+    scores = prf_corpus([["中", "国", "人"]], [["中国人"]])
     assert scores["precision"] == 0.0 and scores["recall"] == 0.0
 
 
 def test_prf_differing_text_errors():
     with pytest.raises(DataError):
-        prf_score(["中国"], ["中文"])
+        prf_corpus([["中国"]], [["中文"]])
 
 
 def test_prf_matches_span_set_oracle():
@@ -135,7 +135,7 @@ def test_prf_matches_span_set_oracle():
         hits = len(ps & gs)
         expect_p = hits / len(ps)
         expect_r = hits / len(gs)
-        got = prf_score(pred, gold)
+        got = prf_corpus([pred], [gold])
         assert got["precision"] == pytest.approx(expect_p)
         assert got["recall"] == pytest.approx(expect_r)
 
@@ -492,7 +492,7 @@ def oracle_words(net, chars):
     if not chars:
         return []
     tags, _ = positionwise_viterbi(sentence_log_probs(net, chars))
-    return segmentation_from_tags(TaggedSentence(tuple(chars), tags))
+    return _words_from_tags(*TaggedSentence(tuple(chars), tags).check())
 
 
 def test_decode_sentences_across_blocks_matches_oracle(monkeypatch):
@@ -516,7 +516,7 @@ def test_decoded_words_match_segmentation_from_tags():
              for n in rng.integers(1, 14, size=40)]
     tags, _ = viterbi_decode_block([sentence_log_probs(net, chars)
                                     for chars in block])
-    want = [segmentation_from_tags(TaggedSentence(tuple(chars), t))
+    want = [_words_from_tags(*TaggedSentence(tuple(chars), t).check())
             for chars, t in zip(block, tags)]
     assert segment._decode_block(net, block) == want
     assert list(decode_sentences(net, block)) == want

@@ -123,7 +123,7 @@ def test_document_logits_sum_to_one_and_match_recompute():
     y3 = Y2.max(axis=0)
     y4 = model.W4 @ y3 + model.b4
     assert model.logits(tokens) == pytest.approx(y4, abs=1e-10)
-    probs = np.exp(model.log_probs(tokens))
+    probs = np.exp(log_softmax(model.logits(tokens)))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -372,14 +372,15 @@ def test_window_representation_win1_is_word_vector():
     r = np.random.default_rng(13)
     model = WindowCnnModel(VOCAB, 2, dim=3, win=1, hidden=4, rng=r)
     ids = model.encode(["t2", "t5"])
-    assert model.window_representation(ids, 0) == pytest.approx(model.e[ids[0]])
+    x = model._inputs([ids], np.array([len(ids)]))["X"][0, 0]
+    assert x == pytest.approx(model.e[ids[0]])
 
 
 def test_window_representation_win3():
     r = np.random.default_rng(14)
     model = WindowCnnModel(VOCAB, 2, dim=3, win=3, hidden=4, rng=r)
     ids = model.encode(["t1", "t2", "t3"])
-    x = model.window_representation(ids, 1)
+    x = model._inputs([ids], np.array([len(ids)]))["X"][1, 0]
     expected = np.concatenate([model.e[ids[0]], model.e[ids[1]],
                                model.e[ids[2]]])
     assert x == pytest.approx(expected)
@@ -389,7 +390,7 @@ def test_window_representation_boundary_padding():
     r = np.random.default_rng(15)
     model = WindowCnnModel(VOCAB, 2, dim=3, win=3, hidden=4, rng=r)
     ids = model.encode(["t1", "t2"])
-    x = model.window_representation(ids, 0)
+    x = model._inputs([ids], np.array([len(ids)]))["X"][0, 0]
     expected = np.concatenate([model.e[model.pad_id], model.e[ids[0]],
                                model.e[ids[1]]])
     assert x == pytest.approx(expected)
@@ -504,6 +505,10 @@ def test_load_labeled_documents(tmp_path):
     bad.write_text("0\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_labeled_documents(bad)
+    bad.write_text("0\thello\n\n1 no tab\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_labeled_documents(bad)
+    assert str(err.value) == f"{bad}:3: expected 'label<TAB>tokens'"
 
 
 def test_empty_document_errors():

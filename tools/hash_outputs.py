@@ -9,11 +9,14 @@ variants the cycle does not cover: full softmax, `--char-context`,
 `--beta 1`, `lbl`, two SGD epochs and float32 charword and cbow, on the
 workload's small corpus; the `--char-context` and `lbl` runs also write
 their model containers. Last it hashes the analogy answers over every
-embedding table the cycle writes (`ANALOGY_TABLES`): the bench's questions
-are asked again, each under its own category and expecting this tool's own
-float64 3CosAdd answer, so `eval --task analogy` prints, question by
-question, whether embkit's guess equals it. Two sources produce the same
-bytes when their listings `diff` clean:
+embedding table the cycle writes (`ANALOGY_TABLES`). It asks the bench's
+questions, then `OWN_QUESTIONS` questions of three distinct words drawn
+from the table's own vocabulary (seeded by `--seed`, so that the tables
+trained on the small corpus answer questions too). Each question is asked
+under its own category and expects this tool's own float64 3CosAdd
+answer, so `eval --task analogy` prints, question by question, whether
+embkit's guess equals it. Two sources produce the same bytes when their
+listings `diff` clean:
 
     python3 tools/hash_outputs.py --src src --workload pairs-bigvocab > a.txt
     python3 tools/hash_outputs.py --src /path/to/other/src \\
@@ -54,6 +57,8 @@ MODEL_OUT = ("char_context", "lbl")
 # stdout:analogy_<table>
 ANALOGY_TABLES = ("skipgram", "skipgram_f32", "charword", "cbow", "order",
                   "nnlm", "cw")
+# questions drawn from each table's own vocabulary
+OWN_QUESTIONS = 300
 
 
 def extra_commands(name, files, out, out_dir, seed):
@@ -75,27 +80,33 @@ def extra_commands(name, files, out, out_dir, seed):
     return cmds
 
 
-def answer_questions(table_path, questions_path, out_path):
-    """Write the analogy questions of `questions_path` again, each under its
-    own category `q<k>` and expecting the 3CosAdd answer over the table at
-    `table_path` as computed here: the float64 argmax of the unit rows'
-    dot products with the query, a, b and c excluded."""
+def answer_questions(table_path, questions_path, out_path, seed):
+    """Write the analogy questions of `questions_path`, then OWN_QUESTIONS
+    questions of three distinct words of the table at `table_path` drawn
+    with `seed`, each under its own category `q<k>` and expecting the
+    3CosAdd answer over that table as computed here: the float64 argmax of
+    the unit rows' dot products with the query, a, b and c excluded."""
     import numpy as np
     from embkit.evaluate import load_analogies
     from embkit.io_formats import load_embeddings
 
     table = load_embeddings(table_path)
     unit = table.unit_vectors()
+    rng = np.random.default_rng(seed)
+    questions = [q[:3] for q in load_analogies(questions_path)]
+    questions += [[table.tokens[i]
+                   for i in rng.choice(len(table), 3, replace=False)]
+                  for _ in range(OWN_QUESTIONS)]
     lines = []
-    for k, q in enumerate(load_analogies(questions_path)):
-        ids = [table.token_to_id.get(w) for w in (q.a, q.b, q.c)]
+    for k, (a, b, c) in enumerate(questions):
+        ids = [table.token_to_id.get(w) for w in (a, b, c)]
         if None in ids:
             continue
         v = table.vectors
         scores = unit @ (v[ids[1]] - v[ids[0]] + v[ids[2]])
         scores[ids] = -np.inf
         answer = table.tokens[int(np.argmax(scores))]
-        lines.append(f": q{k}\n{q.a} {q.b} {q.c} {answer}\n")
+        lines.append(f": q{k}\n{a} {b} {c} {answer}\n")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
@@ -147,7 +158,8 @@ def main(argv=None):
             run(cmd_id, cmd_argv)
         for name in ANALOGY_TABLES:
             questions = os.path.join(work, f"answers_{name}.txt")
-            answer_questions(out[name], manifest["files"]["analogy"], questions)
+            answer_questions(out[name], manifest["files"]["analogy"], questions,
+                             args.seed)
             run(f"analogy_{name}", ["eval", "--task", "analogy", "--embeddings",
                                     out[name], "--dataset", questions])
         for name in sorted(os.listdir(out_dir)):
