@@ -19,9 +19,9 @@ from . import matrixfact as mf
 from . import segment as seg
 from . import textclass as tc
 from .errors import DataError, NumericError
-from .io_formats import (EmbeddingTable, _atomic_open, load_container,
-                         load_embeddings, open_text, restore_params,
-                         save_container, save_embeddings,
+from .io_formats import (EmbeddingTable, _atomic_open, line_error,
+                         load_container, load_embeddings, open_text,
+                         restore_params, save_container, save_embeddings,
                          save_embeddings_binary)
 from .seeding import substream
 
@@ -81,8 +81,7 @@ def _build_vocab(args, stream) -> corpus_mod.Vocabulary:
     """The corpus vocabulary, closed to `--vocab` if given, and written to
     `--save-vocab` if given."""
     fixed = corpus_mod.load_vocabulary(args.vocab).tokens if args.vocab else None
-    vocab = corpus_mod.build_vocabulary(stream.all_tokens(), args.min_count,
-                                        fixed_vocab=fixed)
+    vocab = corpus_mod.build_vocabulary(stream, args.min_count, fixed_vocab=fixed)
     if args.save_vocab:
         corpus_mod.save_vocabulary(vocab, args.save_vocab)
     return vocab
@@ -305,7 +304,7 @@ def _eval_avg(args, table) -> float:
 
 def _cmd_segment_train(args):
     _check_dev_fraction(args)
-    sentences = seg.load_segmented_corpus(args.corpus, normalize=not args.no_normalize)
+    sentences, _ = seg.load_segmented_corpus(args.corpus, normalize=not args.no_normalize)
     train, dev = _split_dev(sentences, int(len(sentences) * args.dev_fraction),
                             args.seed, "segment-split")
     tagged = [seg.tags_from_segmentation(words) for words in train]
@@ -349,11 +348,15 @@ def _cmd_segment_decode(args):
 
 
 def _cmd_segment_score(args):
-    pred = seg.load_segmented_corpus(args.pred, normalize=False)
-    gold = seg.load_segmented_corpus(args.gold, normalize=False)
+    pred, pred_lines = seg.load_segmented_corpus(args.pred, normalize=False)
+    gold, gold_lines = seg.load_segmented_corpus(args.gold, normalize=False)
     if len(pred) != len(gold):
         raise DataError(f"prediction and gold files differ in sentence count: "
                         f"{args.pred} has {len(pred)}, {args.gold} has {len(gold)}")
+    for p, g, p_line, g_line in zip(pred, gold, pred_lines, gold_lines):
+        if "".join(p) != "".join(g):
+            raise line_error(args.gold, g_line, f"covers different text than "
+                             f"{args.pred}:{p_line}")
     scores = seg.prf_corpus(pred, gold)
     print(f"precision: {scores['precision']:.4f}")
     print(f"recall: {scores['recall']:.4f}")

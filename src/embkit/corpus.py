@@ -1,11 +1,13 @@
 """Corpus ingestion: vocabularies, token normalization, subsampling, windowing.
 
-A corpus is a sequence of documents, each a list of token strings. Documents
-are independent training units: windows never cross document boundaries, and
-only the order of whole documents may be shuffled.
+A corpus is read once into ids: its distinct tokens, an int32 id per token
+and the start offset of each document. Documents are independent training
+units: windows never cross document boundaries, and only the order of
+whole documents may be shuffled.
 """
 
-from collections import Counter
+import copy
+import itertools
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -78,18 +80,22 @@ class Vocabulary:
         self.keep_prob = (np.ones(len(self.tokens)) if t is None
                           else subsample_keep_probability(freqs, t, variant))
 
-    def encode(self, doc: Sequence[str]) -> np.ndarray:
-        """Map a document to an id array, dropping out-of-vocabulary tokens."""
-        table = self.token_to_id
-        return np.array([table[t] for t in doc if t in table], dtype=np.int64)
+    def encode(self, corpus: "CorpusStream"):
+        """`(ids, starts)` of `corpus` in this vocabulary; out-of-vocabulary
+        tokens and then empty documents are dropped. One lookup per type."""
+        remap = np.array([self.token_to_id.get(t, -1) for t in corpus.types], np.int32)
+        ids = remap[corpus.ids]
+        dropped = np.flatnonzero(ids < 0)
+        starts = np.unique(corpus.starts - np.searchsorted(dropped, corpus.starts))
+        return np.delete(ids, dropped), starts[starts < len(ids) - len(dropped)]
 
 
 def build_vocabulary(
-    tokens: Iterable[str],
+    corpus: "CorpusStream",
     min_count: int = 1,
     fixed_vocab: Optional[Iterable[str]] = None,
 ) -> Vocabulary:
-    """Count a finite token stream into a Vocabulary.
+    """Count a corpus's tokens into a Vocabulary.
 
     With `fixed_vocab`, only those tokens are counted (a closed vocabulary;
     everything else is ignored) and min_count still applies. Raises DataError
@@ -97,16 +103,18 @@ def build_vocabulary(
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
+    types = corpus.types
+    counts = np.bincount(corpus.ids, minlength=len(types))
     if fixed_vocab is not None:
-        tokens = filter(set(fixed_vocab).__contains__, tokens)
-    counts = Counter(tokens)
-    kept = sorted(tok for tok, c in counts.items() if c >= min_count)
+        fixed = set(fixed_vocab)
+        counts[[t not in fixed for t in types]] = 0
+    kept = sorted(np.flatnonzero(counts >= min_count).tolist(), key=types.__getitem__)
     if not kept:
         raise DataError("no token reaches min_count; vocabulary would be empty")
     # By descending count, then token, so ids are deterministic: the sort
     # is stable, so equal counts stay in token order.
-    kept.sort(key=counts.__getitem__, reverse=True)
-    return Vocabulary(kept, [counts[tok] for tok in kept])
+    kept.sort(key=counts.tolist().__getitem__, reverse=True)
+    return Vocabulary([types[i] for i in kept], counts[kept])
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -191,52 +199,56 @@ def decompose_word(word: str) -> list:
 
 
 class CorpusStream:
-    """A list of documents, each a list of token strings."""
+    """A corpus as ids: `types` are its distinct tokens in first-seen order,
+    `ids` (int32) the index into `types` of each token, documents one after
+    another, and `starts` the offset of each document in `ids`. Built from
+    `documents`, token lists that may be empty, in one pass."""
 
-    def __init__(self, documents: Sequence[Sequence[str]]):
-        self.documents = [list(doc) for doc in documents]
+    def __init__(self, documents: Iterable[Sequence[str]]):
+        index: dict = {}  # type -> the position where it first occurs
+        position = itertools.count()
+        first: list = []  # per token, where its type first occurs
+        starts = []
+        for doc in documents:
+            starts.append(len(first))
+            first.extend(map(index.setdefault, doc, position))  # all in C
+        self.types = list(index)
+        type_at = np.empty(len(first), dtype=np.int32)  # first position -> id
+        type_at[list(index.values())] = np.arange(len(index))
+        self.ids = type_at[first]
+        self.starts = np.array(starts, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
-
-    def all_tokens(self) -> Iterator[str]:
-        for doc in self.documents:
-            yield from doc
+        return len(self.starts)
 
     @classmethod
     def from_text_file(cls, path, blank_line_docs: bool = False) -> "CorpusStream":
         """Read UTF-8 text; one document per line, or blank-line separated."""
-        docs = []
         with open_text(path) as fh:
-            if not blank_line_docs:
-                for line in fh:
-                    tokens = line.split()
-                    if tokens:
-                        docs.append(tokens)
-            else:
-                current: list = []
-                for line in fh:
-                    tokens = line.split()
-                    if tokens:
-                        current.extend(tokens)
-                    elif current:
-                        docs.append(current)
-                        current = []
-                if current:
-                    docs.append(current)
-        if not docs:
+            docs = (line.split() for line in fh)
+            if blank_line_docs:  # runs of lines with tokens; blank runs are empty
+                runs = itertools.groupby(docs, bool)
+                docs = (list(itertools.chain.from_iterable(run)) for _, run in runs)
+            corpus = cls(filter(None, docs))
+        if not len(corpus):
             raise DataError(f"{path}: no documents found")
-        return cls(docs)
+        return corpus
+
+
+def select_documents(ids: np.ndarray, starts: np.ndarray, which):
+    """`(ids, starts)` of the documents `which` (an index into `starts`)."""
+    lengths = np.diff(starts, append=len(ids))[which]
+    new_starts = np.cumsum(lengths) - lengths
+    positions = np.repeat(starts[which] - new_starts, lengths) + np.arange(lengths.sum())
+    return ids[positions], new_starts
 
 
 def shuffle_documents(corpus: CorpusStream, seed) -> CorpusStream:
     """Permute document order deterministically; in-document order is kept."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    order = rng.permutation(len(corpus.documents))
-    return CorpusStream([corpus.documents[i] for i in order])
+    order = np.random.default_rng(seed).permutation(len(corpus))  # seed or Generator
+    shuffled = copy.copy(corpus)
+    shuffled.ids, shuffled.starts = select_documents(corpus.ids, corpus.starts, order)
+    return shuffled
 
 
 class WindowSample(NamedTuple):
@@ -245,12 +257,15 @@ class WindowSample(NamedTuple):
     n_left: int  # how many context ids sit left of the target
 
 
-def subsample_ids(ids: np.ndarray, vocab: Vocabulary, rng: np.random.Generator) -> np.ndarray:
-    """Independently drop each token with probability 1 - keep_prob."""
-    if len(ids) == 0:
-        return ids
-    keep = rng.random(len(ids)) < vocab.keep_prob[ids]
-    return ids[keep]
+def subsample_ids(ids: np.ndarray, vocab: Vocabulary, rng: np.random.Generator,
+                  starts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Independently drop each token with probability 1 - keep_prob; the
+    kept ids. `starts`, document start offsets into `ids`, are moved in
+    place to those of the same documents among the kept ids."""
+    dropped = np.flatnonzero(rng.random(len(ids)) >= vocab.keep_prob[ids])
+    if starts is not None:
+        starts -= np.searchsorted(dropped, starts)
+    return np.delete(ids, dropped)
 
 
 def iter_windows(
@@ -271,23 +286,13 @@ def iter_windows(
     if subsample and rng is None:
         raise ValueError("subsampling requires an rng")
     half = (win - 1) // 2
-    for doc in corpus.documents:
-        ids = vocab.encode(doc)
-        if subsample:
-            ids = subsample_ids(ids, vocab, rng)
-        n = len(ids)
-        for i in range(n):
-            lo = max(0, i - half)
-            hi = min(n, i + half + 1)
-            context = tuple(ids[lo:i]) + tuple(ids[i + 1:hi])
-            yield WindowSample(int(ids[i]), context, i - lo)
-
-
-def concatenate_documents(docs: Sequence[np.ndarray]):
-    """The ids of all `docs` in one array, and the start offset of each
-    document in it: the `ids` and `starts` of `window_matrix`."""
-    ids = np.concatenate([np.empty(0, dtype=np.int64), *docs])
-    return ids, np.cumsum([0] + [len(d) for d in docs[:-1]])
+    ids, starts = vocab.encode(corpus)
+    if subsample:
+        ids = subsample_ids(ids, vocab, rng, starts)
+    for row in window_matrix(ids, win, -1, starts).tolist():
+        left = [i for i in row[:half] if i >= 0]
+        context = left + [i for i in row[half + 1:] if i >= 0]
+        yield WindowSample(row[half], tuple(context), len(left))
 
 
 def document_window_arrays(ids: np.ndarray, win: int):

@@ -34,9 +34,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary,
-                     concatenate_documents, decompose_word, subsample_ids,
-                     window_matrix)
+from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, decompose_word,
+                     select_documents, subsample_ids, window_matrix)
 from .errors import DataError
 from .io_formats import EmbeddingTable, save_embeddings
 from .optim import (EpochRecord, NoiseSampler, apply_grads, log_sigmoid,
@@ -150,25 +149,23 @@ class CharWordSpace:
 
     Rows [0, n_words) are the word vocabulary; character rows follow, named
     with a reserved prefix so a one-character word and the character itself
-    stay distinct. `char_rows(word_id)` gives the character rows of a word.
+    stay distinct. `(char_flat, char_starts)` spell each word as a document
+    of character rows; `char_rows(word_id)` gives the rows of one word.
     """
 
     def __init__(self, word_vocab: Vocabulary):
-        self.word_vocab = word_vocab
         self.n_words = len(word_vocab)
-        chars = sorted({ch for w in word_vocab.tokens for ch in decompose_word(w)})
+        spelled = CorpusStream(map(decompose_word, word_vocab.tokens))
+        chars = sorted(spelled.types)
         self.char_tokens = chars
         self.tokens = list(word_vocab.tokens) + [CHAR_PREFIX + c for c in chars]
-        char_id = {c: self.n_words + i for i, c in enumerate(chars)}
-        flat, offsets = [], [0]
-        for w in word_vocab.tokens:
-            flat.extend(char_id[c] for c in decompose_word(w))
-            offsets.append(len(flat))
-        self.char_flat = np.asarray(flat, dtype=np.int64)
-        self.char_offsets = np.asarray(offsets, dtype=np.int64)
+        row = {c: self.n_words + i for i, c in enumerate(chars)}
+        self.char_flat = np.array([row[c] for c in spelled.types],
+                                  dtype=np.int64)[spelled.ids]
+        self.char_starts = spelled.starts
 
     def char_rows(self, word_id: int) -> np.ndarray:
-        return self.char_flat[self.char_offsets[word_id]:self.char_offsets[word_id + 1]]
+        return select_documents(self.char_flat, self.char_starts, [word_id])[0]
 
 
 def build_charword_space(word_vocab: Vocabulary) -> CharWordSpace:
@@ -334,12 +331,9 @@ def _expand_charword_arrays(space: CharWordSpace, tgt, ctx, beta, char_context):
     if beta == 0.0 and not char_context:
         return words, targets, np.ones(len(words))
 
-    offs = space.char_offsets
-    nch = (offs[words + 1] - offs[words]).astype(np.int64)
-    total = int(nch.sum())
-    starts = np.repeat(offs[words], nch)
-    within = np.arange(total) - np.repeat(np.cumsum(nch) - nch, nch)
-    char_rows = space.char_flat[starts + within]
+    char_rows, char_starts = select_documents(space.char_flat,
+                                              space.char_starts, words)
+    nch = np.diff(char_starts, append=len(char_rows))
     char_tgt = np.repeat(targets, nch)
 
     rows, tgts, wgts = [], [], []
@@ -354,7 +348,7 @@ def _expand_charword_arrays(space: CharWordSpace, tgt, ctx, beta, char_context):
     if char_context:
         rows.append(char_rows)
         tgts.append(char_tgt)
-        wgts.append(np.ones(total))
+        wgts.append(np.ones(len(char_rows)))
     return np.concatenate(rows), np.concatenate(tgts), np.concatenate(wgts)
 
 
@@ -370,9 +364,9 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
     cfg.validate(model.kind)
     vocab = model.vocab
     vocab.configure_subsampling(cfg.subsample_t, cfg.subsample_variant)
-    docs = [ids for ids in (vocab.encode(doc) for doc in corpus.documents)
-            if len(ids) > 0]
-    shards = [docs[w::cfg.workers] for w in range(cfg.workers)]
+    ids, starts = vocab.encode(corpus)
+    shards = [select_documents(ids, starts, slice(w, None, cfg.workers))
+              for w in range(cfg.workers)]
     sampler = NoiseSampler(vocab.counts) if not cfg.full_softmax else None
     charword = space is not None and (cfg.beta > 0.0 or cfg.char_context)
     if charword and model.kind != "skipgram":
@@ -381,7 +375,7 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
         _convert_params(model, np.float32)
 
     def epoch_shards(epoch):
-        passes = [_train_one_pass(model, shard, cfg, sampler, space,
+        passes = [_train_one_pass(model, *shard, cfg, sampler, space,
                                   substream(cfg.seed, f"subsample-{epoch}-w{w}"),
                                   substream(cfg.seed, f"negatives-{epoch}-w{w}"))
                   for w, shard in enumerate(shards)]
@@ -408,12 +402,12 @@ def _convert_params(model, dtype) -> None:
             arrays[name] = value.astype(dtype)
 
 
-def _train_one_pass(model, docs, cfg, sampler, space, srng, nrng):
-    """Subsample `docs`; returns the pass's token count and its lazy
-    (loss, grads, units) batches, one chunk of windows at a time."""
+def _train_one_pass(model, ids, starts, cfg, sampler, space, srng, nrng):
+    """Subsample the documents `(ids, starts)`; the pass's token count and
+    its lazy (loss, grads, units) batches, one chunk of windows at a time."""
     if cfg.subsample_t is not None:
-        docs = [subsample_ids(ids, model.vocab, srng) for ids in docs]
-    ids, starts = concatenate_documents(docs)
+        starts = starts.copy()
+        ids = subsample_ids(ids, model.vocab, srng, starts)
 
     def batches():
         for lo, hi in _chunk_bounds(starts, len(ids), max(cfg.batch_size * 8, 4096)):
@@ -431,7 +425,7 @@ def _chunk_bounds(starts, n, size):
     never materializes all its windows at once. A chunk closes at the first
     document end, or end of a _MAX_SEGMENT-position piece of a longer
     document, that brings it to at least `size` windows."""
-    ends = np.append(starts[1:], n)
+    ends = starts + np.diff(starts, append=n)
     long = ends - starts > _MAX_SEGMENT
     pieces = np.sort(np.concatenate(
         [ends] + [np.arange(s + _MAX_SEGMENT, e, _MAX_SEGMENT)

@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import (CorpusStream, Vocabulary, concatenate_documents,
-                     window_matrix)
+from .corpus import CorpusStream, Vocabulary, window_matrix
 from .errors import DataError
 from .io_formats import _atomic_open, line_error, numbered_lines, open_text
 from .optim import run_epochs, softmax, step_distinct_rows
@@ -143,8 +142,7 @@ def count_cooccurrences(corpus: CorpusStream, vocab: Vocabulary,
     if win % 2 == 0 or win < 1:
         raise ValueError("window size must be odd and positive")
     v = len(vocab)
-    ids, starts = concatenate_documents(
-        [vocab.encode(doc) for doc in corpus.documents])
+    ids, starts = vocab.encode(corpus)
     half = (win - 1) // 2
     keys = [np.empty(0, dtype=np.int64)]
     # windows a block at a time: only the pair keys span the whole corpus

@@ -340,12 +340,11 @@ def parse_segmented_line(line: str, normalize: bool = True) -> List[str]:
     return raw
 
 
-def load_segmented_corpus(path, normalize: bool = True) -> List[List[str]]:
-    sentences = []
-    for _, line in numbered_lines(path):
-        words = parse_segmented_line(line, normalize)
-        if words:
-            sentences.append(words)
-    if not sentences:
+def load_segmented_corpus(path, normalize: bool = True):
+    """The sentences of a segmented file, one per line with a word, and the
+    line number of each: `(sentences, linenos)`."""
+    numbered = [(words, lineno) for lineno, line in numbered_lines(path)
+                if (words := parse_segmented_line(line, normalize))]
+    if not numbered:
         raise DataError(f"{path}: no sentences found")
-    return sentences
+    return [w for w, _ in numbered], [n for _, n in numbered]

@@ -23,7 +23,7 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
 
 import numpy as np
 
-from .corpus import concatenate_documents, padded_blocks, window_matrix
+from .corpus import padded_blocks, window_matrix
 from .errors import DataError
 from .io_formats import line_error, numbered_lines, strip_newline
 from .optim import apply_grads, log_softmax, run_epochs
@@ -305,11 +305,11 @@ class WindowCnnModel(_PooledClassifier):
         return {name: getattr(self, name) for name in ("e", "W2", "b2", "W4", "b4")}
 
     def _inputs(self, docs, lengths):
-        ids, starts = concatenate_documents(docs)
-        windows = window_matrix(ids, self.win, self.pad_id, starts)
+        windows = window_matrix(np.concatenate(docs), self.win, self.pad_id,
+                                np.cumsum(lengths) - lengths)
         X = np.zeros((int(lengths.max()), len(docs), self.win * self.dim))
         valid = np.arange(X.shape[0]) < lengths[:, None]
-        X.swapaxes(0, 1)[valid] = self.e[windows].reshape(len(ids), -1)
+        X.swapaxes(0, 1)[valid] = self.e[windows].reshape(len(windows), -1)
         return {"windows": windows, "X": X}
 
     def _input_grads(self, ids, cache, dX, truncate):

@@ -10,6 +10,8 @@ the finite-difference signal drops below float64 rounding noise. Real
 gradient bugs produce wrongly scaled coordinates and still fail loudly.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,70 @@ def score_matrix(model):
     if model.bias1 is not None:
         s = s + model.bias1[:, None] + model.bias2[None, :]
     return s
+
+
+def documents(corpus):
+    """The documents of a CorpusStream as token lists, ids decoded."""
+    return [[corpus.types[i] for i in corpus.ids[lo:lo + n]] for lo, n in
+            zip(corpus.starts, np.diff(corpus.starts, append=len(corpus.ids)))]
+
+
+# The string path that CorpusStream replaced, kept as its oracle: documents
+# as token lists, a Counter vocabulary, one encode per document, a list
+# shuffle and worker shards cut from the list of non-empty documents.
+
+def oracle_documents(lines, blank_line_docs=False):
+    """Token lists of the documents of text `lines`: each line with a
+    token, or with `blank_line_docs` each run of lines between blank ones."""
+    docs, current = [], []
+    for line in lines:
+        tokens = line.split()
+        if not blank_line_docs:
+            if tokens:
+                docs.append(tokens)
+        elif tokens:
+            current.extend(tokens)
+        elif current:
+            docs.append(current)
+            current = []
+    if current:
+        docs.append(current)
+    return docs
+
+
+def oracle_vocabulary(docs, min_count=1, fixed_vocab=None):
+    """(tokens, counts) by descending count, then token; empty lists if
+    nothing reaches min_count."""
+    tokens = (t for doc in docs for t in doc)
+    if fixed_vocab is not None:
+        tokens = filter(set(fixed_vocab).__contains__, tokens)
+    counts = Counter(tokens)
+    kept = sorted(tok for tok, c in counts.items() if c >= min_count)
+    kept.sort(key=counts.__getitem__, reverse=True)
+    return kept, [counts[tok] for tok in kept]
+
+
+def oracle_encode(doc, vocab):
+    """The ids of one document, out-of-vocabulary tokens dropped."""
+    table = vocab.token_to_id
+    return np.array([table[t] for t in doc if t in table], dtype=np.int64)
+
+
+def oracle_shuffle(docs, seed):
+    order = np.random.default_rng(seed).permutation(len(docs))
+    return [docs[i] for i in order]
+
+
+def oracle_concatenate(docs):
+    """`(ids, starts)` of a list of id arrays, one start per array."""
+    ids = np.concatenate([np.empty(0, dtype=np.int64), *docs])
+    return ids, np.cumsum([0] + [len(d) for d in docs[:-1]])[:len(docs)]
+
+
+def oracle_shards(encoded, workers):
+    """`(ids, starts)` of each worker's shard of the encoded documents."""
+    docs = [ids for ids in encoded if len(ids) > 0]
+    return [oracle_concatenate(docs[w::workers]) for w in range(workers)]
 
 
 def ascent_checker(params, forward_backward):
@@ -170,5 +236,5 @@ def toy_corpus():
 
 @pytest.fixture
 def toy_vocab(toy_corpus):
-    return build_vocabulary(toy_corpus.all_tokens(), min_count=1)
+    return build_vocabulary(toy_corpus, min_count=1)
 

@@ -233,7 +233,7 @@ def test_criterion_3_equivalence():
     docs = [[f"w{int(i):02d}" for i in rng.choice(V, 100, p=weights)]
             for _ in range(2000)]
     corpus = CorpusStream(docs)
-    vocab = build_vocabulary(corpus.all_tokens(), 1)
+    vocab = build_vocabulary(corpus, 1)
     matrix = count_cooccurrences(corpus, vocab, 5)
 
     model = EmbeddingModel.create("skipgram", vocab, 24, 5,
@@ -251,7 +251,7 @@ def test_criterion_3_equivalence():
 
     elapsed = time.perf_counter() - t0
     ok = rep["mean_kl"] < 0.01 and fact_err < 0.05 and elapsed < 600.0
-    report(3, ok, f"|V|=20, {sum(map(len, corpus))} tokens: "
+    report(3, ok, f"|V|=20, {len(corpus.ids)} tokens: "
                   f"mean KL={rep['mean_kl']:.4f} (<0.01), "
                   f"conditional max |log err|={fact_err:.4f} (<0.05), "
                   f"{elapsed:.0f}s")
@@ -351,7 +351,7 @@ def _require_corpus():
                     "text file (e.g. text8); see README")
     if "stream" not in _corpus_cache:
         stream = CorpusStream.from_text_file(path)
-        vocab = build_vocabulary(stream.all_tokens(), min_count=5)
+        vocab = build_vocabulary(stream, min_count=5)
         _corpus_cache["stream"] = stream
         _corpus_cache["vocab"] = vocab
     return _corpus_cache["stream"], _corpus_cache["vocab"]

@@ -1,42 +1,47 @@
 import collections
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import slotwise_windows
+from conftest import (documents, oracle_concatenate, oracle_documents,
+                      oracle_encode, oracle_shards, oracle_shuffle,
+                      oracle_vocabulary, slotwise_windows)
+from embkit import embeddings as emb_module
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
                            decompose_word,
                            document_window_arrays, iter_windows,
                            load_vocabulary, normalize_token, save_vocabulary,
                            shuffle_documents, subsample_keep_probability,
                            window_matrix)
+from embkit.embeddings import EmbeddingModel, TrainConfig, train_epochs
 from embkit.errors import DataError
 
 
 def test_build_vocabulary_counts():
-    vocab = build_vocabulary(["a", "b", "a"], min_count=1)
+    vocab = build_vocabulary(CorpusStream([["a", "b", "a"]]), min_count=1)
     assert dict(zip(vocab.tokens, vocab.counts)) == {"a": 2, "b": 1}
     assert vocab.total_count == 3
 
 
 def test_build_vocabulary_threshold():
-    vocab = build_vocabulary(["a", "b", "a"], min_count=2)
+    vocab = build_vocabulary(CorpusStream([["a", "b", "a"]]), min_count=2)
     assert vocab.tokens == ["a"]
     assert vocab.counts.tolist() == [2]
 
 
 def test_build_vocabulary_empty_errors():
     with pytest.raises(DataError):
-        build_vocabulary(["a"], min_count=2)
+        build_vocabulary(CorpusStream([["a"]]), min_count=2)
 
 
 def test_build_vocabulary_matches_counter_oracle():
     rng = np.random.default_rng(0)
     tokens = [f"t{rng.integers(200)}" for _ in range(100_000)]
-    vocab = build_vocabulary(tokens, min_count=5)
+    vocab = build_vocabulary(CorpusStream([tokens]), min_count=5)
     oracle = {t: c for t, c in collections.Counter(tokens).items() if c >= 5}
     assert len(vocab) == len(oracle)
     assert dict(zip(vocab.tokens, vocab.counts)) == oracle
@@ -45,7 +50,7 @@ def test_build_vocabulary_matches_counter_oracle():
 
 
 def test_fixed_vocabulary_drops_outside_tokens():
-    vocab = build_vocabulary(["a", "b", "c", "a"], min_count=1,
+    vocab = build_vocabulary(CorpusStream([["a", "b", "c", "a"]]), min_count=1,
                              fixed_vocab=["a", "c"])
     assert set(vocab.tokens) == {"a", "c"}
 
@@ -152,7 +157,7 @@ def test_decompose_round_trip(word):
 
 def test_iter_windows_win3_enumeration():
     corpus = CorpusStream([["a", "b", "c"]])
-    vocab = build_vocabulary(corpus.all_tokens())
+    vocab = build_vocabulary(corpus)
     a, b, c = (vocab.token_to_id[t] for t in "abc")
     samples = list(iter_windows(corpus, vocab, 3))
     assert [(s.target, s.context) for s in samples] == [
@@ -162,7 +167,7 @@ def test_iter_windows_win3_enumeration():
 
 def test_iter_windows_win5_middle_target():
     corpus = CorpusStream([["a", "b", "c", "d", "e"]])
-    vocab = build_vocabulary(corpus.all_tokens())
+    vocab = build_vocabulary(corpus)
     samples = list(iter_windows(corpus, vocab, 5))
     middle = samples[2]
     assert middle.target == vocab.token_to_id["c"]
@@ -173,7 +178,7 @@ def test_iter_windows_win5_middle_target():
 
 def test_iter_windows_never_cross_documents():
     corpus = CorpusStream([["a", "b"], ["c", "d"]])
-    vocab = build_vocabulary(corpus.all_tokens())
+    vocab = build_vocabulary(corpus)
     for s in iter_windows(corpus, vocab, 5):
         ctx_tokens = {vocab.tokens[i] for i in s.context}
         if vocab.tokens[s.target] in ("a", "b"):
@@ -199,8 +204,8 @@ def test_iter_windows_target_count_matches_survivors(toy_corpus, toy_vocab):
     # replay the same subsampling stream to count survivors independently
     rng = np.random.default_rng(4)
     survivors = 0
-    for doc in toy_corpus.documents:
-        ids = toy_vocab.encode(doc)
+    for doc in documents(toy_corpus):
+        ids = oracle_encode(doc, toy_vocab)
         keep = rng.random(len(ids)) < toy_vocab.keep_prob[ids]
         survivors += int(keep.sum())
     assert n_targets == survivors
@@ -208,7 +213,7 @@ def test_iter_windows_target_count_matches_survivors(toy_corpus, toy_vocab):
 
 def test_oov_tokens_removed_before_windowing():
     corpus = CorpusStream([["a", "zz", "b"]])
-    vocab = build_vocabulary(["a", "b"])
+    vocab = build_vocabulary(CorpusStream([["a", "b"]]))
     samples = list(iter_windows(corpus, vocab, 3))
     # with zz removed, a and b become adjacent
     assert [(vocab.tokens[s.target], tuple(vocab.tokens[i] for i in s.context))
@@ -259,17 +264,17 @@ def test_document_window_arrays_short_documents(win):
 def test_shuffle_documents_permutes_and_preserves():
     corpus = CorpusStream([["a"], ["b"], ["c"]])
     shuffled = shuffle_documents(corpus, 7)
-    assert sorted(map(tuple, shuffled.documents)) == [("a",), ("b",), ("c",)]
+    assert sorted(map(tuple, documents(shuffled))) == [("a",), ("b",), ("c",)]
     again = shuffle_documents(corpus, 7)
-    assert shuffled.documents == again.documents
+    assert documents(shuffled) == documents(again)
 
 
 def test_shuffle_keeps_token_multiset(toy_corpus):
     shuffled = shuffle_documents(toy_corpus, 3)
-    assert collections.Counter(shuffled.all_tokens()) == \
-        collections.Counter(toy_corpus.all_tokens())
-    assert [len(d) for d in sorted(shuffled.documents, key=tuple)] == \
-        [len(d) for d in sorted(toy_corpus.documents, key=tuple)]
+    assert collections.Counter(sum(documents(shuffled), [])) == \
+        collections.Counter(sum(documents(toy_corpus), []))
+    assert [len(d) for d in sorted(documents(shuffled), key=tuple)] == \
+        [len(d) for d in sorted(documents(toy_corpus), key=tuple)]
 
 
 def test_vocabulary_round_trip(tmp_path, small_vocab):
@@ -286,7 +291,66 @@ def test_corpus_stream_blank_line_documents(tmp_path):
     one_per_line = CorpusStream.from_text_file(path)
     assert len(one_per_line) == 3
     blank = CorpusStream.from_text_file(path, blank_line_docs=True)
-    assert blank.documents == [["a", "b", "c"], ["d", "e"]]
+    assert documents(blank) == [["a", "b", "c"], ["d", "e"]]
+
+
+def trainer_shards(corpus, vocab, workers):
+    """The `(ids, starts)` shards, as lists, that `train_epochs` passes."""
+    shards = []
+
+    def record(model, ids, starts, *args):
+        shards.append((ids.tolist(), starts.tolist()))
+        return 0, []
+
+    model = EmbeddingModel.create("skipgram", vocab, 2, 3)
+    with mock.patch.object(emb_module, "_train_one_pass", record):
+        train_epochs(model, corpus, TrainConfig(epochs=1, workers=workers,
+                                                full_softmax=True))
+    return shards
+
+
+_LINE = st.lists(st.sampled_from(["a", "b", "c", "d", "é", "中"]), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.tuples(_LINE, st.sampled_from([" ", "\t", "  "])),
+                      min_size=1, max_size=12),
+       blank_line_docs=st.booleans(), min_count=st.integers(1, 3),
+       closed=st.none() | st.sets(st.sampled_from(["a", "b", "c", "é", "x"])),
+       seed=st.none() | st.integers(0, 2**16), workers=st.integers(1, 3))
+def test_ingest_matches_string_oracle(tmp_path_factory, lines, blank_line_docs,
+                                      min_count, closed, seed, workers):
+    # blank lines, documents left empty by out-of-vocabulary tokens, a
+    # closed vocabulary, a shuffle and 1-3 shards, against the string path
+    text = [sep.join(tokens) + "\n" for tokens, sep in lines]
+    path = tmp_path_factory.mktemp("ingest") / "c.txt"
+    path.write_text("".join(text), encoding="utf-8")
+    docs = oracle_documents(text, blank_line_docs)
+    if not docs:
+        with pytest.raises(DataError):
+            CorpusStream.from_text_file(path, blank_line_docs)
+        return
+    corpus = CorpusStream.from_text_file(path, blank_line_docs)
+    assert documents(corpus) == docs
+    if seed is not None:
+        docs = oracle_shuffle(docs, seed)
+        corpus = shuffle_documents(corpus, seed)
+        assert documents(corpus) == docs
+    tokens, counts = oracle_vocabulary(docs, min_count, closed)
+    if not tokens:
+        with pytest.raises(DataError):
+            build_vocabulary(corpus, min_count, closed)
+        return
+    vocab = build_vocabulary(corpus, min_count, closed)
+    assert vocab.tokens == tokens
+    assert vocab.counts.tolist() == counts
+    encoded = [oracle_encode(doc, vocab) for doc in docs]
+    ids, starts = vocab.encode(corpus)
+    want_ids, want_starts = oracle_concatenate([e for e in encoded if len(e)])
+    assert ids.tolist() == want_ids.tolist()
+    assert starts.tolist() == want_starts.tolist()
+    assert trainer_shards(corpus, vocab, workers) == \
+        [(i.tolist(), s.tolist()) for i, s in oracle_shards(encoded, workers)]
 
 
 def test_noise_weights_positive_finite(small_vocab):

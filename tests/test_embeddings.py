@@ -621,11 +621,13 @@ def test_process_chunk_holds_no_grads_while_suspended(kind, full_softmax,
     assert held == []
 
 
-def buffered_pass(model, docs, cfg, sampler, space, srng, nrng):
+def buffered_pass(model, ids, starts, cfg, sampler, space, srng, nrng):
     """Reference for `_train_one_pass`: the per-document buffer loop it
-    replaced. Each document is subsampled, then windowed on its own in
-    _MAX_SEGMENT pieces; a chunk goes to `_process_chunk` once it holds
-    max(8 * batch, 4096) windows. Returns the token count and the batches."""
+    replaced. Each document of `(ids, starts)` is subsampled, then windowed
+    on its own in _MAX_SEGMENT pieces; a chunk goes to `_process_chunk` once
+    it holds max(8 * batch, 4096) windows. Returns the token count and the
+    batches."""
+    docs = np.split(ids, starts[1:])
     if cfg.subsample_t is not None:
         docs = [subsample_ids(ids, model.vocab, srng) for ids in docs]
     chunk_windows = max(cfg.batch_size * 8, 4096)
@@ -659,7 +661,7 @@ def test_train_pass_matches_buffered_reference(kind, t, monkeypatch):
     docs = [[f"w{i}" for i in rng.choice(60, int(n), p=zipf / zipf.sum())]
             for n in rng.integers(1, 301, 80)]
     corpus = CorpusStream(docs)
-    vocab = build_vocabulary(corpus.all_tokens())
+    vocab = build_vocabulary(corpus)
     space = build_charword_space(vocab) if kind == "charword" else None
     cfg = TrainConfig(negatives=2, epochs=1, seed=3, batch_size=100,
                       subsample_t=t, beta=0.4, char_context=True)

@@ -181,7 +181,7 @@ def test_cli_train_zero_epochs_outputs_initialization(tmp_path, tiny_corpus_file
     from embkit.embeddings import EmbeddingModel
     from embkit.seeding import substream
     stream = CorpusStream.from_text_file(tiny_corpus_file)
-    vocab = build_vocabulary(stream.all_tokens(), 1)
+    vocab = build_vocabulary(stream, 1)
     model = EmbeddingModel.create("skipgram", vocab, 8, 5, 100,
                                   substream(5, "init"))
     assert table.tokens == model.tokens
@@ -915,8 +915,9 @@ def test_cli_malformed_eval_dataset_is_data_error(tmp_path, caplog, task,
 
 @pytest.mark.parametrize("gold_text,where", [
     ("ab/c\nc/ab\nab\n", "{pred} has 2, {gold} has 3"),
-    ("ab/c\nc/abd\n", "in sentence 2")],
-    ids=["sentence-count", "different-text"])
+    ("ab/c\nc/abd\n", "{gold}:2: covers different text than {pred}:2"),
+    ("\nab/c\nc/abd\n", "{gold}:3: covers different text than {pred}:2")],
+    ids=["sentence-count", "different-text", "different-text-after-blank"])
 def test_cli_segment_score_error_names_location(tmp_path, caplog, gold_text,
                                                 where):
     pred, gold = tmp_path / "pred.txt", tmp_path / "gold.txt"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import score_matrix
+from conftest import documents, score_matrix
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
                            iter_windows)
 from embkit.embeddings import EmbeddingModel
@@ -44,7 +44,7 @@ def brute_force_counts(docs, vocab, win):
 
 def test_count_cooccurrences_small_example():
     corpus = CorpusStream([["a", "b", "a"]])
-    vocab = build_vocabulary(corpus.all_tokens())
+    vocab = build_vocabulary(corpus)
     a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
     matrix = count_cooccurrences(corpus, vocab, 3)
     assert matrix.to_dense()[a, b] == 2
@@ -65,7 +65,7 @@ def test_counts_match_bruteforce_oracle():
     docs = [[f"t{rng.integers(30)}" for _ in range(rng.integers(3, 40))]
             for _ in range(120)]
     corpus = CorpusStream(docs)
-    vocab = build_vocabulary(corpus.all_tokens())
+    vocab = build_vocabulary(corpus)
     matrix = count_cooccurrences(corpus, vocab, 5)
     oracle = brute_force_counts(docs, vocab, 5)
     assert cells_of(matrix) == {k: float(v) for k, v in oracle.items()}
@@ -76,14 +76,14 @@ def test_counts_do_not_depend_on_window_block(block, monkeypatch, toy_corpus,
                                               toy_vocab):
     monkeypatch.setattr(matrixfact, "_COUNT_BLOCK", block)
     matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
-    oracle = brute_force_counts(toy_corpus.documents, toy_vocab, 5)
+    oracle = brute_force_counts(documents(toy_corpus), toy_vocab, 5)
     assert cells_of(matrix) == {k: float(v) for k, v in oracle.items()}
 
 
 def test_counts_symmetric_under_corpus_reversal(toy_corpus, toy_vocab):
     forward = count_cooccurrences(toy_corpus, toy_vocab, 5)
     reversed_corpus = CorpusStream([list(reversed(d))
-                                    for d in toy_corpus.documents])
+                                    for d in documents(toy_corpus)])
     backward = count_cooccurrences(reversed_corpus, toy_vocab, 5)
     assert cells_of(forward) == {(j, i): x for (i, j), x in
                                 cells_of(backward).items()}
@@ -238,7 +238,7 @@ def test_counts_match_iter_windows(win):
     # in-vocabulary ones
     docs += [["t0"], ["t1", "t2"], ["oov1"], ["t3", "oov2", "t3"]]
     corpus = CorpusStream(docs)
-    vocab = build_vocabulary(corpus.all_tokens(), min_count=2)
+    vocab = build_vocabulary(corpus, min_count=2)
     assert "oov1" not in vocab and "oov2" not in vocab
     expected = {}
     for sample in iter_windows(corpus, vocab, win):
@@ -375,7 +375,7 @@ def _zipf_matrix(seed, v=120, n_tokens=4000, win=5):
     docs = [[f"w{k}" for k in words[lo:lo + 50]]
             for lo in range(0, n_tokens, 50)]
     corpus = CorpusStream(docs)
-    vocab = build_vocabulary(corpus.all_tokens())
+    vocab = build_vocabulary(corpus)
     return count_cooccurrences(corpus, vocab, win)
 
 

@@ -6,10 +6,13 @@ directory, runs one cycle of `bench/workloads.py`'s commands through
 `<sha256>  <name>` line per command's stdout and per output file. After
 the cycle it runs the bench's zero-epoch GloVe command and trains the
 variants the cycle does not cover: full softmax, `--char-context`,
-`--beta 1`, `lbl`, two SGD epochs and float32 charword and cbow, on the
-workload's small corpus; the `--char-context` and `lbl` runs also write
-their model containers. Last it hashes the analogy answers over every
-embedding table the cycle writes (`ANALOGY_TABLES`). It asks the bench's
+`--beta 1`, `lbl`, two SGD epochs, float32 charword and cbow, and the
+ingest flags `--shuffle-docs`, `--blank-line-docs`, `--min-count` and
+`--vocab`, on the workload's small corpus; the `--char-context` and `lbl`
+runs also write their model containers. The `--vocab` runs close the
+vocabulary to the cycle's `vocab.txt`, one of them on the main corpus.
+Last it hashes the analogy answers over every embedding table the cycle
+writes (`ANALOGY_TABLES`). It asks the bench's
 questions, then `OWN_QUESTIONS` questions of three distinct words drawn
 from the table's own vocabulary (seeded by `--seed`, so that the tables
 trained on the small corpus answer questions too). Each question is asked
@@ -49,7 +52,16 @@ EXTRAS = {
             "--epochs", "2"],
     "charword_f32": ["train-charword", "--precision", "float32"],
     "cbow_f32": ["train-emb", "--kind", "cbow", "--precision", "float32"],
+    "shuffle_docs": ["train-emb", "--kind", "skipgram", "--shuffle-docs",
+                     "--t", "1e-3"],
+    "blank_line_docs": ["train-emb", "--kind", "cbow", "--blank-line-docs"],
+    "min_count": ["train-charword", "--min-count", "3"],
+    "vocab": ["train-emb", "--kind", "order", "--vocab", "{vocab}"],
+    "vocab_min_count": ["train-emb", "--kind", "skipgram", "--corpus",
+                        "{corpus}", "--vocab", "{vocab}", "--min-count", "2"],
 }
+# EXTRAS arguments name the cycle's vocab.txt as {vocab} and the main
+# corpus as {corpus}
 # extras that also write their model container, extra_<id>_model.bin: one
 # with H/b1/b2 and one with character rows
 MODEL_OUT = ("char_context", "lbl")
@@ -71,7 +83,9 @@ def extra_commands(name, files, out, out_dir, seed):
     for cmd_id, head in EXTRAS.items():
         # a later flag overrides the shared one, as `--epochs 2` does
         argv = [head[0], "--corpus", files["corpus_small"], "--dim", dim,
-                "--epochs", "1", "--seed", str(seed), "--binary", *head[1:],
+                "--epochs", "1", "--seed", str(seed), "--binary",
+                *(a.format(corpus=files["corpus"], vocab=out["vocab"])
+                  for a in head[1:]),
                 "--out", os.path.join(out_dir, f"extra_{cmd_id}.bin")]
         if cmd_id in MODEL_OUT:
             argv += ["--model-out",
