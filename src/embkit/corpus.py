@@ -8,6 +8,7 @@ whole documents may be shuffled.
 
 import copy
 import itertools
+from array import array
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -207,15 +208,14 @@ class CorpusStream:
     def __init__(self, documents: Iterable[Sequence[str]]):
         index: dict = {}  # type -> the position where it first occurs
         position = itertools.count()
-        first: list = []  # per token, where its type first occurs
-        starts = []
+        first, starts = array("q"), []  # each token's type's first position
         for doc in documents:
             starts.append(len(first))
-            first.extend(map(index.setdefault, doc, position))  # all in C
+            first.fromlist(list(map(index.setdefault, doc, position)))  # in C
         self.types = list(index)
         type_at = np.empty(len(first), dtype=np.int32)  # first position -> id
         type_at[list(index.values())] = np.arange(len(index))
-        self.ids = type_at[first]
+        self.ids = type_at[np.frombuffer(first, dtype=np.int64)]
         self.starts = np.array(starts, dtype=np.int64)
 
     def __len__(self) -> int:
