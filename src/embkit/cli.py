@@ -406,8 +406,9 @@ def _cmd_classify_train(args):
 
 def _load_classifier(path):
     def build(get):
-        model_cls, shape_key = _CLASSIFIERS.get(get("model"),
-                                                _CLASSIFIERS["wincnn"])
+        if get("model") not in _CLASSIFIERS:
+            raise DataError(f"unknown classifier model {get('model')!r}")
+        model_cls, shape_key = _CLASSIFIERS[get("model")]
         return model_cls(get("tokens"), get("n_classes"), get("dim"),
                          get(shape_key), get("hidden"))
     return _load_model(path, "a classifier model", build)

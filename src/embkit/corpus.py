@@ -1,4 +1,4 @@
-"""Corpus ingestion: vocabularies, token normalization, subsampling, windowing.
+"""Corpus ingestion: vocabularies, subsampling, windowing.
 
 A corpus is read once into ids: its distinct tokens, an int32 id per token
 and the start offset of each document. Documents are independent training
@@ -26,8 +26,6 @@ PSEUDO_TOKENS = (TOKEN_NUMBER, TOKEN_WORD, TOKEN_PADDING)
 # single-character word and the character itself stay distinct.
 CHAR_PREFIX = "\x01"
 
-NOISE_EXPONENT = 0.75
-
 
 def subsample_keep_probability(freq, t: float, variant: str = "toolkit"):
     """Probability of keeping a token of relative frequency `freq`, or an
@@ -50,7 +48,7 @@ def subsample_keep_probability(freq, t: float, variant: str = "toolkit"):
 
 
 class Vocabulary:
-    """Dense token<->id map with counts, keep-probabilities and noise weights."""
+    """Dense token<->id map with counts and keep-probabilities."""
 
     def __init__(self, tokens: Sequence[str], counts: Sequence[int]):
         if len(tokens) == 0:
@@ -67,7 +65,6 @@ class Vocabulary:
         self.total_count = int(self.counts.sum())
         # All-ones until configure_subsampling is called.
         self.keep_prob = np.ones(len(self.tokens))
-        self.noise_weights = self.counts.astype(np.float64) ** NOISE_EXPONENT
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -143,53 +140,6 @@ def load_vocabulary(path) -> Vocabulary:
         tokens.append(parts[0])
         counts.append(count)
     return Vocabulary(tokens, counts)
-
-
-def normalize_token(raw: str, mode: str = "none") -> str:
-    """Collapse digit runs to NUMBER and Latin-letter runs to WORD.
-
-    Only active in segmentation mode. Previously inserted NUMBER/WORD marks
-    are treated as atomic so normalization is idempotent.
-    """
-    if mode == "none":
-        return raw
-    if mode != "segmentation":
-        raise ValueError(f"unknown normalization mode: {mode!r}")
-    out = []
-    i, n = 0, len(raw)
-    while i < n:
-        pseudo = _pseudo_at(raw, i)
-        if pseudo:
-            out.append(pseudo)
-            i += len(pseudo)
-        elif raw[i].isdigit():
-            while i < n and raw[i].isdigit():
-                i += 1
-            out.append(TOKEN_NUMBER)
-        elif _is_latin(raw[i]):
-            while i < n and _is_latin(raw[i]) and not _pseudo_at(raw, i):
-                i += 1
-            out.append(TOKEN_WORD)
-        else:
-            out.append(raw[i])
-            i += 1
-    return "".join(out)
-
-
-_PSEUDO_FIRST = frozenset(p[0] for p in PSEUDO_TOKENS)
-
-
-def _pseudo_at(raw: str, i: int):
-    """The pseudo-token that starts at raw[i], or None; i < len(raw)."""
-    if raw[i] in _PSEUDO_FIRST:  # skips the scan for almost every character
-        for pseudo in PSEUDO_TOKENS:
-            if raw.startswith(pseudo, i):
-                return pseudo
-    return None
-
-
-def _is_latin(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z")
 
 
 def decompose_word(word: str) -> list:

@@ -76,13 +76,17 @@ def _parse_cells(text, v):
     its non-empty lines are three whitespace-free fields joined by tabs."""
     lines = list(filter(None, text.split("\n")))
     fields = text.split()
-    triples = zip(fields[0::3], fields[1::3], fields[2::3])
-    if len(fields) != 3 * len(lines) or lines != list(map("\t".join, triples)):
+    n = len(lines)
+    # compared lazily, and `lines` freed before the parse: each list of the
+    # lines is one more copy of the file
+    if len(fields) != 3 * n or not all(
+            map(str.__eq__, lines, map("\t".join, zip(*[iter(fields)] * 3)))):
         return None
+    del lines
     try:
-        rows = np.fromiter(map(int, fields[0::3]), np.int64, len(lines))
-        cols = np.fromiter(map(int, fields[1::3]), np.int64, len(lines))
-        vals = np.fromiter(map(float, fields[2::3]), np.float64, len(lines))
+        rows = np.fromiter(map(int, fields[0::3]), np.int64, n)
+        cols = np.fromiter(map(int, fields[1::3]), np.int64, n)
+        vals = np.fromiter(map(float, fields[2::3]), np.float64, n)
     except (ValueError, OverflowError):
         return None
     if not ((rows >= 0).all() and (rows < v).all() and (cols >= 0).all()

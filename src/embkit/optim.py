@@ -229,7 +229,6 @@ class NoiseSampler:
         total = weights.sum()
         if not np.isfinite(total) or total <= 0:
             raise NumericError("noise weights must sum to a finite positive value")
-        self.exponent = exponent
         self.cumulative = np.cumsum(weights)
         self.cumulative[-1] = total  # guard against rounding drift
 

@@ -12,8 +12,8 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .corpus import (TOKEN_PADDING, _pseudo_at, decompose_word,
-                     normalize_token, padded_blocks, window_matrix)
+from .corpus import (PSEUDO_TOKENS, TOKEN_NUMBER, TOKEN_PADDING, TOKEN_WORD,
+                     padded_blocks, window_matrix)
 from .errors import DataError
 from .io_formats import EmbeddingTable, numbered_lines
 from .optim import EpochRecord, apply_grads, log_softmax, run_epochs
@@ -53,7 +53,7 @@ def tags_from_segmentation(words: Sequence[str]) -> TaggedSentence:
     chars: List[str] = []
     tags: List[str] = []
     for word in words:
-        pieces = decompose_word(word)  # NUMBER and WORD act as one character
+        pieces = line_to_chars(word, normalize=False)
         if not pieces:
             raise DataError("empty word in segmentation")
         chars.extend(pieces)
@@ -312,32 +312,53 @@ def decode_sentence(net: SegmenterNet, chars: Sequence[str]) -> List[str]:
 # --- data files ---------------------------------------------------------------
 
 def line_to_chars(line: str, normalize: bool = True) -> List[str]:
-    """Character sequence of a raw, unsegmented line.
-
-    With normalization, digit and Latin runs become single NUMBER/WORD
-    pseudo-characters, which stay atomic here.
+    """Character sequence of a line or a word: the one scanner from text to
+    segmenter characters. Spaces are dropped and pseudo-tokens stay atomic;
+    with normalization, a digit run is one NUMBER and a Latin run one WORD.
     """
     text = line.strip().replace(" ", "")
-    if normalize:
-        text = normalize_token(text, "segmentation")
     chars: List[str] = []
-    i = 0
-    while i < len(text):
-        char = _pseudo_at(text, i) or text[i]
+    i, n = 0, len(text)
+    while i < n:
+        char = _pseudo_at(text, i)
+        if char:
+            i += len(char)
+        elif normalize and text[i].isdigit():
+            while i < n and text[i].isdigit():
+                i += 1
+            char = TOKEN_NUMBER
+        elif normalize and _is_latin(text[i]):
+            while i < n and _is_latin(text[i]) and not _pseudo_at(text, i):
+                i += 1
+            char = TOKEN_WORD
+        else:
+            char = text[i]
+            i += 1
         chars.append(char)
-        i += len(char)
     return chars
 
 
+_PSEUDO_FIRST = frozenset(p[0] for p in PSEUDO_TOKENS)
+
+
+def _pseudo_at(text: str, i: int):
+    """The pseudo-token that starts at text[i], or None; i < len(text)."""
+    if text[i] in _PSEUDO_FIRST:  # skips the scan for almost every character
+        for pseudo in PSEUDO_TOKENS:
+            if text.startswith(pseudo, i):
+                return pseudo
+    return None
+
+
+def _is_latin(ch: str) -> bool:
+    return ("a" <= ch <= "z") or ("A" <= ch <= "Z")
+
+
 def parse_segmented_line(line: str, normalize: bool = True) -> List[str]:
-    """One sentence per line; words separated by '/' or whitespace."""
-    line = line.strip()
-    if not line:
-        return []
-    raw = [w for w in (line.split("/") if "/" in line else line.split()) if w]
-    if normalize:
-        raw = [normalize_token(w, "segmentation") for w in raw]
-    return raw
+    """One sentence per line; words separated by '/' or whitespace, each
+    spelled by `line_to_chars`. A word with no characters is dropped."""
+    words = line.split("/") if "/" in line else line.split()
+    return [w for w in ("".join(line_to_chars(w, normalize)) for w in words) if w]
 
 
 def load_segmented_corpus(path, normalize: bool = True):

@@ -14,11 +14,13 @@ from embkit import embeddings as emb_module
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
                            decompose_word,
                            document_window_arrays, iter_windows,
-                           load_vocabulary, normalize_token, save_vocabulary,
+                           load_vocabulary, save_vocabulary,
                            shuffle_documents, subsample_keep_probability,
                            window_matrix)
 from embkit.embeddings import EmbeddingModel, TrainConfig, train_epochs
 from embkit.errors import DataError
+from embkit.optim import NoiseSampler
+from embkit.segment import line_to_chars
 
 
 def test_build_vocabulary_counts():
@@ -113,30 +115,30 @@ def test_configure_subsampling_matches_scalar_formula_bitwise(variant):
 
 
 def test_normalize_digit_run():
-    assert normalize_token("200", "segmentation") == "NUMBER"
+    assert line_to_chars("200") == ["NUMBER"]
 
 
 def test_normalize_latin_run():
-    assert normalize_token("CERNET", "segmentation") == "WORD"
+    assert line_to_chars("CERNET") == ["WORD"]
 
 
 def test_normalize_chinese_unchanged():
-    assert normalize_token("中", "segmentation") == "中"
+    assert line_to_chars("中") == ["中"]
 
 
 def test_normalize_mixed_token():
-    assert normalize_token("第200号", "segmentation") == "第NUMBER号"
+    assert line_to_chars("第200号") == ["第", "NUMBER", "号"]
 
 
 def test_normalize_none_mode_is_identity():
-    assert normalize_token("200", "none") == "200"
+    assert line_to_chars("200", normalize=False) == ["2", "0", "0"]
 
 
 @given(st.text(max_size=12))
 @settings(max_examples=300)
 def test_normalize_idempotent(raw):
-    once = normalize_token(raw, "segmentation")
-    assert normalize_token(once, "segmentation") == once
+    once = line_to_chars(raw)
+    assert line_to_chars("".join(once)) == once
 
 
 def test_decompose_word():
@@ -354,6 +356,6 @@ def test_ingest_matches_string_oracle(tmp_path_factory, lines, blank_line_docs,
 
 
 def test_noise_weights_positive_finite(small_vocab):
-    w = small_vocab.noise_weights
-    assert np.all(w > 0) and math.isfinite(float(w.sum()))
+    w = NoiseSampler(small_vocab.counts).cumulative
+    assert np.all(np.isfinite(w)) and w[0] > 0 and np.all(np.diff(w) > 0)
     assert w[0] == pytest.approx(8 ** 0.75)

@@ -820,6 +820,8 @@ _UNSCORED_KINDS = ("cw", "order", "lbl", "nnlm")
     *[(command, fault) for command in _LOADERS
       for fault in ("missing", "extra", "shape", "meta")],
     ("equiv-report", "counts"),
+    *[(command, "unknown-model") for command in ("classify-predict",
+                                                 "key-phrases")],
     *[("equiv-report", kind) for kind in _UNSCORED_KINDS]])
 def test_cli_unusable_model_container_is_data_error(tmp_path, model_dir,
                                                     caplog, command, fault):
@@ -828,6 +830,8 @@ def test_cli_unusable_model_container_is_data_error(tmp_path, model_dir,
     if fault in _UNSCORED_KINDS:  # embedding kinds equiv-report cannot score
         model = model_dir / f"{fault}.bin"
     else:
+        if fault == "unknown-model":  # a window CNN under another label
+            name, bad_meta = "wincnn", {"model": "foo"}
         arrays, meta = load_container(model_dir / f"{name}.bin")
         if fault == "missing":
             del arrays[array]
@@ -835,7 +839,7 @@ def test_cli_unusable_model_container_is_data_error(tmp_path, model_dir,
             arrays["extra"] = np.zeros(3)
         elif fault == "shape":
             arrays[array] = arrays[array][..., :-1]
-        elif fault == "meta":
+        elif fault in ("meta", "unknown-model"):
             meta.update(bad_meta)
         else:  # refused by the Vocabulary constructor
             meta["vocab_counts"] = [0] * len(meta["vocab_counts"])

@@ -574,3 +574,32 @@ def test_parse_segmented_line_normalizes():
 def test_line_to_chars_atomic_pseudo():
     chars = line_to_chars("中200x国", normalize=True)
     assert chars == ["中", "NUMBER", "WORD", "国"]
+
+
+# segmented lines of CJK, digit and Latin runs, pseudo-tokens and spaces
+_SEGMENTED_LINES = st.lists(
+    st.sampled_from(["中", "国", "第", "号", "200", "7", "ok", "CERNET", "x",
+                     "NUMBER", "WORD", "PADDING", "NUM", "BER", " ", "/"]),
+    max_size=16).map("".join)
+
+
+@given(_SEGMENTED_LINES)
+def test_gold_words_spell_as_their_joined_text(line):
+    # training spells each gold word as decoding spells the raw line
+    words = parse_segmented_line(line)
+    assert "" not in words
+    if words:
+        chars = tags_from_segmentation(words).chars
+        assert list(chars) == line_to_chars("".join(words), normalize=False)
+
+
+def test_cli_segment_train_stores_pseudo_characters(tmp_path):
+    corpus, model = tmp_path / "seg.txt", tmp_path / "seg.bin"
+    corpus.write_text("第200号/的\n在/2003年/的\n他/说/ok了\n/ /在/\n",
+                      encoding="utf-8")
+    assert run(["segment-train", "--corpus", str(corpus), "--dim", "3",
+                "--hidden", "4", "--epochs", "1", "--out", str(model)]) == 0
+    from embkit.io_formats import load_container
+    chars = set(load_container(model)[1]["chars"])
+    assert {"NUMBER", "WORD"} <= chars
+    assert not any(len(c) == 1 and c.isascii() for c in chars)

@@ -11,15 +11,18 @@ ingest flags `--shuffle-docs`, `--blank-line-docs`, `--min-count` and
 `--vocab`, on the workload's small corpus; the `--char-context` and `lbl`
 runs also write their model containers. The `--vocab` runs close the
 vocabulary to the cycle's `vocab.txt`, one of them on the main corpus.
-Last it hashes the analogy answers over every embedding table the cycle
+It hashes the analogy answers over every embedding table the cycle
 writes (`ANALOGY_TABLES`). It asks the bench's
 questions, then `OWN_QUESTIONS` questions of three distinct words drawn
 from the table's own vocabulary (seeded by `--seed`, so that the tables
 trained on the small corpus answer questions too). Each question is asked
 under its own category and expects this tool's own float64 3CosAdd
 answer, so `eval --task analogy` prints, question by question, whether
-embkit's guess equals it. Two sources produce the same bytes when their
-listings `diff` clean:
+embkit's guess equals it. Last it writes `MIXED_SENTENCES` seeded
+segmented lines that mix CJK words, digit runs and Latin runs, trains a
+segmenter on them and decodes their unsegmented text (`MIXED_OUT`): the
+one segmenter run whose characters are not all CJK. Two sources produce
+the same bytes when their listings `diff` clean:
 
     python3 tools/hash_outputs.py --src src --workload pairs-bigvocab > a.txt
     python3 tools/hash_outputs.py --src /path/to/other/src \\
@@ -35,6 +38,8 @@ import contextlib
 import hashlib
 import io
 import os
+import random
+import string
 import sys
 import tempfile
 
@@ -71,6 +76,9 @@ ANALOGY_TABLES = ("skipgram", "skipgram_f32", "charword", "cbow", "order",
                   "nnlm", "cw")
 # questions drawn from each table's own vocabulary
 OWN_QUESTIONS = 300
+# the mixed-script segmentation run: its sentences and output files
+MIXED_SENTENCES = 40
+MIXED_OUT = ("mixed_segmenter.bin", "mixed_seg_pred.txt")
 
 
 def extra_commands(name, files, out, out_dir, seed):
@@ -125,6 +133,30 @@ def answer_questions(table_path, questions_path, out_path, seed):
         fh.writelines(lines)
 
 
+def mixed_segmentation(gold_path, raw_path, seed):
+    """Write MIXED_SENTENCES segmented lines to `gold_path` and their text
+    to `raw_path`. A word is CJK, a digit run, a Latin run, or a CJK word
+    with a digit or Latin run inside, as in 第200号."""
+    rng = random.Random(seed)
+    cjk = "的一是在有了不人我他第号年说"
+
+    def run_of(alphabet, longest):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(1, longest)))
+
+    def word():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return run_of(cjk, 3)
+        inner = run_of(string.digits if kind % 2 else string.ascii_letters, 4)
+        return inner if kind < 3 else rng.choice(cjk) + inner + rng.choice(cjk)
+
+    sentences = [[word() for _ in range(rng.randint(2, 8))]
+                 for _ in range(MIXED_SENTENCES)]
+    for path, sep in ((gold_path, "/"), (raw_path, "")):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(sep.join(words) + "\n" for words in sentences)
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -176,6 +208,15 @@ def main(argv=None):
                              args.seed)
             run(f"analogy_{name}", ["eval", "--task", "analogy", "--embeddings",
                                     out[name], "--dataset", questions])
+        gold, raw = (os.path.join(work, f"mixed_{n}.txt") for n in ("gold", "raw"))
+        mixed_segmentation(gold, raw, args.seed)
+        model, pred = (os.path.join(out_dir, n) for n in MIXED_OUT)
+        run("mixed_segment_train",
+            ["segment-train", "--corpus", gold, "--dim", "10", "--hidden", "20",
+             "--epochs", "2", "--dev-fraction", "0.25", "--seed",
+             str(args.seed), "--out", model])
+        run("mixed_segment_decode",
+            ["segment-decode", "--model", model, "--input", raw, "--out", pred])
         for name in sorted(os.listdir(out_dir)):
             with open(os.path.join(out_dir, name), "rb") as fh:
                 print(f"{sha256(fh.read())}  {name}")
