@@ -6,6 +6,7 @@ input files. Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
 """
 
 import argparse
+import itertools
 import logging
 import os
 import sys
@@ -70,8 +71,8 @@ def run(argv) -> int:
 
 def _load_corpus(args) -> corpus_mod.CorpusStream:
     stream = corpus_mod.CorpusStream.from_text_file(
-        args.corpus, blank_line_docs=getattr(args, "blank_line_docs", False))
-    if getattr(args, "shuffle_docs", False):
+        args.corpus, blank_line_docs=args.blank_line_docs)
+    if args.shuffle_docs:
         stream = corpus_mod.shuffle_documents(
             stream, substream(args.seed, "doc-shuffle"))
     return stream
@@ -85,19 +86,6 @@ def _build_vocab(args, stream) -> corpus_mod.Vocabulary:
     if args.save_vocab:
         corpus_mod.save_vocabulary(vocab, args.save_vocab)
     return vocab
-
-
-def _train_config(args, **overrides) -> emb.TrainConfig:
-    cfg = emb.TrainConfig(
-        negatives=args.negatives, lr=args.lr, optimizer=args.optimizer,
-        epochs=args.epochs, subsample_t=args.t,
-        subsample_variant=args.subsample_variant, seed=args.seed,
-        workers=args.workers, batch_size=args.batch_size,
-        precision=args.precision,
-        full_softmax=getattr(args, "full_softmax", False))
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
 
 
 def _save_embedding_model(model, path):
@@ -161,34 +149,31 @@ def _write_embeddings(args, table, path):
 
 
 def _cmd_train_emb(args):
+    """train-emb, and train-charword: skipgram over the joint char-word
+    space, its word rows written to --out and its character rows to
+    --chars-out."""
+    charword = args.command == "train-charword"
     stream = _load_corpus(args)
     vocab = _build_vocab(args, stream)
-    rng = substream(args.seed, "init")
-    model = emb.EmbeddingModel.create(args.kind, vocab, args.dim, args.win,
-                                      args.hidden, rng)
-    cfg = _train_config(args)
-    emb.train_epochs(model, stream, cfg,
-                     checkpoint_dir=args.checkpoint_dir, log_fn=log.info)
-    _write_embeddings(args, EmbeddingTable(model.tokens, model.e), args.out)
-    if args.model_out:
-        _save_embedding_model(model, args.model_out)
-    log.info("wrote %s", args.out)
-
-
-def _cmd_train_charword(args):
-    stream = _load_corpus(args)
-    vocab = _build_vocab(args, stream)
-    space = emb.build_charword_space(vocab)
-    rng = substream(args.seed, "init")
-    model = emb.EmbeddingModel.create("skipgram", vocab, args.dim, args.win,
-                                      rng=rng, tokens=space.tokens)
-    cfg = _train_config(args, beta=args.beta, char_context=args.char_context)
+    space = emb.build_charword_space(vocab) if charword else None
+    model = emb.EmbeddingModel.create(
+        "skipgram" if charword else args.kind, vocab, args.dim, args.win,
+        args.hidden, substream(args.seed, "init"),
+        tokens=space.tokens if charword else None)
+    extra = ({"beta": args.beta, "char_context": args.char_context} if charword
+             else {"full_softmax": args.full_softmax})
+    cfg = emb.TrainConfig(
+        negatives=args.negatives, lr=args.lr, optimizer=args.optimizer,
+        epochs=args.epochs, subsample_t=args.t,
+        subsample_variant=args.subsample_variant, seed=args.seed,
+        workers=args.workers, batch_size=args.batch_size,
+        precision=args.precision, **extra)
     emb.train_epochs(model, stream, cfg, space=space,
                      checkpoint_dir=args.checkpoint_dir, log_fn=log.info)
-    n = space.n_words
+    n = space.n_words if charword else model.n_rows
     _write_embeddings(args, EmbeddingTable(model.tokens[:n], model.e[:n]),
                       args.out)
-    if args.chars_out:
+    if charword and args.chars_out:
         _write_embeddings(args, EmbeddingTable(space.char_tokens, model.e[n:]),
                           args.chars_out)
     if args.model_out:
@@ -340,9 +325,12 @@ def _cmd_segment_decode(args):
     net = _load_segmenter(args.model)
     with open_text(args.input) as fh, \
             _atomic_open(args.out, "w", encoding="utf-8") as out:
-        lines = (seg.line_to_chars(line, normalize=not args.no_normalize)
-                 for line in fh)
-        for words in seg.decode_sentences(net, lines):
+        # each line's characters, and the text each one was read from
+        chars, texts = itertools.tee(
+            seg.line_to_chars(line, not args.no_normalize, texts=True)
+            for line in fh)
+        for words in seg.decode_sentences(net, (c for c, _ in chars),
+                                          (t for _, t in texts)):
             out.write("/".join(words) + "\n")
     log.info("wrote %s", args.out)
 
@@ -498,7 +486,7 @@ def _args_train_charword(p):
     p.add_argument("--char-context", action="store_true",
                    help="characters also join the context side")
     p.add_argument("--chars-out", help="embedding file for bare characters")
-    p.set_defaults(handler=_cmd_train_charword)
+    p.set_defaults(handler=_cmd_train_emb)
 
 
 def _args_cooccur(p):

@@ -1,4 +1,5 @@
-"""Corpus ingestion: vocabularies, subsampling, windowing.
+"""Corpus ingestion: vocabularies, subsampling, windowing, and the one
+scanner from text to characters.
 
 A corpus is read once into ids: its distinct tokens, an int32 id per token
 and the start offset of each document. Documents are independent training
@@ -9,7 +10,7 @@ whole documents may be shuffled.
 import copy
 import itertools
 from array import array
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -142,11 +143,53 @@ def load_vocabulary(path) -> Vocabulary:
     return Vocabulary(tokens, counts)
 
 
-def decompose_word(word: str) -> list:
-    """Split a token into its characters; pseudo-tokens stay atomic."""
-    if word in PSEUDO_TOKENS:
-        return [word]
-    return list(word)
+def line_to_chars(line: str, normalize: bool = True, texts: bool = False):
+    """Character sequence of a line or a word: the one scanner from text to
+    segmenter characters and to the spelling of char-word vocabularies.
+    Spaces are dropped and pseudo-tokens stay atomic; with normalization, a
+    digit run is one NUMBER and a Latin run one WORD. With `texts`, returns
+    `(chars, texts)`, where texts[k] is the text chars[k] was read from.
+    """
+    text = line.strip().replace(" ", "")
+    chars: List[str] = []
+    starts: List[int] = []
+    i, n = 0, len(text)
+    while i < n:
+        starts.append(i)
+        char = _pseudo_at(text, i)
+        if char:
+            i += len(char)
+        elif normalize and text[i].isdigit():
+            while i < n and text[i].isdigit():
+                i += 1
+            char = TOKEN_NUMBER
+        elif normalize and _is_latin(text[i]):
+            while i < n and _is_latin(text[i]) and not _pseudo_at(text, i):
+                i += 1
+            char = TOKEN_WORD
+        else:
+            char = text[i]
+            i += 1
+        chars.append(char)
+    if texts:
+        return chars, [text[a:b] for a, b in zip(starts, starts[1:] + [n])]
+    return chars
+
+
+_PSEUDO_FIRST = frozenset(p[0] for p in PSEUDO_TOKENS)
+
+
+def _pseudo_at(text: str, i: int):
+    """The pseudo-token that starts at text[i], or None; i < len(text)."""
+    if text[i] in _PSEUDO_FIRST:  # skips the scan for almost every character
+        for pseudo in PSEUDO_TOKENS:
+            if text.startswith(pseudo, i):
+                return pseudo
+    return None
+
+
+def _is_latin(ch: str) -> bool:
+    return ("a" <= ch <= "z") or ("A" <= ch <= "Z")
 
 
 class CorpusStream:

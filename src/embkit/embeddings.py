@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, decompose_word,
+from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, line_to_chars,
                      select_documents, subsample_ids, window_matrix)
 from .errors import DataError
 from .io_formats import EmbeddingTable, save_embeddings
@@ -149,13 +149,16 @@ class CharWordSpace:
 
     Rows [0, n_words) are the word vocabulary; character rows follow, named
     with a reserved prefix so a one-character word and the character itself
-    stay distinct. `(char_flat, char_starts)` spell each word as a document
+    stay distinct. A word is spelled by the segmenter's scanner,
+    `line_to_chars` without normalization, so a pseudo-token inside it is
+    one character. `(char_flat, char_starts)` spell each word as a document
     of character rows; `char_rows(word_id)` gives the rows of one word.
     """
 
     def __init__(self, word_vocab: Vocabulary):
         self.n_words = len(word_vocab)
-        spelled = CorpusStream(map(decompose_word, word_vocab.tokens))
+        spelled = CorpusStream(line_to_chars(word, normalize=False)
+                               for word in word_vocab.tokens)
         chars = sorted(spelled.types)
         self.char_tokens = chars
         self.tokens = list(word_vocab.tokens) + [CHAR_PREFIX + c for c in chars]

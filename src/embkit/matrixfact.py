@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import CorpusStream, Vocabulary, window_matrix
 from .errors import DataError
-from .io_formats import _atomic_open, line_error, numbered_lines, open_text
+from .io_formats import _atomic_open, line_error, numbered_lines
 from .optim import run_epochs, softmax, step_distinct_rows
 
 GLOVE_X_MAX = 100.0
@@ -60,77 +60,38 @@ class CooccurrenceMatrix:
     @classmethod
     def load(cls, path, vocab: Vocabulary, win: int) -> "CooccurrenceMatrix":
         """Read `i<TAB>j<TAB>x` lines: ids in [0, |V|), x finite and > 0,
-        each (i, j) cell at most once."""
-        with open_text(path) as fh:
-            text = fh.read()
-        cells = _parse_cells(text, len(vocab))
-        if cells is None:  # the line loop names the first bad line
-            cells = _parse_cell_lines(path, text, len(vocab))
-        return cls(vocab, win, *cells)
-
-
-def _parse_cells(text, v):
-    """The cells of a co-occurrence text in (row, col) order, parsed in one
-    pass; or None unless every line is blank or a valid cell, each cell
-    once. A text passes only if `_parse_cell_lines` reads it the same way:
-    its non-empty lines are three whitespace-free fields joined by tabs."""
-    lines = list(filter(None, text.split("\n")))
-    fields = text.split()
-    n = len(lines)
-    # compared lazily, and `lines` freed before the parse: each list of the
-    # lines is one more copy of the file
-    if len(fields) != 3 * n or not all(
-            map(str.__eq__, lines, map("\t".join, zip(*[iter(fields)] * 3)))):
-        return None
-    del lines
-    try:
-        rows = np.fromiter(map(int, fields[0::3]), np.int64, n)
-        cols = np.fromiter(map(int, fields[1::3]), np.int64, n)
-        vals = np.fromiter(map(float, fields[2::3]), np.float64, n)
-    except (ValueError, OverflowError):
-        return None
-    if not ((rows >= 0).all() and (rows < v).all() and (cols >= 0).all()
-            and (cols < v).all() and np.isfinite(vals).all()
-            and (vals > 0).all()):
-        return None
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
-        return None
-    return rows, cols, vals
-
-
-def _parse_cell_lines(path, text, v):
-    """`_parse_cells` one line at a time: a malformed line, an id outside
-    [0, v), a count that is not finite and positive or a repeated cell is
-    a DataError naming `path:line`."""
-    rows, cols, vals = [], [], []
-    seen = set()
-    for lineno, line in numbered_lines(text.split("\n")):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise line_error(path, lineno, "expected 'i<TAB>j<TAB>x'")
-        try:
-            i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise line_error(path, lineno, "expected integer ids "
-                             "and a numeric count") from exc
-        if not (0 <= i < v and 0 <= j < v):
-            raise line_error(path, lineno, f"index outside the "
-                             f"vocabulary of {v} words")
-        if not (math.isfinite(x) and x > 0):
-            raise line_error(path, lineno, f"count {parts[2]!r} is "
-                             f"not finite and positive")
-        key = i * v + j
-        if key in seen:
-            raise line_error(path, lineno, f"cell ({i}, {j}) appears twice")
-        seen.add(key)
-        rows.append(i)
-        cols.append(j)
-        vals.append(x)
-    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], np.array(vals, dtype=np.float64)[order]
+        each (i, j) cell at most once. A malformed line, an id outside the
+        vocabulary, a count that is not finite and positive or a repeated
+        cell is a DataError naming the first such `path:line`."""
+        v = len(vocab)
+        rows, cols, vals = [], [], []
+        seen = set()
+        for lineno, line in numbered_lines(path):
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise line_error(path, lineno, "expected 'i<TAB>j<TAB>x'")
+            try:
+                i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise line_error(path, lineno, "expected integer ids "
+                                 "and a numeric count") from exc
+            if not (0 <= i < v and 0 <= j < v):
+                raise line_error(path, lineno, f"index outside the "
+                                 f"vocabulary of {v} words")
+            if not (math.isfinite(x) and x > 0):
+                raise line_error(path, lineno, f"count {parts[2]!r} is "
+                                 f"not finite and positive")
+            key = i * v + j
+            if key in seen:
+                raise line_error(path, lineno, f"cell ({i}, {j}) appears twice")
+            seen.add(key)
+            rows.append(i)
+            cols.append(j)
+            vals.append(x)
+        rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+        order = np.lexsort((cols, rows))
+        return cls(vocab, win, rows[order], cols[order],
+                   np.array(vals, dtype=np.float64)[order])
 
 
 _COUNT_BLOCK = 1 << 20  # positions windowed at once by count_cooccurrences

@@ -4,6 +4,10 @@ constraints, and span-based P/R/F scoring.
 
 Tag order is B, M, E, S (ids 0..3). Legal transitions: B->{M,E}, M->{M,E},
 E->{B,S}, S->{B,S}; sentences must start in {B,S} and end in {E,S}.
+
+Text becomes characters through the one scanner, `corpus.line_to_chars`,
+for gold words and raw lines alike; a decoded word is the text its
+characters were read from.
 """
 
 import math
@@ -12,8 +16,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .corpus import (PSEUDO_TOKENS, TOKEN_NUMBER, TOKEN_PADDING, TOKEN_WORD,
-                     padded_blocks, window_matrix)
+from .corpus import TOKEN_PADDING, line_to_chars, padded_blocks, window_matrix
 from .errors import DataError
 from .io_formats import EmbeddingTable, numbered_lines
 from .optim import EpochRecord, apply_grads, log_softmax, run_epochs
@@ -284,24 +287,31 @@ def viterbi_decode(lattice: np.ndarray) -> Tuple[str, float]:
     return tags[0], float(totals[0])
 
 
-def decode_sentences(net: SegmenterNet,
-                     sentences: Iterable[Sequence[str]]) -> Iterator[List[str]]:
+def decode_sentences(net: SegmenterNet, sentences: Iterable[Sequence[str]],
+                     texts: Optional[Iterable[Sequence[str]]] = None
+                     ) -> Iterator[List[str]]:
     """Words of each character sequence, in order; an empty one gives [].
+    A word joins its characters, or with `texts` (read in step with
+    `sentences`, one per sentence) the texts its characters were read from.
 
     Reads `sentences` lazily in blocks of at most DECODE_BLOCK padded
     positions: one lattice per sentence, one batched Viterbi per block.
     """
+    texts = None if texts is None else iter(texts)
     for block in padded_blocks(sentences, DECODE_BLOCK):
-        yield from _decode_block(net, block)
+        yield from _decode_block(net, block, None if texts is None
+                                 else [next(texts) for _ in block])
 
 
-def _decode_block(net: SegmenterNet,
-                  block: List[Sequence[str]]) -> List[List[str]]:
-    full = [chars for chars in block if len(chars)]
+def _decode_block(net: SegmenterNet, block: List[Sequence[str]],
+                  texts: Optional[List[Sequence[str]]] = None
+                  ) -> List[List[str]]:
+    full = [(chars, text) for chars, text in zip(block, texts or block)
+            if len(chars)]
     tags = viterbi_decode_block([sentence_log_probs(net, chars)
-                                 for chars in full])[0] if full else []
+                                 for chars, _ in full])[0] if full else []
     # Viterbi output is legal, so the words skip TaggedSentence.check
-    words = (_words_from_tags(chars, t) for chars, t in zip(full, tags))
+    words = (_words_from_tags(text, t) for (_, text), t in zip(full, tags))
     return [next(words) if len(chars) else [] for chars in block]
 
 
@@ -310,49 +320,6 @@ def decode_sentence(net: SegmenterNet, chars: Sequence[str]) -> List[str]:
 
 
 # --- data files ---------------------------------------------------------------
-
-def line_to_chars(line: str, normalize: bool = True) -> List[str]:
-    """Character sequence of a line or a word: the one scanner from text to
-    segmenter characters. Spaces are dropped and pseudo-tokens stay atomic;
-    with normalization, a digit run is one NUMBER and a Latin run one WORD.
-    """
-    text = line.strip().replace(" ", "")
-    chars: List[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        char = _pseudo_at(text, i)
-        if char:
-            i += len(char)
-        elif normalize and text[i].isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            char = TOKEN_NUMBER
-        elif normalize and _is_latin(text[i]):
-            while i < n and _is_latin(text[i]) and not _pseudo_at(text, i):
-                i += 1
-            char = TOKEN_WORD
-        else:
-            char = text[i]
-            i += 1
-        chars.append(char)
-    return chars
-
-
-_PSEUDO_FIRST = frozenset(p[0] for p in PSEUDO_TOKENS)
-
-
-def _pseudo_at(text: str, i: int):
-    """The pseudo-token that starts at text[i], or None; i < len(text)."""
-    if text[i] in _PSEUDO_FIRST:  # skips the scan for almost every character
-        for pseudo in PSEUDO_TOKENS:
-            if text.startswith(pseudo, i):
-                return pseudo
-    return None
-
-
-def _is_latin(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z")
-
 
 def parse_segmented_line(line: str, normalize: bool = True) -> List[str]:
     """One sentence per line; words separated by '/' or whitespace, each

@@ -12,15 +12,13 @@ from conftest import (documents, oracle_concatenate, oracle_documents,
                       oracle_vocabulary, slotwise_windows)
 from embkit import embeddings as emb_module
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
-                           decompose_word,
-                           document_window_arrays, iter_windows,
+                           document_window_arrays, iter_windows, line_to_chars,
                            load_vocabulary, save_vocabulary,
                            shuffle_documents, subsample_keep_probability,
                            window_matrix)
 from embkit.embeddings import EmbeddingModel, TrainConfig, train_epochs
 from embkit.errors import DataError
 from embkit.optim import NoiseSampler
-from embkit.segment import line_to_chars
 
 
 def test_build_vocabulary_counts():
@@ -141,20 +139,24 @@ def test_normalize_idempotent(raw):
     assert line_to_chars("".join(once)) == once
 
 
+def spell(word):
+    return line_to_chars(word, normalize=False)
+
+
 def test_decompose_word():
-    assert decompose_word("星期天") == ["星", "期", "天"]
-    assert decompose_word("江") == ["江"]
+    assert spell("星期天") == ["星", "期", "天"]
+    assert spell("江") == ["江"]
 
 
 def test_decompose_pseudo_tokens_atomic():
-    assert decompose_word("NUMBER") == ["NUMBER"]
-    assert decompose_word("WORD") == ["WORD"]
-    assert decompose_word("PADDING") == ["PADDING"]
+    assert spell("NUMBER") == ["NUMBER"]
+    assert spell("WORD") == ["WORD"]
+    assert spell("PADDING") == ["PADDING"]
 
 
 @given(st.text(alphabet="abc中文xyz", min_size=1, max_size=8))
 def test_decompose_round_trip(word):
-    assert "".join(decompose_word(word)) == word
+    assert "".join(spell(word)) == word
 
 
 def test_iter_windows_win3_enumeration():

@@ -386,6 +386,14 @@ def test_charword_space_rows(char_setup):
     assert got == ["星", "期", "天"]
 
 
+def test_charword_spells_a_pseudo_token_inside_a_word():
+    # the segmenter's scanner spells the vocabulary: NUMBER is one character
+    space = build_charword_space(Vocabulary(["第NUMBER号", "ok"], [2, 1]))
+    assert space.char_tokens == ["NUMBER", "k", "o", "号", "第"]
+    spelled = [[space.tokens[r][1:] for r in space.char_rows(w)] for w in (0, 1)]
+    assert spelled == [["第", "NUMBER", "号"], ["o", "k"]]
+
+
 def test_charword_beta_interpolation(char_setup):
     # loss(beta) == (1-beta) * word part + beta/|w| * char part, exactly
     vocab, space, model = char_setup

@@ -691,6 +691,17 @@ def test_cli_non_utf8_corpus_is_data_error(tmp_path, caplog):
     assert str(corpus) in message and "\n" not in message
 
 
+def test_cli_cooccurrence_turning_non_utf8_is_data_error(tmp_path, caplog):
+    # the cells are read line by line: the bad bytes come after a good line
+    vocab, cooc, out = (tmp_path / n for n in ("vocab.tsv", "cooc.tsv", "f.bin"))
+    vocab.write_text("a\t2\nb\t1\n", encoding="utf-8")
+    cooc.write_bytes(b"0\t1\t3\n1\t\xff\t2\n")
+    assert run(["factorize", "--cooccur", str(cooc), "--vocab", str(vocab),
+                "--dim", "2", "--epochs", "1", "--out", str(out)]) == 2
+    assert f"{cooc}: not UTF-8 text" in _one_error_line(caplog)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("keep", [10, 20, -3],
                          ids=["in-header", "in-metadata", "in-array"])
 def test_cli_truncated_container_is_data_error(tmp_path, caplog, keep):

@@ -279,23 +279,18 @@ def test_load_one_pass_equals_the_line_loop(tmp_path):
             "2.5000000000000004\n4\t0\t7")  # blank lines, no final newline
     path = tmp_path / "cooc.tsv"
     path.write_text(text, encoding="utf-8")
-    fast = matrixfact._parse_cells(text, 5)
-    loop = matrixfact._parse_cell_lines(path, text, 5)
-    assert fast is not None
-    for a, b in zip(fast, loop):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    loop = (np.array([0, 0, 1, 3, 4]), np.array([0, 4, 1, 1, 0]),
+            np.array([2.5000000000000004, 1e-3, 1234567.0, 0.1, 7.0]))
     loaded = CooccurrenceMatrix.load(path, vocab, 3).nonzero_arrays()
-    assert all(np.array_equal(a, b) for a, b in zip(loaded, loop))
-    assert len(loop[0]) == 5
-    # a line of spaces is blank to the loop alone: the one pass declines it
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(loaded, loop))
+    # a line of spaces is blank
     spaced = text.replace("\n\n\n", "\n \t\n\n")
-    assert matrixfact._parse_cells(spaced, 5) is None
     path.write_text(spaced, encoding="utf-8")
     loaded = CooccurrenceMatrix.load(path, vocab, 3).nonzero_arrays()
     assert all(np.array_equal(a, b) for a, b in zip(loaded, loop))
-    # spaces for tabs: the fields count right, but the loop refuses the line
+    # spaces for tabs: the fields count right, but the line is refused
     bad = text.replace("0\t4\t1e-3", "0 4 1e-3")
-    assert matrixfact._parse_cells(bad, 5) is None
     path.write_text(bad, encoding="utf-8")
     with pytest.raises(DataError, match=r"cooc.tsv:3: expected 'i<TAB>j<TAB>x'"):
         CooccurrenceMatrix.load(path, vocab, 3)

@@ -574,6 +574,8 @@ def test_parse_segmented_line_normalizes():
 def test_line_to_chars_atomic_pseudo():
     chars = line_to_chars("中200x国", normalize=True)
     assert chars == ["中", "NUMBER", "WORD", "国"]
+    assert line_to_chars(" 中200 x国", texts=True) == (
+        chars, ["中", "200", "x", "国"])
 
 
 # segmented lines of CJK, digit and Latin runs, pseudo-tokens and spaces
@@ -603,3 +605,17 @@ def test_cli_segment_train_stores_pseudo_characters(tmp_path):
     chars = set(load_container(model)[1]["chars"])
     assert {"NUMBER", "WORD"} <= chars
     assert not any(len(c) == 1 and c.isascii() for c in chars)
+
+
+def test_cli_segment_decode_writes_the_text_it_read(tmp_path):
+    gold, raw = tmp_path / "gold.txt", tmp_path / "raw.txt"
+    model, pred = tmp_path / "seg.bin", tmp_path / "pred.txt"
+    gold.write_text("第/200/号/的\n他/说/ok/了\n", encoding="utf-8")
+    raw.write_text("第200号的\n他说ok了\n", encoding="utf-8")
+    assert run(["segment-train", "--corpus", str(gold), "--dim", "3",
+                "--hidden", "4", "--epochs", "1", "--out", str(model)]) == 0
+    assert run(["segment-decode", "--model", str(model), "--input", str(raw),
+                "--out", str(pred)]) == 0
+    lines = pred.read_text(encoding="utf-8").splitlines()
+    assert [line.replace("/", "") for line in lines] == ["第200号的", "他说ok了"]
+    assert run(["segment-score", "--pred", str(pred), "--gold", str(gold)]) == 0

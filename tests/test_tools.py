@@ -33,7 +33,8 @@ def test_hash_outputs_lists_every_command_and_output():
     extra_ids = [f"extra_{k}" for k in hash_outputs.EXTRAS]
     tail = (["glove_initial"] + extra_ids
             + [f"analogy_{t}" for t in hash_outputs.ANALOGY_TABLES]
-            + ["mixed_segment_train", "mixed_segment_decode"])
+            + ["mixed_segment_train", "mixed_segment_decode",
+               "mixed_segment_score", "pseudo_charword"])
     assert list(stdouts)[-len(tail):] == tail
     assert {"skipgram", "charword", "cbow", "glove", "rcnn"} <= set(stdouts)
     assert set(stdouts.values()) == {"exit=0"}
@@ -42,4 +43,5 @@ def test_hash_outputs_lists_every_command_and_output():
     assert files == (cycle_files | {"glove_initial.bin"}
                      | {f"{e}.bin" for e in extra_ids}
                      | {f"extra_{k}_model.bin" for k in hash_outputs.MODEL_OUT}
-                     | set(hash_outputs.MIXED_OUT))
+                     | set(hash_outputs.MIXED_OUT)
+                     | set(hash_outputs.PSEUDO_OUT))

@@ -20,9 +20,13 @@ under its own category and expects this tool's own float64 3CosAdd
 answer, so `eval --task analogy` prints, question by question, whether
 embkit's guess equals it. Last it writes `MIXED_SENTENCES` seeded
 segmented lines that mix CJK words, digit runs and Latin runs, trains a
-segmenter on them and decodes their unsegmented text (`MIXED_OUT`): the
-one segmenter run whose characters are not all CJK. Two sources produce
-the same bytes when their listings `diff` clean:
+segmenter on them, decodes their unsegmented text (`MIXED_OUT`) and
+scores the decode against them: the one segmenter run whose characters are
+not all CJK. Then it trains `train-charword --chars-out` on
+`PSEUDO_SENTENCES` seeded lines whose words embed `NUMBER` or `WORD`
+(`PSEUDO_OUT`), so the char-word spelling of a pseudo-token inside a word
+is hashed too. Two sources produce the same bytes when their listings
+`diff` clean:
 
     python3 tools/hash_outputs.py --src src --workload pairs-bigvocab > a.txt
     python3 tools/hash_outputs.py --src /path/to/other/src \\
@@ -79,6 +83,10 @@ OWN_QUESTIONS = 300
 # the mixed-script segmentation run: its sentences and output files
 MIXED_SENTENCES = 40
 MIXED_OUT = ("mixed_segmenter.bin", "mixed_seg_pred.txt")
+# the char-word run on words that embed pseudo-tokens: its sentences and
+# its word and character tables
+PSEUDO_SENTENCES = 60
+PSEUDO_OUT = ("pseudo_words.vec", "pseudo_chars.vec")
 
 
 def extra_commands(name, files, out, out_dir, seed):
@@ -157,6 +165,23 @@ def mixed_segmentation(gold_path, raw_path, seed):
             fh.writelines(sep.join(words) + "\n" for words in sentences)
 
 
+def pseudo_corpus(path, seed):
+    """Write PSEUDO_SENTENCES lines of CJK words, some with NUMBER or WORD
+    before, inside or after them, as in 第NUMBER号."""
+    rng = random.Random(seed)
+    cjk = "的一是在有了不人我他第号年说"
+
+    def word():
+        left, right = rng.choice(cjk), rng.choice(cjk)
+        pseudo = rng.choice(("NUMBER", "WORD"))
+        return rng.choice((left + right, pseudo + right, left + pseudo,
+                           left + pseudo + right))
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(" ".join(word() for _ in range(rng.randint(3, 9))) + "\n"
+                      for _ in range(PSEUDO_SENTENCES))
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -217,6 +242,15 @@ def main(argv=None):
              str(args.seed), "--out", model])
         run("mixed_segment_decode",
             ["segment-decode", "--model", model, "--input", raw, "--out", pred])
+        run("mixed_segment_score",
+            ["segment-score", "--pred", pred, "--gold", gold])
+        corpus = os.path.join(work, "pseudo.txt")
+        pseudo_corpus(corpus, args.seed)
+        words, chars = (os.path.join(out_dir, n) for n in PSEUDO_OUT)
+        run("pseudo_charword",
+            ["train-charword", "--corpus", corpus, "--dim", "8", "--epochs",
+             "2", "--seed", str(args.seed), "--out", words, "--chars-out",
+             chars])
         for name in sorted(os.listdir(out_dir)):
             with open(os.path.join(out_dir, name), "rb") as fh:
                 print(f"{sha256(fh.read())}  {name}")
