@@ -56,7 +56,7 @@ def run(argv) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             args.handler(args)
         return 0
-    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataError, OSError) as exc:
         log.error("data error: %s", exc)
         return 2
     except NumericError as exc:
@@ -193,7 +193,7 @@ def _cmd_cooccur(args):
 
 def _cmd_factorize(args):
     vocab = corpus_mod.load_vocabulary(args.vocab)
-    matrix = mf.CooccurrenceMatrix.load(args.cooccur, vocab, args.win)
+    matrix = mf.CooccurrenceMatrix.load(args.cooccur, vocab)
     if args.objective == "glove":
         model, objective = mf.train_glove(matrix, args.dim, args.epochs,
                                           args.lr, seed=args.seed,
@@ -221,7 +221,7 @@ def _cmd_equiv_report(args):
         raise DataError(f"{args.model}: equiv-report scores skipgram and "
                         f"cbow models, not {model.kind}")
     vocab = corpus_mod.load_vocabulary(args.vocab)
-    matrix = mf.CooccurrenceMatrix.load(args.cooccur, vocab, args.win)
+    matrix = mf.CooccurrenceMatrix.load(args.cooccur, vocab)
     report = mf.skipgram_equivalence_report(matrix, model)
     print(f"mean_kl: {report['mean_kl']:.6f}")
     print(f"max_kl: {report['max_kl']:.6f}")
@@ -255,6 +255,8 @@ def _cmd_eval(args):
     elif args.task == "nn":
         if not args.word:
             raise ValueError("--word is required for the nn task")
+        if args.k < 0:
+            raise ValueError("--k must be >= 0")
         for token, sim in ev.nearest_neighbors(table, args.word, args.k):
             print(f"{token}\t{sim:.4f}")
         return
@@ -414,6 +416,8 @@ def _cmd_classify_predict(args):
 
 
 def _cmd_key_phrases(args):
+    if args.top < 0:
+        raise ValueError("--top must be >= 0")
     model = _load_classifier(args.model)
     if not isinstance(model, tc.RcnnModel):
         raise DataError("key-phrases requires an rcnn model")

@@ -49,7 +49,7 @@ def subsample_keep_probability(freq, t: float, variant: str = "toolkit"):
 
 
 class Vocabulary:
-    """Dense token<->id map with counts and keep-probabilities."""
+    """Dense token<->id map with counts."""
 
     def __init__(self, tokens: Sequence[str], counts: Sequence[int]):
         if len(tokens) == 0:
@@ -64,20 +64,12 @@ class Vocabulary:
         if len(self.token_to_id) != len(self.tokens):
             raise DataError("duplicate tokens in vocabulary")
         self.total_count = int(self.counts.sum())
-        # All-ones until configure_subsampling is called.
-        self.keep_prob = np.ones(len(self.tokens))
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
-
-    def configure_subsampling(self, t: Optional[float], variant: str = "toolkit") -> None:
-        """Set per-token keep probabilities; t=None disables subsampling."""
-        freqs = self.counts / self.total_count
-        self.keep_prob = (np.ones(len(self.tokens)) if t is None
-                          else subsample_keep_probability(freqs, t, variant))
 
     def encode(self, corpus: "CorpusStream"):
         """`(ids, starts)` of `corpus` in this vocabulary; out-of-vocabulary
@@ -250,12 +242,12 @@ class WindowSample(NamedTuple):
     n_left: int  # how many context ids sit left of the target
 
 
-def subsample_ids(ids: np.ndarray, vocab: Vocabulary, rng: np.random.Generator,
+def subsample_ids(ids: np.ndarray, keep_prob: np.ndarray, rng: np.random.Generator,
                   starts: Optional[np.ndarray] = None) -> np.ndarray:
-    """Independently drop each token with probability 1 - keep_prob; the
-    kept ids. `starts`, document start offsets into `ids`, are moved in
+    """Independently drop each token id i with probability 1 - keep_prob[i];
+    the kept ids. `starts`, document start offsets into `ids`, are moved in
     place to those of the same documents among the kept ids."""
-    dropped = np.flatnonzero(rng.random(len(ids)) >= vocab.keep_prob[ids])
+    dropped = np.flatnonzero(rng.random(len(ids)) >= keep_prob[ids])
     if starts is not None:
         starts -= np.searchsorted(dropped, starts)
     return np.delete(ids, dropped)
@@ -265,23 +257,24 @@ def iter_windows(
     corpus: CorpusStream,
     vocab: Vocabulary,
     win: int,
-    subsample: bool = False,
+    keep_prob: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> Iterator[WindowSample]:
     """Stream (target, context) windows over the corpus.
 
-    OOV tokens are removed first, then (optionally) subsampling, then
-    windowing; windows are truncated at document boundaries. Every surviving
-    token appears exactly once as a target.
+    OOV tokens are removed first, then, given the per-id `keep_prob`,
+    subsampling with `rng`, then windowing; windows are truncated at
+    document boundaries. Every surviving token appears exactly once as a
+    target.
     """
     if win % 2 == 0 or win < 1:
         raise ValueError("window size must be odd and positive")
-    if subsample and rng is None:
+    if keep_prob is not None and rng is None:
         raise ValueError("subsampling requires an rng")
     half = (win - 1) // 2
     ids, starts = vocab.encode(corpus)
-    if subsample:
-        ids = subsample_ids(ids, vocab, rng, starts)
+    if keep_prob is not None:
+        ids = subsample_ids(ids, keep_prob, rng, starts)
     for row in window_matrix(ids, win, -1, starts).tolist():
         left = [i for i in row[:half] if i >= 0]
         context = left + [i for i in row[half + 1:] if i >= 0]

@@ -35,7 +35,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, line_to_chars,
-                     select_documents, subsample_ids, window_matrix)
+                     select_documents, subsample_ids,
+                     subsample_keep_probability, window_matrix)
 from .errors import DataError
 from .io_formats import EmbeddingTable, save_embeddings
 from .optim import (EpochRecord, NoiseSampler, apply_grads, log_sigmoid,
@@ -366,7 +367,9 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
     """
     cfg.validate(model.kind)
     vocab = model.vocab
-    vocab.configure_subsampling(cfg.subsample_t, cfg.subsample_variant)
+    freq = vocab.counts / vocab.total_count
+    keep_prob = (None if cfg.subsample_t is None else
+                 subsample_keep_probability(freq, cfg.subsample_t, cfg.subsample_variant))
     ids, starts = vocab.encode(corpus)
     shards = [select_documents(ids, starts, slice(w, None, cfg.workers))
               for w in range(cfg.workers)]
@@ -378,7 +381,7 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
         _convert_params(model, np.float32)
 
     def epoch_shards(epoch):
-        passes = [_train_one_pass(model, *shard, cfg, sampler, space,
+        passes = [_train_one_pass(model, *shard, keep_prob, cfg, sampler, space,
                                   substream(cfg.seed, f"subsample-{epoch}-w{w}"),
                                   substream(cfg.seed, f"negatives-{epoch}-w{w}"))
                   for w, shard in enumerate(shards)]
@@ -405,12 +408,14 @@ def _convert_params(model, dtype) -> None:
             arrays[name] = value.astype(dtype)
 
 
-def _train_one_pass(model, ids, starts, cfg, sampler, space, srng, nrng):
-    """Subsample the documents `(ids, starts)`; the pass's token count and
-    its lazy (loss, grads, units) batches, one chunk of windows at a time."""
-    if cfg.subsample_t is not None:
+def _train_one_pass(model, ids, starts, keep_prob, cfg, sampler, space, srng,
+                    nrng):
+    """Subsample the documents `(ids, starts)` by `keep_prob`, if given; the
+    pass's token count and its lazy (loss, grads, units) batches, one chunk
+    of windows at a time."""
+    if keep_prob is not None:
         starts = starts.copy()
-        ids = subsample_ids(ids, model.vocab, srng, starts)
+        ids = subsample_ids(ids, keep_prob, srng, starts)
 
     def batches():
         for lo, hi in _chunk_bounds(starts, len(ids), max(cfg.batch_size * 8, 4096)):

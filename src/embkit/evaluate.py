@@ -2,10 +2,14 @@
 choice, analogy, nearest neighbors, average-vector document classification
 and the Performance Gain Ratio.
 
-OOV policy, per task: similarity pairs with an OOV word are skipped and
-reported via coverage; OOV choice options score -inf and an OOV query is
-wrong; analogy questions with any OOV word are skipped. Ties break toward
-the lowest id; in analogy, among equal float64 block scores, and identical
+Similarity, choice, analogy and neighbors score by cosine, the dot product
+of unit rows (`EmbeddingTable.unit_vectors`): a zero row has cosine 0 with
+every row. OOV policy, per task: similarity pairs with an OOV word are
+skipped and reported via coverage; OOV choice options score -inf, and a
+choice question whose query is OOV or zero, or whose options are all OOV,
+is wrong; analogy questions with any OOV word or a zero query are skipped;
+an OOV or zero nearest-neighbor query is a DataError. Ties break toward the
+lowest index; in analogy, among equal float64 block scores, and identical
 rows may not score equal.
 """
 
@@ -20,15 +24,6 @@ from .errors import DataError
 from .io_formats import EmbeddingTable, line_error, numbered_lines
 from .optim import (apply_grads, blas_idle_threads, log_softmax, map_threads,
                     run_epochs)
-
-
-def cosine(u, v) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DataError("cosine of a zero vector is undefined")
-    return float(u @ v / (nu * nv))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -120,17 +115,25 @@ def load_analogies(path) -> List[AnalogyQuestion]:
 
 # --- tasks ------------------------------------------------------------------
 
+def _row_ids(table: EmbeddingTable, words, shape) -> np.ndarray:
+    """The row id in `table` of each of `words`, -1 for an OOV word, as an
+    int64 array of `shape`: the one word lookup of every task."""
+    return np.fromiter(map(table.token_to_id.get, words, repeat(-1)),
+                       dtype=np.int64, count=math.prod(shape)).reshape(shape)
+
+
 def eval_similarity(table: EmbeddingTable, pairs: Sequence[SimilarityPair]) -> dict:
-    human, model = [], []
-    for pair in pairs:
-        if pair.word_a in table and pair.word_b in table:
-            human.append(pair.score)
-            model.append(cosine(table.vector(pair.word_a), table.vector(pair.word_b)))
-    if len(human) < 2:
+    ids = _row_ids(table, chain.from_iterable(p[:2] for p in pairs),
+                   (len(pairs), 2))
+    covered = (ids >= 0).all(axis=1)
+    if covered.sum() < 2:
         raise DataError(
-            f"need at least 2 covered pairs, got {len(human)} of {len(pairs)}")
+            f"need at least 2 covered pairs, got {covered.sum()} of {len(pairs)}")
+    unit = table.unit_vectors()
+    a, b = ids[covered].T
+    human = np.array([p.score for p in pairs])[covered]
     return {
-        "pearson": pearson(human, model),
+        "pearson": pearson(human, np.einsum("nd,nd->n", unit[a], unit[b])),
         "covered_pairs": len(human),
         "total_pairs": len(pairs),
     }
@@ -139,20 +142,16 @@ def eval_similarity(table: EmbeddingTable, pairs: Sequence[SimilarityPair]) -> d
 def eval_choice(table: EmbeddingTable, questions: Sequence[ChoiceQuestion]) -> float:
     if not questions:
         raise DataError("no choice questions")
-    correct = 0
-    for q in questions:
-        if q.query not in table:
-            continue  # counts as wrong
-        scores = []
-        for opt in q.options:
-            if opt in table:
-                scores.append(cosine(table.vector(q.query), table.vector(opt)))
-            else:
-                scores.append(-np.inf)
-        best = int(np.argmax(scores))  # first max wins the tie
-        if best == q.answer_index:
-            correct += 1
-    return correct / len(questions)
+    words = chain.from_iterable((q.query, *q.options) for q in questions)
+    ids = _row_ids(table, words, (len(questions), 5))
+    unit = table.unit_vectors()
+    query, options = unit[ids[:, 0]], ids[:, 1:]
+    scores = np.einsum("nd,nkd->nk", query, unit[options])
+    scores[options < 0] = -np.inf
+    answerable = (ids[:, 0] >= 0) & query.any(axis=1) & (options >= 0).any(axis=1)
+    best = np.argmax(scores, axis=1)  # first max wins the tie
+    answers = np.array([q.answer_index for q in questions])
+    return int((answerable & (best == answers)).sum()) / len(questions)
 
 
 # Query rows are scored a block at a time, `_block_rows` rows of at most
@@ -291,10 +290,8 @@ def eval_analogy(table: EmbeddingTable, questions: Sequence[AnalogyQuestion]) ->
     others are answered by `_analogy_guesses`, and a tie goes to the lowest
     id. Every guess is the argmax of the float64 block scores, whatever the
     thread count."""
-    ids = np.fromiter(map(table.token_to_id.get,
-                          chain.from_iterable(q[:4] for q in questions),
-                          repeat(-1)),
-                      dtype=np.int64, count=4 * len(questions)).reshape(-1, 4)
+    ids = _row_ids(table, chain.from_iterable(q[:4] for q in questions),
+                   (len(questions), 4))
     keep = (ids >= 0).all(axis=1)  # no OOV word
     v = table.vectors
     queries = v[ids[keep, 1]] - v[ids[keep, 0]] + v[ids[keep, 2]]

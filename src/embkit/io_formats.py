@@ -71,7 +71,7 @@ def _atomic_open(path, mode, encoding=None):
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+        with contextlib.suppress(OSError):  # the first error is the one to report
             os.remove(tmp)
         raise
 

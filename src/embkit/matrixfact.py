@@ -6,8 +6,6 @@ model's conditionals against the empirical co-occurrence conditionals.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,10 +25,8 @@ class CooccurrenceMatrix:
     `rows`, `cols` and `vals`.
     """
 
-    def __init__(self, vocab: Vocabulary, win: int, rows=(), cols=(),
-                 vals=()):
+    def __init__(self, vocab: Vocabulary, rows=(), cols=(), vals=()):
         self.vocab = vocab
-        self.win = win
         self.rows = np.asarray(rows, dtype=np.int64)
         self.cols = np.asarray(cols, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=np.float64)
@@ -58,7 +54,7 @@ class CooccurrenceMatrix:
                               self.vals.tolist()))
 
     @classmethod
-    def load(cls, path, vocab: Vocabulary, win: int) -> "CooccurrenceMatrix":
+    def load(cls, path, vocab: Vocabulary) -> "CooccurrenceMatrix":
         """Read `i<TAB>j<TAB>x` lines: ids in [0, |V|), x finite and > 0,
         each (i, j) cell at most once. A malformed line, an id outside the
         vocabulary, a count that is not finite and positive or a repeated
@@ -90,7 +86,7 @@ class CooccurrenceMatrix:
             vals.append(x)
         rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
         order = np.lexsort((cols, rows))
-        return cls(vocab, win, rows[order], cols[order],
+        return cls(vocab, rows[order], cols[order],
                    np.array(vals, dtype=np.float64)[order])
 
 
@@ -117,7 +113,7 @@ def count_cooccurrences(corpus: CorpusStream, vocab: Vocabulary,
         ctx = np.delete(windows, half, 1)
         keys.append((windows[:, half:half + 1] * v + ctx)[ctx >= 0])
     cells, counts = np.unique(np.concatenate(keys), return_counts=True)
-    return CooccurrenceMatrix(vocab, win, cells // v, cells % v,
+    return CooccurrenceMatrix(vocab, cells // v, cells % v,
                               counts.astype(np.float64))
 
 
@@ -132,24 +128,25 @@ def glove_weight(x, x_max: float = GLOVE_X_MAX, alpha: float = GLOVE_ALPHA):
     return float(w) if w.ndim == 0 else w
 
 
-@dataclass
 class FactorModel:
-    P: np.ndarray  # target-side vectors, |V| x d
-    Q: np.ndarray  # context-side vectors, |V| x d
-    bias1: Optional[np.ndarray] = None  # per-word target bias
-    bias2: Optional[np.ndarray] = None  # per-word context bias
+    """One (2|V|, d) table, target-side rows P over context-side rows Q,
+    with a last column of per-word biases (bias1 over bias2) if biased.
+    P, Q, bias1 and bias2 are views of it; the biases are None if not."""
+
+    def __init__(self, table: np.ndarray, d: int):
+        v = len(table) // 2
+        self.table = table
+        self.P, self.Q = table[:v, :d], table[v:, :d]
+        self.bias1, self.bias2 = ((table[:v, d], table[v:, d])
+                                  if table.shape[1] > d else (None, None))
 
 
 def _init_factors(v: int, d: int, rng: np.random.Generator, biases: bool) -> FactorModel:
     if d < 1:
         raise ValueError("dim must be >= 1")
-    scale = 0.5 / d
-    model = FactorModel(P=rng.uniform(-scale, scale, size=(v, d)),
-                        Q=rng.uniform(-scale, scale, size=(v, d)))
-    if biases:
-        model.bias1 = np.zeros(v)
-        model.bias2 = np.zeros(v)
-    return model
+    table = np.zeros((2 * v, d + biases))
+    table[:, :d] = rng.uniform(-0.5 / d, 0.5 / d, size=(2 * v, d))
+    return FactorModel(table, d)
 
 
 def train_glove(matrix: CooccurrenceMatrix, d: int, epochs: int,
@@ -201,20 +198,12 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
     level read and write disjoint rows of P, Q and the biases, and every
     row meets its cells in shuffled order, so one gather/compute/scatter
     per level does what the cell-by-cell loop does, up to the rounding of
-    the dot products. P over Q, with the biases as a last column, form one
-    table whose views the model keeps, so a level moves all its rows at
-    once. A level whose new rows are not all finite raises NumericError
-    before they are written.
+    the dot products. The steps move rows of the model's one table, so a
+    level moves all its rows at once. A level whose new rows are not all
+    finite raises NumericError before they are written.
     """
     v, d = model.P.shape
-    biased = model.bias1 is not None
-    table = np.concatenate([model.P, model.Q])
-    if biased:
-        table = np.column_stack(
-            [table, np.concatenate([model.bias1, model.bias2])])
-        model.bias1, model.bias2 = table[:v, d], table[v:, d]
-    model.P, model.Q = table[:v, :d], table[v:, :d]
-    accum = np.zeros_like(table)
+    accum = np.zeros_like(model.table)
 
     def levels(epoch):
         order = rng.permutation(len(rows))
@@ -230,7 +219,7 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
     # overflow is caught by the finite check on each level's new rows
     with np.errstate(over="ignore", invalid="ignore"):
         run_epochs(epochs, lambda epoch: (len(rows), [levels(epoch)]),
-                   lambda level: _fit_run(table, accum, *level, lr, d),
+                   lambda level: _fit_run(model.table, accum, *level, lr, d),
                    log_fn=log_fn)
     return _glove_objective(model, rows, cols, targets, weights)
 

@@ -111,8 +111,6 @@ class _PooledClassifier:
         self.b2 = np.zeros(hidden)
         self.W4 = _uniform(rng, (n_classes, hidden), hidden)
         self.b4 = np.zeros(n_classes)
-        self._lr_scale = {"e": 1.0, "W2": 1.0 / in_dim, "W4": 1.0 / hidden,
-                          "b2": 1.0, "b4": 1.0}
 
     def _forward(self, docs: Sequence[np.ndarray]) -> dict:
         lengths = np.array([len(d) for d in docs])
@@ -130,14 +128,12 @@ class _PooledClassifier:
                      y4=y3 @ self.W4.T + self.b4)
         return cache
 
-    def loss_grads(self, tokens_or_ids, class_id: int,
+    def loss_grads(self, ids: np.ndarray, class_id: int,
                    truncate: Optional[int] = None):
-        """Cross-entropy loss of one document and gradients of that loss;
-        the `e` gradient is an `(ids, rows)` pair. The head's backward
-        pass ends in d loss / d X, an (n, in) array, and the model's
-        `_input_grads` takes it from there."""
-        ids = tokens_or_ids if isinstance(tokens_or_ids, np.ndarray) \
-            else self.encode(tokens_or_ids)
+        """Cross-entropy loss of one document, given as `encode`d ids, and
+        gradients of that loss; the `e` gradient is an `(ids, rows)` pair.
+        The head's backward pass ends in d loss / d X, an (n, in) array, and
+        the model's `_input_grads` takes it from there."""
         cache = self._forward([ids])
         X, Y2 = cache["X"][:, 0], cache["Y2"][:, 0]
         lsm = log_softmax(cache["y4"][0])
@@ -200,11 +196,6 @@ class RcnnModel(_PooledClassifier):
         self.cl_init = rng.uniform(-1.0, 1.0, size=c)
         self.cr_init = rng.uniform(-1.0, 1.0, size=c)
         self._init_head(rng, e + 2 * c)
-        self._lr_scale.update({
-            "cl_init": 1.0, "cr_init": 1.0,
-            "W_l": 1.0 / c, "W_r": 1.0 / c,
-            "W_sl": 1.0 / e, "W_sr": 1.0 / e,
-        })
 
     def params(self) -> Dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in
@@ -349,8 +340,10 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
             if record.dev_accuracy >= best[0]:
                 best[:] = record.dev_accuracy, deepcopy(params)
 
-    # descent, each matrix's rate scaled by 1/fan-in
-    rates = {name: -cfg.lr * scale for name, scale in model._lr_scale.items()}
+    # descent, each matrix's rate but e's scaled by 1/fan-in
+    rates = {name: -cfg.lr * (1.0 / value.shape[1] if value.ndim == 2
+                              and name != "e" else 1.0)
+             for name, value in params.items()}
     records = run_epochs(cfg.epochs, lambda epoch: (n_tokens, [batches(epoch)]),
                          partial(apply_grads, params, rates=rates),
                          evaluate_dev, log_fn)

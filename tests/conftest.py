@@ -78,6 +78,14 @@ def score_matrix(model):
     return s
 
 
+def cosine(u, v) -> float:
+    """u . v / (|u| |v|) in float64 for nonzero u and v: the oracle of the
+    evaluation's unit-row scores."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
 def documents(corpus):
     """The documents of a CorpusStream as token lists, ids decoded."""
     return [[corpus.types[i] for i in corpus.ids[lo:lo + n]] for lo, n in

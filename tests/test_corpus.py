@@ -101,15 +101,15 @@ def test_configure_subsampling_matches_scalar_formula_bitwise(variant):
                 else (f - t) / f - math.sqrt(t / f))
         return min(1.0, max(0.0, 1.0 - skip))
 
-    vocab.configure_subsampling(t, variant)
-    keep = vocab.keep_prob.tolist()
+    freq = vocab.counts / vocab.total_count
+    keep = subsample_keep_probability(freq, t, variant).tolist()
     assert keep == [subsample_keep_probability(f, t, variant) for f in freqs]
     assert keep == [closed_form(f) for f in freqs]
     assert keep[:2] == [1.0, 1.0] and keep[-1] < 0.1
     with pytest.raises(ValueError):
-        vocab.configure_subsampling(0.0, variant)
+        subsample_keep_probability(freq, 0.0, variant)
     with pytest.raises(ValueError):
-        vocab.configure_subsampling(t, "other")
+        subsample_keep_probability(freq, t, "other")
 
 
 def test_normalize_digit_run():
@@ -191,26 +191,31 @@ def test_iter_windows_never_cross_documents():
             assert ctx_tokens <= {"c", "d"}
 
 
+def keep_probability(vocab, t):
+    return subsample_keep_probability(vocab.counts / vocab.total_count, t)
+
+
 def test_iter_windows_subsample_deterministic(toy_corpus, toy_vocab):
-    toy_vocab.configure_subsampling(0.05)
+    keep_prob = keep_probability(toy_vocab, 0.05)
     runs = []
     for _ in range(2):
         rng = np.random.default_rng(9)
         runs.append([(s.target, s.context) for s in
-                     iter_windows(toy_corpus, toy_vocab, 5, True, rng)])
+                     iter_windows(toy_corpus, toy_vocab, 5, keep_prob, rng)])
     assert runs[0] == runs[1]
 
 
 def test_iter_windows_target_count_matches_survivors(toy_corpus, toy_vocab):
-    toy_vocab.configure_subsampling(0.02)
+    keep_prob = keep_probability(toy_vocab, 0.02)
     rng = np.random.default_rng(4)
-    n_targets = sum(1 for _ in iter_windows(toy_corpus, toy_vocab, 5, True, rng))
+    n_targets = sum(1 for _ in iter_windows(toy_corpus, toy_vocab, 5,
+                                            keep_prob, rng))
     # replay the same subsampling stream to count survivors independently
     rng = np.random.default_rng(4)
     survivors = 0
     for doc in documents(toy_corpus):
         ids = oracle_encode(doc, toy_vocab)
-        keep = rng.random(len(ids)) < toy_vocab.keep_prob[ids]
+        keep = rng.random(len(ids)) < keep_prob[ids]
         survivors += int(keep.sum())
     assert n_targets == survivors
 

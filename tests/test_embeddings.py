@@ -629,15 +629,16 @@ def test_process_chunk_holds_no_grads_while_suspended(kind, full_softmax,
     assert held == []
 
 
-def buffered_pass(model, ids, starts, cfg, sampler, space, srng, nrng):
+def buffered_pass(model, ids, starts, keep_prob, cfg, sampler, space, srng,
+                  nrng):
     """Reference for `_train_one_pass`: the per-document buffer loop it
-    replaced. Each document of `(ids, starts)` is subsampled, then windowed
-    on its own in _MAX_SEGMENT pieces; a chunk goes to `_process_chunk` once
-    it holds max(8 * batch, 4096) windows. Returns the token count and the
-    batches."""
+    replaced. Each document of `(ids, starts)` is subsampled by
+    `keep_prob`, if given, then windowed on its own in _MAX_SEGMENT pieces;
+    a chunk goes to `_process_chunk` once it holds max(8 * batch, 4096)
+    windows. Returns the token count and the batches."""
     docs = np.split(ids, starts[1:])
-    if cfg.subsample_t is not None:
-        docs = [subsample_ids(ids, model.vocab, srng) for ids in docs]
+    if keep_prob is not None:
+        docs = [subsample_ids(ids, keep_prob, srng) for ids in docs]
     chunk_windows = max(cfg.batch_size * 8, 4096)
 
     def batches():

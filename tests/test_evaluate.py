@@ -6,12 +6,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cosine
 from embkit import evaluate, optim
 from embkit.errors import DataError
 from embkit.evaluate import (AnalogyQuestion, ChoiceQuestion, PgrInput,
                              SimilarityPair, _block_rows,
                              _candidate_winner, _cosine_blocks,
-                             avg_document_vector, cosine, eval_analogy,
+                             avg_document_vector, eval_analogy,
                              eval_choice, eval_similarity, load_analogies,
                              logistic_loss_grads, nearest_neighbors, pearson,
                              pgr, pgr_percent, train_logistic_classifier)
@@ -24,21 +25,50 @@ def table_from(tokens, rows):
 
 
 def test_cosine_identity_and_orthogonal():
-    v = np.array([1.0, 2.0, -1.0])
-    assert cosine(v, v) == pytest.approx(1.0)
-    assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
+    unit = table_from(["v", "x", "y"],
+                      [[1.0, 2.0, -1.0], [1, 0, 0], [0, 1, 0]]).unit_vectors()
+    assert unit[0] @ unit[0] == pytest.approx(1.0)
+    assert unit[1] @ unit[2] == pytest.approx(0.0)
 
 
 def test_cosine_matches_hand_arithmetic():
     rng = np.random.default_rng(0)
     u, v = rng.normal(size=6), rng.normal(size=6)
     byhand = float(u @ v) / (np.sqrt(u @ u) * np.sqrt(v @ v))
+    unit = table_from(["u", "v"], [u, v]).unit_vectors()
+    assert unit[0] @ unit[1] == pytest.approx(byhand, abs=1e-12)
     assert cosine(u, v) == pytest.approx(byhand, abs=1e-12)
 
 
-def test_cosine_zero_vector_errors():
-    with pytest.raises(DataError):
-        cosine([0.0, 0.0], [1.0, 0.0])
+def test_eval_similarity_zero_row_scores_zero():
+    table = table_from(["a", "b", "c", "d", "z"],
+                       [[1, 0], [1, 0.2], [1, 0.5], [0, 1], [0, 0]])
+    pairs = [SimilarityPair("a", "b", 9.0), SimilarityPair("a", "c", 8.0),
+             SimilarityPair("a", "z", 3.0), SimilarityPair("a", "d", 1.0)]
+    want = pearson([9.0, 8.0, 3.0, 1.0],
+                   [cosine([1, 0], [1, 0.2]), cosine([1, 0], [1, 0.5]), 0.0, 0.0])
+    result = eval_similarity(table, pairs)
+    assert result["pearson"] == pytest.approx(want, abs=1e-12)
+    assert result["covered_pairs"] == 4
+
+
+def test_eval_choice_zero_query_counts_wrong():
+    table = table_from(["q", "a", "b"], [[0, 0], [1, 0], [0, 1]])
+    # every option scores 0 against a zero query, so argmax would say 0
+    q = ChoiceQuestion("q", ("a", "b", "a", "b"), 0)
+    assert eval_choice(table, [q]) == 0.0
+
+
+def test_eval_choice_all_oov_options_count_wrong():
+    table = table_from(["q"], [[1.0, 0.0]])
+    q = ChoiceQuestion("q", ("m1", "m2", "m3", "m4"), 0)
+    assert eval_choice(table, [q]) == 0.0
+
+
+def test_eval_choice_zero_option_scores_zero():
+    table = table_from(["q", "neg", "z"], [[1, 0], [-1, 0.1], [0, 0]])
+    q = ChoiceQuestion("q", ("neg", "z", "x", "neg"), 1)
+    assert eval_choice(table, [q]) == 1.0
 
 
 def test_pearson_affine():

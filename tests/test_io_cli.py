@@ -1011,3 +1011,44 @@ def test_write_through_symlink_keeps_link(tmp_path):
     assert link.is_symlink()
     assert load_embeddings(target).tokens == ["a", "b"]
     assert sorted(os.listdir(tmp_path)) == ["link.vec", "real.vec"]
+
+
+def test_cli_eval_nn_negative_k_is_usage_error(tmp_path, caplog, capsys):
+    path = tmp_path / "e.vec"
+    save_embeddings(EmbeddingTable(list("abcde"), np.eye(5)), path)
+    code = run(["eval", "--embeddings", str(path), "--task", "nn",
+                "--word", "a", "--k", "-1"])
+    assert code == 1
+    assert "--k" in _one_error_line(caplog)
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_key_phrases_negative_top_is_usage_error(tmp_path, caplog, capsys,
+                                                     seg_and_clf_files):
+    model = tmp_path / "rcnn.bin"
+    args = seg_and_clf_files["classify-train"]
+    assert run([*args, "--dim", "3", "--context-dim", "2", "--hidden", "3",
+                "--epochs", "1", "--out", str(model)]) == 0
+    capsys.readouterr()
+    caplog.clear()
+    code = run(["key-phrases", "--model", str(model), "--input", args[-1],
+                "--top", "-1"])
+    assert code == 1
+    assert "--top" in _one_error_line(caplog)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--out"])
+def test_cli_overlong_path_is_one_data_error_line(tmp_path, tiny_corpus_file,
+                                                  flag):
+    paths = {"--corpus": str(tiny_corpus_file),
+             "--out": str(tmp_path / "cooc.tsv")}
+    paths[flag] = str(tmp_path / ("x" * 300))  # longer than a file name may be
+    code, stderr = _run_cli_process(["cooccur", "--corpus", paths["--corpus"],
+                                     "--out", paths["--out"]])
+    assert code == 2
+    # no traceback: every line is a log line, and one of them the error
+    assert all(line.startswith(("[INFO]", "[ERROR]")) for line in stderr), stderr
+    errors = [line for line in stderr if line.startswith("[ERROR]")]
+    assert len(errors) == 1 and "File name too long" in errors[0]
+    assert os.listdir(tmp_path) == [tiny_corpus_file.name]

@@ -16,10 +16,10 @@ from embkit.matrixfact import (CooccurrenceMatrix, _fit_cells, _fit_run,
 from embkit.optim import ADAGRAD_EPS
 
 
-def matrix_of(vocab, win, entries):
+def matrix_of(vocab, entries):
     """A matrix holding the {(i, j): x} cells of `entries`."""
     keys = sorted(entries)
-    return CooccurrenceMatrix(vocab, win, [i for i, _ in keys],
+    return CooccurrenceMatrix(vocab, [i for i, _ in keys],
                               [j for _, j in keys], [entries[k] for k in keys])
 
 
@@ -113,7 +113,7 @@ def test_glove_weight_monotone_bounded():
 
 def test_glove_single_cell_exact_fit():
     vocab = Vocabulary(["a"], [1])
-    matrix = matrix_of(vocab, 3, {(0, 0): math.e})
+    matrix = matrix_of(vocab, {(0, 0): math.e})
     model, objective = train_glove(matrix, 1, epochs=200, lr=0.1)
     assert score_matrix(model)[0, 0] == pytest.approx(1.0, abs=1e-4)
     assert objective < 1e-8
@@ -125,7 +125,7 @@ def test_glove_rank1_synthetic_recovery():
     vocab = Vocabulary([f"w{i}" for i in range(6)], [1] * 6)
     entries = {(i, j): math.exp(u[i] * v[j])
                for i in range(6) for j in range(6)}
-    matrix = matrix_of(vocab, 3, entries)
+    matrix = matrix_of(vocab, entries)
     _, objective = train_glove(matrix, 1, epochs=800, lr=0.1)
     assert objective < 1e-6
 
@@ -137,7 +137,7 @@ def test_glove_objective_trend_nonincreasing():
     while len(entries) < 300:
         i, j = rng.integers(50, size=2)
         entries[(int(i), int(j))] = float(rng.integers(1, 40))
-    matrix = matrix_of(vocab, 5, entries)
+    matrix = matrix_of(vocab, entries)
     # same seed means run k is a prefix of run k+1
     objectives = [train_glove(matrix, 8, epochs=ep, lr=0.05, seed=3)[1]
                   for ep in (1, 2, 4, 8)]
@@ -147,8 +147,7 @@ def test_glove_objective_trend_nonincreasing():
 
 def test_factorize_all_ones_reaches_zero():
     vocab = Vocabulary([f"w{i}" for i in range(6)], [1] * 6)
-    matrix = matrix_of(vocab, 3,
-                       {(i, j): 1.0 for i in range(6) for j in range(6)})
+    matrix = matrix_of(vocab, {(i, j): 1.0 for i in range(6) for j in range(6)})
     _, objective = factorize_log_counts(matrix, 2, "raw_log", epochs=400, lr=0.1)
     assert objective < 1e-8
 
@@ -158,7 +157,7 @@ def test_factorize_capacity_exact_fit():
     vocab = Vocabulary([f"v{i}" for i in range(5)], [1] * 5)
     entries = {(i, j): float(rng.integers(1, 50))
                for i in range(5) for j in range(5)}
-    matrix = matrix_of(vocab, 3, entries)
+    matrix = matrix_of(vocab, entries)
     _, objective = factorize_log_counts(matrix, 6, "raw_log",
                                         epochs=1500, lr=0.2)
     assert objective < 1e-6
@@ -169,7 +168,7 @@ def test_factorize_conditional_recovers_conditionals():
     vocab = Vocabulary([f"u{i}" for i in range(10)], [1] * 10)
     entries = {(i, j): float(rng.integers(1, 100))
                for i in range(10) for j in range(10)}
-    matrix = matrix_of(vocab, 5, entries)
+    matrix = matrix_of(vocab, entries)
     model, _ = factorize_log_counts(matrix, 12, "conditional_log",
                                     epochs=2500, lr=0.2)
     dense = matrix.to_dense()
@@ -180,7 +179,7 @@ def test_factorize_conditional_recovers_conditionals():
 def test_factorize_rejects_empty():
     vocab = Vocabulary(["a", "b"], [1, 1])
     with pytest.raises(DataError):
-        factorize_log_counts(CooccurrenceMatrix(vocab, 3), 2)
+        factorize_log_counts(CooccurrenceMatrix(vocab), 2)
 
 
 def test_empirical_conditionals_normalized(toy_corpus, toy_vocab):
@@ -225,7 +224,7 @@ def test_matrix_save_load_round_trip(tmp_path, toy_corpus, toy_vocab):
     matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
     path = tmp_path / "cooc.tsv"
     matrix.save(path)
-    loaded = CooccurrenceMatrix.load(path, toy_vocab, 5)
+    loaded = CooccurrenceMatrix.load(path, toy_vocab)
     assert cells_of(loaded) == cells_of(matrix)
 
 
@@ -258,7 +257,7 @@ def test_nonzero_arrays_in_row_col_order(tmp_path):
     path = tmp_path / "cooc.tsv"
     path.write_text("".join(f"{i}\t{j}\t{cells[i, j]:g}\n" for i, j in keys),
                     encoding="utf-8")
-    rows, cols, vals = CooccurrenceMatrix.load(path, vocab, 3).nonzero_arrays()
+    rows, cols, vals = CooccurrenceMatrix.load(path, vocab).nonzero_arrays()
     assert list(zip(rows.tolist(), cols.tolist())) == sorted(cells)
     assert vals.tolist() == [cells[k] for k in sorted(cells)]
 
@@ -267,10 +266,10 @@ def test_matrix_save_is_lossless(tmp_path):
     vocab = Vocabulary(["a", "b"], [1, 1])
     entries = {(0, 1): 1234567.0, (1, 0): 0.1, (1, 1): 3.0}
     path = tmp_path / "cooc.tsv"
-    matrix_of(vocab, 3, entries).save(path)
+    matrix_of(vocab, entries).save(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert "0\t1\t1234567" in lines and "1\t1\t3" in lines
-    assert cells_of(CooccurrenceMatrix.load(path, vocab, 3)) == entries
+    assert cells_of(CooccurrenceMatrix.load(path, vocab)) == entries
 
 
 def test_load_one_pass_equals_the_line_loop(tmp_path):
@@ -281,19 +280,19 @@ def test_load_one_pass_equals_the_line_loop(tmp_path):
     path.write_text(text, encoding="utf-8")
     loop = (np.array([0, 0, 1, 3, 4]), np.array([0, 4, 1, 1, 0]),
             np.array([2.5000000000000004, 1e-3, 1234567.0, 0.1, 7.0]))
-    loaded = CooccurrenceMatrix.load(path, vocab, 3).nonzero_arrays()
+    loaded = CooccurrenceMatrix.load(path, vocab).nonzero_arrays()
     assert all(a.dtype == b.dtype and np.array_equal(a, b)
                for a, b in zip(loaded, loop))
     # a line of spaces is blank
     spaced = text.replace("\n\n\n", "\n \t\n\n")
     path.write_text(spaced, encoding="utf-8")
-    loaded = CooccurrenceMatrix.load(path, vocab, 3).nonzero_arrays()
+    loaded = CooccurrenceMatrix.load(path, vocab).nonzero_arrays()
     assert all(np.array_equal(a, b) for a, b in zip(loaded, loop))
     # spaces for tabs: the fields count right, but the line is refused
     bad = text.replace("0\t4\t1e-3", "0 4 1e-3")
     path.write_text(bad, encoding="utf-8")
     with pytest.raises(DataError, match=r"cooc.tsv:3: expected 'i<TAB>j<TAB>x'"):
-        CooccurrenceMatrix.load(path, vocab, 3)
+        CooccurrenceMatrix.load(path, vocab)
 
 
 def test_load_names_the_first_bad_line(tmp_path):
@@ -301,7 +300,7 @@ def test_load_names_the_first_bad_line(tmp_path):
     path = tmp_path / "cooc.tsv"
     path.write_text("0\t1\t3\n1\t1\t2\n0\t1\t5\n7\t1\t2\n", encoding="utf-8")
     with pytest.raises(DataError, match=r"cooc.tsv:3: cell \(0, 1\) appears twice"):
-        CooccurrenceMatrix.load(path, vocab, 3)
+        CooccurrenceMatrix.load(path, vocab)
 
 
 def _conflict_free_runs(rows: np.ndarray, cols: np.ndarray) -> list:
@@ -330,21 +329,14 @@ def _fit_cells_by_runs(model, rows, cols, targets, weights, epochs, lr, rng,
     """Oracle of `_fit_cells`: the same AdaGrad steps, one `_fit_run` per
     greedy conflict-free run of each epoch's shuffled order."""
     v, d = model.P.shape
-    biased = model.bias1 is not None
-    table = np.concatenate([model.P, model.Q])
-    if biased:
-        table = np.column_stack(
-            [table, np.concatenate([model.bias1, model.bias2])])
-        model.bias1, model.bias2 = table[:v, d], table[v:, d]
-    model.P, model.Q = table[:v, :d], table[v:, :d]
-    accum = np.zeros_like(table)
+    accum = np.zeros_like(model.table)
     for _ in range(epochs):
         order = rng.permutation(len(rows))
         i, j = rows[order], cols[order] + v
         t, w2 = targets[order], 2.0 * weights[order]
         bounds = _conflict_free_runs(i, j)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            _fit_run(table, accum, np.concatenate((i[lo:hi], j[lo:hi])),
+            _fit_run(model.table, accum, np.concatenate((i[lo:hi], j[lo:hi])),
                      t[lo:hi], w2[lo:hi], lr, d)
     return matrixfact._glove_objective(model, rows, cols, targets, weights)
 
@@ -456,7 +448,7 @@ def _repeat_heavy_matrix():
         i = rng.integers(4) if rng.random() < 0.5 else rng.integers(v)
         j = rng.integers(5) if rng.random() < 0.5 else rng.integers(v)
         entries[(int(i), int(j))] = float(rng.integers(1, 250))
-    return matrix_of(vocab, 5, entries)
+    return matrix_of(vocab, entries)
 
 
 @pytest.mark.parametrize("objective", ["glove", "raw_log", "conditional_log"])
@@ -506,7 +498,7 @@ def test_divergence_stops_before_tables_turn_non_finite(biases):
 
 def test_glove_rejects_nan_counts():
     vocab = Vocabulary(["a", "b"], [1, 1])
-    matrix = matrix_of(vocab, 3, {(0, 1): float("nan"), (1, 0): 2.0})
+    matrix = matrix_of(vocab, {(0, 1): float("nan"), (1, 0): 2.0})
     with pytest.raises(DataError):
         train_glove(matrix, 2, 1)
     with pytest.raises(DataError):

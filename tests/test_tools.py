@@ -32,7 +32,8 @@ def test_hash_outputs_lists_every_command_and_output():
 
     extra_ids = [f"extra_{k}" for k in hash_outputs.EXTRAS]
     tail = (["glove_initial"] + extra_ids
-            + [f"analogy_{t}" for t in hash_outputs.ANALOGY_TABLES]
+            + [f"{task}_{t}" for t in hash_outputs.ANALOGY_TABLES
+               for task in ("analogy", "ws", "tfl")]
             + ["mixed_segment_train", "mixed_segment_decode",
                "mixed_segment_score", "pseudo_charword"])
     assert list(stdouts)[-len(tail):] == tail

@@ -18,7 +18,10 @@ from the table's own vocabulary (seeded by `--seed`, so that the tables
 trained on the small corpus answer questions too). Each question is asked
 under its own category and expects this tool's own float64 3CosAdd
 answer, so `eval --task analogy` prints, question by question, whether
-embkit's guess equals it. Last it writes `MIXED_SENTENCES` seeded
+embkit's guess equals it. On the same tables it runs `eval --task ws` on
+`OWN_PAIRS` seeded pairs and `eval --task tfl` on `OWN_CHOICES` seeded
+questions drawn from the table's own vocabulary, some with one OOV word.
+Last it writes `MIXED_SENTENCES` seeded
 segmented lines that mix CJK words, digit runs and Latin runs, trains a
 segmenter on them, decodes their unsegmented text (`MIXED_OUT`) and
 scores the decode against them: the one segmenter run whose characters are
@@ -80,6 +83,10 @@ ANALOGY_TABLES = ("skipgram", "skipgram_f32", "charword", "cbow", "order",
                   "nnlm", "cw")
 # questions drawn from each table's own vocabulary
 OWN_QUESTIONS = 300
+# similarity pairs and choice questions drawn from each table's own
+# vocabulary, hashed as stdout:ws_<table> and stdout:tfl_<table>
+OWN_PAIRS = 300
+OWN_CHOICES = 300
 # the mixed-script segmentation run: its sentences and output files
 MIXED_SENTENCES = 40
 MIXED_OUT = ("mixed_segmenter.bin", "mixed_seg_pred.txt")
@@ -139,6 +146,35 @@ def answer_questions(table_path, questions_path, out_path, seed):
         lines.append(f": q{k}\n{a} {b} {c} {answer}\n")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
+
+
+def similarity_and_choice(table_path, pairs_path, choices_path, seed):
+    """Write OWN_PAIRS similarity pairs with seeded scores to `pairs_path`
+    and OWN_CHOICES choice questions, a query, four options and a seeded
+    answer index, to `choices_path`. Words are drawn with `seed` from the
+    vocabulary of the table at `table_path`; one pair or question in four
+    has one word replaced by a word outside it, so no question has all its
+    options OOV."""
+    import numpy as np
+    from embkit.io_formats import load_embeddings
+
+    tokens = load_embeddings(table_path).tokens
+    rng = np.random.default_rng([seed, 1])
+
+    def draw(n_rows, width):
+        rows = [[tokens[i] for i in rng.choice(len(tokens), width, replace=False)]
+                for _ in range(n_rows)]
+        for k, row in enumerate(rows):
+            if rng.random() < 0.25:
+                row[rng.integers(width)] = f"oov{k}"
+        return rows
+
+    with open(pairs_path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{a}\t{b}\t{rng.uniform(0, 10):.2f}\n"
+                      for a, b in draw(OWN_PAIRS, 2))
+    with open(choices_path, "w", encoding="utf-8") as fh:
+        fh.writelines("\t".join(row) + f"\t{rng.integers(4)}\n"
+                      for row in draw(OWN_CHOICES, 5))
 
 
 def mixed_segmentation(gold_path, raw_path, seed):
@@ -233,6 +269,13 @@ def main(argv=None):
                              args.seed)
             run(f"analogy_{name}", ["eval", "--task", "analogy", "--embeddings",
                                     out[name], "--dataset", questions])
+            datasets = {task: os.path.join(work, f"{task}_{name}.txt")
+                        for task in ("ws", "tfl")}
+            similarity_and_choice(out[name], datasets["ws"], datasets["tfl"],
+                                  args.seed)
+            for task, path in datasets.items():
+                run(f"{task}_{name}", ["eval", "--task", task, "--embeddings",
+                                       out[name], "--dataset", path])
         gold, raw = (os.path.join(work, f"mixed_{n}.txt") for n in ("gold", "raw"))
         mixed_segmentation(gold, raw, args.seed)
         model, pred = (os.path.join(out_dir, n) for n in MIXED_OUT)
