@@ -2,7 +2,8 @@
 
 Every subcommand logs its resolved configuration and seed, is deterministic
 given (inputs, config, seed) in single-worker mode, and never mutates its
-input files. Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
+input files. Exit codes: 0 success, 1 usage, 2 data error (a bad or
+unreadable input, or one too large for the memory), 3 numeric failure.
 """
 
 import argparse
@@ -58,6 +59,9 @@ def run(argv) -> int:
         return 0
     except (DataError, OSError) as exc:
         log.error("data error: %s", exc)
+        return 2
+    except MemoryError as exc:  # an input too large for the memory
+        log.error("data error: out of memory: %s", str(exc) or "allocation failed")
         return 2
     except NumericError as exc:
         log.error("numeric failure: %s", exc)
@@ -222,7 +226,7 @@ def _cmd_equiv_report(args):
                         f"cbow models, not {model.kind}")
     vocab = corpus_mod.load_vocabulary(args.vocab)
     matrix = mf.CooccurrenceMatrix.load(args.cooccur, vocab)
-    report = mf.skipgram_equivalence_report(matrix, model)
+    report = mf.skipgram_equivalence_report(matrix, model, args.model)
     print(f"mean_kl: {report['mean_kl']:.6f}")
     print(f"max_kl: {report['max_kl']:.6f}")
     print(f"columns: {report['columns']}")
@@ -518,7 +522,6 @@ def _args_factorize(p):
 def _args_equiv_report(p):
     p.add_argument("--cooccur", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--win", type=int, default=5)
     p.add_argument("--model", required=True, help="container from train-emb")
     p.set_defaults(handler=_cmd_equiv_report)
 

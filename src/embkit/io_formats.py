@@ -60,14 +60,18 @@ def _atomic_open(path, mode, encoding=None):
     completed: the data goes to a temporary file beside it, which replaces
     `path` on success and is removed on failure. A path that names an
     existing non-regular file, such as /dev/null, is written in place."""
-    path = os.path.realpath(path)  # through a symlink, not over it
+    given, path = path, os.path.realpath(path)  # through a symlink, not over it
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, mode, encoding=encoding) as fh:
             yield fh
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, encoding=encoding) as fh:
+        fh = open(tmp, mode, encoding=encoding)
+    except OSError as exc:  # named as the path the caller gave, not tmp
+        raise OSError(exc.errno, exc.strerror, os.fspath(given)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

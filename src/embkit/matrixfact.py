@@ -11,8 +11,9 @@ import numpy as np
 
 from .corpus import CorpusStream, Vocabulary, window_matrix
 from .errors import DataError
+from .evaluate import _block_rows
 from .io_formats import _atomic_open, line_error, numbered_lines
-from .optim import run_epochs, softmax, step_distinct_rows
+from .optim import log_softmax, run_epochs, step_distinct_rows
 
 GLOVE_X_MAX = 100.0
 GLOVE_ALPHA = 0.75
@@ -36,11 +37,6 @@ class CooccurrenceMatrix:
 
     def column_sums(self) -> np.ndarray:
         return np.bincount(self.cols, self.vals, minlength=len(self.vocab))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((len(self.vocab), len(self.vocab)))
-        dense[self.rows, self.cols] = self.vals
-        return dense
 
     def nonzero_arrays(self):
         """(rows, cols, values) arrays in (row, col) order."""
@@ -259,42 +255,52 @@ def _fit_run(table, accum, ids, targets, w2, lr: float, d: int) -> None:
 
 
 def _glove_objective(model, rows, cols, targets, weights) -> float:
-    fit = np.einsum("nd,nd->n", model.P[rows], model.Q[cols])
+    # a block of cells at a time, within the analogy blocks' budget of scores
+    step = _block_rows(model.P.shape[1])
+    fit = np.concatenate([np.einsum("nd,nd->n", model.P[rows[lo:lo + step]],
+                                    model.Q[cols[lo:lo + step]])
+                          for lo in range(0, len(rows), step)])
     if model.bias1 is not None:
         fit = fit + model.bias1[rows] + model.bias2[cols]
     return float((weights * (fit - targets) ** 2).sum())
 
 
-def skipgram_equivalence_report(matrix: CooccurrenceMatrix, model) -> dict:
+def skipgram_equivalence_report(matrix: CooccurrenceMatrix, model,
+                                source="model") -> dict:
     """KL(empirical || model) per context column for a full-softmax skipgram.
 
-    The model conditional of column j is softmax_i(e'(v_i) . e(v_j)); the
-    empirical conditional is x_ij / sum_k x_kj. Columns with no mass are
-    skipped and reported.
+    The model conditional of column j is softmax_i(e'(v_i) . e(v_j)) over
+    the matrix vocabulary, whose tokens pick the model's rows (a token the
+    model lacks is a DataError naming `source`); the empirical one is
+    x_ij / sum_k x_kj. The KL is summed in log space over the nonzero cells,
+    and log Z_j is taken a block of columns at a time, so no |V| x |V| array
+    is formed. Columns with no mass are skipped and reported.
     """
-    e = model.e
-    e_prime = model.e_prime
-    v = len(matrix.vocab)
-    if e.shape[0] < v:
-        raise DataError("model vocabulary smaller than matrix vocabulary")
-    dense = matrix.to_dense()
-    col_sums = dense.sum(axis=0)
-    scores = e_prime[:v] @ e[:v].T  # scores[i, j]
-    model_cond = softmax(scores.T).T  # softmax over i per column j
-    kls = []
-    skipped = []
-    for j in range(v):
-        if col_sums[j] <= 0:
-            skipped.append(j)
-            continue
-        emp = dense[:, j] / col_sums[j]
-        nz = emp > 0
-        kls.append(float(np.sum(emp[nz] * np.log(emp[nz] / model_cond[nz, j]))))
-    if not kls:
+    try:
+        ids = [model.vocab.token_to_id[t] for t in matrix.vocab.tokens]
+    except KeyError as exc:
+        raise DataError(f"{source}: no row for the matrix token "
+                        f"{exc.args[0]!r}") from None
+    e, e_prime = model.e[ids], model.e_prime[ids]
+    rows, cols, vals = matrix.nonzero_arrays()
+    log_p = np.empty(len(vals))  # log p_ij of each cell
+    order = np.argsort(cols, kind="stable")
+    step = _block_rows(len(ids))
+    starts = range(0, len(ids), step)
+    bounds = np.searchsorted(cols[order], [*starts, len(ids)]).tolist()
+    for lo, a, b in zip(starts, bounds, bounds[1:]):
+        cells = order[a:b]  # those of columns lo..lo + step - 1
+        block = log_softmax(e[lo:lo + step] @ e_prime.T)
+        log_p[cells] = block[cols[cells] - lo, rows[cells]]
+    col_sums = matrix.column_sums()
+    emp = vals / col_sums[cols]
+    kls = np.bincount(cols, emp * (np.log(emp) - log_p),
+                      minlength=len(ids))[col_sums > 0]
+    if len(kls) == 0:
         raise DataError("no nonzero columns to compare")
     return {
         "mean_kl": float(np.mean(kls)),
         "max_kl": float(np.max(kls)),
         "columns": len(kls),
-        "skipped_columns": skipped,
+        "skipped_columns": np.flatnonzero(col_sums <= 0).tolist(),
     }

@@ -1,5 +1,5 @@
-"""Activations, SGD/AdaGrad steps, the epoch loop, an ordered thread map,
-noise sampling and a finite-difference gradient checker.
+"""Activations, SGD/AdaGrad steps, the epoch loop, an ordered thread map
+and noise sampling.
 
 Every trainer runs its epochs through `run_epochs` and steps through
 `apply_grads`, but for the factorization's own row step. Steps follow the
@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -246,25 +246,3 @@ class NoiseSampler:
     def _raw(self, k: int, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(k) * self.cumulative[-1]
         return np.searchsorted(self.cumulative, u, side="right")
-
-
-def gradient_check(loss_and_grad: Callable[[np.ndarray], Tuple[float, np.ndarray]],
-                   point: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `loss_and_grad` maps a flat parameter vector to (loss, flat gradient).
-    Per coordinate the error is |a - n| / max(|a|, |n|, 1e-8).
-    """
-    point = np.asarray(point, dtype=np.float64)
-    _, analytic = loss_and_grad(point)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.empty_like(analytic)
-    for i in range(point.size):
-        bumped = point.copy()
-        bumped[i] = point[i] + eps
-        up, _ = loss_and_grad(bumped)
-        bumped[i] = point[i] - eps
-        down, _ = loss_and_grad(bumped)
-        numeric[i] = (up - down) / (2.0 * eps)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

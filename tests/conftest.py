@@ -2,7 +2,7 @@
 
 The harness flattens a model's parameters into one vector and adapts each
 loss, per sample or per batch, to the (loss, flat gradient) signature the
-checker expects.
+checker, `gradient_check`, expects.
 Random configurations are redrawn when they are numerically unsuitable for
 central differences in double precision: a loss sitting on a hinge kink or
 pooling tie, or a gradient coordinate inside the band (1e-12, 1e-6) where
@@ -44,6 +44,27 @@ def dense_grads(params, grads):
     return dense
 
 
+def gradient_check(loss_and_grad, point, eps=1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    `loss_and_grad` maps a flat parameter vector to (loss, flat gradient).
+    Per coordinate the error is |a - n| / max(|a|, |n|, 1e-8).
+    """
+    point = np.asarray(point, dtype=np.float64)
+    _, analytic = loss_and_grad(point)
+    analytic = np.asarray(analytic, dtype=np.float64)
+    numeric = np.empty_like(analytic)
+    for i in range(point.size):
+        bumped = point.copy()
+        bumped[i] = point[i] + eps
+        up, _ = loss_and_grad(bumped)
+        bumped[i] = point[i] - eps
+        down, _ = loss_and_grad(bumped)
+        numeric[i] = (up - down) / (2.0 * eps)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
 def flat_checker(params, loss_fn):
     """Build f(theta) -> (loss, flat grad) over the given parameter dict.
 
@@ -76,6 +97,14 @@ def score_matrix(model):
     if model.bias1 is not None:
         s = s + model.bias1[:, None] + model.bias2[None, :]
     return s
+
+
+def dense_counts(matrix):
+    """The |V| x |V| counts of a matrixfact CooccurrenceMatrix, zero
+    outside its cells: the oracle its cell arithmetic is checked against."""
+    dense = np.zeros((len(matrix.vocab),) * 2)
+    dense[matrix.rows, matrix.cols] = matrix.vals
+    return dense
 
 
 def cosine(u, v) -> float:

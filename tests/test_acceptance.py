@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from conftest import (ascent_checker, charword_batch, cw_batch,
-                      flat_checker, in_noise_band,
-                      predictive_batch, random_windows, score_matrix)
+                      dense_counts, flat_checker, gradient_check,
+                      in_noise_band, predictive_batch, random_windows,
+                      score_matrix)
 from embkit.corpus import (CorpusStream, build_vocabulary,
                            subsample_keep_probability)
 from embkit.embeddings import (EmbeddingModel, TrainConfig,
@@ -28,7 +29,6 @@ from embkit.evaluate import (PgrInput, eval_analogy, eval_similarity,
 from embkit.io_formats import EmbeddingTable, restore_params
 from embkit.matrixfact import (count_cooccurrences, factorize_log_counts,
                                skipgram_equivalence_report)
-from embkit.optim import gradient_check
 from embkit.segment import (LEGAL_END, LEGAL_NEXT, LEGAL_START, TAG_ID,
                             SegmenterNet, decode_sentence, prf_corpus,
                             segment_loss_grads, tags_from_segmentation,
@@ -245,7 +245,7 @@ def test_criterion_3_equivalence():
 
     fact, _ = factorize_log_counts(matrix, 24, "conditional_log",
                                    epochs=600, lr=0.2, seed=1)
-    dense = matrix.to_dense()
+    dense = dense_counts(matrix)
     target = np.log(dense / dense.sum(axis=0))
     fact_err = float(np.max(np.abs(score_matrix(fact) - target)))
 

@@ -5,8 +5,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import (ascent_checker, charword_batch, cw_batch, in_noise_band,
-                      predictive_batch, slotwise_windows)
+from conftest import (ascent_checker, charword_batch, cw_batch,
+                      gradient_check, in_noise_band, predictive_batch,
+                      slotwise_windows)
 from embkit import embeddings as emb_module
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
                            subsample_ids, window_matrix)
@@ -18,8 +19,7 @@ from embkit.embeddings import (KINDS, EmbeddingModel, TrainConfig,
                                build_charword_space, train_epochs)
 from embkit.errors import NumericError
 from embkit.optim import (ADAGRAD_EPS, NoiseSampler, _aggregate_rows,
-                          _run_shard, apply_grads, gradient_check, sigmoid,
-                          step_rows)
+                          _run_shard, apply_grads, sigmoid, step_rows)
 
 
 def make_model(kind, vocab, dim=3, win=5, hidden=4, seed=0, randomize=True):

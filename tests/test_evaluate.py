@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cosine
+from conftest import cosine, gradient_check
 from embkit import evaluate, optim
 from embkit.errors import DataError
 from embkit.evaluate import (AnalogyQuestion, ChoiceQuestion, PgrInput,
@@ -17,7 +17,6 @@ from embkit.evaluate import (AnalogyQuestion, ChoiceQuestion, PgrInput,
                              logistic_loss_grads, nearest_neighbors, pearson,
                              pgr, pgr_percent, train_logistic_classifier)
 from embkit.io_formats import EmbeddingTable
-from embkit.optim import gradient_check
 
 
 def table_from(tokens, rows):

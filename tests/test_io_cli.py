@@ -1052,3 +1052,48 @@ def test_cli_overlong_path_is_one_data_error_line(tmp_path, tiny_corpus_file,
     errors = [line for line in stderr if line.startswith("[ERROR]")]
     assert len(errors) == 1 and "File name too long" in errors[0]
     assert os.listdir(tmp_path) == [tiny_corpus_file.name]
+
+
+def test_cli_missing_output_directory_names_the_given_path(
+        tmp_path, tiny_corpus_file, caplog, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    caplog.clear()
+    assert run(["cooccur", "--corpus", str(tiny_corpus_file),
+                "--out", "nodir/out.txt"]) == 2
+    message = _one_error_line(caplog)
+    assert "'nodir/out.txt'" in message and ".tmp" not in message
+
+
+@pytest.mark.parametrize("text", ["Unable to allocate 11.7 GiB", ""])
+def test_cli_memory_error_is_one_data_error_line(monkeypatch, caplog, text):
+    from embkit import cli
+
+    def handler(args):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(cli, "_cmd_cooccur", handler)
+    caplog.clear()
+    assert run(["cooccur", "--corpus", "c.txt", "--out", "o.txt"]) == 2
+    assert _one_error_line(caplog) == (
+        f"data error: out of memory: {text or 'allocation failed'}")
+
+
+def test_cli_equiv_report_model_lacking_a_matrix_token(tmp_path, caplog):
+    # the matrix is over a b c d, the model over x y z q
+    for name, words in (("matrix", "a b c d"), ("model", "x y z q")):
+        (tmp_path / f"{name}.txt").write_text(f"{words}\n" * 20,
+                                              encoding="utf-8")
+    assert run(["cooccur", "--corpus", str(tmp_path / "matrix.txt"), "--out",
+                str(tmp_path / "cooc.tsv"), "--save-vocab",
+                str(tmp_path / "vocab.tsv")]) == 0
+    model = tmp_path / "sg.bin"
+    assert run(["train-emb", "--kind", "skipgram", "--full-softmax",
+                "--corpus", str(tmp_path / "model.txt"), "--dim", "4",
+                "--epochs", "1", "--out", str(tmp_path / "sg.vec"),
+                "--model-out", str(model)]) == 0
+    caplog.clear()
+    assert run(["equiv-report", "--cooccur", str(tmp_path / "cooc.tsv"),
+                "--vocab", str(tmp_path / "vocab.tsv"),
+                "--model", str(model)]) == 2
+    assert re.fullmatch(rf"data error: {re.escape(str(model))}: no row for "
+                        rf"the matrix token '[abcd]'", _one_error_line(caplog))

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import documents, score_matrix
+from conftest import dense_counts, documents, score_matrix
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
                            iter_windows)
 from embkit.embeddings import EmbeddingModel
-from embkit import matrixfact
+from embkit import evaluate, matrixfact
 from embkit.errors import DataError, NumericError
 from embkit.matrixfact import (CooccurrenceMatrix, _fit_cells, _fit_run,
-                               _init_factors, _levels, count_cooccurrences,
-                               factorize_log_counts, glove_weight,
-                               skipgram_equivalence_report, train_glove)
-from embkit.optim import ADAGRAD_EPS
+                               _glove_objective, _init_factors, _levels,
+                               count_cooccurrences, factorize_log_counts,
+                               glove_weight, skipgram_equivalence_report,
+                               train_glove)
+from embkit.optim import ADAGRAD_EPS, softmax
 
 
 def matrix_of(vocab, entries):
@@ -47,9 +48,7 @@ def test_count_cooccurrences_small_example():
     vocab = build_vocabulary(corpus)
     a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
     matrix = count_cooccurrences(corpus, vocab, 3)
-    assert matrix.to_dense()[a, b] == 2
-    assert matrix.to_dense()[b, a] == 2
-    assert matrix.to_dense()[a, a] == 0 and matrix.to_dense()[b, b] == 0
+    assert cells_of(matrix) == {(a, b): 2, (b, a): 2}
 
 
 def test_total_mass_conservation(toy_corpus, toy_vocab):
@@ -171,7 +170,7 @@ def test_factorize_conditional_recovers_conditionals():
     matrix = matrix_of(vocab, entries)
     model, _ = factorize_log_counts(matrix, 12, "conditional_log",
                                     epochs=2500, lr=0.2)
-    dense = matrix.to_dense()
+    dense = dense_counts(matrix)
     target = np.log(dense / dense.sum(axis=0))
     assert np.max(np.abs(score_matrix(model) - target)) < 1e-3
 
@@ -184,7 +183,7 @@ def test_factorize_rejects_empty():
 
 def test_empirical_conditionals_normalized(toy_corpus, toy_vocab):
     matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
-    dense = matrix.to_dense()
+    dense = dense_counts(matrix)
     sums = dense.sum(axis=0)
     cond = dense[:, sums > 0] / sums[sums > 0]
     assert cond.sum(axis=0) == pytest.approx(np.ones(cond.shape[1]), abs=1e-12)
@@ -202,7 +201,7 @@ def _matrix_and_model(scores, vocab):
 
 def test_equivalence_exact_construction_gives_zero_kl(toy_corpus, toy_vocab):
     matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
-    dense = matrix.to_dense()
+    dense = dense_counts(matrix)
     dense[dense == 0] = 1e-9  # keep logs finite; mass negligible
     shifts = np.random.default_rng(1).normal(size=len(toy_vocab))
     scores = np.log(dense) + shifts[None, :]
@@ -218,6 +217,101 @@ def test_equivalence_random_model_positive_kl(toy_corpus, toy_vocab):
     report = skipgram_equivalence_report(matrix=count_cooccurrences(
         toy_corpus, toy_vocab, 5), model=model)
     assert report["mean_kl"] > 0.01
+
+
+def dense_equivalence_report(matrix, model):
+    """The report over dense |V| x |V| counts, scores and softmax, the
+    model's first |V| rows standing for the matrix vocabulary: the oracle
+    of the report computed from the cells."""
+    v = len(matrix.vocab)
+    dense = dense_counts(matrix)
+    col_sums = dense.sum(axis=0)
+    scores = model.e_prime[:v] @ model.e[:v].T  # scores[i, j]
+    model_cond = softmax(scores.T).T  # softmax over i per column j
+    kls, skipped = [], []
+    for j in range(v):
+        if col_sums[j] <= 0:
+            skipped.append(j)
+            continue
+        emp = dense[:, j] / col_sums[j]
+        nz = emp > 0
+        kls.append(float(np.sum(emp[nz] * np.log(emp[nz] / model_cond[nz, j]))))
+    return {"mean_kl": float(np.mean(kls)), "max_kl": float(np.max(kls)),
+            "columns": len(kls), "skipped_columns": skipped}
+
+
+def _random_skipgram(vocab, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    model = EmbeddingModel.create("skipgram", vocab, 5, 3, rng=rng)
+    model.e[...] = rng.normal(size=model.e.shape)
+    model.e_prime[...] = scale * rng.normal(size=model.e_prime.shape)
+    return model
+
+
+def _assert_reports_agree(report, reference):
+    assert report["mean_kl"] == pytest.approx(reference["mean_kl"], rel=1e-9)
+    assert report["max_kl"] == pytest.approx(reference["max_kl"], rel=1e-9)
+    assert report["columns"] == reference["columns"]
+    assert report["skipped_columns"] == reference["skipped_columns"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("budget", [8, 24, 2 ** 20])  # scores per block
+def test_equivalence_cells_match_dense_reference(monkeypatch, toy_corpus,
+                                                 toy_vocab, seed, budget):
+    # |V| = 8: one column per block, blocks of 3 with a short last one, and
+    # one block for every column
+    monkeypatch.setattr(evaluate, "_BLOCK_SCORES", budget)
+    matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
+    model = _random_skipgram(toy_vocab, seed)
+    _assert_reports_agree(skipgram_equivalence_report(matrix, model),
+                          dense_equivalence_report(matrix, model))
+
+
+def test_equivalence_skips_zero_mass_columns(monkeypatch):
+    monkeypatch.setattr(evaluate, "_BLOCK_SCORES", 12)
+    vocab = Vocabulary([f"u{i}" for i in range(6)], [1] * 6)
+    rng = np.random.default_rng(5)
+    # columns 2 and 5 hold no cell; rows 2 and 5 do
+    matrix = matrix_of(vocab, {(i, j): float(rng.integers(1, 20))
+                               for i in range(6) for j in (0, 1, 3, 4)
+                               if (i + j) % 3})
+    model = _random_skipgram(vocab, 6)
+    report = skipgram_equivalence_report(matrix, model)
+    assert report["skipped_columns"] == [2, 5]
+    _assert_reports_agree(report, dense_equivalence_report(matrix, model))
+
+
+def test_equivalence_is_finite_where_softmax_underflows(toy_corpus, toy_vocab):
+    matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
+    model = _random_skipgram(toy_vocab, 0, scale=4000.0)
+    with np.errstate(divide="ignore"):  # the dense conditional underflows to 0
+        assert dense_equivalence_report(matrix, model)["mean_kl"] == math.inf
+    report = skipgram_equivalence_report(matrix, model)
+    assert math.isfinite(report["max_kl"]) and report["mean_kl"] > 100
+
+
+def test_equivalence_pairs_model_rows_by_token(toy_corpus, toy_vocab):
+    matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
+    model = _random_skipgram(toy_vocab, 1)
+    # the same words in reverse order, and one the matrix does not have
+    tokens = toy_vocab.tokens[::-1] + ["extra"]
+    other = EmbeddingModel.create("skipgram", Vocabulary(tokens, [1] * len(tokens)),
+                                  5, 3, rng=np.random.default_rng(0))
+    other.e[:-1], other.e_prime[:-1] = model.e[::-1], model.e_prime[::-1]
+    other.e_prime[-1] = 50.0  # outside the normalizer over the matrix words
+    assert (skipgram_equivalence_report(matrix, other)
+            == skipgram_equivalence_report(matrix, model))
+
+
+def test_equivalence_model_lacking_a_matrix_token_is_data_error(toy_corpus,
+                                                               toy_vocab):
+    matrix = count_cooccurrences(toy_corpus, toy_vocab, 5)
+    tokens = [t for t in toy_vocab.tokens if t != "w3"]
+    model = _random_skipgram(Vocabulary(tokens, [1] * len(tokens)), 0)
+    with pytest.raises(DataError, match="^sg.bin: no row for the matrix "
+                                        "token 'w3'$"):
+        skipgram_equivalence_report(matrix, model, "sg.bin")
 
 
 def test_matrix_save_load_round_trip(tmp_path, toy_corpus, toy_vocab):
@@ -463,7 +557,7 @@ def test_run_updates_match_per_cell_reference(objective):
         model, value = factorize_log_counts(matrix, 6, objective, 3,
                                             lr=0.1, seed=7)
         weights = np.ones(len(vals))
-        col_sums = matrix.to_dense().sum(axis=0)
+        col_sums = dense_counts(matrix).sum(axis=0)
         targets = np.log(vals if objective == "raw_log"
                          else vals / col_sums[cols])
     P, Q, b1, b2, ref_value = _reference_fit(
@@ -478,6 +572,22 @@ def test_run_updates_match_per_cell_reference(objective):
         assert model.bias1 is None and model.bias2 is None
     assert value == pytest.approx(ref_value, rel=1e-9, abs=1e-9)
     assert np.max(np.abs(model.P)) > 0.1  # the fit moved the tables
+
+
+@pytest.mark.parametrize("biases", [True, False])
+def test_objective_in_blocks_equals_one_product(monkeypatch, biases):
+    matrix = _repeat_heavy_matrix()
+    rows, cols, vals = matrix.nonzero_arrays()
+    model = _init_factors(len(matrix.vocab), 6, np.random.default_rng(2), biases)
+    model.table[...] = np.random.default_rng(3).normal(size=model.table.shape)
+    targets, weights = np.log(vals), glove_weight(vals)
+    fit = np.einsum("nd,nd->n", model.P[rows], model.Q[cols])
+    if biases:
+        fit = fit + model.bias1[rows] + model.bias2[cols]
+    whole = float((weights * (fit - targets) ** 2).sum())
+    for budget in (2 ** 20, 6 * 7):  # one block; blocks of 7 of 300 cells
+        monkeypatch.setattr(evaluate, "_BLOCK_SCORES", budget)
+        assert _glove_objective(model, rows, cols, targets, weights) == whole
 
 
 @pytest.mark.parametrize("biases", [True, False])

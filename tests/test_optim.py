@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from embkit.embeddings import EmbeddingModel, TrainConfig, train_epochs
 from embkit.errors import NumericError
+from conftest import gradient_check
 from embkit.optim import (EpochRecord, NoiseSampler, apply_grads,
-                          blas_idle_threads, gradient_check, log_sigmoid,
-                          log_softmax, map_threads, run_epochs, sigmoid,
-                          softmax, step_dense, step_rows)
+                          blas_idle_threads, log_sigmoid, log_softmax,
+                          map_threads, run_epochs, sigmoid, softmax,
+                          step_dense, step_rows)
 
 
 def test_softmax_symmetry():

@@ -6,9 +6,9 @@ from embkit.cli import run
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dense_grads, flat_checker, in_noise_band
+from conftest import dense_grads, flat_checker, gradient_check, in_noise_band
 from embkit.errors import DataError, NumericError
-from embkit.optim import EpochRecord, apply_grads, gradient_check, log_softmax
+from embkit.optim import EpochRecord, apply_grads, log_softmax
 from embkit.seeding import substream
 from embkit.segment import (LEGAL_END, LEGAL_NEXT, LEGAL_START, TAG_ID,
                             TAGS, SegmenterNet, TaggedSentence,

@@ -3,12 +3,12 @@ import pytest
 
 from collections import Counter
 
-from conftest import dense_grads, flat_checker, in_noise_band
+from conftest import dense_grads, flat_checker, gradient_check, in_noise_band
 from embkit import textclass
 from embkit.corpus import window_matrix
 from embkit.errors import DataError
 from embkit.io_formats import restore_params
-from embkit.optim import EpochRecord, gradient_check, log_softmax
+from embkit.optim import EpochRecord, log_softmax
 from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
                               WindowCnnModel, extract_key_phrases,
                               load_labeled_documents, train_classifier)

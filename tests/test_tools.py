@@ -31,7 +31,7 @@ def test_hash_outputs_lists_every_command_and_output():
     files = {n for n in names if not n.startswith("stdout:")}
 
     extra_ids = [f"extra_{k}" for k in hash_outputs.EXTRAS]
-    tail = (["glove_initial"] + extra_ids
+    tail = (["glove_initial"] + extra_ids + ["equiv_report"]
             + [f"{task}_{t}" for t in hash_outputs.ANALOGY_TABLES
                for task in ("analogy", "ws", "tfl")]
             + ["mixed_segment_train", "mixed_segment_decode",

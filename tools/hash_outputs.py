@@ -8,9 +8,12 @@ the cycle it runs the bench's zero-epoch GloVe command and trains the
 variants the cycle does not cover: full softmax, `--char-context`,
 `--beta 1`, `lbl`, two SGD epochs, float32 charword and cbow, and the
 ingest flags `--shuffle-docs`, `--blank-line-docs`, `--min-count` and
-`--vocab`, on the workload's small corpus; the `--char-context` and `lbl`
-runs also write their model containers. The `--vocab` runs close the
-vocabulary to the cycle's `vocab.txt`, one of them on the main corpus.
+`--vocab`, on the workload's small corpus; the full-softmax,
+`--char-context` and `lbl` runs also write their model containers. The
+`--vocab` runs close the vocabulary to the cycle's `vocab.txt`, one of them
+on the main corpus. Then it runs `equiv-report` on the full-softmax model
+against the cycle's co-occurrence counts, which come from the same small
+corpus at the same minimum count, so both have one vocabulary.
 It hashes the analogy answers over every embedding table the cycle
 writes (`ANALOGY_TABLES`). It asks the bench's
 questions, then `OWN_QUESTIONS` questions of three distinct words drawn
@@ -74,9 +77,10 @@ EXTRAS = {
 }
 # EXTRAS arguments name the cycle's vocab.txt as {vocab} and the main
 # corpus as {corpus}
-# extras that also write their model container, extra_<id>_model.bin: one
-# with H/b1/b2 and one with character rows
-MODEL_OUT = ("char_context", "lbl")
+# extras that also write their model container, extra_<id>_model.bin: the
+# full-softmax skipgram that equiv-report scores, one with H/b1/b2 and one
+# with character rows
+MODEL_OUT = ("full_softmax", "char_context", "lbl")
 # the cycle's embedding tables whose analogy answers are hashed, as
 # stdout:analogy_<table>
 ANALOGY_TABLES = ("skipgram", "skipgram_f32", "charword", "cbow", "order",
@@ -97,7 +101,7 @@ PSEUDO_OUT = ("pseudo_words.vec", "pseudo_chars.vec")
 
 
 def extra_commands(name, files, out, out_dir, seed):
-    """The zero-epoch GloVe run, then the EXTRAS variants."""
+    """The zero-epoch GloVe run, the EXTRAS variants, then equiv-report."""
     w = workloads.WORKLOADS[name]
     dim = str(w["dim"])
     # its own output, so the cycle's glove.bin is hashed as the cycle left it
@@ -114,6 +118,9 @@ def extra_commands(name, files, out, out_dir, seed):
             argv += ["--model-out",
                      os.path.join(out_dir, f"extra_{cmd_id}_model.bin")]
         cmds.append((f"extra_{cmd_id}", argv))
+    cmds.append(("equiv_report", [
+        "equiv-report", "--cooccur", out["cooccur"], "--vocab", out["vocab"],
+        "--model", os.path.join(out_dir, "extra_full_softmax_model.bin")]))
     return cmds
 
 
