@@ -73,15 +73,6 @@ def run(argv) -> int:
 
 # --- shared helpers -----------------------------------------------------------
 
-def _load_corpus(args) -> corpus_mod.CorpusStream:
-    stream = corpus_mod.CorpusStream.from_text_file(
-        args.corpus, blank_line_docs=args.blank_line_docs)
-    if args.shuffle_docs:
-        stream = corpus_mod.shuffle_documents(
-            stream, substream(args.seed, "doc-shuffle"))
-    return stream
-
-
 def _build_vocab(args, stream) -> corpus_mod.Vocabulary:
     """The corpus vocabulary, closed to `--vocab` if given, and written to
     `--save-vocab` if given."""
@@ -157,7 +148,11 @@ def _cmd_train_emb(args):
     space, its word rows written to --out and its character rows to
     --chars-out."""
     charword = args.command == "train-charword"
-    stream = _load_corpus(args)
+    stream = corpus_mod.CorpusStream.from_text_file(
+        args.corpus, blank_line_docs=args.blank_line_docs)
+    if args.shuffle_docs:
+        stream = corpus_mod.shuffle_documents(
+            stream, substream(args.seed, "doc-shuffle"))
     vocab = _build_vocab(args, stream)
     space = emb.build_charword_space(vocab) if charword else None
     model = emb.EmbeddingModel.create(
@@ -188,7 +183,8 @@ def _cmd_train_emb(args):
 # --- co-occurrence and factorization -------------------------------------------
 
 def _cmd_cooccur(args):
-    stream = _load_corpus(args)
+    stream = corpus_mod.CorpusStream.from_text_file(
+        args.corpus, blank_line_docs=args.blank_line_docs)
     vocab = _build_vocab(args, stream)
     matrix = mf.count_cooccurrences(stream, vocab, args.win)
     matrix.save(args.out)
@@ -272,21 +268,23 @@ def _cmd_eval(args):
 def _eval_avg(args, table) -> float:
     if not args.train or not args.test:
         raise ValueError("avg task needs --train and --test labeled files")
-    train = tc.load_labeled_documents(args.train)
-    test = tc.load_labeled_documents(args.test)
-    def featurize(docs):
+    def featurize(path):
+        """Average vectors and labels of the documents of `path` that have
+        an in-vocabulary token."""
         feats, labels = [], []
-        for d in docs:
+        for d in tc.load_labeled_documents(path):
             try:
                 feats.append(ev.avg_document_vector(table, d.tokens))
                 labels.append(d.class_id)
             except DataError:
                 continue
+        if not feats:
+            raise DataError(f"{path}: no document has an in-vocabulary token")
         return np.asarray(feats), labels
-    xs, ys = featurize(train)
+    xs, ys = featurize(args.train)
+    xt, yt = featurize(args.test)
     clf = ev.train_logistic_classifier(xs, ys, l2=args.l2, epochs=args.epochs,
                                        lr=args.lr, seed=args.seed)
-    xt, yt = featurize(test)
     print(f"train_accuracy: {clf.accuracy(xs, ys):.4f}")
     return clf.accuracy(xt, yt)
 
@@ -385,9 +383,9 @@ def _cmd_classify_train(args):
     model = model_cls(tokens, n_classes, args.dim, getattr(args, shape_key),
                       args.hidden, rng=substream(args.seed, "init"),
                       vectors=vectors)
-    cfg = tc.ClassifierConfig(lr=args.lr, epochs=args.epochs, seed=args.seed,
-                              truncate=args.truncate)
-    best, records = tc.train_classifier(model, train, dev, cfg, log_fn=log.info)
+    best, records = tc.train_classifier(model, train, dev, lr=args.lr,
+                                        epochs=args.epochs, seed=args.seed,
+                                        truncate=args.truncate, log_fn=log.info)
     restore_params(model, best, "best-on-dev snapshot")
     meta = {"model": args.model, "tokens": model.tokens,
             "n_classes": n_classes, "dim": args.dim, "hidden": args.hidden,
@@ -442,14 +440,16 @@ def _cmd_key_phrases(args):
 
 # --- parser ----------------------------------------------------------------------
 
-def _add_corpus_args(p, with_subsample=True):
+def _add_corpus_args(p, training=True):
+    """The corpus flags, and with `training` the document shuffle and
+    subsampling, which only a trainer reads."""
     p.add_argument("--corpus", required=True)
     p.add_argument("--blank-line-docs", action="store_true")
-    p.add_argument("--shuffle-docs", action="store_true")
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--vocab", help="closed vocabulary file (token<TAB>count)")
     p.add_argument("--save-vocab")
-    if with_subsample:
+    if training:
+        p.add_argument("--shuffle-docs", action="store_true")
         p.add_argument("--t", type=float, default=None,
                        help="subsampling threshold; omit to disable")
         p.add_argument("--subsample-variant", choices=["paper", "toolkit"],
@@ -498,9 +498,8 @@ def _args_train_charword(p):
 
 
 def _args_cooccur(p):
-    _add_corpus_args(p, with_subsample=False)
+    _add_corpus_args(p, training=False)
     p.add_argument("--win", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_cooccur)
 

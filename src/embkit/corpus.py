@@ -68,9 +68,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def encode(self, corpus: "CorpusStream"):
         """`(ids, starts)` of `corpus` in this vocabulary; out-of-vocabulary
         tokens and then empty documents are dropped. One lookup per type."""

@@ -19,11 +19,11 @@ negative sampling (`_window_batch_predictive`), full softmax
 skipgram or char-word (input row -> target) pair is a one-slot window, so
 all five predictive kinds share the negative-sampling function and its
 batch loop. Each function takes its pre-drawn negatives or corrupt words,
-writes nothing, and returns the batch loss and the ASCENT gradients
-d(-loss): `(ids, rows)` for a row-sparse table (e, e_prime, b2), a dense
-array for H, b1, U and the full-softmax e_prime. `train_epochs` draws the
-samples per batch and hands the batches to `optim.run_epochs`; the
-gradient checks run these same functions.
+writes nothing, and returns the batch loss and its gradients: `(ids, rows)`
+for a row-sparse table (e, e_prime, b2), a dense array for H, b1, U and the
+full-softmax e_prime. `train_epochs` draws the samples per batch and hands
+the batches to `optim.run_epochs`; the gradient checks run these same
+functions.
 """
 
 import math
@@ -40,7 +40,7 @@ from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, line_to_chars,
 from .errors import DataError
 from .io_formats import EmbeddingTable, save_embeddings
 from .optim import (EpochRecord, NoiseSampler, apply_grads, log_sigmoid,
-                    log_softmax, run_epochs, sigmoid)
+                    run_epochs, sigmoid, softmax_cross_entropy)
 from .seeding import substream
 
 KINDS = ("skipgram", "cbow", "order", "lbl", "nnlm", "cw")
@@ -153,7 +153,7 @@ class CharWordSpace:
     stay distinct. A word is spelled by the segmenter's scanner,
     `line_to_chars` without normalization, so a pseudo-token inside it is
     one character. `(char_flat, char_starts)` spell each word as a document
-    of character rows; `char_rows(word_id)` gives the rows of one word.
+    of character rows.
     """
 
     def __init__(self, word_vocab: Vocabulary):
@@ -167,9 +167,6 @@ class CharWordSpace:
         self.char_flat = np.array([row[c] for c in spelled.types],
                                   dtype=np.int64)[spelled.ids]
         self.char_starts = spelled.starts
-
-    def char_rows(self, word_id: int) -> np.ndarray:
-        return select_documents(self.char_flat, self.char_starts, [word_id])[0]
 
 
 def build_charword_space(word_vocab: Vocabulary) -> CharWordSpace:
@@ -215,11 +212,11 @@ def _ns_scores(model: EmbeddingModel, X: np.ndarray, tids: np.ndarray):
 
 def _ns_loss(s: np.ndarray):
     """Per-row negative-sampling loss (column 0 is the positive target) and
-    its ascent gradient d(-loss)/ds."""
+    its gradient d loss/ds."""
     loss = -(log_sigmoid(s[:, 0]) + log_sigmoid(-s[:, 1:]).sum(axis=1))
     g = np.empty_like(s)
-    g[:, 0] = sigmoid(-s[:, 0])
-    g[:, 1:] = -sigmoid(s[:, 1:])
+    g[:, 0] = -sigmoid(-s[:, 0])
+    g[:, 1:] = sigmoid(s[:, 1:])
     return loss, g
 
 
@@ -227,13 +224,9 @@ def _pair_batch_full_softmax(model, ctx, tgt, wgt):
     """Exact softmax over the vocabulary; meant for small vocabularies."""
     X = model.e[ctx]
     ep = model.e_prime
-    lsm = log_softmax(X @ ep.T)
-    rows = np.arange(len(tgt))
-    G = -np.exp(lsm)
-    G[rows, tgt] += 1.0
+    loss, G = softmax_cross_entropy(X @ ep.T, tgt)
     G *= wgt[:, None]
-    return float((-lsm[rows, tgt] * wgt).sum()), {"e_prime": G.T @ X,
-                                                  "e": (ctx, G @ ep)}
+    return float((loss * wgt).sum()), {"e_prime": G.T @ X, "e": (ctx, G @ ep)}
 
 
 def _window_batch_predictive(model, tgt, ctx, wgt, negs):
@@ -300,9 +293,9 @@ def _window_batch_cw(model, windows, neg):
     db1 = np.zeros_like(p["b1"])
     dU = np.zeros_like(p["U"])
     row_ids, row_grads = [], []
-    # ascent on -hinge: d/ds_pos = +1, d/ds_neg = -1 on violating windows
-    for X, A, gs, mid_ids in ((Xp[idx], Ap[idx], 1.0, windows[idx, mid]),
-                              (Xn[idx], An[idx], -1.0, neg[idx])):
+    # on violating windows d hinge/d s_pos = -1 and d hinge/d s_neg = +1
+    for X, A, gs, mid_ids in ((Xp[idx], Ap[idx], -1.0, windows[idx, mid]),
+                              (Xn[idx], An[idx], 1.0, neg[idx])):
         dU += gs * A.sum(axis=0)
         dZ = gs * (p["U"][None, :] * (1.0 - A * A))
         dH += dZ.T @ X

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DataError
 from .io_formats import EmbeddingTable, line_error, numbered_lines
-from .optim import (apply_grads, blas_idle_threads, log_softmax, map_threads,
-                    run_epochs)
+from .optim import (apply_grads, blas_idle_threads, map_threads, run_epochs,
+                    softmax_cross_entropy)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -348,12 +348,6 @@ class LogisticClassifier:
         self.weights = weights  # classes x dim
         self.bias = bias
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weights.T + self.bias
-
-    def predict(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.logits(np.asarray(x))))
-
     def accuracy(self, xs: np.ndarray, ys: Sequence[int]) -> float:
         pred = np.argmax(np.asarray(xs) @ self.weights.T + self.bias, axis=1)
         return float(np.mean(pred == np.asarray(ys)))
@@ -362,11 +356,8 @@ class LogisticClassifier:
 def logistic_loss_grads(weights, bias, x, y, l2):
     """Softmax log-loss with L2 on the weights only; returns the loss and
     the gradients of `W` and `b` by name."""
-    logits = weights @ x + bias
-    lsm = log_softmax(logits)
-    loss = -lsm[y] + 0.5 * l2 * float((weights * weights).sum())
-    dlogits = np.exp(lsm)
-    dlogits[y] -= 1.0
+    (loss,), (dlogits,) = softmax_cross_entropy((weights @ x + bias)[None], [y])
+    loss += 0.5 * l2 * float((weights * weights).sum())
     return float(loss), {"W": np.outer(dlogits, x) + l2 * weights, "b": dlogits}
 
 
@@ -388,8 +379,7 @@ def train_logistic_classifier(features, labels, l2: float = 0.0,
             yield (*logistic_loss_grads(W, b, xs[n], int(ys[n]), l2), 1)
 
     run_epochs(epochs, lambda epoch: (len(xs), [batches()]),
-               partial(apply_grads, {"W": W, "b": b},
-                       rates={"W": -lr, "b": -lr}))  # descent
+               partial(apply_grads, {"W": W, "b": b}, rates={"W": lr, "b": lr}))
     return LogisticClassifier(W, b)
 
 

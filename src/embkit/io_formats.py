@@ -158,6 +158,9 @@ def load_embeddings(path) -> EmbeddingTable:
             n, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise line_error(path, 1, f"bad header {header!r}") from exc
+        if n < 0 or dim < 0:
+            raise line_error(path, 1, f"negative count or dim in header "
+                             f"{header!r}")
         tokens, linenos = [], []
         vectors = np.empty((n, dim))
         for lineno, line in numbered_lines(fh, strip_newline, start=2):

@@ -251,7 +251,7 @@ def _fit_run(table, accum, ids, targets, w2, lr: float, d: int) -> None:
     g = old.reshape(2, n, -1)[::-1] * err[:, None]
     if biased:
         g[:, :, d] = err
-    step_distinct_rows(table, ids, g.reshape(2 * n, -1), -lr, accum)
+    step_distinct_rows(table, ids, g.reshape(2 * n, -1), lr, accum)
 
 
 def _glove_objective(model, rows, cols, targets, weights) -> float:

@@ -2,11 +2,12 @@
 and noise sampling.
 
 Every trainer runs its epochs through `run_epochs` and steps through
-`apply_grads`, but for the factorization's own row step. Steps follow the
-ascent convention (theta += lr * grad); callers training a loss pass
-negative rates. `step_rows` updates the rows a batch touched, `step_dense`
-a whole array; with `accum=None` either is plain SGD, otherwise AdaGrad.
-Both write nothing unless every new value is finite.
+`apply_grads`, but for the factorization's own row step. Every forward/
+backward returns the gradient of its loss, and every step descends it,
+theta -= lr * grad, at a positive rate. `step_rows` updates the rows a
+batch touched, `step_dense` a whole array; with `accum=None` either is
+plain SGD, otherwise AdaGrad. Both write nothing unless every new value is
+finite.
 """
 
 import math
@@ -36,6 +37,17 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def softmax_cross_entropy(logits: np.ndarray, targets):
+    """Per-row loss -log softmax(logits)[target] of (n, k) logits and the
+    target of each row, and its gradient d loss / d logits, softmax minus
+    one-hot: the one backward of every softmax output layer."""
+    lsm = log_softmax(logits)
+    rows = np.arange(len(lsm))
+    grad = np.exp(lsm)
+    grad[rows, targets] -= 1.0
+    return -lsm[rows, targets], grad
 
 
 def sigmoid(x):
@@ -70,7 +82,7 @@ def _aggregate_rows(ids: np.ndarray, grads: np.ndarray):
 
 def step_rows(value: np.ndarray, ids: np.ndarray, grads: np.ndarray, lr: float,
               accum: Optional[np.ndarray] = None) -> None:
-    """Ascent step on the rows `ids` of `value`; `grads[k]` belongs to row
+    """Descent step on the rows `ids` of `value`; `grads[k]` belongs to row
     `ids[k]` and repeated rows are summed first, so each row steps once."""
     uids, g = _aggregate_rows(ids, grads)
     step_distinct_rows(value, uids, g.astype(value.dtype, copy=False), lr, accum)
@@ -78,7 +90,7 @@ def step_rows(value: np.ndarray, ids: np.ndarray, grads: np.ndarray, lr: float,
 
 def step_distinct_rows(value: np.ndarray, uids: np.ndarray, g: np.ndarray,
                        lr: float, accum: Optional[np.ndarray] = None) -> None:
-    """Ascent step on the distinct rows `uids`; `g` is overwritten."""
+    """Descent step on the distinct rows `uids`; `g` is overwritten."""
     if accum is not None:
         a = accum[uids]
         a += g * g
@@ -87,12 +99,12 @@ def step_distinct_rows(value: np.ndarray, uids: np.ndarray, g: np.ndarray,
         a += ADAGRAD_EPS
         g /= a
     g *= lr
-    value[uids] = check_finite(value[uids] + g, "parameter update")
+    value[uids] = check_finite(value[uids] - g, "parameter update")
 
 
 def step_dense(value: np.ndarray, grad: np.ndarray, lr: float,
                accum: Optional[np.ndarray] = None) -> None:
-    """Ascent step on a whole array, through one temporary."""
+    """Descent step on a whole array, through one temporary."""
     if accum is not None:
         t = np.multiply(grad, grad)
         accum += t
@@ -102,7 +114,7 @@ def step_dense(value: np.ndarray, grad: np.ndarray, lr: float,
         t *= lr
     else:
         t = np.multiply(grad, lr)
-    t += value
+    np.subtract(value, t, out=t)
     value[...] = check_finite(t, "parameter update")
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from .corpus import TOKEN_PADDING, line_to_chars, padded_blocks, window_matrix
 from .errors import DataError
 from .io_formats import EmbeddingTable, numbered_lines
-from .optim import EpochRecord, apply_grads, log_softmax, run_epochs
+from .optim import (EpochRecord, apply_grads, log_softmax, run_epochs,
+                    softmax_cross_entropy)
 from .seeding import substream
 
 TAGS = "BMES"
@@ -164,16 +165,16 @@ class SegmenterNet:
 
 
 def _forward(net: SegmenterNet, windows: np.ndarray):
-    """Inputs X, hidden layer h and tag log-probabilities of (b, win)
-    character-id windows."""
+    """Inputs X, hidden layer h and tag scores of (b, win) character-id
+    windows."""
     X = net.e[windows].reshape(len(windows), -1)
     h = np.tanh(net.b1 + X @ net.H.T)
-    return X, h, log_softmax(net.b2 + h @ net.U.T)
+    return X, h, net.b2 + h @ net.U.T
 
 
 def sentence_log_probs(net: SegmenterNet, chars: Sequence[str]) -> np.ndarray:
     """(n, 4) log-probability lattice for a whole sentence, batched."""
-    return _forward(net, net.windows(chars))[2]
+    return log_softmax(_forward(net, net.windows(chars))[2])
 
 
 def segment_loss_grads(net: SegmenterNet, windows: np.ndarray,
@@ -181,13 +182,11 @@ def segment_loss_grads(net: SegmenterNet, windows: np.ndarray,
     """Summed negative log-likelihood of the gold tags of a `(b, win)` batch
     of windows and the gradients of that sum. The `e` gradient is a
     `(windows.ravel(), rows)` pair; `step_rows` adds up repeated ids."""
-    X, h, lsm = _forward(net, windows)
-    rows = np.arange(len(golds))
-    dy = np.exp(lsm)
-    dy[rows, golds] -= 1.0
+    X, h, scores = _forward(net, windows)
+    loss, dy = softmax_cross_entropy(scores, golds)
     dz = (dy @ net.U) * (1.0 - h * h)
     de = (dz @ net.H).reshape(-1, net.dim)
-    return -float(lsm[rows, golds].sum()), {
+    return float(loss.sum()), {
         "e": (windows.ravel(), de), "H": dz.T @ X, "b1": dz.sum(axis=0),
         "U": dy.T @ h, "b2": dy.sum(axis=0)}
 
@@ -218,7 +217,7 @@ def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
                    len(batch))
 
     params = net.params()
-    step = partial(apply_grads, params, rates=dict.fromkeys(params, -lr),  # descent
+    step = partial(apply_grads, params, rates=dict.fromkeys(params, lr),
                    accum={} if optimizer == "adagrad" else None)
     return run_epochs(epochs, lambda e: (len(golds), [batches(e)]), step, log_fn=log_fn)
 

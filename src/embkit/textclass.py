@@ -16,7 +16,6 @@ over the full sequence unless truncated.
 import math
 from collections import Counter
 from copy import deepcopy
-from dataclasses import dataclass
 from functools import partial
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -26,7 +25,7 @@ import numpy as np
 from .corpus import padded_blocks, window_matrix
 from .errors import DataError
 from .io_formats import line_error, numbered_lines, strip_newline
-from .optim import apply_grads, log_softmax, run_epochs
+from .optim import apply_grads, run_epochs, softmax_cross_entropy
 from .seeding import substream
 
 UNK_TOKEN = "\x02UNK"
@@ -40,7 +39,8 @@ class LabeledDocument(NamedTuple):
 
 
 def load_labeled_documents(path) -> List[LabeledDocument]:
-    """Lines of "label<TAB>space-separated-tokens"; labels are integers."""
+    """Lines of "label<TAB>space-separated-tokens"; labels are integers
+    >= 0."""
     docs = []
     for lineno, line in numbered_lines(path, strip_newline):
         parts = line.split("\t", 1)
@@ -50,18 +50,12 @@ def load_labeled_documents(path) -> List[LabeledDocument]:
             label = int(parts[0])
         except ValueError as exc:
             raise line_error(path, lineno, f"bad label {parts[0]!r}") from exc
+        if label < 0:
+            raise line_error(path, lineno, f"label {label} is negative")
         docs.append(LabeledDocument(tuple(parts[1].split()), label))
     if not docs:
         raise DataError(f"{path}: no documents")
     return docs
-
-
-@dataclass
-class ClassifierConfig:
-    lr: float = 0.01
-    epochs: int = 20
-    seed: int = 0
-    truncate: Optional[int] = None  # BPTT chunk length; None = full sequence
 
 
 def _check_sizes(**sizes):
@@ -136,16 +130,14 @@ class _PooledClassifier:
         the model's `_input_grads` takes it from there."""
         cache = self._forward([ids])
         X, Y2 = cache["X"][:, 0], cache["Y2"][:, 0]
-        lsm = log_softmax(cache["y4"][0])
-        dy4 = np.exp(lsm)
-        dy4[class_id] -= 1.0
+        (loss,), (dy4,) = softmax_cross_entropy(cache["y4"], [class_id])
         dY2 = np.zeros_like(Y2)
         dY2[cache["argmax"][0], np.arange(Y2.shape[1])] = self.W4.T @ dy4
         dA = dY2 * (1.0 - Y2 * Y2)
         grads = {"W2": dA.T @ X, "b2": dA.sum(axis=0),
                  "W4": np.outer(dy4, cache["y3"][0]), "b4": dy4}
         grads.update(self._input_grads(ids, cache, dA @ self.W2, truncate))
-        return -float(lsm[class_id]), grads
+        return float(loss), grads
 
     def _caches(self, docs: Iterable[Sequence[str]]) -> Iterator[dict]:
         """`_forward` of consecutive blocks of `docs`, each of at most
@@ -157,15 +149,9 @@ class _PooledClassifier:
         """(len(docs), n_classes) logits, one row per document."""
         return np.concatenate([c["y4"] for c in self._caches(docs)])
 
-    def logits(self, tokens: Sequence[str]) -> np.ndarray:
-        return self.batch_logits([tokens])[0]
-
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         unk = self.token_to_id[UNK_TOKEN]
         return np.array([self.token_to_id.get(t, unk) for t in tokens], dtype=np.int64)
-
-    def predict(self, tokens: Sequence[str]) -> int:
-        return int(np.argmax(self.logits(tokens)))
 
     def predict_all(self, docs: Sequence[Sequence[str]]) -> List[int]:
         return self.batch_logits(docs).argmax(axis=1).tolist()
@@ -308,16 +294,18 @@ class WindowCnnModel(_PooledClassifier):
 
 
 def train_classifier(model, train_docs: Sequence[LabeledDocument],
-                     dev_docs: Sequence[LabeledDocument],
-                     cfg: ClassifierConfig, log_fn=None):
+                     dev_docs: Sequence[LabeledDocument], lr: float = 0.01,
+                     epochs: int = 20, seed: int = 0,
+                     truncate: Optional[int] = None, log_fn=None):
     """SGD over randomly ordered documents; keeps the best-on-dev checkpoint.
+    `truncate` is the BPTT chunk length, None for the full sequence.
 
     Returns (best parameter snapshot, epoch records). The snapshot maps
     parameter names to copies; apply with `io_formats.restore_params`.
     Without dev documents, or with zero epochs, it holds the final
     parameters.
     """
-    if cfg.truncate is not None and cfg.truncate < 1:
+    if truncate is not None and truncate < 1:
         raise ValueError("truncate must be >= 1")
     classes = {d.class_id for d in train_docs}
     if len(classes) < 2:
@@ -327,10 +315,10 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
     params = model.params()
 
     def batches(epoch):
-        for n in substream(cfg.seed, f"classifier-epoch-{epoch}").permutation(
+        for n in substream(seed, f"classifier-epoch-{epoch}").permutation(
                 len(encoded)):
             ids, class_id = encoded[n]
-            yield (*model.loss_grads(ids, class_id, truncate=cfg.truncate), 1)
+            yield (*model.loss_grads(ids, class_id, truncate=truncate), 1)
 
     best = [-1.0, None]  # best dev accuracy so far and its snapshot
 
@@ -340,11 +328,11 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
             if record.dev_accuracy >= best[0]:
                 best[:] = record.dev_accuracy, deepcopy(params)
 
-    # descent, each matrix's rate but e's scaled by 1/fan-in
-    rates = {name: -cfg.lr * (1.0 / value.shape[1] if value.ndim == 2
-                              and name != "e" else 1.0)
+    # each matrix's rate but e's scaled by 1/fan-in
+    rates = {name: lr * (1.0 / value.shape[1] if value.ndim == 2
+                         and name != "e" else 1.0)
              for name, value in params.items()}
-    records = run_epochs(cfg.epochs, lambda epoch: (n_tokens, [batches(epoch)]),
+    records = run_epochs(epochs, lambda epoch: (n_tokens, [batches(epoch)]),
                          partial(apply_grads, params, rates=rates),
                          evaluate_dev, log_fn)
     return best[1] or deepcopy(params), records

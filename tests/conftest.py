@@ -179,18 +179,6 @@ def oracle_shards(encoded, workers):
     return [oracle_concatenate(docs[w::workers]) for w in range(workers)]
 
 
-def ascent_checker(params, forward_backward):
-    """flat_checker for a batched forward/backward of the embedding trainer,
-    whose `forward_backward()` returns (loss, ascent grads): the densified
-    grads are negated into gradients of the loss.
-    """
-    def loss_fn():
-        loss, grads = forward_backward()
-        return loss, {k: -g for k, g in dense_grads(params, grads).items()}
-
-    return flat_checker(params, loss_fn)
-
-
 def random_windows(rng, n_words, n_windows, win=5):
     """Targets and (n_windows, win-1) context slots of random windows.
 

@@ -13,10 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (ascent_checker, charword_batch, cw_batch,
-                      dense_counts, flat_checker, gradient_check,
-                      in_noise_band, predictive_batch, random_windows,
-                      score_matrix)
+from conftest import (charword_batch, cw_batch, dense_counts,
+                      flat_checker, gradient_check, in_noise_band,
+                      predictive_batch, random_windows, score_matrix)
 from embkit.corpus import (CorpusStream, build_vocabulary,
                            subsample_keep_probability)
 from embkit.embeddings import (EmbeddingModel, TrainConfig,
@@ -34,9 +33,8 @@ from embkit.segment import (LEGAL_END, LEGAL_NEXT, LEGAL_START, TAG_ID,
                             segment_loss_grads, tags_from_segmentation,
                             train_segmenter, viterbi_decode)
 from embkit.seeding import substream
-from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
-                              WindowCnnModel, extract_key_phrases,
-                              train_classifier)
+from embkit.textclass import (LabeledDocument, RcnnModel, WindowCnnModel,
+                              extract_key_phrases, train_classifier)
 from embkit.corpus import Vocabulary
 
 
@@ -117,7 +115,7 @@ def _predictive_config(kind):
     def gen(rng):
         model = _randomized(EmbeddingModel.create(
             kind, GRAD_VOCAB, 3, 5, 4, rng), rng)
-        return ascent_checker(model.params(), predictive_batch(model, rng, 6))
+        return flat_checker(model.params(), predictive_batch(model, rng, 6))
     return gen
 
 
@@ -126,7 +124,7 @@ def _full_softmax_config(rng):
                                               rng=rng), rng)
     tgt, ctx = random_windows(rng, 6, int(rng.integers(1, 4)))
     rows, tgts, wgts = _expand_charword_arrays(None, tgt, ctx, 0.0, False)
-    return ascent_checker(model.params(), lambda: _pair_batch_full_softmax(
+    return flat_checker(model.params(), lambda: _pair_batch_full_softmax(
         model, rows, tgts, wgts))
 
 
@@ -134,7 +132,7 @@ def _cw_config(rng):
     model = _randomized(EmbeddingModel.create("cw", GRAD_VOCAB, 3, 5, 4, rng),
                         rng, scale=1.0)
     batch = cw_batch(model, rng, 6)
-    return ascent_checker(model.params(), batch) if batch else None
+    return flat_checker(model.params(), batch) if batch else None
 
 
 def _charword_config(beta):
@@ -143,8 +141,8 @@ def _charword_config(beta):
     def gen(rng):
         model = _randomized(EmbeddingModel.create(
             "skipgram", CHAR_VOCAB, 3, 5, rng=rng, tokens=space.tokens), rng)
-        return ascent_checker(model.params(),
-                              charword_batch(model, space, rng, 6, beta))
+        return flat_checker(model.params(),
+                            charword_batch(model, space, rng, 6, beta))
     return gen
 
 
@@ -513,29 +511,27 @@ def test_criterion_9_rcnn_properties():
 
     rcnn = RcnnModel(tokens, 2, dim=12, context_dim=12, hidden=24,
                      rng=substream(99, "init"))
-    best, _ = train_classifier(rcnn, train, dev,
-                               ClassifierConfig(lr=0.05, epochs=40, seed=99))
+    best, _ = train_classifier(rcnn, train, dev, lr=0.05, epochs=40, seed=99)
     restore_params(rcnn, best, "snapshot")
     rcnn_acc = rcnn.accuracy(test)
 
     cnn = WindowCnnModel(tokens, 2, dim=12, win=1, hidden=24,
                          rng=substream(99, "init2"))
-    best2, _ = train_classifier(cnn, train, dev,
-                                ClassifierConfig(lr=0.05, epochs=40, seed=99))
+    best2, _ = train_classifier(cnn, train, dev, lr=0.05, epochs=40, seed=99)
     restore_params(cnn, best2, "snapshot")
     cnn_acc = cnn.accuracy(test)
 
     # (a) forward cost is linear: doubling length <= 2.3x, 100 runs each
     doc_a = [tokens[i % 8] for i in range(60)]
     doc_b = doc_a * 2
-    rcnn.logits(doc_a)
+    rcnn.batch_logits([doc_a])
     times_a = times_b = 0.0
     for _ in range(100):
         t = time.perf_counter()
-        rcnn.logits(doc_a)
+        rcnn.batch_logits([doc_a])
         times_a += time.perf_counter() - t
         t = time.perf_counter()
-        rcnn.logits(doc_b)
+        rcnn.batch_logits([doc_b])
         times_b += time.perf_counter() - t
     ratio = times_b / times_a
 

@@ -5,12 +5,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import (ascent_checker, charword_batch, cw_batch,
+from conftest import (charword_batch, cw_batch, flat_checker,
                       gradient_check, in_noise_band, predictive_batch,
                       slotwise_windows)
 from embkit import embeddings as emb_module
 from embkit.corpus import (CorpusStream, Vocabulary, build_vocabulary,
-                           subsample_ids, window_matrix)
+                           select_documents, subsample_ids, window_matrix)
 from embkit.embeddings import (KINDS, EmbeddingModel, TrainConfig,
                                _context_inputs, _convert_params,
                                _cw_scores, _expand_charword_arrays, _ns_loss,
@@ -59,6 +59,11 @@ def pair_batch_ns(model, ctx, tgt, wgt, negs):
     dX = np.einsum("bm,bmd->bd", g, R)
     return float((loss * wgt).sum()), {
         "e_prime": (tids.ravel(), dR.reshape(-1, dR.shape[-1])), "e": (ctx, dX)}
+
+
+def char_rows(space, word_id):
+    """The character rows that spell word `word_id` in a CharWordSpace."""
+    return select_documents(space.char_flat, space.char_starts, [word_id])[0]
 
 
 def slots(*ids):
@@ -249,7 +254,7 @@ def test_predictive_gradients(kind, small_vocab):
         seed = int(master.integers(2**31))
         r = np.random.default_rng(seed)
         model = make_model(kind, small_vocab, seed=seed)
-        f, theta = ascent_checker(model.params(), predictive_batch(model, r, 6))
+        f, theta = flat_checker(model.params(), predictive_batch(model, r, 6))
         _, g0 = f(theta)
         if in_noise_band(g0):
             continue
@@ -269,7 +274,7 @@ def test_cw_gradients(small_vocab):
         batch = cw_batch(model, r, 6)
         if batch is None:
             continue
-        f, theta = ascent_checker(model.params(), batch)
+        f, theta = flat_checker(model.params(), batch)
         _, g0 = f(theta)
         if in_noise_band(g0):
             continue
@@ -381,7 +386,7 @@ def test_charword_space_rows(char_setup):
     assert space.n_words == 5
     chars = set("星期天空江明")
     assert set(space.char_tokens) == chars
-    rows = space.char_rows(vocab.token_to_id["星期天"])
+    rows = char_rows(space, vocab.token_to_id["星期天"])
     got = [space.tokens[r][1:] for r in rows]
     assert got == ["星", "期", "天"]
 
@@ -390,7 +395,7 @@ def test_charword_spells_a_pseudo_token_inside_a_word():
     # the segmenter's scanner spells the vocabulary: NUMBER is one character
     space = build_charword_space(Vocabulary(["第NUMBER号", "ok"], [2, 1]))
     assert space.char_tokens == ["NUMBER", "k", "o", "号", "第"]
-    spelled = [[space.tokens[r][1:] for r in space.char_rows(w)] for w in (0, 1)]
+    spelled = [[space.tokens[r][1:] for r in char_rows(space, w)] for w in (0, 1)]
     assert spelled == [["第", "NUMBER", "号"], ["o", "k"]]
 
 
@@ -456,7 +461,7 @@ def test_charword_single_char_word_weights(char_setup):
     wid = vocab.token_to_id["江"]
     rows, _, wgts = _expand_charword_arrays(space, np.array([0]),
                                             slots(-1, wid, -1, -1), 0.5, False)
-    assert rows.tolist() == [wid, space.char_rows(wid)[0]]
+    assert rows.tolist() == [wid, char_rows(space, wid)[0]]
     assert wgts.tolist() == [0.5, 0.5]
 
 
@@ -486,8 +491,8 @@ def test_charword_gradients(char_setup):
                                           rng=r, tokens=space.tokens)
             for p in model.params().values():
                 p[...] = r.normal(0, 0.8, p.shape)
-            f, theta = ascent_checker(model.params(),
-                                      charword_batch(model, space, r, 5, beta))
+            f, theta = flat_checker(model.params(),
+                                    charword_batch(model, space, r, 5, beta))
             _, g0 = f(theta)
             if in_noise_band(g0):
                 continue
@@ -504,7 +509,7 @@ def test_char_context_gradients(char_setup):
     for p in model.params().values():
         p[...] = r.normal(0, 0.8, p.shape)
     batch = charword_batch(model, space, r, 5, 0.5, char_context=True)
-    f, theta = ascent_checker(model.params(), batch)
+    f, theta = flat_checker(model.params(), batch)
     assert gradient_check(f, theta) < 1e-4
 
 
@@ -601,7 +606,7 @@ def test_process_chunk_units_are_pairs_or_kept_windows(kind, char_setup):
     if kind == "skipgram":
         n = len(words)
     elif kind == "charword":  # word pairs, char pairs, char-context pairs
-        n = len(words) + 2 * sum(len(space.char_rows(w)) for w in words)
+        n = len(words) + 2 * sum(len(char_rows(space, w)) for w in words)
     else:
         n = len(windows) - 2
     cfg = TrainConfig(negatives=2, batch_size=7, beta=0.5, char_context=True)
@@ -728,7 +733,7 @@ def test_divergence_stops_before_parameters_turn_non_finite(kind, toy_corpus,
         assert np.isfinite(p).all(), name
 
 
-# --- row-sparse ascent step -----------------------------------------------------
+# --- row-sparse descent step ----------------------------------------------------
 
 # float64 steps must match the reference to rounding; float32 tables round
 # every stored value to float32, about 6e-8 relative per operation.
@@ -751,9 +756,9 @@ def _reference_rows_step(value, accum, ids, grads, optimizer, lr):
     value, accum = value.copy(), accum.copy()
     if optimizer == "adagrad":
         accum[touched] += g * g
-        value[touched] += lr * g / (np.sqrt(accum[touched]) + ADAGRAD_EPS)
+        value[touched] -= lr * g / (np.sqrt(accum[touched]) + ADAGRAD_EPS)
     else:
-        value[touched] += lr * g
+        value[touched] -= lr * g
     return value, accum
 
 
@@ -783,7 +788,9 @@ def test_apply_rows_ascent_matches_dense_reference(optimizer, dtype, row_shape):
     value = rng.normal(size=(n_rows, *row_shape)).astype(dtype)
     accum = rng.uniform(0.5, 2.0, size=value.shape).astype(dtype)
     ids = _heavy_duplicate_ids(rng, 30, 400)  # rows 30.. stay untouched
-    grads = rng.normal(size=(len(ids), *row_shape))
+    # descent on the negated draws takes the ascent steps on the draws, so
+    # every case is the one this test checked when the steps ascended
+    grads = -rng.normal(size=(len(ids), *row_shape))
     ref_value, ref_accum = _reference_rows_step(
         value, accum, ids, grads, optimizer, 0.3)
     before_value, before_accum = value.copy(), accum.copy()

@@ -1097,3 +1097,55 @@ def test_cli_equiv_report_model_lacking_a_matrix_token(tmp_path, caplog):
                 "--model", str(model)]) == 2
     assert re.fullmatch(rf"data error: {re.escape(str(model))}: no row for "
                         rf"the matrix token '[abcd]'", _one_error_line(caplog))
+
+
+@pytest.mark.parametrize("command", ["classify-train", "eval-avg"])
+def test_cli_negative_class_label_is_data_error(tmp_path, caplog, command):
+    data = tmp_path / "docs.tsv"
+    data.write_text("0\ta b\n-1\tb a\n1\ta a\n", encoding="utf-8")
+    out = tmp_path / "model.bin"
+    if command == "classify-train":
+        args = ["classify-train", "--train", str(data), "--dim", "3",
+                "--hidden", "3", "--epochs", "1", "--out", str(out)]
+    else:
+        emb = tmp_path / "e.vec"
+        save_embeddings(EmbeddingTable(["a", "b"], np.eye(2)), emb)
+        args = ["eval", "--embeddings", str(emb), "--task", "avg",
+                "--train", str(data), "--test", str(data)]
+    assert run(args) == 2
+    assert _one_error_line(caplog) == f"data error: {data}:2: label -1 is negative"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unusable", ["--train", "--test"])
+def test_cli_eval_avg_without_usable_document_is_data_error(tmp_path, caplog,
+                                                            capsys, unusable):
+    emb = tmp_path / "e.vec"
+    save_embeddings(EmbeddingTable(["a", "b"], np.eye(2)), emb)
+    files = {}
+    for flag, text in (("--train", "0\ta a\n1\tb b\n"),
+                       ("--test", "0\ta\n1\tb\n")):
+        files[flag] = tmp_path / f"{flag[2:]}.tsv"
+        # the unusable file has no token the table knows
+        files[flag].write_text(text if flag != unusable else "0\tx\n1\ty z\n",
+                               encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), "--task", "avg",
+                "--train", str(files["--train"]),
+                "--test", str(files["--test"])]) == 2
+    assert _one_error_line(caplog) == (f"data error: {files[unusable]}: no "
+                                       f"document has an in-vocabulary token")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("header", ["-1 2", "2 -1"])
+def test_cli_negative_embedding_header_is_data_error(tmp_path, caplog, header):
+    emb = tmp_path / "e.vec"
+    emb.write_text(f"{header}\na 1 0\nb 0 1\n", encoding="utf-8")
+    data = tmp_path / "ws.tsv"
+    data.write_text("a\tb\t1\na\tb\t2\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), "--task", "ws",
+                "--dataset", str(data)]) == 2
+    count, dim = header.split()
+    assert _one_error_line(caplog) == (
+        f"data error: {emb}:1: negative count or dim in header "
+        f"['{count}', '{dim}']")

@@ -35,7 +35,7 @@ def brute_force_counts(docs, vocab, win):
     half = (win - 1) // 2
     counts = {}
     for doc in docs:
-        ids = [vocab.token_to_id[t] for t in doc if t in vocab]
+        ids = [vocab.token_to_id[t] for t in doc if t in vocab.token_to_id]
         for i, target in enumerate(ids):
             for j in range(max(0, i - half), min(len(ids), i + half + 1)):
                 if j != i:
@@ -332,7 +332,7 @@ def test_counts_match_iter_windows(win):
     docs += [["t0"], ["t1", "t2"], ["oov1"], ["t3", "oov2", "t3"]]
     corpus = CorpusStream(docs)
     vocab = build_vocabulary(corpus, min_count=2)
-    assert "oov1" not in vocab and "oov2" not in vocab
+    assert "oov1" not in vocab.token_to_id and "oov2" not in vocab.token_to_id
     expected = {}
     for sample in iter_windows(corpus, vocab, win):
         for j in sample.context:

@@ -15,7 +15,7 @@ from conftest import gradient_check
 from embkit.optim import (EpochRecord, NoiseSampler, apply_grads,
                           blas_idle_threads, log_sigmoid, log_softmax,
                           map_threads, run_epochs, sigmoid, softmax,
-                          step_dense, step_rows)
+                          softmax_cross_entropy, step_dense, step_rows)
 
 
 def test_softmax_symmetry():
@@ -59,10 +59,19 @@ def test_log_softmax_consistent():
     assert np.exp(log_softmax(x)) == pytest.approx(softmax(x), abs=1e-12)
 
 
+def test_softmax_cross_entropy_is_log_loss_and_softmax_minus_onehot():
+    logits = np.array([[0.3, -1.2, 2.0], [1000.0, 1000.0, -5.0]])
+    loss, grad = softmax_cross_entropy(logits, np.array([2, 0]))
+    p = softmax(logits)
+    assert loss == pytest.approx(-np.log(p[[0, 1], [2, 0]]), rel=1e-12)
+    assert grad == pytest.approx(p - np.eye(3)[[2, 0]], abs=1e-15)
+
+
 def test_sgd_step_ascent():
+    # the step descends: theta - lr * grad
     theta = np.array([1.0])
     step_dense(theta, np.array([2.0]), 0.1)
-    assert theta[0] == pytest.approx(1.2)
+    assert theta[0] == pytest.approx(0.8)
 
 
 def test_sgd_zero_gradient_identity():
@@ -77,10 +86,10 @@ def test_sgd_nonfinite_gradient_raises():
 
 
 def test_sgd_converges_on_quadratic_bowl():
-    # maximize -(theta - 3)^2, gradient -2(theta - 3)
+    # minimize (theta - 3)^2, gradient 2(theta - 3)
     theta = np.array([10.0])
     for _ in range(2000):
-        step_dense(theta, -2.0 * (theta - 3.0), 0.05)
+        step_dense(theta, 2.0 * (theta - 3.0), 0.05)
     assert abs(theta[0] - 3.0) < 1e-6
 
 
@@ -108,7 +117,7 @@ def test_adagrad_constant_gradient_decay():
     for k in range(1, 50):
         before = theta[0]
         step_dense(theta, g, 0.1, accum)
-        step = theta[0] - before
+        step = before - theta[0]
         assert step == pytest.approx(0.1 / math.sqrt(k), rel=1e-6)
         assert accum[0] == pytest.approx(k * 4.0)
         prev = step

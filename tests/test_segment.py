@@ -231,7 +231,8 @@ def test_segment_gradients():
 def one_window_loss_grads(net, window, gold):
     """Oracle: the loss and gradients of one window, as the per-sample
     trainer computed them."""
-    X, h, lsm = segment._forward(net, window[None, :])
+    X, h, scores = segment._forward(net, window[None, :])
+    lsm = log_softmax(scores)
     dy = np.exp(lsm)
     dy[0, gold] -= 1.0
     dz = (dy @ net.U) * (1.0 - h * h)
@@ -247,7 +248,7 @@ def per_sample_train(net, corpus, lr, epochs, seed, optimizer, batch=1):
     windows = np.concatenate([net.windows(s.chars) for s in corpus])
     golds = [TAG_ID[t] for s in corpus for t in s.tags]
     params = net.params()
-    rates = dict.fromkeys(params, -lr)
+    rates = dict.fromkeys(params, lr)
     accum = {} if optimizer == "adagrad" else None
     means = []
     for epoch in range(epochs):

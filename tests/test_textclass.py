@@ -1,7 +1,8 @@
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
-
-from collections import Counter
 
 from conftest import dense_grads, flat_checker, gradient_check, in_noise_band
 from embkit import textclass
@@ -9,9 +10,9 @@ from embkit.corpus import window_matrix
 from embkit.errors import DataError
 from embkit.io_formats import restore_params
 from embkit.optim import EpochRecord, log_softmax
-from embkit.textclass import (ClassifierConfig, LabeledDocument, RcnnModel,
-                              WindowCnnModel, extract_key_phrases,
-                              load_labeled_documents, train_classifier)
+from embkit.textclass import (LabeledDocument, RcnnModel, WindowCnnModel,
+                              extract_key_phrases, load_labeled_documents,
+                              train_classifier)
 
 VOCAB = [f"t{i}" for i in range(8)]
 
@@ -122,8 +123,9 @@ def test_document_logits_sum_to_one_and_match_recompute():
     Y2 = np.tanh(X @ model.W2.T + model.b2)
     y3 = Y2.max(axis=0)
     y4 = model.W4 @ y3 + model.b4
-    assert model.logits(tokens) == pytest.approx(y4, abs=1e-10)
-    probs = np.exp(log_softmax(model.logits(tokens)))
+    logits = model.batch_logits([tokens])[0]
+    assert logits == pytest.approx(y4, abs=1e-10)
+    probs = np.exp(log_softmax(logits))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -300,8 +302,8 @@ def _trained(kind, truncate):
         model = RcnnModel(tokens, 3, dim=4, context_dim=5, hidden=6, rng=init)
     else:
         model = WindowCnnModel(tokens, 3, dim=4, win=3, hidden=6, rng=init)
-    cfg = ClassifierConfig(lr=0.05, epochs=2, seed=2, truncate=truncate)
-    best, _ = train_classifier(model, train, train, cfg)
+    best, _ = train_classifier(model, train, train,
+                               lr=0.05, epochs=2, seed=2, truncate=truncate)
     restore_params(model, best, "snapshot")
     return model
 
@@ -357,7 +359,7 @@ def test_batched_evaluation_matches_per_document_oracle(kind, truncate, block,
     assert np.abs(model.batch_logits(docs) - want).max() <= 1e-12
     predicted = want.argmax(axis=1).tolist()
     assert model.predict_all(docs) == predicted
-    assert [model.predict(d) for d in docs] == predicted
+    assert [model.predict_all([d])[0] for d in docs] == predicted
     labeled = [LabeledDocument(tuple(d), k % 3) for k, d in enumerate(docs)]
     hits = sum(p == d.class_id for p, d in zip(predicted, labeled))
     assert model.accuracy(labeled) == hits / len(docs)
@@ -413,8 +415,8 @@ def test_rcnn_overfits_planted_keywords():
     tokens = sorted({t for d in train for t in d.tokens})
     model = RcnnModel(tokens, 2, dim=6, context_dim=6, hidden=10,
                       rng=np.random.default_rng(0))
-    cfg = ClassifierConfig(lr=0.05, epochs=50, seed=1)
-    best, history = train_classifier(model, train, train, cfg)
+    best, history = train_classifier(model, train, train,
+                                     lr=0.05, epochs=50, seed=1)
     restore_params(model, best, "snapshot")
     assert model.accuracy(train) == 1.0
 
@@ -425,8 +427,8 @@ def test_wincnn_trains_on_keywords():
     tokens = sorted({t for d in train for t in d.tokens})
     model = WindowCnnModel(tokens, 2, dim=6, win=1, hidden=10,
                            rng=np.random.default_rng(0))
-    cfg = ClassifierConfig(lr=0.05, epochs=50, seed=1)
-    best, _ = train_classifier(model, train, train, cfg)
+    best, _ = train_classifier(model, train, train,
+                               lr=0.05, epochs=50, seed=1)
     restore_params(model, best, "snapshot")
     assert model.accuracy(train) == 1.0
 
@@ -442,8 +444,8 @@ def test_train_classifier_records_dev_accuracy_and_keeps_best(model_cls):
                           rng=np.random.default_rng(2))
         scripted = iter(dev_accuracies)
         model.accuracy = lambda docs: next(scripted)
-        cfg = ClassifierConfig(lr=0.05, epochs=epochs, seed=4)
-        return model, *train_classifier(model, train, dev, cfg)
+        return model, *train_classifier(model, train, dev,
+                                        lr=0.05, epochs=epochs, seed=4)
 
     _, best, records = trained(5, [0.5, 0.75, 0.25, 0.75, 0.5])
     assert all(isinstance(r, EpochRecord) for r in records)
@@ -460,7 +462,7 @@ def test_train_classifier_requires_two_classes():
     docs = [LabeledDocument(("t0",), 0)] * 4
     model = RcnnModel(VOCAB, 2, 3, 3, 4)
     with pytest.raises(DataError):
-        train_classifier(model, docs, docs, ClassifierConfig(epochs=1))
+        train_classifier(model, docs, docs, epochs=1)
 
 
 def test_train_classifier_deterministic():
@@ -471,8 +473,8 @@ def test_train_classifier_deterministic():
     for _ in range(2):
         model = RcnnModel(tokens, 2, dim=4, context_dim=4, hidden=5,
                           rng=np.random.default_rng(3))
-        cfg = ClassifierConfig(lr=0.02, epochs=3, seed=7)
-        best, _ = train_classifier(model, train, train, cfg)
+        best, _ = train_classifier(model, train, train,
+                                   lr=0.02, epochs=3, seed=7)
         snaps.append(best)
     for k in snaps[0]:
         assert np.array_equal(snaps[0][k], snaps[1][k])
@@ -514,11 +516,11 @@ def test_load_labeled_documents(tmp_path):
 def test_empty_document_errors():
     model = rand_rcnn(21)
     with pytest.raises(DataError):
-        model.logits([])
+        model.batch_logits([[]])
 
 
 def test_paper_default_hyperparameters():
     # the documented defaults: lr 0.01, hidden 100, word and context dim 50
-    assert ClassifierConfig().lr == 0.01
+    assert inspect.signature(train_classifier).parameters["lr"].default == 0.01
     model = RcnnModel(["a", "b"], 2)
     assert model.dim == 50 and model.context_dim == 50 and model.hidden == 100

@@ -32,6 +32,7 @@ def test_hash_outputs_lists_every_command_and_output():
 
     extra_ids = [f"extra_{k}" for k in hash_outputs.EXTRAS]
     tail = (["glove_initial"] + extra_ids + ["equiv_report"]
+            + list(hash_outputs.OTHER_TRAINERS)
             + [f"{task}_{t}" for t in hash_outputs.ANALOGY_TABLES
                for task in ("analogy", "ws", "tfl")]
             + ["mixed_segment_train", "mixed_segment_decode",
@@ -44,5 +45,7 @@ def test_hash_outputs_lists_every_command_and_output():
     assert files == (cycle_files | {"glove_initial.bin"}
                      | {f"{e}.bin" for e in extra_ids}
                      | {f"extra_{k}_model.bin" for k in hash_outputs.MODEL_OUT}
+                     | {"wincnn.bin", "factorize_log.bin",
+                        "factorize_conditional.bin", "segment_sgd.bin"}
                      | set(hash_outputs.MIXED_OUT)
                      | set(hash_outputs.PSEUDO_OUT))

@@ -13,7 +13,11 @@ ingest flags `--shuffle-docs`, `--blank-line-docs`, `--min-count` and
 `--vocab` runs close the vocabulary to the cycle's `vocab.txt`, one of them
 on the main corpus. Then it runs `equiv-report` on the full-softmax model
 against the cycle's co-occurrence counts, which come from the same small
-corpus at the same minimum count, so both have one vocabulary.
+corpus at the same minimum count, so both have one vocabulary. The other
+trainers' variants follow (`OTHER_TRAINERS`): `eval --task avg --l2 0.01`
+on the cycle's skipgram table and classification files, `classify-train
+--model wincnn`, `factorize --objective log` and `conditional` on the
+cycle's counts, and `segment-train --optimizer sgd`.
 It hashes the analogy answers over every embedding table the cycle
 writes (`ANALOGY_TABLES`). It asks the bench's
 questions, then `OWN_QUESTIONS` questions of three distinct words drawn
@@ -81,6 +85,29 @@ EXTRAS = {
 # full-softmax skipgram that equiv-report scores, one with H/b1/b2 and one
 # with character rows
 MODEL_OUT = ("full_softmax", "char_context", "lbl")
+# trainers the cycle runs in one variant only, on its inputs and outputs
+# named in braces
+OTHER_TRAINERS = {
+    "avg_l2": ["eval", "--task", "avg", "--embeddings", "{skipgram}",
+               "--train", "{clf_train}", "--test", "{clf_dev}", "--l2",
+               "0.01", "--seed", "{seed}"],
+    "wincnn": ["classify-train", "--model", "wincnn", "--train",
+               "{clf_train}", "--dev", "{clf_dev}", "--epochs", "2", "--dim",
+               "20", "--hidden", "40", "--seed", "{seed}", "--out",
+               "{out_dir}/wincnn.bin"],
+    "factorize_log": ["factorize", "--cooccur", "{cooccur}", "--vocab",
+                      "{vocab}", "--objective", "log", "--dim", "{dim}",
+                      "--epochs", "2", "--seed", "{seed}", "--out",
+                      "{out_dir}/factorize_log.bin"],
+    "factorize_conditional": ["factorize", "--cooccur", "{cooccur}",
+                              "--vocab", "{vocab}", "--objective",
+                              "conditional", "--dim", "{dim}", "--epochs",
+                              "2", "--seed", "{seed}", "--out",
+                              "{out_dir}/factorize_conditional.bin"],
+    "segment_sgd": ["segment-train", "--corpus", "{seg_train}", "--optimizer",
+                    "sgd", "--epochs", "2", "--seed", "{seed}", "--out",
+                    "{out_dir}/segment_sgd.bin"],
+}
 # the cycle's embedding tables whose analogy answers are hashed, as
 # stdout:analogy_<table>
 ANALOGY_TABLES = ("skipgram", "skipgram_f32", "charword", "cbow", "order",
@@ -101,7 +128,8 @@ PSEUDO_OUT = ("pseudo_words.vec", "pseudo_chars.vec")
 
 
 def extra_commands(name, files, out, out_dir, seed):
-    """The zero-epoch GloVe run, the EXTRAS variants, then equiv-report."""
+    """The zero-epoch GloVe run, the EXTRAS variants, equiv-report, then
+    the OTHER_TRAINERS runs."""
     w = workloads.WORKLOADS[name]
     dim = str(w["dim"])
     # its own output, so the cycle's glove.bin is hashed as the cycle left it
@@ -121,6 +149,9 @@ def extra_commands(name, files, out, out_dir, seed):
     cmds.append(("equiv_report", [
         "equiv-report", "--cooccur", out["cooccur"], "--vocab", out["vocab"],
         "--model", os.path.join(out_dir, "extra_full_softmax_model.bin")]))
+    for cmd_id, argv in OTHER_TRAINERS.items():
+        cmds.append((cmd_id, [a.format(seed=seed, dim=dim, out_dir=out_dir,
+                                       **files, **out) for a in argv]))
     return cmds
 
 
