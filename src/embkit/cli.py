@@ -106,16 +106,16 @@ def _split_dev(items, n_dev, seed, stream):
 
 def _load_model(path, what, build):
     """Read a model container back into a model: `build(get)` makes the
-    model from the metadata values `get(key)`, and `restore_params` copies
-    the arrays in. A missing key means the container holds another kind of
-    model; it and a value the constructors refuse, or one of the wrong
-    type, are data errors naming `path`."""
+    model from the metadata values `get(key)`, or `get(key, default)` for a
+    key older containers lack, and `restore_params` copies the arrays in. A
+    key missing without a default, a value the constructors refuse or one of
+    the wrong type is a data error naming `path`."""
     arrays, meta = load_container(path)
 
-    def get(key):
-        if key not in meta:
+    def get(key, *default):
+        if key not in meta and not default:
             raise DataError(f"container is not {what}")
-        return meta[key]
+        return meta.get(key, *default)
 
     try:
         model = build(get)
@@ -251,7 +251,6 @@ def _cmd_eval(args):
             print(f"category {cat or '(none)'}: {acc:.4f}")
     elif args.task == "avg":
         score = _eval_avg(args, table)
-        print(f"accuracy: {score:.4f}")
     elif args.task == "nn":
         if not args.word:
             raise ValueError("--word is required for the nn task")
@@ -261,32 +260,32 @@ def _cmd_eval(args):
             print(f"{token}\t{sim:.4f}")
         return
     if args.pgr_rand is not None and args.pgr_best is not None:
-        ratio = ev.pgr(ev.PgrInput(score * args.scale, args.pgr_rand, args.pgr_best))
+        ratio = ev.pgr(score * args.scale, args.pgr_rand, args.pgr_best)
         print(f"pgr: {ratio:.4f} ({ev.pgr_percent(ratio)}%)")
 
 
 def _eval_avg(args, table) -> float:
+    """Train on the average vectors of --train; print the accuracy and the
+    coverage, scored/documents, of both files; the test accuracy."""
     if not args.train or not args.test:
         raise ValueError("avg task needs --train and --test labeled files")
     def featurize(path):
         """Average vectors and labels of the documents of `path` that have
-        an in-vocabulary token."""
-        feats, labels = [], []
-        for d in tc.load_labeled_documents(path):
-            try:
-                feats.append(ev.avg_document_vector(table, d.tokens))
-                labels.append(d.class_id)
-            except DataError:
-                continue
-        if not feats:
+        an in-vocabulary token, and the number of documents."""
+        docs = tc.load_labeled_documents(path)
+        scored = [d for d in docs if any(t in table for t in d.tokens)]
+        if not scored:
             raise DataError(f"{path}: no document has an in-vocabulary token")
-        return np.asarray(feats), labels
-    xs, ys = featurize(args.train)
-    xt, yt = featurize(args.test)
-    clf = ev.train_logistic_classifier(xs, ys, l2=args.l2, epochs=args.epochs,
+        feats = [ev.avg_document_vector(table, d.tokens) for d in scored]
+        return np.array(feats), [d.class_id for d in scored], len(docs)
+    train, test = featurize(args.train), featurize(args.test)
+    clf = ev.train_logistic_classifier(*train[:2], l2=args.l2, epochs=args.epochs,
                                        lr=args.lr, seed=args.seed)
-    print(f"train_accuracy: {clf.accuracy(xs, ys):.4f}")
-    return clf.accuracy(xt, yt)
+    for prefix, (x, y, n_docs) in (("train_", train), ("", test)):
+        score = clf.accuracy(x, y)
+        print(f"{prefix}accuracy: {score:.4f}")
+        print(f"{prefix}coverage: {len(y)}/{n_docs}")
+    return score  # the test file's
 
 
 # --- segmentation ----------------------------------------------------------------
@@ -299,7 +298,8 @@ def _cmd_segment_train(args):
     tagged = [seg.tags_from_segmentation(words) for words in train]
     chars = sorted({c for t in tagged for c in t.chars})
     net = seg.SegmenterNet(chars, args.dim, args.hidden, args.win,
-                           rng=substream(args.seed, "init"))
+                           rng=substream(args.seed, "init"),
+                           normalize=not args.no_normalize)
     if args.init_embeddings:
         loaded = net.load_char_vectors(load_embeddings(args.init_embeddings))
         log.info("initialized %d character vectors from %s",
@@ -308,8 +308,8 @@ def _cmd_segment_train(args):
                         seed=args.seed, optimizer=args.optimizer,
                         log_fn=log.info)
     save_container(args.out, net.params(),
-                   {"chars": net.chars, "dim": net.dim,
-                    "hidden": net.hidden, "win": net.win})
+                   {"chars": net.chars, "dim": net.dim, "hidden": net.hidden,
+                    "win": net.win, "normalize": net.normalize})
     if dev:
         pred = list(seg.decode_sentences(
             net, (seg.tags_from_segmentation(w).chars for w in dev)))
@@ -321,8 +321,10 @@ def _cmd_segment_train(args):
 
 
 def _load_segmenter(path) -> seg.SegmenterNet:
+    # a container written before the model recorded it was normalized
     return _load_model(path, "a segmenter model", lambda get: seg.SegmenterNet(
-        get("chars"), get("dim"), get("hidden"), get("win")))
+        get("chars"), get("dim"), get("hidden"), get("win"),
+        normalize=get("normalize", True)))
 
 
 def _cmd_segment_decode(args):
@@ -331,7 +333,7 @@ def _cmd_segment_decode(args):
             _atomic_open(args.out, "w", encoding="utf-8") as out:
         # each line's characters, and the text each one was read from
         chars, texts = itertools.tee(
-            seg.line_to_chars(line, not args.no_normalize, texts=True)
+            seg.line_to_chars(line, net.normalize, texts=True)
             for line in fh)
         for words in seg.decode_sentences(net, (c for c, _ in chars),
                                           (t for _, t in texts)):
@@ -564,7 +566,6 @@ def _args_segment_train(p):
 def _args_segment_decode(p):
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_segment_decode)
 

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_sizes, check_window
 from .io_formats import (_atomic_open, line_error, numbered_lines, open_text,
                          strip_newline)
 
@@ -37,7 +37,7 @@ def subsample_keep_probability(freq, t: float, variant: str = "toolkit"):
     (f-t)/f - sqrt(t/f)). The keep probability is 1 minus the skip
     probability, clamped to [0, 1]; tokens with freq <= t are always kept.
     """
-    if t <= 0:
+    if not t > 0:  # NaN too
         raise ValueError("subsampling threshold t must be positive")
     if variant == "paper":
         skip = 1.0 - np.sqrt(t / freq)
@@ -89,8 +89,7 @@ def build_vocabulary(
     everything else is ignored) and min_count still applies. Raises DataError
     if nothing survives.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+    check_sizes(min_count=min_count)
     types = corpus.types
     counts = np.bincount(corpus.ids, minlength=len(types))
     if fixed_vocab is not None:
@@ -264,8 +263,7 @@ def iter_windows(
     document boundaries. Every surviving token appears exactly once as a
     target.
     """
-    if win % 2 == 0 or win < 1:
-        raise ValueError("window size must be odd and positive")
+    check_window(win)
     if keep_prob is not None and rng is None:
         raise ValueError("subsampling requires an rng")
     half = (win - 1) // 2

@@ -37,14 +37,13 @@ import numpy as np
 from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, line_to_chars,
                      select_documents, subsample_ids,
                      subsample_keep_probability, window_matrix)
-from .errors import DataError
+from .errors import DataError, check_sizes, check_window
 from .io_formats import EmbeddingTable, save_embeddings
 from .optim import (EpochRecord, NoiseSampler, apply_grads, log_sigmoid,
                     run_epochs, sigmoid, softmax_cross_entropy)
 from .seeding import substream
 
 KINDS = ("skipgram", "cbow", "order", "lbl", "nnlm", "cw")
-PREDICTIVE_KINDS = ("skipgram", "cbow", "order", "lbl", "nnlm")
 
 
 @dataclass
@@ -66,16 +65,14 @@ class TrainConfig:
     def validate(self, kind: str) -> None:
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
-        if kind in PREDICTIVE_KINDS and self.negatives < 1 and not self.full_softmax:
-            raise ValueError("predictive kinds need at least one negative")
         if self.optimizer not in ("sgd", "adagrad"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.full_softmax and kind != "skipgram":
             raise ValueError("full softmax is only supported for skipgram")
         if self.precision not in ("float64", "float32"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.workers < 1 or self.batch_size < 1:
-            raise ValueError("workers and batch_size must be >= 1")
+        check_sizes(workers=self.workers, batch_size=self.batch_size, negatives=(
+            None if self.full_softmax or kind == "cw" else self.negatives))
 
 
 class EmbeddingModel:
@@ -86,17 +83,14 @@ class EmbeddingModel:
                  hidden: int, tokens: Optional[List[str]] = None):
         if kind not in KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        if win % 2 == 0 or win < 3:
-            raise ValueError("win must be odd and >= 3")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if kind in ("lbl", "nnlm", "cw") and hidden < 1:
-            raise ValueError(f"hidden must be >= 1 for {kind}")
+        hidden = hidden if kind in ("lbl", "nnlm", "cw") else None
+        check_window(win, 3)
+        check_sizes(dim=dim, hidden=hidden)
         self.kind = kind
         self.vocab = vocab
         self.dim = dim
         self.win = win
-        self.hidden = hidden if kind in ("lbl", "nnlm", "cw") else 0
+        self.hidden = hidden or 0
         self.tokens = list(tokens) if tokens is not None else list(vocab.tokens)
         self.n_rows = len(self.tokens)
         self._params: Dict[str, np.ndarray] = {}
@@ -366,7 +360,9 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
     ids, starts = vocab.encode(corpus)
     shards = [select_documents(ids, starts, slice(w, None, cfg.workers))
               for w in range(cfg.workers)]
-    sampler = NoiseSampler(vocab.counts) if not cfg.full_softmax else None
+    if len(vocab) < 2 and not cfg.full_softmax:  # no noise word to draw
+        raise DataError("noise words need a vocabulary of at least 2 words")
+    sampler = None if cfg.full_softmax or model.kind == "cw" else NoiseSampler(vocab.counts)
     charword = space is not None and (cfg.beta > 0.0 or cfg.char_context)
     if charword and model.kind != "skipgram":
         raise DataError("joint char-word training extends skipgram")

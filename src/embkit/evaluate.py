@@ -365,6 +365,8 @@ def train_logistic_classifier(features, labels, l2: float = 0.0,
                               epochs: int = 50, lr: float = 0.1,
                               seed: int = 0) -> LogisticClassifier:
     """Plain SGD on regularized log-loss, deterministic under the seed."""
+    if not 0.0 <= l2 < math.inf:  # NaN too
+        raise ValueError("l2 must be finite and >= 0")
     xs = np.asarray(features, dtype=np.float64)
     ys = np.asarray(labels, dtype=np.int64)
     classes = int(ys.max()) + 1
@@ -385,18 +387,12 @@ def train_logistic_classifier(features, labels, l2: float = 0.0,
 
 # --- performance gain ratio ---------------------------------------------------
 
-class PgrInput(NamedTuple):
-    p_a: float
-    p_rand: float
-    p_best: float
-
-
-def pgr(inp: PgrInput) -> float:
+def pgr(p_a: float, p_rand: float, p_best: float) -> float:
     """(p_a - p_rand) / (p_best - p_rand); may be negative."""
-    denom = inp.p_best - inp.p_rand
+    denom = p_best - p_rand
     if denom == 0.0:
         raise DataError("PGR undefined when the best equals the random baseline")
-    return (inp.p_a - inp.p_rand) / denom
+    return (p_a - p_rand) / denom
 
 
 def pgr_percent(value: float) -> int:

@@ -10,13 +10,10 @@ import math
 import numpy as np
 
 from .corpus import CorpusStream, Vocabulary, window_matrix
-from .errors import DataError
+from .errors import DataError, check_sizes, check_window
 from .evaluate import _block_rows
 from .io_formats import _atomic_open, line_error, numbered_lines
 from .optim import log_softmax, run_epochs, step_distinct_rows
-
-GLOVE_X_MAX = 100.0
-GLOVE_ALPHA = 0.75
 
 
 class CooccurrenceMatrix:
@@ -96,8 +93,7 @@ def count_cooccurrences(corpus: CorpusStream, vocab: Vocabulary,
     Windows are those of `iter_windows` without subsampling: OOV tokens are
     dropped first and windows stop at document boundaries.
     """
-    if win % 2 == 0 or win < 1:
-        raise ValueError("window size must be odd and positive")
+    check_window(win)
     v = len(vocab)
     ids, starts = vocab.encode(corpus)
     half = (win - 1) // 2
@@ -113,7 +109,7 @@ def count_cooccurrences(corpus: CorpusStream, vocab: Vocabulary,
                               counts.astype(np.float64))
 
 
-def glove_weight(x, x_max: float = GLOVE_X_MAX, alpha: float = GLOVE_ALPHA):
+def glove_weight(x, x_max: float = 100.0, alpha: float = 0.75):
     """Low-count damping weight: (x/x_max)**alpha below x_max, else 1.
 
     Accepts a count or an array of counts."""
@@ -138,22 +134,21 @@ class FactorModel:
 
 
 def _init_factors(v: int, d: int, rng: np.random.Generator, biases: bool) -> FactorModel:
-    if d < 1:
-        raise ValueError("dim must be >= 1")
+    check_sizes(dim=d)
     table = np.zeros((2 * v, d + biases))
     table[:, :d] = rng.uniform(-0.5 / d, 0.5 / d, size=(2 * v, d))
     return FactorModel(table, d)
 
 
 def train_glove(matrix: CooccurrenceMatrix, d: int, epochs: int,
-                lr: float = 0.05, x_max: float = GLOVE_X_MAX,
-                alpha: float = GLOVE_ALPHA, seed: int = 0, log_fn=None):
-    """Minimize sum f(x_ij) (p_i.q_j + b_i + b_j - log x_ij)^2 by AdaGrad
-    over shuffled nonzero cells. Returns (model, final objective)."""
+                lr: float = 0.05, seed: int = 0, log_fn=None):
+    """Minimize sum f(x_ij) (p_i.q_j + b_i + b_j - log x_ij)^2, f being
+    `glove_weight`, by AdaGrad over shuffled nonzero cells. Returns
+    (model, final objective)."""
     if len(matrix) == 0:
         raise DataError("empty co-occurrence matrix")
     rows, cols, vals = matrix.nonzero_arrays()
-    weights = glove_weight(vals, x_max, alpha)
+    weights = glove_weight(vals)
     rng = np.random.default_rng(seed)
     model = _init_factors(len(matrix.vocab), d, rng, biases=True)
     return model, _fit_cells(model, rows, cols, np.log(vals), weights, epochs,
@@ -188,7 +183,9 @@ def factorize_log_counts(matrix: CooccurrenceMatrix, d: int,
 def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
                lr: float, rng: np.random.Generator, log_fn=None) -> float:
     """AdaGrad descent on sum_n w_n (fit(i_n, j_n) - t_n)^2, one cell at a
-    time in a fresh shuffled order per epoch. Returns the final objective.
+    time in a fresh shuffled order per epoch. Returns the final objective;
+    each epoch's record holds its running objective, every cell's cost
+    taken just before its step, per cell.
 
     Each order is scheduled by dependency level (`_levels`): the cells of a
     level read and write disjoint rows of P, Q and the biases, and every
@@ -209,13 +206,13 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
         t, w2 = targets[order], 2.0 * weights[order]
         bounds = np.cumsum(np.bincount(level)).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield (None, (np.concatenate((i[lo:hi], j[lo:hi])), t[lo:hi],
-                          w2[lo:hi]), hi - lo)
+            yield (*_fit_run(model.table, np.concatenate((i[lo:hi], j[lo:hi])),
+                             t[lo:hi], w2[lo:hi], d), hi - lo)
 
-    # overflow is caught by the finite check on each level's new rows
+    # overflow is caught by the finite checks on each level's cost and rows
     with np.errstate(over="ignore", invalid="ignore"):
         run_epochs(epochs, lambda epoch: (len(rows), [levels(epoch)]),
-                   lambda level: _fit_run(model.table, accum, *level, lr, d),
+                   lambda g: step_distinct_rows(model.table, *g, lr, accum),
                    log_fn=log_fn)
     return _glove_objective(model, rows, cols, targets, weights)
 
@@ -235,10 +232,11 @@ def _levels(i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
     return np.array(level, dtype=np.int64)
 
 
-def _fit_run(table, accum, ids, targets, w2, lr: float, d: int) -> None:
-    """One AdaGrad descent step for n cells with distinct rows: ids[:n] are
-    their P rows and ids[n:] their Q rows in `table`, whose column d, if
-    present, holds the biases. `w2` is twice the cell weights."""
+def _fit_run(table, ids, targets, w2, d: int):
+    """Weighted squared error of n cells with distinct rows, and its
+    gradient as `(ids, rows)`: ids[:n] are their P rows and ids[n:] their Q
+    rows in `table`, whose column d, if present, holds the biases. `w2` is
+    twice the cell weights."""
     n = len(targets)
     old = table[ids]
     p, q = old[:n], old[n:]
@@ -246,12 +244,13 @@ def _fit_run(table, accum, ids, targets, w2, lr: float, d: int) -> None:
     biased = table.shape[1] > d
     if biased:
         fit = fit + p[:, d] + q[:, d]
-    err = w2 * (fit - targets)  # d loss / d fit
+    res = fit - targets
+    err = w2 * res  # d loss / d fit
     # p_i's gradient is err * q_j, q_j's is err * p_i and a bias's is err
     g = old.reshape(2, n, -1)[::-1] * err[:, None]
     if biased:
         g[:, :, d] = err
-    step_distinct_rows(table, ids, g.reshape(2 * n, -1), lr, accum)
+    return float(0.5 * err @ res), (ids, g.reshape(2 * n, -1))
 
 
 def _glove_objective(model, rows, cols, targets, weights) -> float:

@@ -1,13 +1,15 @@
 """Activations, SGD/AdaGrad steps, the epoch loop, an ordered thread map
 and noise sampling.
 
-Every trainer runs its epochs through `run_epochs` and steps through
-`apply_grads`, but for the factorization's own row step. Every forward/
-backward returns the gradient of its loss, and every step descends it,
-theta -= lr * grad, at a positive rate. `step_rows` updates the rows a
-batch touched, `step_dense` a whole array; with `accum=None` either is
-plain SGD, otherwise AdaGrad. Both write nothing unless every new value is
-finite.
+Every trainer runs its epochs through `run_epochs`; every batch carries
+its loss, checked to be finite before the step. Every forward/backward
+returns the gradient of its loss, and every step descends it,
+theta -= lr * grad, through `step_distinct_rows` (the rows a batch
+touched) or `step_dense` (a whole array), directly or by way of
+`apply_grads` and `step_rows`; with `accum=None` either is plain SGD,
+otherwise AdaGrad. Both refuse a rate that is not finite and > 0 with a
+ValueError before they write anything, and write nothing unless every new
+value is finite.
 """
 
 import math
@@ -80,6 +82,11 @@ def _aggregate_rows(ids: np.ndarray, grads: np.ndarray):
     return uids, summed.reshape(len(uids), *grads.shape[1:])
 
 
+def _check_rate(lr) -> None:
+    if not 0.0 < lr < math.inf:  # NaN too
+        raise ValueError("learning rate must be finite and > 0")
+
+
 def step_rows(value: np.ndarray, ids: np.ndarray, grads: np.ndarray, lr: float,
               accum: Optional[np.ndarray] = None) -> None:
     """Descent step on the rows `ids` of `value`; `grads[k]` belongs to row
@@ -91,6 +98,7 @@ def step_rows(value: np.ndarray, ids: np.ndarray, grads: np.ndarray, lr: float,
 def step_distinct_rows(value: np.ndarray, uids: np.ndarray, g: np.ndarray,
                        lr: float, accum: Optional[np.ndarray] = None) -> None:
     """Descent step on the distinct rows `uids`; `g` is overwritten."""
+    _check_rate(lr)
     if accum is not None:
         a = accum[uids]
         a += g * g
@@ -105,6 +113,7 @@ def step_distinct_rows(value: np.ndarray, uids: np.ndarray, g: np.ndarray,
 def step_dense(value: np.ndarray, grad: np.ndarray, lr: float,
                accum: Optional[np.ndarray] = None) -> None:
     """Descent step on a whole array, through one temporary."""
+    _check_rate(lr)
     if accum is not None:
         t = np.multiply(grad, grad)
         accum += t
@@ -140,29 +149,28 @@ def apply_grads(params: Dict[str, np.ndarray], grads: dict,
 
 @dataclass
 class EpochRecord:
-    """One epoch of any trainer. `mean_loss` is per unit, None where the
-    trainer computes no loss; `tokens_per_sec` counts the tokens, examples
-    or cells the epoch read; `seconds` leaves out `end_epoch`."""
+    """One epoch of any trainer. `mean_loss` is per unit; `tokens_per_sec`
+    counts the tokens, examples or cells the epoch read; `seconds` leaves
+    out `end_epoch`."""
     epoch: int
-    mean_loss: Optional[float]
+    mean_loss: float
     n_units: int
     seconds: float
     tokens_per_sec: float
     dev_accuracy: Optional[float] = None
 
     def log_line(self) -> str:
-        loss = "" if self.mean_loss is None else f" mean_loss={self.mean_loss:.6f}"
         dev = "" if self.dev_accuracy is None else f" dev_accuracy={self.dev_accuracy:.4f}"
-        return (f"epoch={self.epoch}{loss} units={self.n_units} tokens_per_sec="
-                f"{self.tokens_per_sec:.0f} seconds={self.seconds:.3f}{dev}")
+        return (f"epoch={self.epoch} mean_loss={self.mean_loss:.6f} units={self.n_units} "
+                f"tokens_per_sec={self.tokens_per_sec:.0f} seconds={self.seconds:.3f}{dev}")
 
 
 def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
                log_fn=None) -> List[EpochRecord]:
     """Run `epochs` epochs and return their records. `epoch_shards(epoch)`
     gives the epoch's input token count and shards: lazy iterables of
-    (loss, grads, units) batches computed from the current parameters. A
-    loss is checked unless it is None; then `step(grads)`. Several shards
+    (loss, grads, units) batches computed from the current parameters.
+    Each loss is checked, then `step(grads)`. Several shards
     run a thread each and step the shared parameters without locking.
     `end_epoch(record)` may set `dev_accuracy` before the record is logged."""
     if epochs < 0:
@@ -173,10 +181,9 @@ def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
         n_tokens, shards = epoch_shards(epoch)
         totals = map_threads(partial(_run_shard, step=step), shards, len(shards))
         seconds = time.perf_counter() - t0
-        losses = [loss for loss, _ in totals if loss is not None]
         units = sum(n for _, n in totals)
         records.append(EpochRecord(
-            epoch, sum(losses) / max(units, 1) if losses else None, units,
+            epoch, sum(loss for loss, _ in totals) / max(units, 1), units,
             seconds, n_tokens / max(seconds, 1e-9)))
         if end_epoch is not None:
             end_epoch(records[-1])
@@ -186,12 +193,10 @@ def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
 
 
 def _run_shard(batches, step):
-    """Step through one shard; return its loss sum (None if it computed no
-    loss) and its units."""
-    loss_sum, units = None, 0
+    """Step through one shard; return its loss sum and its units."""
+    loss_sum, units = 0.0, 0
     for loss, grads, n in batches:
-        if loss is not None:
-            loss_sum = (loss_sum or 0.0) + check_finite(loss, "training loss")
+        loss_sum += check_finite(loss, "training loss")
         step(grads)
         units += n
         del grads  # so one batch's gradients, not two, are alive at a time
@@ -236,8 +241,6 @@ class NoiseSampler:
 
     def __init__(self, counts, exponent: float = 0.75):
         weights = np.asarray(counts, dtype=np.float64) ** exponent
-        if len(weights) < 2:
-            raise ValueError("noise sampling needs a vocabulary of size >= 2")
         total = weights.sum()
         if not np.isfinite(total) or total <= 0:
             raise NumericError("noise weights must sum to a finite positive value")

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from .corpus import TOKEN_PADDING, line_to_chars, padded_blocks, window_matrix
-from .errors import DataError
+from .errors import DataError, check_sizes, check_window
 from .io_formats import EmbeddingTable, numbered_lines
 from .optim import (EpochRecord, apply_grads, log_softmax, run_epochs,
                     softmax_cross_entropy)
@@ -108,16 +108,17 @@ def prf_corpus(pred: Sequence[Sequence[str]], gold: Sequence[Sequence[str]]) -> 
 
 
 class SegmenterNet:
-    """tanh hidden layer over win concatenated char vectors, 4 output nodes."""
+    """tanh hidden layer over win concatenated char vectors, 4 output nodes.
+    `normalize` records whether its characters were read with digit and
+    Latin runs normalized, so that decoding reads text the same way."""
 
     def __init__(self, chars: Sequence[str], dim: int, hidden: int = 100,
-                 win: int = 5, rng: Optional[np.random.Generator] = None):
-        if win % 2 == 0 or win < 1:
-            raise ValueError("win must be odd")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if hidden < 1:
-            raise ValueError("hidden must be >= 1")
+                 win: int = 5, rng: Optional[np.random.Generator] = None,
+                 normalize: bool = True):
+        check_window(win)
+        check_sizes(dim=dim, hidden=hidden)
+        if not isinstance(normalize, bool):
+            raise TypeError(f"normalize must be true or false, not {normalize!r}")
         rng = rng if rng is not None else np.random.default_rng(0)
         base = list(chars)
         for special in (TOKEN_PADDING, UNK_CHAR):
@@ -128,6 +129,7 @@ class SegmenterNet:
         self.dim = dim
         self.hidden = hidden
         self.win = win
+        self.normalize = normalize
         v = len(base)
         fan_in = win * dim
         self.e = rng.uniform(-0.5 / dim, 0.5 / dim, size=(v, dim))

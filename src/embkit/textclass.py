@@ -23,7 +23,7 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
 import numpy as np
 
 from .corpus import padded_blocks, window_matrix
-from .errors import DataError
+from .errors import DataError, check_sizes, check_window
 from .io_formats import line_error, numbered_lines, strip_newline
 from .optim import apply_grads, run_epochs, softmax_cross_entropy
 from .seeding import substream
@@ -56,12 +56,6 @@ def load_labeled_documents(path) -> List[LabeledDocument]:
     if not docs:
         raise DataError(f"{path}: no documents")
     return docs
-
-
-def _check_sizes(**sizes):
-    for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1")
 
 
 def _uniform(rng, shape, fan_in):
@@ -169,7 +163,7 @@ class RcnnModel(_PooledClassifier):
                  context_dim: int = 50, hidden: int = 100,
                  rng: Optional[np.random.Generator] = None,
                  vectors: Optional[np.ndarray] = None):
-        _check_sizes(dim=dim, context_dim=context_dim, hidden=hidden)
+        check_sizes(dim=dim, context_dim=context_dim, hidden=hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
         super().__init__(tokens, (UNK_TOKEN,), n_classes, dim, hidden, rng,
                          vectors)
@@ -265,9 +259,8 @@ class WindowCnnModel(_PooledClassifier):
                  win: int = 3, hidden: int = 100,
                  rng: Optional[np.random.Generator] = None,
                  vectors: Optional[np.ndarray] = None):
-        if win % 2 == 0 or win < 1:
-            raise ValueError("win must be odd")
-        _check_sizes(dim=dim, hidden=hidden)
+        check_window(win)
+        check_sizes(dim=dim, hidden=hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
         super().__init__(tokens, (UNK_TOKEN, PAD_TOKEN), n_classes, dim,
                          hidden, rng, vectors)
@@ -305,8 +298,7 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
     Without dev documents, or with zero epochs, it holds the final
     parameters.
     """
-    if truncate is not None and truncate < 1:
-        raise ValueError("truncate must be >= 1")
+    check_sizes(truncate=truncate)
     classes = {d.class_id for d in train_docs}
     if len(classes) < 2:
         raise DataError("training set must contain at least two classes")
@@ -348,8 +340,7 @@ def extract_key_phrases(model: RcnnModel, docs: Sequence[Sequence[str]],
     often each phrase is selected. Returns a ranked [(phrase, count)] list,
     or {class: ranked list} when labels are supplied.
     """
-    if phrase_len % 2 == 0 or phrase_len < 1:
-        raise ValueError("phrase_len must be odd")
+    check_window(phrase_len, name="phrase_len")
     half = (phrase_len - 1) // 2
     counters: Dict[Optional[int], Counter] = {}
     docs = [list(tokens) for tokens in docs]

@@ -22,7 +22,7 @@ from embkit.embeddings import (EmbeddingModel, TrainConfig,
                                _expand_charword_arrays,
                                _pair_batch_full_softmax,
                                build_charword_space, train_epochs)
-from embkit.evaluate import (PgrInput, eval_analogy, eval_similarity,
+from embkit.evaluate import (eval_analogy, eval_similarity,
                              load_analogies, load_similarity, pgr,
                              pgr_percent)
 from embkit.io_formats import EmbeddingTable, restore_params
@@ -75,8 +75,7 @@ def test_criterion_1_pgr_table():
         p_rand = RAW_PERFORMANCE["random"][col]
         p_best = max(RAW_PERFORMANCE[m][col] for m in MODELS)
         for m in MODELS:
-            got = pgr_percent(pgr(PgrInput(RAW_PERFORMANCE[m][col],
-                                           p_rand, p_best)))
+            got = pgr_percent(pgr(RAW_PERFORMANCE[m][col], p_rand, p_best))
             want = EXPECTED_PGR[m][col]
             if got != want:
                 mismatches.append((m, task, got, want))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import cosine, gradient_check
 from embkit import evaluate, optim
 from embkit.errors import DataError
-from embkit.evaluate import (AnalogyQuestion, ChoiceQuestion, PgrInput,
+from embkit.evaluate import (AnalogyQuestion, ChoiceQuestion,
                              SimilarityPair, _block_rows,
                              _candidate_winner, _cosine_blocks,
                              avg_document_vector, eval_analogy,
@@ -607,22 +607,22 @@ def test_logistic_loss_gradients():
 
 
 def test_pgr_paper_cells():
-    assert pgr_percent(pgr(PgrInput(51.78, 0.0, 55.83))) == 93
-    assert pgr_percent(pgr(PgrInput(74.68, 64.38, 74.94))) == 98
+    assert pgr_percent(pgr(51.78, 0.0, 55.83)) == 93
+    assert pgr_percent(pgr(74.68, 64.38, 74.94)) == 98
 
 
 def test_pgr_endpoints():
-    assert pgr(PgrInput(55.83, 0.0, 55.83)) == 1.0
-    assert pgr(PgrInput(0.0, 0.0, 55.83)) == 0.0
+    assert pgr(55.83, 0.0, 55.83) == 1.0
+    assert pgr(0.0, 0.0, 55.83) == 0.0
 
 
 def test_pgr_negative_allowed():
-    assert pgr(PgrInput(90.0, 95.41, 96.77)) < 0
+    assert pgr(90.0, 95.41, 96.77) < 0
 
 
 def test_pgr_undefined_errors():
     with pytest.raises(DataError):
-        pgr(PgrInput(1.0, 2.0, 2.0))
+        pgr(1.0, 2.0, 2.0)
 
 
 def test_pgr_percent_rounds_half_away_from_zero():

@@ -573,10 +573,9 @@ def test_cli_training_logs_one_line_per_epoch(tmp_path, tiny_corpus_file,
              if re.search(r"\bepoch[= ]\d", r.getMessage())]
     assert [int(re.search(r"\bepoch[= ](\d+)", m).group(1))
             for m in lines] == [0, 1, 2]
-    if command != "factorize":  # the factorization computes no per-epoch loss
-        for line in lines:
-            losses = LOSS_KEY.findall(line)
-            assert len(losses) == 1 and math.isfinite(float(losses[0])), line
+    for line in lines:
+        losses = LOSS_KEY.findall(line)
+        assert len(losses) == 1 and math.isfinite(float(losses[0])), line
 
 
 @pytest.mark.parametrize("line", ["10\t1\t2",      # id == |V| (10 words)
@@ -1149,3 +1148,191 @@ def test_cli_negative_embedding_header_is_data_error(tmp_path, caplog, header):
     assert _one_error_line(caplog) == (
         f"data error: {emb}:1: negative count or dim in header "
         f"['{count}', '{dim}']")
+
+
+# --- training rules ------------------------------------------------------------
+
+def _rate_argv(command, tmp_path, corpus, seg_and_clf_files, cooccur_files):
+    """argv of a one-epoch `command` run that trains at its --lr."""
+    out = str(tmp_path / "out.bin")
+    small = ["--dim", "3", "--hidden", "3", "--epochs", "1"]
+    if command in ("train-emb", "train-charword"):
+        kind = ["--kind", "skipgram"] if command == "train-emb" else []
+        return [command, *kind, "--corpus", str(corpus), *small, "--out", out]
+    if command in seg_and_clf_files:
+        return [*seg_and_clf_files[command], *small, "--out", out]
+    if command == "factorize":
+        vocab, cooc = cooccur_files
+        return ["factorize", "--cooccur", str(cooc), "--vocab", str(vocab),
+                "--dim", "3", "--epochs", "1", "--out", out]
+    emb, docs = tmp_path / "e.vec", tmp_path / "docs.tsv"
+    save_embeddings(EmbeddingTable(["a", "b"], np.eye(2)), emb)
+    docs.write_text("0\ta\n1\tb\n", encoding="utf-8")
+    return ["eval", "--embeddings", str(emb), "--task", "avg", "--train",
+            str(docs), "--test", str(docs), "--epochs", "1"]
+
+
+@pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["train-emb", "train-charword", "factorize",
+                                     "segment-train", "classify-train",
+                                     "eval-avg"])
+def test_cli_rate_not_finite_and_positive_is_usage_error(
+        tmp_path, tiny_corpus_file, seg_and_clf_files, cooccur_files, caplog,
+        capsys, command, rate):
+    argv = _rate_argv(command, tmp_path, tiny_corpus_file, seg_and_clf_files,
+                      cooccur_files)
+    caplog.clear()
+    assert run([*argv, "--lr", rate]) == 1
+    assert _one_error_line(caplog) == (
+        "usage error: learning rate must be finite and > 0")
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out.bin").exists()
+
+
+def test_cli_nan_subsampling_threshold_is_usage_error(tmp_path, tiny_corpus_file,
+                                                      caplog):
+    out = tmp_path / "e.vec"
+    assert run(["train-emb", "--kind", "skipgram", "--corpus",
+                str(tiny_corpus_file), "--dim", "3", "--epochs", "1", "--t",
+                "nan", "--out", str(out)]) == 1
+    assert _one_error_line(caplog) == (
+        "usage error: subsampling threshold t must be positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("l2", ["-1", "nan", "inf"])
+def test_cli_eval_avg_l2_not_finite_and_nonnegative_is_usage_error(
+        tmp_path, seg_and_clf_files, cooccur_files, caplog, capsys, l2):
+    argv = _rate_argv("eval-avg", tmp_path, None, seg_and_clf_files,
+                      cooccur_files)
+    caplog.clear()
+    assert run([*argv, "--l2", l2]) == 1
+    assert _one_error_line(caplog) == (
+        "usage error: l2 must be finite and >= 0")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind", ["skipgram", "cw"])
+def test_cli_one_word_vocabulary_has_no_noise_word(tmp_path, tiny_corpus_file,
+                                                   caplog, kind):
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("w0\t5\n", encoding="utf-8")
+    out = tmp_path / "e.vec"
+    argv = ["train-emb", "--kind", kind, "--corpus", str(tiny_corpus_file),
+            "--vocab", str(vocab), "--dim", "3", "--hidden", "3",
+            "--epochs", "1", "--out", str(out)]
+    caplog.clear()
+    assert run(argv) == 2
+    assert _one_error_line(caplog) == (
+        "data error: noise words need a vocabulary of at least 2 words")
+    assert not out.exists()
+    if kind == "skipgram":  # the full softmax draws no noise word
+        assert run([*argv, "--full-softmax"]) == 0
+        assert load_embeddings(out).tokens == ["w0"]
+
+
+def test_cli_eval_avg_prints_coverage(tmp_path, capsys):
+    emb, train, test = (tmp_path / n for n in ("e.vec", "train.tsv", "test.tsv"))
+    save_embeddings(EmbeddingTable(["a", "b"], np.eye(2)), emb)
+    train.write_text("0\ta\n1\tb\n", encoding="utf-8")
+    # of four documents only the first has a token the table knows
+    test.write_text("0\ta\n1\tx\n0\ty\n1\tz\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(emb), "--task", "avg", "--train",
+                str(train), "--test", str(test), "--epochs", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["train_accuracy: 1.0000", "train_coverage: 2/2",
+                     "accuracy: 1.0000", "coverage: 1/4"]
+
+
+def _segmenter_files(tmp_path):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("的一/是/在有/123/abc\n" * 20, encoding="utf-8")
+    raw = tmp_path / "raw.txt"
+    raw.write_text("的一是在有123abc\n", encoding="utf-8")
+    return gold, raw
+
+
+def test_cli_segmenter_decodes_as_it_was_trained(tmp_path, capsys):
+    gold, raw = _segmenter_files(tmp_path)
+    model, pred = tmp_path / "seg.bin", tmp_path / "pred.txt"
+    assert run(["segment-train", "--corpus", str(gold), "--no-normalize",
+                "--dim", "6", "--hidden", "12", "--epochs", "30",
+                "--out", str(model)]) == 0
+    assert load_container(model)[1]["normalize"] is False
+    assert run(["segment-decode", "--model", str(model), "--input", str(raw),
+                "--out", str(pred)]) == 0
+    assert pred.read_text(encoding="utf-8") == "的一/是/在有/123/abc\n"
+    assert run(["segment-decode", "--model", str(model), "--input", str(raw),
+                "--out", str(pred), "--no-normalize"]) == 1
+
+
+def test_cli_segmenter_container_normalize_key(tmp_path, caplog):
+    from embkit import cli
+    gold, raw = _segmenter_files(tmp_path)
+    model = tmp_path / "seg.bin"
+    assert run(["segment-train", "--corpus", str(gold), "--no-normalize",
+                "--dim", "3", "--hidden", "3", "--epochs", "1",
+                "--out", str(model)]) == 0
+    arrays, meta = load_container(model)
+    del meta["normalize"]  # as written before the model recorded it
+    save_container(model, arrays, meta)
+    assert cli._load_segmenter(model).normalize is True
+    save_container(model, arrays, {**meta, "normalize": "no"})
+    caplog.clear()
+    assert run(["segment-decode", "--model", str(model), "--input", str(raw),
+                "--out", str(tmp_path / "pred.txt")]) == 2
+    assert _one_error_line(caplog) == (f"data error: {model}: normalize must "
+                                       f"be true or false, not 'no'")
+
+
+# --- flags that change what a run computes --------------------------------------
+
+@pytest.mark.parametrize("flags", [["--batch-size", "7"], ["--negatives", "2"],
+                                   ["--subsample-variant", "paper"]],
+                         ids=["batch-size", "negatives", "subsample-variant"])
+def test_cli_training_flag_changes_the_output(tmp_path, tiny_corpus_file, flags):
+    def train(name, extra):
+        out = tmp_path / f"{name}.vec"
+        assert run(["train-emb", "--kind", "skipgram", "--corpus",
+                    str(tiny_corpus_file), "--dim", "4", "--epochs", "1",
+                    "--t", "0.01", *extra, "--out", str(out)]) == 0
+        return out.read_bytes()
+    assert train("flag", flags) != train("default", [])
+
+
+def test_cli_checkpoint_dir_writes_each_epoch(tmp_path, tiny_corpus_file):
+    out, ckpt = tmp_path / "e.vec", tmp_path / "ckpt"
+    ckpt.mkdir()
+    assert run(["train-emb", "--kind", "skipgram", "--corpus",
+                str(tiny_corpus_file), "--dim", "4", "--epochs", "2",
+                "--checkpoint-dir", str(ckpt), "--out", str(out)]) == 0
+    assert sorted(os.listdir(ckpt)) == ["checkpoint-ep0.vec", "checkpoint-ep1.vec"]
+    assert (ckpt / "checkpoint-ep1.vec").read_bytes() == out.read_bytes()
+
+
+def test_cli_segment_train_init_embeddings_logs_rows_loaded(tmp_path, caplog):
+    gold, _ = _segmenter_files(tmp_path)
+    chars = tmp_path / "chars.vec"
+    # two of the three rows are characters of the corpus
+    save_embeddings(EmbeddingTable(["的", "是", "X"], np.ones((3, 3))), chars)
+    caplog.set_level(logging.INFO)
+    assert run(["segment-train", "--corpus", str(gold), "--dim", "3",
+                "--hidden", "3", "--epochs", "0", "--init-embeddings",
+                str(chars), "--out", str(tmp_path / "seg.bin")]) == 0
+    assert f"initialized 2 character vectors from {chars}" in [
+        r.getMessage() for r in caplog.records]
+
+
+def test_cli_key_phrases_per_class_prints_class_headers(tmp_path, capsys,
+                                                        seg_and_clf_files):
+    model = tmp_path / "rcnn.bin"
+    args = seg_and_clf_files["classify-train"]
+    assert run([*args, "--dim", "3", "--context-dim", "2", "--hidden", "3",
+                "--epochs", "1", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert run(["key-phrases", "--model", str(model), "--input", args[-1],
+                "--per-class", "--top", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("  ")] == [
+        "class 0:", "class 1:"]
+    assert len(lines) == 4

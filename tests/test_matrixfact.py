@@ -14,7 +14,7 @@ from embkit.matrixfact import (CooccurrenceMatrix, _fit_cells, _fit_run,
                                count_cooccurrences, factorize_log_counts,
                                glove_weight, skipgram_equivalence_report,
                                train_glove)
-from embkit.optim import ADAGRAD_EPS, softmax
+from embkit.optim import ADAGRAD_EPS, softmax, step_distinct_rows
 
 
 def matrix_of(vocab, entries):
@@ -430,8 +430,9 @@ def _fit_cells_by_runs(model, rows, cols, targets, weights, epochs, lr, rng,
         t, w2 = targets[order], 2.0 * weights[order]
         bounds = _conflict_free_runs(i, j)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            _fit_run(model.table, accum, np.concatenate((i[lo:hi], j[lo:hi])),
-                     t[lo:hi], w2[lo:hi], lr, d)
+            ids = np.concatenate((i[lo:hi], j[lo:hi]))
+            _, grads = _fit_run(model.table, ids, t[lo:hi], w2[lo:hi], d)
+            step_distinct_rows(model.table, *grads, lr, accum)
     return matrixfact._glove_objective(model, rows, cols, targets, weights)
 
 

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from embkit.corpus import Vocabulary
 from embkit.embeddings import EmbeddingModel, TrainConfig, train_epochs
 from embkit.errors import NumericError
-from conftest import gradient_check
+from embkit.matrixfact import (CooccurrenceMatrix, _glove_objective,
+                               glove_weight, train_glove)
 from embkit.optim import (EpochRecord, NoiseSampler, apply_grads,
                           blas_idle_threads, log_sigmoid, log_softmax,
                           map_threads, run_epochs, sigmoid, softmax,
                           softmax_cross_entropy, step_dense, step_rows)
+from conftest import gradient_check
 
 
 def test_softmax_symmetry():
@@ -182,21 +185,21 @@ def test_apply_grads_sgd_creates_no_accumulators(toy_corpus, toy_vocab):
         assert set(model.accum) == stepped
 
 
+@pytest.mark.parametrize("rate", [0.0, -0.3, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("adagrad", [False, True], ids=["sgd", "adagrad"])
-def test_apply_grads_negative_rate_is_negated_gradient(adagrad):
+def test_steps_refuse_a_rate_not_finite_and_positive(adagrad, rate):
     rng = np.random.default_rng(32)
-    a = _two_params(rng)
-    b = {k: v.copy() for k, v in a.items()}
-    acc_a, acc_b = ({}, {}) if adagrad else (None, None)
-    for _ in range(5):
-        g = _two_grads(rng)
-        neg = {"M": (g["M"][0], -g["M"][1]), "v": -g["v"]}
-        apply_grads(a, g, {"M": -0.3, "v": -0.7}, acc_a)
-        apply_grads(b, neg, {"M": 0.3, "v": 0.7}, acc_b)
-    for k in a:
-        assert np.array_equal(a[k], b[k]), k
-    if adagrad:
-        assert all(np.array_equal(acc_a[k], acc_b[k]) for k in acc_a)
+    params, grads = _two_params(rng), _two_grads(rng)
+    want = {k: v.copy() for k, v in params.items()}
+    accum = {k: np.ones_like(v) for k, v in params.items()}
+    steps = (lambda a: step_rows(params["M"], *grads["M"], rate, a),
+             lambda a: step_dense(params["v"], grads["v"], rate, a))
+    for step, name in zip(steps, ("M", "v")):
+        with pytest.raises(ValueError, match="learning rate"):
+            step(accum[name] if adagrad else None)
+    for k in params:  # nothing written: parameters nor accumulators
+        assert np.array_equal(params[k], want[k]), k
+        assert np.array_equal(accum[k], np.ones_like(want[k])), k
 
 
 def test_negative_sample_empty():
@@ -303,25 +306,36 @@ def test_run_epochs_checks_steps_counts_and_logs():
     stepped, lines, ends = [], [], []
 
     def epoch_shards(epoch):
-        return 10, [iter([(1.5, "g0", 2), (None, "g1", 3), (0.5, "g2", 1)])]
+        return 10, [iter([(1.5, "g0", 2), (1.0, "g1", 3), (0.5, "g2", 1)])]
 
     records = run_epochs(2, epoch_shards, stepped.append, ends.append,
                          lines.append)
     assert stepped == ["g0", "g1", "g2"] * 2
     assert ends == records and [r.epoch for r in records] == [0, 1]
     assert all(isinstance(r, EpochRecord) for r in records)
-    assert [(r.mean_loss, r.n_units) for r in records] == [(2.0 / 6, 6)] * 2
+    assert [(r.mean_loss, r.n_units) for r in records] == [(3.0 / 6, 6)] * 2
     assert all(r.tokens_per_sec == 10 / max(r.seconds, 1e-9) for r in records)
     assert [line.split()[:3] for line in lines] == [
-        ["epoch=0", "mean_loss=0.333333", "units=6"],
-        ["epoch=1", "mean_loss=0.333333", "units=6"]]
+        ["epoch=0", "mean_loss=0.500000", "units=6"],
+        ["epoch=1", "mean_loss=0.500000", "units=6"]]
 
 
-def test_run_epochs_without_losses_records_none():
-    records = run_epochs(1, lambda epoch: (4, [[(None, "g", 4)]]),
-                         lambda grads: None)
-    assert records[0].mean_loss is None and records[0].n_units == 4
-    assert "mean_loss" not in records[0].log_line()
+def test_glove_records_carry_its_running_objective():
+    # two cells that share no row: one level, whose cost is the objective
+    # of the parameters it starts from
+    vocab = Vocabulary(["a", "b", "c", "d"], [1, 1, 1, 1])
+    matrix = CooccurrenceMatrix(vocab, [0, 1], [2, 3], [5.0, 30.0])
+    lines = []
+    model, final = train_glove(matrix, 3, 1, seed=4, log_fn=lines.append)
+    start, _ = train_glove(matrix, 3, 0, seed=4)
+    rows, cols, vals = matrix.nonzero_arrays()
+    initial = _glove_objective(start, rows, cols, np.log(vals),
+                               glove_weight(vals))
+    epoch, mean_loss, units = lines[0].split()[:3]
+    assert (epoch, units) == ("epoch=0", "units=2")
+    assert float(mean_loss[len("mean_loss="):]) == pytest.approx(
+        initial / 2, rel=1e-6)
+    assert 0.0 < final < initial
 
 
 def test_run_epochs_dev_accuracy_set_by_end_epoch_is_logged():

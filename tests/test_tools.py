@@ -35,8 +35,9 @@ def test_hash_outputs_lists_every_command_and_output():
             + list(hash_outputs.OTHER_TRAINERS)
             + [f"{task}_{t}" for t in hash_outputs.ANALOGY_TABLES
                for task in ("analogy", "ws", "tfl")]
-            + ["mixed_segment_train", "mixed_segment_decode",
-               "mixed_segment_score", "pseudo_charword"])
+            + [f"{prefix}_segment_{step}" for prefix in hash_outputs.MIXED_RUNS
+               for step in ("train", "decode", "score")]
+            + ["pseudo_charword"])
     assert list(stdouts)[-len(tail):] == tail
     assert {"skipgram", "charword", "cbow", "glove", "rcnn"} <= set(stdouts)
     assert set(stdouts.values()) == {"exit=0"}

@@ -31,8 +31,9 @@ questions drawn from the table's own vocabulary, some with one OOV word.
 Last it writes `MIXED_SENTENCES` seeded
 segmented lines that mix CJK words, digit runs and Latin runs, trains a
 segmenter on them, decodes their unsegmented text (`MIXED_OUT`) and
-scores the decode against them: the one segmenter run whose characters are
-not all CJK. Then it trains `train-charword --chars-out` on
+scores the decode against them: the segmenter runs whose characters are
+not all CJK, once normalized and once with `segment-train --no-normalize`
+(`MIXED_RUNS`), whose decode reads the text as the model records. Then it trains `train-charword --chars-out` on
 `PSEUDO_SENTENCES` seeded lines whose words embed `NUMBER` or `WORD`
 (`PSEUDO_OUT`), so the char-word spelling of a pseudo-token inside a word
 is hashed too. Two sources produce the same bytes when their listings
@@ -118,9 +119,12 @@ OWN_QUESTIONS = 300
 # vocabulary, hashed as stdout:ws_<table> and stdout:tfl_<table>
 OWN_PAIRS = 300
 OWN_CHOICES = 300
-# the mixed-script segmentation run: its sentences and output files
+# the mixed-script segmentation runs: their sentences, the segment-train
+# flags of each run by its id prefix, and their output files
 MIXED_SENTENCES = 40
-MIXED_OUT = ("mixed_segmenter.bin", "mixed_seg_pred.txt")
+MIXED_RUNS = {"mixed": [], "mixed_raw": ["--no-normalize"]}
+MIXED_OUT = tuple(f"{prefix}_{name}" for prefix in MIXED_RUNS
+                  for name in ("segmenter.bin", "seg_pred.txt"))
 # the char-word run on words that embed pseudo-tokens: its sentences and
 # its word and character tables
 PSEUDO_SENTENCES = 60
@@ -316,15 +320,18 @@ def main(argv=None):
                                        out[name], "--dataset", path])
         gold, raw = (os.path.join(work, f"mixed_{n}.txt") for n in ("gold", "raw"))
         mixed_segmentation(gold, raw, args.seed)
-        model, pred = (os.path.join(out_dir, n) for n in MIXED_OUT)
-        run("mixed_segment_train",
-            ["segment-train", "--corpus", gold, "--dim", "10", "--hidden", "20",
-             "--epochs", "2", "--dev-fraction", "0.25", "--seed",
-             str(args.seed), "--out", model])
-        run("mixed_segment_decode",
-            ["segment-decode", "--model", model, "--input", raw, "--out", pred])
-        run("mixed_segment_score",
-            ["segment-score", "--pred", pred, "--gold", gold])
+        for prefix, flags in MIXED_RUNS.items():
+            model, pred = (os.path.join(out_dir, f"{prefix}_{n}")
+                           for n in ("segmenter.bin", "seg_pred.txt"))
+            run(f"{prefix}_segment_train",
+                ["segment-train", "--corpus", gold, *flags, "--dim", "10",
+                 "--hidden", "20", "--epochs", "2", "--dev-fraction", "0.25",
+                 "--seed", str(args.seed), "--out", model])
+            run(f"{prefix}_segment_decode",
+                ["segment-decode", "--model", model, "--input", raw, "--out",
+                 pred])
+            run(f"{prefix}_segment_score",
+                ["segment-score", "--pred", pred, "--gold", gold])
         corpus = os.path.join(work, "pseudo.txt")
         pseudo_corpus(corpus, args.seed)
         words, chars = (os.path.join(out_dir, n) for n in PSEUDO_OUT)
