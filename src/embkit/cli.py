@@ -11,6 +11,7 @@ import itertools
 import logging
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .errors import DataError, NumericError
 from .io_formats import (EmbeddingTable, _atomic_open, line_error,
                          load_container, load_embeddings, open_text,
                          restore_params, save_container, save_embeddings,
-                         save_embeddings_binary)
+                         save_embeddings_binary, seed_rows)
+from .optim import OPTIMIZERS
 from .seeding import substream
 
 log = logging.getLogger("embkit")
@@ -83,14 +85,6 @@ def _build_vocab(args, stream) -> corpus_mod.Vocabulary:
     return vocab
 
 
-def _save_embedding_model(model, path):
-    meta = {"kind": model.kind, "dim": model.dim, "win": model.win,
-            "hidden": model.hidden, "tokens": model.tokens,
-            "vocab_tokens": model.vocab.tokens,
-            "vocab_counts": [int(c) for c in model.vocab.counts]}
-    save_container(path, model.params(), meta)
-
-
 def _check_dev_fraction(args):
     if not 0.0 <= args.dev_fraction < 1.0:
         raise ValueError("--dev-fraction must lie in [0, 1)")
@@ -104,34 +98,43 @@ def _split_dev(items, n_dev, seed, stream):
             [x for i, x in enumerate(items) if i in dev_idx])
 
 
-def _load_model(path, what, build):
-    """Read a model container back into a model: `build(get)` makes the
-    model from the metadata values `get(key)`, or `get(key, default)` for a
-    key older containers lack, and `restore_params` copies the arrays in. A
-    key missing without a default, a value the constructors refuse or one of
-    the wrong type is a data error naming `path`."""
+def _seeded_model(build, dim, path, what):
+    """`build(dim=dim)`, or given an embedding file `path`, `build` at the
+    file's width with the file's rows copied in by `seed_rows`."""
+    if not path:
+        return build(dim=dim)
+    table = load_embeddings(path)
+    model = build(dim=table.dim)
+    log.info("initialized %d %s vectors from %s", seed_rows(model, table), what, path)
+    return model
+
+
+def _save_model(model, path):
+    """Write `model.params()` and, as metadata, `model.meta()`."""
+    save_container(path, model.params(), model.meta())
+
+
+def _load_model(marker, what, build, path):
+    """The model of a container: `build(**meta)`, its arrays copied in by
+    `restore_params`. Metadata without `marker` is not `what`; metadata the
+    constructors refuse, or of the wrong type, is a data error naming `path`."""
     arrays, meta = load_container(path)
-
-    def get(key, *default):
-        if key not in meta and not default:
-            raise DataError(f"container is not {what}")
-        return meta.get(key, *default)
-
+    if marker not in meta:
+        raise DataError(f"{path}: container is not {what}")
     try:
-        model = build(get)
-    except (ValueError, TypeError, DataError) as exc:
+        model = build(**meta)
+    except (ValueError, TypeError, AttributeError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     restore_params(model, arrays, path)
     return model
 
 
-def _load_embedding_model(path) -> emb.EmbeddingModel:
-    def build(get):
-        vocab = corpus_mod.Vocabulary(get("vocab_tokens"), get("vocab_counts"))
-        return emb.EmbeddingModel.create(get("kind"), vocab, get("dim"),
-                                         get("win"), get("hidden"),
-                                         tokens=get("tokens"))
-    return _load_model(path, "an embedding model", build)
+_load_embedding_model = partial(_load_model, "kind", "an embedding model",
+                                emb.EmbeddingModel.rebuild)
+_load_segmenter = partial(_load_model, "chars", "a segmenter model",
+                          seg.SegmenterNet)
+_load_classifier = partial(_load_model, "model", "a classifier model",
+                           tc.build_classifier)
 
 
 # --- train-emb / train-charword ------------------------------------------------
@@ -176,7 +179,7 @@ def _cmd_train_emb(args):
         _write_embeddings(args, EmbeddingTable(space.char_tokens, model.e[n:]),
                           args.chars_out)
     if args.model_out:
-        _save_embedding_model(model, args.model_out)
+        _save_model(model, args.model_out)
     log.info("wrote %s", args.out)
 
 
@@ -297,19 +300,14 @@ def _cmd_segment_train(args):
                             args.seed, "segment-split")
     tagged = [seg.tags_from_segmentation(words) for words in train]
     chars = sorted({c for t in tagged for c in t.chars})
-    net = seg.SegmenterNet(chars, args.dim, args.hidden, args.win,
-                           rng=substream(args.seed, "init"),
-                           normalize=not args.no_normalize)
-    if args.init_embeddings:
-        loaded = net.load_char_vectors(load_embeddings(args.init_embeddings))
-        log.info("initialized %d character vectors from %s",
-                 loaded, args.init_embeddings)
+    net = _seeded_model(partial(
+        seg.SegmenterNet, chars, hidden=args.hidden, win=args.win,
+        rng=substream(args.seed, "init"), normalize=not args.no_normalize),
+        args.dim, args.init_embeddings, "character")
     seg.train_segmenter(net, tagged, lr=args.lr, epochs=args.epochs,
                         seed=args.seed, optimizer=args.optimizer,
                         log_fn=log.info)
-    save_container(args.out, net.params(),
-                   {"chars": net.chars, "dim": net.dim, "hidden": net.hidden,
-                    "win": net.win, "normalize": net.normalize})
+    _save_model(net, args.out)
     if dev:
         pred = list(seg.decode_sentences(
             net, (seg.tags_from_segmentation(w).chars for w in dev)))
@@ -318,13 +316,6 @@ def _cmd_segment_train(args):
         print(f"dev_recall: {scores['recall']:.4f}")
         print(f"dev_f1: {scores['f1']:.4f}")
     log.info("wrote %s", args.out)
-
-
-def _load_segmenter(path) -> seg.SegmenterNet:
-    # a container written before the model recorded it was normalized
-    return _load_model(path, "a segmenter model", lambda get: seg.SegmenterNet(
-        get("chars"), get("dim"), get("hidden"), get("win"),
-        normalize=get("normalize", True)))
 
 
 def _cmd_segment_decode(args):
@@ -359,12 +350,6 @@ def _cmd_segment_score(args):
 
 # --- classification ---------------------------------------------------------------
 
-# --classify-train --model -> the model class and the metadata key of the
-# argument its constructors take between dim and hidden
-_CLASSIFIERS = {"rcnn": (tc.RcnnModel, "context_dim"),
-                "wincnn": (tc.WindowCnnModel, "win")}
-
-
 def _cmd_classify_train(args):
     _check_dev_fraction(args)
     train = tc.load_labeled_documents(args.train)
@@ -375,37 +360,19 @@ def _cmd_classify_train(args):
                                 args.seed, "classify-split")
     n_classes = max(d.class_id for d in train + dev) + 1
     tokens = list(dict.fromkeys(t for d in train for t in d.tokens))
-    vectors = None
-    if args.embeddings:
-        table = load_embeddings(args.embeddings)
-        vectors = np.array([table.vector(t) if t in table
-                            else np.zeros(table.dim) for t in tokens])
-        args.dim = table.dim
-    model_cls, shape_key = _CLASSIFIERS[args.model]
-    model = model_cls(tokens, n_classes, args.dim, getattr(args, shape_key),
-                      args.hidden, rng=substream(args.seed, "init"),
-                      vectors=vectors)
+    shape = "context_dim" if args.model == "rcnn" else "win"
+    model = _seeded_model(partial(
+        tc.build_classifier, args.model, tokens=tokens, n_classes=n_classes,
+        hidden=args.hidden, rng=substream(args.seed, "init"),
+        **{shape: getattr(args, shape)}), args.dim, args.embeddings, "word")
     best, records = tc.train_classifier(model, train, dev, lr=args.lr,
                                         epochs=args.epochs, seed=args.seed,
                                         truncate=args.truncate, log_fn=log.info)
     restore_params(model, best, "best-on-dev snapshot")
-    meta = {"model": args.model, "tokens": model.tokens,
-            "n_classes": n_classes, "dim": args.dim, "hidden": args.hidden,
-            shape_key: getattr(args, shape_key)}
-    save_container(args.out, model.params(), meta)
+    _save_model(model, args.out)
     if records:
         print(f"best_dev_accuracy: {max(r.dev_accuracy for r in records):.4f}")
     log.info("wrote %s", args.out)
-
-
-def _load_classifier(path):
-    def build(get):
-        if get("model") not in _CLASSIFIERS:
-            raise DataError(f"unknown classifier model {get('model')!r}")
-        model_cls, shape_key = _CLASSIFIERS[get("model")]
-        return model_cls(get("tokens"), get("n_classes"), get("dim"),
-                         get(shape_key), get("hidden"))
-    return _load_model(path, "a classifier model", build)
 
 
 def _cmd_classify_predict(args):
@@ -464,7 +431,7 @@ def _add_train_args(p):
     p.add_argument("--hidden", type=int, default=100)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--optimizer", choices=["sgd", "adagrad"], default="adagrad")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adagrad")
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
@@ -554,7 +521,7 @@ def _args_segment_train(p):
     p.add_argument("--hidden", type=int, default=100)
     p.add_argument("--win", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--optimizer", choices=["sgd", "adagrad"], default="adagrad")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adagrad")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dev-fraction", type=float, default=0.0)

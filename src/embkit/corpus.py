@@ -22,6 +22,7 @@ TOKEN_NUMBER = "NUMBER"
 TOKEN_WORD = "WORD"
 TOKEN_PADDING = "PADDING"
 PSEUDO_TOKENS = (TOKEN_NUMBER, TOKEN_WORD, TOKEN_PADDING)
+UNK_TOKEN = "\x02UNK"  # a model's row for every token outside its vocabulary
 
 # Character rows in a joint char/word table are keyed by this prefix so a
 # single-character word and the character itself stay distinct.

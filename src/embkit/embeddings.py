@@ -39,8 +39,9 @@ from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, line_to_chars,
                      subsample_keep_probability, window_matrix)
 from .errors import DataError, check_sizes, check_window
 from .io_formats import EmbeddingTable, save_embeddings
-from .optim import (EpochRecord, NoiseSampler, apply_grads, log_sigmoid,
-                    run_epochs, sigmoid, softmax_cross_entropy)
+from .optim import (EpochRecord, NoiseSampler, apply_grads, check_optimizer,
+                    check_rate, log_sigmoid, run_epochs, sigmoid,
+                    softmax_cross_entropy)
 from .seeding import substream
 
 KINDS = ("skipgram", "cbow", "order", "lbl", "nnlm", "cw")
@@ -65,8 +66,8 @@ class TrainConfig:
     def validate(self, kind: str) -> None:
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
-        if self.optimizer not in ("sgd", "adagrad"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        check_optimizer(self.optimizer)
+        check_rate(self.lr)
         if self.full_softmax and kind != "skipgram":
             raise ValueError("full softmax is only supported for skipgram")
         if self.precision not in ("float64", "float32"):
@@ -129,6 +130,18 @@ class EmbeddingModel:
 
     def params(self) -> Dict[str, np.ndarray]:
         return self._params
+
+    def meta(self) -> dict:
+        """Container metadata: the arguments of `rebuild`."""
+        return {"kind": self.kind, "dim": self.dim, "win": self.win,
+                "hidden": self.hidden, "tokens": self.tokens,
+                "vocab_tokens": self.vocab.tokens,
+                "vocab_counts": [int(c) for c in self.vocab.counts]}
+
+    @classmethod
+    def rebuild(cls, vocab_tokens, vocab_counts, **args) -> "EmbeddingModel":
+        """`create` from the metadata that `meta` writes."""
+        return cls.create(vocab=Vocabulary(vocab_tokens, vocab_counts), **args)
 
     @property
     def e(self) -> np.ndarray:

@@ -87,7 +87,7 @@ class EmbeddingTable:
         vectors = np.asarray(vectors, dtype=np.float64)
         if len(tokens) != vectors.shape[0]:
             raise DataError("token count does not match vector rows")
-        if len(tokens) == 0:
+        if vectors.size == 0:  # no rows, or rows of width 0
             raise DataError("empty embedding table")
         self.tokens = list(tokens)
         self.vectors = vectors
@@ -238,6 +238,16 @@ def restore_params(model, arrays: Dict[str, np.ndarray], source) -> None:
                             f"the model's is {params[name].shape}")
     for name, value in arrays.items():
         params[name][...] = value
+
+
+def seed_rows(model, table: EmbeddingTable) -> int:
+    """Copy `table`'s row of each of `model.tokens` it holds into the same
+    row of `model.e`, as wide as the table; the rows of the other tokens
+    keep their values. Returns the number of rows copied."""
+    rows = [i for i, t in enumerate(model.tokens) if t in table]
+    model.e[rows] = table.vectors[[table.token_to_id[model.tokens[i]]
+                                   for i in rows]]
+    return len(rows)
 
 
 def _read_container_body(fh, path):

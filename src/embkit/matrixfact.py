@@ -13,7 +13,7 @@ from .corpus import CorpusStream, Vocabulary, window_matrix
 from .errors import DataError, check_sizes, check_window
 from .evaluate import _block_rows
 from .io_formats import _atomic_open, line_error, numbered_lines
-from .optim import log_softmax, run_epochs, step_distinct_rows
+from .optim import check_rate, log_softmax, run_epochs, step_distinct_rows
 
 
 class CooccurrenceMatrix:
@@ -195,6 +195,7 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
     level moves all its rows at once. A level whose new rows are not all
     finite raises NumericError before they are written.
     """
+    check_rate(lr)
     v, d = model.P.shape
     accum = np.zeros_like(model.table)
 

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import NumericError
 
 ADAGRAD_EPS = 1e-8
+OPTIMIZERS = ("sgd", "adagrad")
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -82,9 +83,14 @@ def _aggregate_rows(ids: np.ndarray, grads: np.ndarray):
     return uids, summed.reshape(len(uids), *grads.shape[1:])
 
 
-def _check_rate(lr) -> None:
+def check_rate(lr) -> None:
     if not 0.0 < lr < math.inf:  # NaN too
         raise ValueError("learning rate must be finite and > 0")
+
+
+def check_optimizer(name: str) -> None:
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}")
 
 
 def step_rows(value: np.ndarray, ids: np.ndarray, grads: np.ndarray, lr: float,
@@ -98,7 +104,7 @@ def step_rows(value: np.ndarray, ids: np.ndarray, grads: np.ndarray, lr: float,
 def step_distinct_rows(value: np.ndarray, uids: np.ndarray, g: np.ndarray,
                        lr: float, accum: Optional[np.ndarray] = None) -> None:
     """Descent step on the distinct rows `uids`; `g` is overwritten."""
-    _check_rate(lr)
+    check_rate(lr)
     if accum is not None:
         a = accum[uids]
         a += g * g
@@ -113,7 +119,7 @@ def step_distinct_rows(value: np.ndarray, uids: np.ndarray, g: np.ndarray,
 def step_dense(value: np.ndarray, grad: np.ndarray, lr: float,
                accum: Optional[np.ndarray] = None) -> None:
     """Descent step on a whole array, through one temporary."""
-    _check_rate(lr)
+    check_rate(lr)
     if accum is not None:
         t = np.multiply(grad, grad)
         accum += t
@@ -174,7 +180,7 @@ def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
     run a thread each and step the shared parameters without locking.
     `end_epoch(record)` may set `dev_accuracy` before the record is logged."""
     if epochs < 0:
-        raise ValueError("epochs must be >= 0")
+        raise ValueError("--epochs must be >= 0")
     records = []
     for epoch in range(epochs):
         t0 = time.perf_counter()

@@ -16,11 +16,12 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-from .corpus import TOKEN_PADDING, line_to_chars, padded_blocks, window_matrix
+from .corpus import (TOKEN_PADDING, UNK_TOKEN, line_to_chars, padded_blocks,
+                     window_matrix)
 from .errors import DataError, check_sizes, check_window
-from .io_formats import EmbeddingTable, numbered_lines
-from .optim import (EpochRecord, apply_grads, log_softmax, run_epochs,
-                    softmax_cross_entropy)
+from .io_formats import numbered_lines
+from .optim import (EpochRecord, apply_grads, check_optimizer, check_rate,
+                    log_softmax, run_epochs, softmax_cross_entropy)
 from .seeding import substream
 
 TAGS = "BMES"
@@ -29,8 +30,6 @@ B, M, E, S = range(4)
 LEGAL_NEXT = {B: (M, E), M: (M, E), E: (B, S), S: (B, S)}
 LEGAL_START = (B, S)
 LEGAL_END = (E, S)
-
-UNK_CHAR = "\x02UNK"
 
 
 class TaggedSentence(NamedTuple):
@@ -120,11 +119,9 @@ class SegmenterNet:
         if not isinstance(normalize, bool):
             raise TypeError(f"normalize must be true or false, not {normalize!r}")
         rng = rng if rng is not None else np.random.default_rng(0)
-        base = list(chars)
-        for special in (TOKEN_PADDING, UNK_CHAR):
-            if special not in base:
-                base.append(special)
-        self.chars = base
+        base = list(chars) + [s for s in (TOKEN_PADDING, UNK_TOKEN)
+                              if s not in chars]
+        self.chars = self.tokens = base  # `tokens`, as every model names them
         self.char_to_id = {c: i for i, c in enumerate(base)}
         self.dim = dim
         self.hidden = hidden
@@ -142,20 +139,8 @@ class SegmenterNet:
     def padding_id(self) -> int:
         return self.char_to_id[TOKEN_PADDING]
 
-    def load_char_vectors(self, table: EmbeddingTable) -> int:
-        """Initialize rows from an embedding table; returns rows loaded."""
-        if table.dim != self.dim:
-            raise DataError(f"embedding dim {table.dim} != net dim {self.dim}")
-        loaded = 0
-        for tok, row in zip(table.tokens, table.vectors):
-            cid = self.char_to_id.get(tok)
-            if cid is not None:
-                self.e[cid] = row
-                loaded += 1
-        return loaded
-
     def encode(self, chars: Sequence[str]) -> np.ndarray:
-        unk = self.char_to_id[UNK_CHAR]
+        unk = self.char_to_id[UNK_TOKEN]
         return np.array([self.char_to_id.get(c, unk) for c in chars], dtype=np.int64)
 
     def windows(self, chars: Sequence[str]) -> np.ndarray:
@@ -164,6 +149,12 @@ class SegmenterNet:
 
     def params(self) -> dict:
         return {"e": self.e, "H": self.H, "b1": self.b1, "U": self.U, "b2": self.b2}
+
+    def meta(self) -> dict:
+        """Container metadata: the constructor's arguments. A container
+        without `normalize`, written before it was recorded, loads normalized."""
+        return {"chars": self.chars, "dim": self.dim, "hidden": self.hidden,
+                "win": self.win, "normalize": self.normalize}
 
 
 def _forward(net: SegmenterNet, windows: np.ndarray):
@@ -205,6 +196,8 @@ def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
     Character vectors are parameters and receive updates, including the
     PADDING row when it falls inside a window.
     """
+    check_rate(lr)
+    check_optimizer(optimizer)
     if not corpus:
         raise DataError("empty training corpus")
     sents = [sent.check() for sent in corpus]

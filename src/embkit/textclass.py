@@ -22,13 +22,12 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
 
 import numpy as np
 
-from .corpus import padded_blocks, window_matrix
+from .corpus import UNK_TOKEN, padded_blocks, window_matrix
 from .errors import DataError, check_sizes, check_window
 from .io_formats import line_error, numbered_lines, strip_newline
-from .optim import apply_grads, run_epochs, softmax_cross_entropy
+from .optim import apply_grads, check_rate, run_epochs, softmax_cross_entropy
 from .seeding import substream
 
-UNK_TOKEN = "\x02UNK"
 PAD_TOKEN = "\x02PAD"
 EVAL_BLOCK = 1 << 13  # padded positions per batched classifier forward
 
@@ -70,28 +69,25 @@ class _PooledClassifier:
     its (T, B, in) inputs X and whatever its backward pass needs, and
     `_input_grads(ids, cache, dX, truncate)`, the gradients of its own
     parameters from d loss / d X. Training runs a batch of one document;
-    evaluation runs blocks of at most EVAL_BLOCK padded positions.
+    evaluation runs blocks of at most EVAL_BLOCK padded positions. `meta`
+    writes a model's name `model` and its size argument named by `shape`.
     """
 
-    def __init__(self, tokens, specials, n_classes, dim, hidden, rng,
-                 vectors):
+    def __init__(self, tokens, specials, n_classes, dim, hidden, rng):
         """The token list with `specials` appended where missing, and the
-        (len(tokens), dim) table `e`, uniform in [-1, 1] unless `vectors`
-        preloads its first rows."""
-        vocab = list(tokens)
-        for special in specials:
-            if special not in vocab:
-                vocab.append(special)
-        self.tokens = vocab
-        self.token_to_id = {t: i for i, t in enumerate(vocab)}
+        (len(tokens), dim) table `e`, uniform in [-1, 1]."""
+        self.tokens = list(tokens) + [s for s in specials if s not in tokens]
+        self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
         self.dim = dim
         self.hidden = hidden
         self.n_classes = n_classes
-        self.e = rng.uniform(-1.0, 1.0, size=(len(vocab), dim))
-        if vectors is not None:
-            if vectors.shape[1] != dim:
-                raise DataError("preloaded vectors have the wrong dimension")
-            self.e[:vectors.shape[0]] = vectors
+        self.e = rng.uniform(-1.0, 1.0, size=(len(self.tokens), dim))
+
+    def meta(self) -> dict:
+        """Container metadata: the arguments of `build_classifier`."""
+        return {"model": self.model, "tokens": self.tokens,
+                "n_classes": self.n_classes, "dim": self.dim,
+                "hidden": self.hidden, self.shape: getattr(self, self.shape)}
 
     def _init_head(self, rng, in_dim):
         hidden, n_classes = self.hidden, self.n_classes
@@ -159,14 +155,14 @@ class _PooledClassifier:
 class RcnnModel(_PooledClassifier):
     """Bidirectional recurrent scans feeding a max-pooled classifier."""
 
+    model, shape = "rcnn", "context_dim"
+
     def __init__(self, tokens: Sequence[str], n_classes: int, dim: int = 50,
                  context_dim: int = 50, hidden: int = 100,
-                 rng: Optional[np.random.Generator] = None,
-                 vectors: Optional[np.ndarray] = None):
+                 rng: Optional[np.random.Generator] = None):
         check_sizes(dim=dim, context_dim=context_dim, hidden=hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
-        super().__init__(tokens, (UNK_TOKEN,), n_classes, dim, hidden, rng,
-                         vectors)
+        super().__init__(tokens, (UNK_TOKEN,), n_classes, dim, hidden, rng)
         self.context_dim = context_dim
         c, e = context_dim, dim
         self.W_l = _uniform(rng, (c, c), c)
@@ -255,15 +251,16 @@ class RcnnModel(_PooledClassifier):
 class WindowCnnModel(_PooledClassifier):
     """Fixed-window convolution baseline; same pooled head as the RCNN."""
 
+    model, shape = "wincnn", "win"
+
     def __init__(self, tokens: Sequence[str], n_classes: int, dim: int = 50,
                  win: int = 3, hidden: int = 100,
-                 rng: Optional[np.random.Generator] = None,
-                 vectors: Optional[np.ndarray] = None):
+                 rng: Optional[np.random.Generator] = None):
         check_window(win)
         check_sizes(dim=dim, hidden=hidden)
         rng = rng if rng is not None else np.random.default_rng(0)
         super().__init__(tokens, (UNK_TOKEN, PAD_TOKEN), n_classes, dim,
-                         hidden, rng, vectors)
+                         hidden, rng)
         self.win = win
         self._init_head(rng, win * dim)
 
@@ -286,6 +283,14 @@ class WindowCnnModel(_PooledClassifier):
         return {"e": (cache["windows"].ravel(), dX.reshape(-1, self.dim))}
 
 
+def build_classifier(model: str, **args) -> _PooledClassifier:
+    """The classifier `model` names, built from its constructor's arguments."""
+    classes = {cls.model: cls for cls in (RcnnModel, WindowCnnModel)}
+    if model not in classes:
+        raise DataError(f"unknown classifier model {model!r}")
+    return classes[model](**args)
+
+
 def train_classifier(model, train_docs: Sequence[LabeledDocument],
                      dev_docs: Sequence[LabeledDocument], lr: float = 0.01,
                      epochs: int = 20, seed: int = 0,
@@ -298,6 +303,7 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
     Without dev documents, or with zero epochs, it holds the final
     parameters.
     """
+    check_rate(lr)
     check_sizes(truncate=truncate)
     classes = {d.class_id for d in train_docs}
     if len(classes) < 2:

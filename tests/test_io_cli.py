@@ -479,7 +479,7 @@ def test_cli_seg_clf_nonpositive_size_is_usage_error(tmp_path, caplog,
         args = [*seg_and_clf_files["classify-train"], "--model", model]
     out = tmp_path / "model.bin"
     code = run([*args, "--epochs", "1", flag, "0", "--out", str(out)])
-    _assert_one_usage_line(caplog, code, flag[2:].replace("-", "_"), out)
+    _assert_one_usage_line(caplog, code, flag, out)
 
 
 def test_cli_segment_train_negative_epochs_is_usage_error(tmp_path, caplog,
@@ -1189,6 +1189,41 @@ def test_cli_rate_not_finite_and_positive_is_usage_error(
     assert not (tmp_path / "out.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["train-emb", "train-charword", "factorize",
+                                     "segment-train", "classify-train",
+                                     "eval-avg"])
+def test_cli_rate_is_checked_before_the_first_epoch(
+        tmp_path, tiny_corpus_file, seg_and_clf_files, cooccur_files, caplog,
+        capsys, command):
+    argv = _rate_argv(command, tmp_path, tiny_corpus_file, seg_and_clf_files,
+                      cooccur_files)
+    caplog.clear()
+    assert run([*argv, "--epochs", "0", "--lr", "-1"]) == 1
+    assert _one_error_line(caplog) == (
+        "usage error: learning rate must be finite and > 0")
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "out.bin").exists()
+
+
+@pytest.mark.parametrize("flag,value,rule", [
+    ("--batch-size", "0", ">= 1"), ("--min-count", "0", ">= 1"),
+    ("--epochs", "-1", ">= 0"), ("--phrase-len", "2", "odd and >= 1")],
+    ids=["batch-size", "min-count", "epochs", "phrase-len"])
+def test_cli_size_error_names_the_flag(tmp_path, tiny_corpus_file, model_dir,
+                                       caplog, flag, value, rule):
+    if flag == "--phrase-len":
+        argv = ["key-phrases", "--model", str(model_dir / "rcnn.bin"),
+                "--input", str(model_dir / "clf.tsv")]
+    else:
+        argv = ["train-emb", "--kind", "skipgram", "--corpus",
+                str(tiny_corpus_file), "--dim", "3", "--epochs", "1",
+                "--out", str(tmp_path / "e.vec")]
+    caplog.clear()
+    assert run([*argv, flag, value]) == 1
+    assert _one_error_line(caplog) == f"usage error: {flag} must be {rule}"
+    assert not (tmp_path / "e.vec").exists()
+
+
 def test_cli_nan_subsampling_threshold_is_usage_error(tmp_path, tiny_corpus_file,
                                                       caplog):
     out = tmp_path / "e.vec"
@@ -1321,6 +1356,57 @@ def test_cli_segment_train_init_embeddings_logs_rows_loaded(tmp_path, caplog):
                 str(chars), "--out", str(tmp_path / "seg.bin")]) == 0
     assert f"initialized 2 character vectors from {chars}" in [
         r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("model", ["segmenter", "rcnn", "wincnn"])
+def test_cli_embedding_file_seeds_the_model_at_its_width(
+        tmp_path, seg_and_clf_files, caplog, model):
+    # a token in the file gets the file's row, a token it lacks keeps the
+    # row a run with the same seed and no file gives it, and the model
+    # takes the file's width, not --dim's
+    if model == "segmenter":
+        argv, flag = seg_and_clf_files["segment-train"], "--init-embeddings"
+        key, tokens, what = "chars", ["的", "是", "X"], "character"
+    else:
+        argv = [*seg_and_clf_files["classify-train"], "--model", model]
+        flag, key, tokens, what = "--embeddings", "tokens", ["a", "d", "X"], "word"
+    path = tmp_path / "seed.vec"
+    save_embeddings(EmbeddingTable(tokens, np.arange(12).reshape(3, 4) / 8),
+                    path)
+    table = load_embeddings(path)
+    seeded, plain = tmp_path / "seeded.bin", tmp_path / "plain.bin"
+    argv = [*argv, "--hidden", "3", "--epochs", "0", "--seed", "5"]
+    caplog.set_level(logging.INFO)
+    assert run([*argv, "--dim", "2", flag, str(path), "--out", str(seeded)]) == 0
+    assert f"initialized 2 {what} vectors from {path}" in [
+        r.getMessage() for r in caplog.records]
+    assert run([*argv, "--dim", "4", "--out", str(plain)]) == 0
+    (arrays, meta), (plain_arrays, plain_meta) = map(load_container,
+                                                     (seeded, plain))
+    assert meta == plain_meta and meta["dim"] == 4
+    rows = {t: i for i, t in enumerate(meta[key])}
+    for token in ("的", "是") if model == "segmenter" else ("a", "d"):
+        assert np.array_equal(arrays["e"][rows[token]], table.vector(token))
+    lacking = [i for t, i in rows.items() if t not in table]
+    assert len(lacking) == len(rows) - 2
+    assert np.array_equal(arrays["e"][lacking], plain_arrays["e"][lacking])
+    assert all(np.array_equal(arrays[k], plain_arrays[k])
+               for k in arrays if k != "e")
+
+
+@pytest.mark.parametrize("command", ["segment-train", "classify-train"])
+def test_cli_zero_width_embedding_file_is_data_error(tmp_path, caplog,
+                                                     seg_and_clf_files, command):
+    # the model would take the file's width, 0
+    path = tmp_path / "zero.vec"
+    path.write_text("2 0\na\n的\n", encoding="utf-8")
+    flag = "--init-embeddings" if command == "segment-train" else "--embeddings"
+    out = tmp_path / "model.bin"
+    caplog.clear()
+    assert run([*seg_and_clf_files[command], "--epochs", "0", flag, str(path),
+                "--out", str(out)]) == 2
+    assert _one_error_line(caplog) == "data error: empty embedding table"
+    assert not out.exists()
 
 
 def test_cli_key_phrases_per_class_prints_class_headers(tmp_path, capsys,

@@ -366,11 +366,23 @@ def test_init_from_embedding_file(tmp_path):
     path = tmp_path / "chars.vec"
     save_embeddings(EmbeddingTable(["a", "b"], rows), path)
     net = SegmenterNet(list("abc"), dim=2, hidden=3, win=3)
-    from embkit.io_formats import load_embeddings
-    loaded = net.load_char_vectors(load_embeddings(path))
+    from embkit.io_formats import load_embeddings, seed_rows
+    loaded = seed_rows(net, load_embeddings(path))
     assert loaded == 2
     assert net.e[net.char_to_id["a"]] == pytest.approx([0.1, 0.2], abs=1e-6)
     assert net.e[net.char_to_id["b"]] == pytest.approx([0.3, 0.4], abs=1e-6)
+
+
+def test_an_unknown_optimizer_is_refused_by_every_trainer():
+    from embkit.embeddings import TrainConfig
+    net = SegmenterNet(list("ab"), dim=2, hidden=3, win=3)
+    before = {k: v.copy() for k, v in net.params().items()}
+    with pytest.raises(ValueError, match="^unknown optimizer 'adam'$"):
+        train_segmenter(net, [tags_from_segmentation(["ab"])], epochs=1,
+                        optimizer="adam")
+    assert all(np.array_equal(before[k], v) for k, v in net.params().items())
+    with pytest.raises(ValueError, match="^unknown optimizer 'adam'$"):
+        TrainConfig(optimizer="adam").validate("skipgram")
 
 
 def test_training_is_deterministic():

@@ -31,13 +31,12 @@ def test_hash_outputs_lists_every_command_and_output():
     files = {n for n in names if not n.startswith("stdout:")}
 
     extra_ids = [f"extra_{k}" for k in hash_outputs.EXTRAS]
-    tail = (["glove_initial"] + extra_ids + ["equiv_report"]
+    tail = (["glove_initial"] + extra_ids + ["equiv_report", "pseudo_charword"]
             + list(hash_outputs.OTHER_TRAINERS)
             + [f"{task}_{t}" for t in hash_outputs.ANALOGY_TABLES
                for task in ("analogy", "ws", "tfl")]
             + [f"{prefix}_segment_{step}" for prefix in hash_outputs.MIXED_RUNS
-               for step in ("train", "decode", "score")]
-            + ["pseudo_charword"])
+               for step in ("train", "decode", "score")])
     assert list(stdouts)[-len(tail):] == tail
     assert {"skipgram", "charword", "cbow", "glove", "rcnn"} <= set(stdouts)
     assert set(stdouts.values()) == {"exit=0"}
@@ -47,6 +46,7 @@ def test_hash_outputs_lists_every_command_and_output():
                      | {f"{e}.bin" for e in extra_ids}
                      | {f"extra_{k}_model.bin" for k in hash_outputs.MODEL_OUT}
                      | {"wincnn.bin", "factorize_log.bin",
-                        "factorize_conditional.bin", "segment_sgd.bin"}
+                        "factorize_conditional.bin", "segment_sgd.bin",
+                        "segment_init.bin", "classify_init.bin"}
                      | set(hash_outputs.MIXED_OUT)
                      | set(hash_outputs.PSEUDO_OUT))

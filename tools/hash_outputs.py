@@ -13,11 +13,18 @@ ingest flags `--shuffle-docs`, `--blank-line-docs`, `--min-count` and
 `--vocab` runs close the vocabulary to the cycle's `vocab.txt`, one of them
 on the main corpus. Then it runs `equiv-report` on the full-softmax model
 against the cycle's co-occurrence counts, which come from the same small
-corpus at the same minimum count, so both have one vocabulary. The other
+corpus at the same minimum count, so both have one vocabulary. Then it
+trains `train-charword --chars-out` on `PSEUDO_SENTENCES` seeded lines
+whose words embed `NUMBER` or `WORD` (`PSEUDO_OUT`), so the char-word
+spelling of a pseudo-token inside a word is hashed too. The other
 trainers' variants follow (`OTHER_TRAINERS`): `eval --task avg --l2 0.01`
 on the cycle's skipgram table and classification files, `classify-train
 --model wincnn`, `factorize --objective log` and `conditional` on the
-cycle's counts, and `segment-train --optimizer sgd`.
+cycle's counts, `segment-train --optimizer sgd`, and the two runs seeded
+from an embedding file: `segment-train --init-embeddings` on the mixed
+sentences below, from the pseudo-token run's character table, which
+shares their characters, and `classify-train --embeddings` from the
+cycle's skipgram table.
 It hashes the analogy answers over every embedding table the cycle
 writes (`ANALOGY_TABLES`). It asks the bench's
 questions, then `OWN_QUESTIONS` questions of three distinct words drawn
@@ -28,16 +35,13 @@ answer, so `eval --task analogy` prints, question by question, whether
 embkit's guess equals it. On the same tables it runs `eval --task ws` on
 `OWN_PAIRS` seeded pairs and `eval --task tfl` on `OWN_CHOICES` seeded
 questions drawn from the table's own vocabulary, some with one OOV word.
-Last it writes `MIXED_SENTENCES` seeded
-segmented lines that mix CJK words, digit runs and Latin runs, trains a
-segmenter on them, decodes their unsegmented text (`MIXED_OUT`) and
+The mixed sentences are `MIXED_SENTENCES` seeded
+segmented lines that mix CJK words, digit runs and Latin runs. Last it
+trains a segmenter on them, decodes their unsegmented text (`MIXED_OUT`) and
 scores the decode against them: the segmenter runs whose characters are
 not all CJK, once normalized and once with `segment-train --no-normalize`
-(`MIXED_RUNS`), whose decode reads the text as the model records. Then it trains `train-charword --chars-out` on
-`PSEUDO_SENTENCES` seeded lines whose words embed `NUMBER` or `WORD`
-(`PSEUDO_OUT`), so the char-word spelling of a pseudo-token inside a word
-is hashed too. Two sources produce the same bytes when their listings
-`diff` clean:
+(`MIXED_RUNS`), whose decode reads the text as the model records. Two
+sources produce the same bytes when their listings `diff` clean:
 
     python3 tools/hash_outputs.py --src src --workload pairs-bigvocab > a.txt
     python3 tools/hash_outputs.py --src /path/to/other/src \\
@@ -87,7 +91,8 @@ EXTRAS = {
 # with character rows
 MODEL_OUT = ("full_softmax", "char_context", "lbl")
 # trainers the cycle runs in one variant only, on its inputs and outputs
-# named in braces
+# named in braces, the mixed sentences ({mixed_gold}) and the pseudo-token
+# run's character table ({pseudo_chars})
 OTHER_TRAINERS = {
     "avg_l2": ["eval", "--task", "avg", "--embeddings", "{skipgram}",
                "--train", "{clf_train}", "--test", "{clf_dev}", "--l2",
@@ -108,6 +113,14 @@ OTHER_TRAINERS = {
     "segment_sgd": ["segment-train", "--corpus", "{seg_train}", "--optimizer",
                     "sgd", "--epochs", "2", "--seed", "{seed}", "--out",
                     "{out_dir}/segment_sgd.bin"],
+    "segment_init": ["segment-train", "--corpus", "{mixed_gold}",
+                     "--init-embeddings", "{pseudo_chars}", "--dim", "8",
+                     "--epochs", "2", "--seed", "{seed}", "--out",
+                     "{out_dir}/segment_init.bin"],
+    "classify_init": ["classify-train", "--train", "{clf_train}", "--dev",
+                      "{clf_dev}", "--embeddings", "{skipgram}", "--epochs",
+                      "2", "--context-dim", "20", "--hidden", "40", "--seed",
+                      "{seed}", "--out", "{out_dir}/classify_init.bin"],
 }
 # the cycle's embedding tables whose analogy answers are hashed, as
 # stdout:analogy_<table>
@@ -126,14 +139,14 @@ MIXED_RUNS = {"mixed": [], "mixed_raw": ["--no-normalize"]}
 MIXED_OUT = tuple(f"{prefix}_{name}" for prefix in MIXED_RUNS
                   for name in ("segmenter.bin", "seg_pred.txt"))
 # the char-word run on words that embed pseudo-tokens: its sentences and
-# its word and character tables
+# its word and character tables, the second as {pseudo_chars}
 PSEUDO_SENTENCES = 60
 PSEUDO_OUT = ("pseudo_words.vec", "pseudo_chars.vec")
 
 
 def extra_commands(name, files, out, out_dir, seed):
-    """The zero-epoch GloVe run, the EXTRAS variants, equiv-report, then
-    the OTHER_TRAINERS runs."""
+    """The zero-epoch GloVe run, the EXTRAS variants, equiv-report, the
+    char-word run on `files["pseudo"]`, then the OTHER_TRAINERS runs."""
     w = workloads.WORKLOADS[name]
     dim = str(w["dim"])
     # its own output, so the cycle's glove.bin is hashed as the cycle left it
@@ -153,9 +166,15 @@ def extra_commands(name, files, out, out_dir, seed):
     cmds.append(("equiv_report", [
         "equiv-report", "--cooccur", out["cooccur"], "--vocab", out["vocab"],
         "--model", os.path.join(out_dir, "extra_full_softmax_model.bin")]))
+    words, chars = (os.path.join(out_dir, n) for n in PSEUDO_OUT)
+    cmds.append(("pseudo_charword", [
+        "train-charword", "--corpus", files["pseudo"], "--dim", "8",
+        "--epochs", "2", "--seed", str(seed), "--out", words, "--chars-out",
+        chars]))
     for cmd_id, argv in OTHER_TRAINERS.items():
         cmds.append((cmd_id, [a.format(seed=seed, dim=dim, out_dir=out_dir,
-                                       **files, **out) for a in argv]))
+                                       pseudo_chars=chars, **files, **out)
+                              for a in argv]))
     return cmds
 
 
@@ -293,8 +312,13 @@ def main(argv=None):
         commands = [(cmd_id, argv) for cmd_id, argv, _ in workloads.cycle(
             args.workload, manifest["files"], manifest["sizes"], out,
             args.seed)]
-        commands += extra_commands(args.workload, manifest["files"], out,
-                                   out_dir, args.seed)
+        pseudo = os.path.join(work, "pseudo.txt")
+        pseudo_corpus(pseudo, args.seed)
+        gold, raw = (os.path.join(work, f"mixed_{n}.txt") for n in ("gold", "raw"))
+        mixed_segmentation(gold, raw, args.seed)
+        commands += extra_commands(
+            args.workload, {**manifest["files"], "pseudo": pseudo,
+                            "mixed_gold": gold}, out, out_dir, args.seed)
 
         def run(cmd_id, cmd_argv):
             buf = io.StringIO()
@@ -318,8 +342,6 @@ def main(argv=None):
             for task, path in datasets.items():
                 run(f"{task}_{name}", ["eval", "--task", task, "--embeddings",
                                        out[name], "--dataset", path])
-        gold, raw = (os.path.join(work, f"mixed_{n}.txt") for n in ("gold", "raw"))
-        mixed_segmentation(gold, raw, args.seed)
         for prefix, flags in MIXED_RUNS.items():
             model, pred = (os.path.join(out_dir, f"{prefix}_{n}")
                            for n in ("segmenter.bin", "seg_pred.txt"))
@@ -332,13 +354,6 @@ def main(argv=None):
                  pred])
             run(f"{prefix}_segment_score",
                 ["segment-score", "--pred", pred, "--gold", gold])
-        corpus = os.path.join(work, "pseudo.txt")
-        pseudo_corpus(corpus, args.seed)
-        words, chars = (os.path.join(out_dir, n) for n in PSEUDO_OUT)
-        run("pseudo_charword",
-            ["train-charword", "--corpus", corpus, "--dim", "8", "--epochs",
-             "2", "--seed", str(args.seed), "--out", words, "--chars-out",
-             chars])
         for name in sorted(os.listdir(out_dir)):
             with open(os.path.join(out_dir, name), "rb") as fh:
                 print(f"{sha256(fh.read())}  {name}")
