@@ -139,13 +139,6 @@ _load_classifier = partial(_load_model, "model", "a classifier model",
 
 # --- train-emb / train-charword ------------------------------------------------
 
-def _write_embeddings(args, table, path):
-    if args.binary:
-        save_embeddings_binary(table, path)
-    else:
-        save_embeddings(table, path)
-
-
 def _cmd_train_emb(args):
     """train-emb, and train-charword: skipgram over the joint char-word
     space, its word rows written to --out and its character rows to
@@ -171,16 +164,14 @@ def _cmd_train_emb(args):
         workers=args.workers, batch_size=args.batch_size,
         precision=args.precision, **extra)
     emb.train_epochs(model, stream, cfg, space=space,
-                     checkpoint_dir=args.checkpoint_dir, log_fn=log.info)
+                     checkpoint_dir=args.checkpoint_dir)
     n = space.n_words if charword else model.n_rows
-    _write_embeddings(args, EmbeddingTable(model.tokens[:n], model.e[:n]),
-                      args.out)
+    write = save_embeddings_binary if args.binary else save_embeddings
+    write(EmbeddingTable(model.tokens[:n], model.e[:n]), args.out)
     if charword and args.chars_out:
-        _write_embeddings(args, EmbeddingTable(space.char_tokens, model.e[n:]),
-                          args.chars_out)
+        write(EmbeddingTable(space.char_tokens, model.e[n:]), args.chars_out)
     if args.model_out:
         _save_model(model, args.model_out)
-    log.info("wrote %s", args.out)
 
 
 # --- co-occurrence and factorization -------------------------------------------
@@ -190,8 +181,8 @@ def _cmd_cooccur(args):
         args.corpus, blank_line_docs=args.blank_line_docs)
     vocab = _build_vocab(args, stream)
     matrix = mf.count_cooccurrences(stream, vocab, args.win)
+    log.info("counted %d nonzero cells", len(matrix))
     matrix.save(args.out)
-    log.info("wrote %d nonzero cells to %s", len(matrix), args.out)
 
 
 def _cmd_factorize(args):
@@ -199,14 +190,12 @@ def _cmd_factorize(args):
     matrix = mf.CooccurrenceMatrix.load(args.cooccur, vocab)
     if args.objective == "glove":
         model, objective = mf.train_glove(matrix, args.dim, args.epochs,
-                                          args.lr, seed=args.seed,
-                                          log_fn=log.info)
+                                          args.lr, seed=args.seed)
     else:
         mode = "raw_log" if args.objective == "log" else "conditional_log"
         model, objective = mf.factorize_log_counts(matrix, args.dim, mode,
                                                    args.epochs, args.lr,
-                                                   seed=args.seed,
-                                                   log_fn=log.info)
+                                                   seed=args.seed)
     arrays = {"P": model.P, "Q": model.Q}
     if model.bias1 is not None:
         arrays["bias1"] = model.bias1
@@ -215,7 +204,6 @@ def _cmd_factorize(args):
                    {"objective": args.objective, "final_objective": objective,
                     "dim": args.dim})
     print(f"final_objective: {objective:.6f}")
-    log.info("wrote %s", args.out)
 
 
 def _cmd_equiv_report(args):
@@ -305,8 +293,7 @@ def _cmd_segment_train(args):
         rng=substream(args.seed, "init"), normalize=not args.no_normalize),
         args.dim, args.init_embeddings, "character")
     seg.train_segmenter(net, tagged, lr=args.lr, epochs=args.epochs,
-                        seed=args.seed, optimizer=args.optimizer,
-                        log_fn=log.info)
+                        seed=args.seed, optimizer=args.optimizer)
     _save_model(net, args.out)
     if dev:
         pred = list(seg.decode_sentences(
@@ -315,7 +302,6 @@ def _cmd_segment_train(args):
         print(f"dev_precision: {scores['precision']:.4f}")
         print(f"dev_recall: {scores['recall']:.4f}")
         print(f"dev_f1: {scores['f1']:.4f}")
-    log.info("wrote %s", args.out)
 
 
 def _cmd_segment_decode(args):
@@ -329,7 +315,6 @@ def _cmd_segment_decode(args):
         for words in seg.decode_sentences(net, (c for c, _ in chars),
                                           (t for _, t in texts)):
             out.write("/".join(words) + "\n")
-    log.info("wrote %s", args.out)
 
 
 def _cmd_segment_score(args):
@@ -356,8 +341,9 @@ def _cmd_classify_train(args):
     if args.dev:
         dev = tc.load_labeled_documents(args.dev)
     else:
-        train, dev = _split_dev(train, max(1, int(len(train) * args.dev_fraction)),
-                                args.seed, "classify-split")
+        # a positive fraction holds out at least one document, 0 none
+        n_dev = max(1, int(len(train) * args.dev_fraction)) if args.dev_fraction else 0
+        train, dev = _split_dev(train, n_dev, args.seed, "classify-split")
     n_classes = max(d.class_id for d in train + dev) + 1
     tokens = list(dict.fromkeys(t for d in train for t in d.tokens))
     shape = "context_dim" if args.model == "rcnn" else "win"
@@ -367,12 +353,11 @@ def _cmd_classify_train(args):
         **{shape: getattr(args, shape)}), args.dim, args.embeddings, "word")
     best, records = tc.train_classifier(model, train, dev, lr=args.lr,
                                         epochs=args.epochs, seed=args.seed,
-                                        truncate=args.truncate, log_fn=log.info)
+                                        truncate=args.truncate)
     restore_params(model, best, "best-on-dev snapshot")
     _save_model(model, args.out)
-    if records:
+    if dev and records:
         print(f"best_dev_accuracy: {max(r.dev_accuracy for r in records):.4f}")
-    log.info("wrote %s", args.out)
 
 
 def _cmd_classify_predict(args):
@@ -383,7 +368,6 @@ def _cmd_classify_predict(args):
     with _atomic_open(args.out, "w", encoding="utf-8") as out:
         out.writelines(f"{p}\n" for p in predicted)
     print(f"accuracy: {hits / len(docs):.4f}")
-    log.info("wrote %s", args.out)
 
 
 def _cmd_key_phrases(args):

@@ -358,7 +358,7 @@ def _expand_charword_arrays(space: CharWordSpace, tgt, ctx, beta, char_context):
 
 def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
                  space: Optional[CharWordSpace] = None,
-                 checkpoint_dir=None, log_fn=None) -> List[EpochRecord]:
+                 checkpoint_dir=None) -> List[EpochRecord]:
     """Run full corpus passes with per-epoch records and checkpoints.
 
     Deterministic for workers=1 under a fixed seed. With workers > 1,
@@ -397,8 +397,7 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
     step = partial(apply_grads, params, rates=dict.fromkeys(params, cfg.lr),
                    accum=model.accum if cfg.optimizer == "adagrad" else None)
     records = run_epochs(cfg.epochs, epoch_shards, step,
-                         checkpoint if checkpoint_dir is not None else None,
-                         log_fn)
+                         checkpoint if checkpoint_dir is not None else None)
     if cfg.precision == "float32":
         _convert_params(model, np.float64)
     return records

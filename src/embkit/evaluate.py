@@ -328,9 +328,9 @@ def nearest_neighbors(table: EmbeddingTable, word: str, k: int) -> List[Tuple[st
     if norm == 0.0:
         raise DataError("query vector is zero")
     sims = ((query / norm)[np.newaxis] @ table.unit_vectors().T)[0]
-    sims[wid] = -np.inf
     order = np.lexsort((np.arange(len(sims)), -sims))  # cosine desc, id asc
-    return [(table.tokens[i], float(sims[i])) for i in order[:k]]
+    order = order[order != wid][:k]  # at most the other rows
+    return [(table.tokens[i], float(sims[i])) for i in order]
 
 
 def avg_document_vector(table: EmbeddingTable, tokens: Sequence[str]) -> np.ndarray:

@@ -9,6 +9,7 @@ layout, so identical runs produce identical bytes.
 
 import contextlib
 import json
+import logging
 import operator
 import os
 import struct
@@ -20,6 +21,8 @@ from .errors import DataError
 
 _MAGIC = b"EMBKIT01"
 _DTYPES = {"<f4": "<f4", "<f8": "<f8", "<i8": "<i8"}
+
+log = logging.getLogger("embkit")
 
 
 @contextlib.contextmanager
@@ -59,25 +62,27 @@ def _atomic_open(path, mode, encoding=None):
     """Open `path` for writing so that it changes only once the write has
     completed: the data goes to a temporary file beside it, which replaces
     `path` on success and is removed on failure. A path that names an
-    existing non-regular file, such as /dev/null, is written in place."""
+    existing non-regular file, such as /dev/null, is written in place.
+    Logs `wrote <path>` once the file is in place."""
     given, path = path, os.path.realpath(path)  # through a symlink, not over it
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, mode, encoding=encoding) as fh:
             yield fh
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        fh = open(tmp, mode, encoding=encoding)
-    except OSError as exc:  # named as the path the caller gave, not tmp
-        raise OSError(exc.errno, exc.strerror, os.fspath(given)) from None
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):  # the first error is the one to report
-            os.remove(tmp)
-        raise
+    else:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            fh = open(tmp, mode, encoding=encoding)
+        except OSError as exc:  # named as the path the caller gave, not tmp
+            raise OSError(exc.errno, exc.strerror, os.fspath(given)) from None
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):  # the first error is the one to report
+                os.remove(tmp)
+            raise
+    log.info("wrote %s", given)
 
 
 class EmbeddingTable:
@@ -105,12 +110,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def vector(self, token) -> np.ndarray:
-        wid = self.token_to_id.get(token)
-        if wid is None:
-            raise DataError(f"token not in embedding table: {token!r}")
-        return self.vectors[wid]
 
     def unit_vectors(self) -> np.ndarray:
         """Row-normalized copy; zero rows stay zero."""
@@ -142,6 +141,16 @@ def save_embeddings_binary(table: EmbeddingTable, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingTable:
+    """The table of an embedding file; a DataError always names `path`."""
+    tokens, vectors = _read_embeddings(path)
+    try:
+        return EmbeddingTable(tokens, vectors)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _read_embeddings(path):
+    """The tokens and vectors of an embedding file."""
     with open(path, "rb") as probe:
         if probe.read(len(_MAGIC)) == _MAGIC:
             arrays, meta = load_container(path)
@@ -149,7 +158,7 @@ def load_embeddings(path) -> EmbeddingTable:
                 raise DataError(f"{path}: container is not an embedding file")
             if not np.isfinite(arrays["vectors"]).all():
                 raise DataError(f"{path}: non-finite vector value")
-            return EmbeddingTable(meta["tokens"], arrays["vectors"])
+            return meta["tokens"], arrays["vectors"]
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -181,7 +190,7 @@ def load_embeddings(path) -> EmbeddingTable:
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
     if len(bad):
         raise line_error(path, linenos[bad[0]], "non-finite vector value")
-    return EmbeddingTable(tokens, vectors)
+    return tokens, vectors
 
 
 def save_container(path, arrays: Dict[str, np.ndarray],

@@ -141,7 +141,7 @@ def _init_factors(v: int, d: int, rng: np.random.Generator, biases: bool) -> Fac
 
 
 def train_glove(matrix: CooccurrenceMatrix, d: int, epochs: int,
-                lr: float = 0.05, seed: int = 0, log_fn=None):
+                lr: float = 0.05, seed: int = 0):
     """Minimize sum f(x_ij) (p_i.q_j + b_i + b_j - log x_ij)^2, f being
     `glove_weight`, by AdaGrad over shuffled nonzero cells. Returns
     (model, final objective)."""
@@ -152,12 +152,12 @@ def train_glove(matrix: CooccurrenceMatrix, d: int, epochs: int,
     rng = np.random.default_rng(seed)
     model = _init_factors(len(matrix.vocab), d, rng, biases=True)
     return model, _fit_cells(model, rows, cols, np.log(vals), weights, epochs,
-                             lr, rng, log_fn)
+                             lr, rng)
 
 
 def factorize_log_counts(matrix: CooccurrenceMatrix, d: int,
                          mode: str = "raw_log", epochs: int = 200,
-                         lr: float = 0.1, seed: int = 0, log_fn=None):
+                         lr: float = 0.1, seed: int = 0):
     """Unweighted squared-error factorization of log counts.
 
     raw_log fits log(x_ij); conditional_log fits log(x_ij / column_sum_j).
@@ -177,11 +177,11 @@ def factorize_log_counts(matrix: CooccurrenceMatrix, d: int,
     rng = np.random.default_rng(seed)
     model = _init_factors(len(matrix.vocab), d, rng, biases=False)
     return model, _fit_cells(model, rows, cols, targets, np.ones(len(vals)),
-                             epochs, lr, rng, log_fn)
+                             epochs, lr, rng)
 
 
 def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
-               lr: float, rng: np.random.Generator, log_fn=None) -> float:
+               lr: float, rng: np.random.Generator) -> float:
     """AdaGrad descent on sum_n w_n (fit(i_n, j_n) - t_n)^2, one cell at a
     time in a fresh shuffled order per epoch. Returns the final objective;
     each epoch's record holds its running objective, every cell's cost
@@ -210,11 +210,8 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
             yield (*_fit_run(model.table, np.concatenate((i[lo:hi], j[lo:hi])),
                              t[lo:hi], w2[lo:hi], d), hi - lo)
 
-    # overflow is caught by the finite checks on each level's cost and rows
-    with np.errstate(over="ignore", invalid="ignore"):
-        run_epochs(epochs, lambda epoch: (len(rows), [levels(epoch)]),
-                   lambda g: step_distinct_rows(model.table, *g, lr, accum),
-                   log_fn=log_fn)
+    run_epochs(epochs, lambda epoch: (len(rows), [levels(epoch)]),
+               lambda g: step_distinct_rows(model.table, *g, lr, accum))
     return _glove_objective(model, rows, cols, targets, weights)
 
 

@@ -12,6 +12,7 @@ ValueError before they write anything, and write nothing unless every new
 value is finite.
 """
 
+import logging
 import math
 import os
 import time
@@ -26,6 +27,8 @@ from .errors import NumericError
 
 ADAGRAD_EPS = 1e-8
 OPTIMIZERS = ("sgd", "adagrad")
+
+log = logging.getLogger("embkit")
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -171,30 +174,31 @@ class EpochRecord:
                 f"tokens_per_sec={self.tokens_per_sec:.0f} seconds={self.seconds:.3f}{dev}")
 
 
-def run_epochs(epochs: int, epoch_shards, step, end_epoch=None,
-               log_fn=None) -> List[EpochRecord]:
-    """Run `epochs` epochs and return their records. `epoch_shards(epoch)`
-    gives the epoch's input token count and shards: lazy iterables of
-    (loss, grads, units) batches computed from the current parameters.
-    Each loss is checked, then `step(grads)`. Several shards
-    run a thread each and step the shared parameters without locking.
-    `end_epoch(record)` may set `dev_accuracy` before the record is logged."""
+def run_epochs(epochs: int, epoch_shards, step, end_epoch=None) -> List[EpochRecord]:
+    """Run `epochs` epochs and return their records, each logged as its
+    `log_line` to the `embkit` logger. `epoch_shards(epoch)` gives the
+    epoch's input token count and shards: lazy iterables of (loss, grads,
+    units) batches computed from the current parameters. Each loss is
+    checked, then `step(grads)`. Several shards run a thread each and step
+    the shared parameters without locking. `end_epoch(record)` may set
+    `dev_accuracy` before the record is logged. Numpy does not warn of
+    overflow here; the finite checks raise NumericError instead."""
     if epochs < 0:
         raise ValueError("--epochs must be >= 0")
     records = []
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        n_tokens, shards = epoch_shards(epoch)
-        totals = map_threads(partial(_run_shard, step=step), shards, len(shards))
-        seconds = time.perf_counter() - t0
-        units = sum(n for _, n in totals)
-        records.append(EpochRecord(
-            epoch, sum(loss for loss, _ in totals) / max(units, 1), units,
-            seconds, n_tokens / max(seconds, 1e-9)))
-        if end_epoch is not None:
-            end_epoch(records[-1])
-        if log_fn is not None:
-            log_fn(records[-1].log_line())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            t0 = time.perf_counter()
+            n_tokens, shards = epoch_shards(epoch)
+            totals = map_threads(partial(_run_shard, step=step), shards, len(shards))
+            seconds = time.perf_counter() - t0
+            units = sum(n for _, n in totals)
+            records.append(EpochRecord(
+                epoch, sum(loss for loss, _ in totals) / max(units, 1), units,
+                seconds, n_tokens / max(seconds, 1e-9)))
+            if end_epoch is not None:
+                end_epoch(records[-1])
+            log.info(records[-1].log_line())
     return records
 
 

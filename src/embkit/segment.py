@@ -189,7 +189,7 @@ TRAIN_BATCH = 8  # (character, gold tag) samples per optimizer step
 
 def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
                     lr: float = 0.1, epochs: int = 20, seed: int = 0,
-                    optimizer: str = "adagrad", log_fn=None) -> List[EpochRecord]:
+                    optimizer: str = "adagrad") -> List[EpochRecord]:
     """One step per batch of TRAIN_BATCH (character, gold tag) samples,
     taken in random order; the gradient of a batch is its summed loss's.
 
@@ -214,7 +214,7 @@ def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
     params = net.params()
     step = partial(apply_grads, params, rates=dict.fromkeys(params, lr),
                    accum={} if optimizer == "adagrad" else None)
-    return run_epochs(epochs, lambda e: (len(golds), [batches(e)]), step, log_fn=log_fn)
+    return run_epochs(epochs, lambda e: (len(golds), [batches(e)]), step)
 
 
 # A block holds the tags as the 2x2 grid [[M, E], [B, S]]: the successors

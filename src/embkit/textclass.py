@@ -294,7 +294,7 @@ def build_classifier(model: str, **args) -> _PooledClassifier:
 def train_classifier(model, train_docs: Sequence[LabeledDocument],
                      dev_docs: Sequence[LabeledDocument], lr: float = 0.01,
                      epochs: int = 20, seed: int = 0,
-                     truncate: Optional[int] = None, log_fn=None):
+                     truncate: Optional[int] = None):
     """SGD over randomly ordered documents; keeps the best-on-dev checkpoint.
     `truncate` is the BPTT chunk length, None for the full sequence.
 
@@ -332,7 +332,7 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
              for name, value in params.items()}
     records = run_epochs(epochs, lambda epoch: (n_tokens, [batches(epoch)]),
                          partial(apply_grads, params, rates=rates),
-                         evaluate_dev, log_fn)
+                         evaluate_dev)
     return best[1] or deepcopy(params), records
 
 

@@ -513,6 +513,7 @@ def test_nearest_neighbors_basics():
     out = nearest_neighbors(table, "a", 2)
     assert [t for t, _ in out] == ["b", "c"]  # tie on cosine 0, id ascending
     assert [s for _, s in out] == pytest.approx([0.0, 0.0])
+    assert nearest_neighbors(table, "a", 5) == out  # never the query itself
 
 
 def test_nearest_neighbors_excludes_query_and_matches_sort_oracle():
@@ -553,7 +554,8 @@ def test_avg_document_vector_matches_weighted_mean_oracle():
     for t in doc:
         if t in table:
             counts[t] = counts.get(t, 0) + 1
-    oracle = sum(c * table.vector(t) for t, c in counts.items()) \
+    oracle = sum(c * table.vectors[table.token_to_id[t]]
+                 for t, c in counts.items()) \
         / sum(counts.values())
     assert avg_document_vector(table, doc) == pytest.approx(oracle, abs=1e-12)
 

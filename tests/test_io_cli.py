@@ -548,7 +548,7 @@ LOSS_KEY = re.compile(r"(?:mean_loss|train_loss)=(\S+)")
 
 
 @pytest.mark.parametrize("command", ["skipgram", "cbow", "charword", "segment",
-                                     "classify", "factorize"])
+                                     "classify", "factorize", "avg"])
 def test_cli_training_logs_one_line_per_epoch(tmp_path, tiny_corpus_file,
                                               seg_and_clf_files, cooccur_files,
                                               caplog, command):
@@ -564,7 +564,13 @@ def test_cli_training_logs_one_line_per_epoch(tmp_path, tiny_corpus_file,
                          "--context-dim", "2", *small],
             "factorize": ["factorize", "--cooccur", str(cooc), "--vocab",
                           str(vocab), "--dim", "2", "--epochs", "3",
-                          "--out", out]}[command]
+                          "--out", out],
+            "avg": ["eval", "--task", "avg", "--embeddings", out, "--train",
+                    seg_and_clf_files["classify-train"][-1], "--test",
+                    seg_and_clf_files["classify-train"][-1], "--epochs", "3"],
+            }[command]
+    if command == "avg":
+        save_embeddings(EmbeddingTable(list("abcdef"), np.eye(6)), out)
     caplog.set_level(logging.INFO)
     caplog.clear()
     assert run(argv) == 0
@@ -1386,7 +1392,8 @@ def test_cli_embedding_file_seeds_the_model_at_its_width(
     assert meta == plain_meta and meta["dim"] == 4
     rows = {t: i for i, t in enumerate(meta[key])}
     for token in ("的", "是") if model == "segmenter" else ("a", "d"):
-        assert np.array_equal(arrays["e"][rows[token]], table.vector(token))
+        assert np.array_equal(arrays["e"][rows[token]],
+                              table.vectors[table.token_to_id[token]])
     lacking = [i for t, i in rows.items() if t not in table]
     assert len(lacking) == len(rows) - 2
     assert np.array_equal(arrays["e"][lacking], plain_arrays["e"][lacking])
@@ -1405,8 +1412,48 @@ def test_cli_zero_width_embedding_file_is_data_error(tmp_path, caplog,
     caplog.clear()
     assert run([*seg_and_clf_files[command], "--epochs", "0", flag, str(path),
                 "--out", str(out)]) == 2
-    assert _one_error_line(caplog) == "data error: empty embedding table"
+    assert _one_error_line(caplog) == f"data error: {path}: empty embedding table"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("container", [False, True])
+def test_load_embeddings_empty_table_names_the_file(tmp_path, container):
+    # "2 0", rows of width 0, is test_cli_zero_width_embedding_file_is_data_error
+    path = tmp_path / "empty.vec"
+    if container:
+        save_container(path, {"vectors": np.zeros((0, 3), np.float32)},
+                       {"format": "embedding", "tokens": []})
+    else:
+        path.write_text("0 3\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: empty "
+                                        "embedding table$"):
+        load_embeddings(path)
+
+
+def test_cli_classify_train_dev_fraction_zero_holds_out_nothing(
+        tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    train.write_text("0\ta b\n1\tc d\n0\ta e\n1\tc f\n", encoding="utf-8")
+    out = tmp_path / "model.bin"
+    assert run(["classify-train", "--train", str(train), "--dev-fraction",
+                "0", "--dim", "2", "--context-dim", "2", "--hidden", "3",
+                "--epochs", "2", "--out", str(out)]) == 0
+    _, meta = load_container(out)
+    assert set("abcdef") <= set(meta["tokens"])  # every document trained
+    assert "best_dev_accuracy" not in capsys.readouterr().out
+
+
+def test_cli_train_emb_logs_one_wrote_line_per_file(tmp_path,
+                                                    tiny_corpus_file, caplog):
+    paths = [str(tmp_path / name) for name in ("e.vec", "vocab.tsv", "m.bin")]
+    caplog.set_level(logging.INFO)
+    assert run(["train-emb", "--kind", "skipgram", "--corpus",
+                str(tiny_corpus_file), "--dim", "2", "--epochs", "1",
+                "--out", paths[0], "--save-vocab", paths[1],
+                "--model-out", paths[2]]) == 0
+    wrote = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("wrote")]
+    assert sorted(wrote) == sorted(f"wrote {p}" for p in paths)
 
 
 def test_cli_key_phrases_per_class_prints_class_headers(tmp_path, capsys,

@@ -418,8 +418,7 @@ def _previous_occurrence(x: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _fit_cells_by_runs(model, rows, cols, targets, weights, epochs, lr, rng,
-                       log_fn=None):
+def _fit_cells_by_runs(model, rows, cols, targets, weights, epochs, lr, rng):
     """Oracle of `_fit_cells`: the same AdaGrad steps, one `_fit_run` per
     greedy conflict-free run of each epoch's shuffled order."""
     v, d = model.P.shape

@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import time
@@ -302,14 +303,21 @@ def test_sigmoid_matches_two_branch_formula_bitwise():
     assert sigmoid(x).view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
-def test_run_epochs_checks_steps_counts_and_logs():
-    stepped, lines, ends = [], [], []
+def _epoch_lines(caplog):
+    """The messages of the epoch records `run_epochs` logged."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "embkit" and r.getMessage().startswith("epoch=")]
+
+
+def test_run_epochs_checks_steps_counts_and_logs(caplog):
+    caplog.set_level(logging.INFO)
+    stepped, ends = [], []
 
     def epoch_shards(epoch):
         return 10, [iter([(1.5, "g0", 2), (1.0, "g1", 3), (0.5, "g2", 1)])]
 
-    records = run_epochs(2, epoch_shards, stepped.append, ends.append,
-                         lines.append)
+    records = run_epochs(2, epoch_shards, stepped.append, ends.append)
+    lines = _epoch_lines(caplog)
     assert stepped == ["g0", "g1", "g2"] * 2
     assert ends == records and [r.epoch for r in records] == [0, 1]
     assert all(isinstance(r, EpochRecord) for r in records)
@@ -320,13 +328,14 @@ def test_run_epochs_checks_steps_counts_and_logs():
         ["epoch=1", "mean_loss=0.500000", "units=6"]]
 
 
-def test_glove_records_carry_its_running_objective():
+def test_glove_records_carry_its_running_objective(caplog):
     # two cells that share no row: one level, whose cost is the objective
     # of the parameters it starts from
+    caplog.set_level(logging.INFO)
     vocab = Vocabulary(["a", "b", "c", "d"], [1, 1, 1, 1])
     matrix = CooccurrenceMatrix(vocab, [0, 1], [2, 3], [5.0, 30.0])
-    lines = []
-    model, final = train_glove(matrix, 3, 1, seed=4, log_fn=lines.append)
+    model, final = train_glove(matrix, 3, 1, seed=4)
+    lines = _epoch_lines(caplog)
     start, _ = train_glove(matrix, 3, 0, seed=4)
     rows, cols, vals = matrix.nonzero_arrays()
     initial = _glove_objective(start, rows, cols, np.log(vals),
@@ -338,15 +347,15 @@ def test_glove_records_carry_its_running_objective():
     assert 0.0 < final < initial
 
 
-def test_run_epochs_dev_accuracy_set_by_end_epoch_is_logged():
-    lines = []
+def test_run_epochs_dev_accuracy_set_by_end_epoch_is_logged(caplog):
+    caplog.set_level(logging.INFO)
 
     def end_epoch(record):
         record.dev_accuracy = 0.25
 
     run_epochs(1, lambda epoch: (1, [[(1.0, "g", 1)]]), lambda grads: None,
-               end_epoch, lines.append)
-    assert lines[0].endswith(" dev_accuracy=0.2500")
+               end_epoch)
+    assert _epoch_lines(caplog)[0].endswith(" dev_accuracy=0.2500")
 
 
 @pytest.mark.parametrize("shards", [1, 3])

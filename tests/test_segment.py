@@ -330,6 +330,15 @@ def test_train_segmenter_checks_each_batch_loss(monkeypatch):
         train_segmenter(net, tagged, epochs=1)
 
 
+def test_diverging_segmenter_raises_numeric_error_without_warnings():
+    # the suite turns RuntimeWarning into an error, so an overflow warning
+    # on the way to a non-finite value would fail this test
+    tagged = [tags_from_segmentation(["ab", "c", "de"])] * 4
+    net = SegmenterNet(list("abcde"), dim=2, hidden=3, win=3)
+    with pytest.raises(NumericError):
+        train_segmenter(net, tagged, lr=1e308, epochs=2)
+
+
 def make_toy_sentences(n_sentences, rng):
     """Tiny synthetic language with position-consistent character roles."""
     starters, enders, singles = "abcd", "efgh", "ij"

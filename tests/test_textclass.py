@@ -7,7 +7,7 @@ import pytest
 from conftest import dense_grads, flat_checker, gradient_check, in_noise_band
 from embkit import textclass
 from embkit.corpus import window_matrix
-from embkit.errors import DataError
+from embkit.errors import DataError, NumericError
 from embkit.io_formats import restore_params
 from embkit.optim import EpochRecord, log_softmax
 from embkit.textclass import (LabeledDocument, RcnnModel, WindowCnnModel,
@@ -456,6 +456,17 @@ def test_train_classifier_records_dev_accuracy_and_keeps_best(model_cls):
     replay, _, _ = trained(4, [0.0] * 4)
     for name, value in replay.params().items():
         assert np.array_equal(best[name], value), name
+
+
+@pytest.mark.parametrize("model_cls", [RcnnModel, WindowCnnModel])
+def test_diverging_classifier_raises_numeric_error_without_warnings(model_cls):
+    # the suite turns RuntimeWarning into an error, so an overflow warning
+    # on the way to a non-finite value would fail this test
+    train = make_keyword_docs(np.random.default_rng(19), 6)
+    tokens = sorted({t for d in train for t in d.tokens})
+    model = model_cls(tokens, 2, dim=4, hidden=6, rng=np.random.default_rng(2))
+    with pytest.raises(NumericError):
+        train_classifier(model, train, train, lr=1e308, epochs=2)
 
 
 def test_train_classifier_requires_two_classes():

@@ -33,8 +33,10 @@ def test_hash_outputs_lists_every_command_and_output():
     extra_ids = [f"extra_{k}" for k in hash_outputs.EXTRAS]
     tail = (["glove_initial"] + extra_ids + ["equiv_report", "pseudo_charword"]
             + list(hash_outputs.OTHER_TRAINERS)
-            + [f"{task}_{t}" for t in hash_outputs.ANALOGY_TABLES
-               for task in ("analogy", "ws", "tfl")]
+            + [cmd for t in hash_outputs.ANALOGY_TABLES
+               for cmd in ([f"{task}_{t}" for task in ("analogy", "ws", "tfl")]
+                           + [f"nn_{t}_{i}"
+                              for i in range(hash_outputs.NN_QUERIES)])]
             + [f"{prefix}_segment_{step}" for prefix in hash_outputs.MIXED_RUNS
                for step in ("train", "decode", "score")])
     assert list(stdouts)[-len(tail):] == tail

@@ -34,7 +34,8 @@ under its own category and expects this tool's own float64 3CosAdd
 answer, so `eval --task analogy` prints, question by question, whether
 embkit's guess equals it. On the same tables it runs `eval --task ws` on
 `OWN_PAIRS` seeded pairs and `eval --task tfl` on `OWN_CHOICES` seeded
-questions drawn from the table's own vocabulary, some with one OOV word.
+questions drawn from the table's own vocabulary, some with one OOV word,
+and `eval --task nn --k 10` on `NN_QUERIES` seeded words of the table.
 The mixed sentences are `MIXED_SENTENCES` seeded
 segmented lines that mix CJK words, digit runs and Latin runs. Last it
 trains a segmenter on them, decodes their unsegmented text (`MIXED_OUT`) and
@@ -132,6 +133,9 @@ OWN_QUESTIONS = 300
 # vocabulary, hashed as stdout:ws_<table> and stdout:tfl_<table>
 OWN_PAIRS = 300
 OWN_CHOICES = 300
+# query words drawn from each table's own vocabulary for `eval --task nn`,
+# hashed as stdout:nn_<table>_<i>
+NN_QUERIES = 3
 # the mixed-script segmentation runs: their sentences, the segment-train
 # flags of each run by its id prefix, and their output files
 MIXED_SENTENCES = 40
@@ -238,6 +242,17 @@ def similarity_and_choice(table_path, pairs_path, choices_path, seed):
                       for row in draw(OWN_CHOICES, 5))
 
 
+def nn_queries(table_path, seed):
+    """NN_QUERIES distinct words drawn with `seed` from the vocabulary of
+    the table at `table_path`."""
+    import numpy as np
+    from embkit.io_formats import load_embeddings
+
+    tokens = load_embeddings(table_path).tokens
+    rng = np.random.default_rng([seed, 2])
+    return [tokens[i] for i in rng.choice(len(tokens), NN_QUERIES, replace=False)]
+
+
 def mixed_segmentation(gold_path, raw_path, seed):
     """Write MIXED_SENTENCES segmented lines to `gold_path` and their text
     to `raw_path`. A word is CJK, a digit run, a Latin run, or a CJK word
@@ -342,6 +357,9 @@ def main(argv=None):
             for task, path in datasets.items():
                 run(f"{task}_{name}", ["eval", "--task", task, "--embeddings",
                                        out[name], "--dataset", path])
+            for i, word in enumerate(nn_queries(out[name], args.seed)):
+                run(f"nn_{name}_{i}", ["eval", "--task", "nn", "--embeddings",
+                                       out[name], "--word", word, "--k", "10"])
         for prefix, flags in MIXED_RUNS.items():
             model, pred = (os.path.join(out_dir, f"{prefix}_{n}")
                            for n in ("segmenter.bin", "seg_pred.txt"))
