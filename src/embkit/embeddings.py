@@ -29,7 +29,6 @@ functions.
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -39,9 +38,8 @@ from .corpus import (CHAR_PREFIX, CorpusStream, Vocabulary, line_to_chars,
                      subsample_keep_probability, window_matrix)
 from .errors import DataError, check_sizes, check_window
 from .io_formats import EmbeddingTable, save_embeddings
-from .optim import (EpochRecord, NoiseSampler, apply_grads, check_optimizer,
-                    check_rate, log_sigmoid, run_epochs, sigmoid,
-                    softmax_cross_entropy)
+from .optim import (EpochRecord, NoiseSampler, check_optimizer, log_sigmoid,
+                    run_epochs, sigmoid, softmax_cross_entropy)
 from .seeding import substream
 
 KINDS = ("skipgram", "cbow", "order", "lbl", "nnlm", "cw")
@@ -67,7 +65,6 @@ class TrainConfig:
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
         check_optimizer(self.optimizer)
-        check_rate(self.lr)
         if self.full_softmax and kind != "skipgram":
             raise ValueError("full softmax is only supported for skipgram")
         if self.precision not in ("float64", "float32"):
@@ -394,13 +391,14 @@ def train_epochs(model: EmbeddingModel, corpus: CorpusStream, cfg: TrainConfig,
         save_embeddings(EmbeddingTable(model.tokens, model.e), path)
 
     params = model.params()
-    step = partial(apply_grads, params, rates=dict.fromkeys(params, cfg.lr),
-                   accum=model.accum if cfg.optimizer == "adagrad" else None)
-    records = run_epochs(cfg.epochs, epoch_shards, step,
-                         checkpoint if checkpoint_dir is not None else None)
-    if cfg.precision == "float32":
-        _convert_params(model, np.float64)
-    return records
+    try:  # a refused rate or a failed run, too, leaves the model float64
+        return run_epochs(cfg.epochs, epoch_shards, params,
+                          dict.fromkeys(params, cfg.lr),
+                          model.accum if cfg.optimizer == "adagrad" else None,
+                          checkpoint if checkpoint_dir is not None else None)
+    finally:
+        if cfg.precision == "float32":
+            _convert_params(model, np.float64)
 
 
 def _convert_params(model, dtype) -> None:

@@ -14,7 +14,6 @@ rows may not score equal.
 """
 
 import math
-from functools import partial
 from itertools import chain, repeat
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -22,8 +21,8 @@ import numpy as np
 
 from .errors import DataError
 from .io_formats import EmbeddingTable, line_error, numbered_lines
-from .optim import (apply_grads, blas_idle_threads, check_rate, map_threads,
-                    run_epochs, softmax_cross_entropy)
+from .optim import (blas_idle_threads, map_threads, run_epochs,
+                    softmax_cross_entropy)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -365,7 +364,6 @@ def train_logistic_classifier(features, labels, l2: float = 0.0,
                               epochs: int = 50, lr: float = 0.1,
                               seed: int = 0) -> LogisticClassifier:
     """Plain SGD on regularized log-loss, deterministic under the seed."""
-    check_rate(lr)
     if not 0.0 <= l2 < math.inf:  # NaN too
         raise ValueError("l2 must be finite and >= 0")
     xs = np.asarray(features, dtype=np.float64)
@@ -382,7 +380,7 @@ def train_logistic_classifier(features, labels, l2: float = 0.0,
             yield (*logistic_loss_grads(W, b, xs[n], int(ys[n]), l2), 1)
 
     run_epochs(epochs, lambda epoch: (len(xs), [batches()]),
-               partial(apply_grads, {"W": W, "b": b}, rates={"W": lr, "b": lr}))
+               {"W": W, "b": b}, {"W": lr, "b": lr})
     return LogisticClassifier(W, b)
 
 

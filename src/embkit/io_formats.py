@@ -112,11 +112,18 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
     def unit_vectors(self) -> np.ndarray:
-        """Row-normalized copy; zero rows stay zero."""
+        """Row-normalized copy; zero rows stay zero. A nonzero row whose
+        norm overflows to inf or underflows to 0 is first scaled by its
+        largest absolute value."""
         if self._unit is None:
-            norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
-            safe = np.where(norms == 0.0, 1.0, norms)
-            self._unit = self.vectors / safe
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(self.vectors, axis=1)
+            self._unit = self.vectors / np.where(norms == 0.0, 1.0, norms)[:, None]
+            bad = np.isinf(norms) | ((norms == 0.0) & self.vectors.any(axis=1))
+            if bad.any():
+                rows = self.vectors[bad]
+                rows /= np.abs(rows).max(axis=1, keepdims=True)
+                self._unit[bad] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         return self._unit
 
 
@@ -158,7 +165,11 @@ def _read_embeddings(path):
                 raise DataError(f"{path}: container is not an embedding file")
             if not np.isfinite(arrays["vectors"]).all():
                 raise DataError(f"{path}: non-finite vector value")
-            return meta["tokens"], arrays["vectors"]
+            tokens = meta.get("tokens")
+            if not (isinstance(tokens, list)
+                    and all(isinstance(t, str) for t in tokens)):
+                raise DataError(f"{path}: container has no list of tokens")
+            return tokens, arrays["vectors"]
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -235,7 +246,8 @@ def restore_params(model, arrays: Dict[str, np.ndarray], source) -> None:
     """Copy `arrays`, a model container's or a snapshot's, into
     `model.params()` in place: the one way arrays go back into a model.
     They must name exactly the model's arrays, each with the model's
-    shape; otherwise a DataError names `source` and nothing is copied."""
+    shape and finite; otherwise a DataError names `source` and nothing is
+    copied."""
     params = model.params()
     missing, extra = params.keys() - arrays.keys(), arrays.keys() - params.keys()
     if missing or extra:
@@ -245,6 +257,8 @@ def restore_params(model, arrays: Dict[str, np.ndarray], source) -> None:
         if value.shape != params[name].shape:
             raise DataError(f"{source}: array {name!r} has shape {value.shape}, "
                             f"the model's is {params[name].shape}")
+        if not np.isfinite(value).all():
+            raise DataError(f"{source}: array {name!r} has a non-finite value")
     for name, value in arrays.items():
         params[name][...] = value
 

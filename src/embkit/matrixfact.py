@@ -13,7 +13,7 @@ from .corpus import CorpusStream, Vocabulary, window_matrix
 from .errors import DataError, check_sizes, check_window
 from .evaluate import _block_rows
 from .io_formats import _atomic_open, line_error, numbered_lines
-from .optim import check_rate, log_softmax, run_epochs, step_distinct_rows
+from .optim import DistinctRows, log_softmax, run_epochs
 
 
 class CooccurrenceMatrix:
@@ -195,9 +195,7 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
     level moves all its rows at once. A level whose new rows are not all
     finite raises NumericError before they are written.
     """
-    check_rate(lr)
     v, d = model.P.shape
-    accum = np.zeros_like(model.table)
 
     def levels(epoch):
         order = rng.permutation(len(rows))
@@ -211,7 +209,7 @@ def _fit_cells(model: FactorModel, rows, cols, targets, weights, epochs: int,
                              t[lo:hi], w2[lo:hi], d), hi - lo)
 
     run_epochs(epochs, lambda epoch: (len(rows), [levels(epoch)]),
-               lambda g: step_distinct_rows(model.table, *g, lr, accum))
+               {"table": model.table}, {"table": lr}, {})
     return _glove_objective(model, rows, cols, targets, weights)
 
 
@@ -232,9 +230,9 @@ def _levels(i: np.ndarray, j: np.ndarray, size: int) -> np.ndarray:
 
 def _fit_run(table, ids, targets, w2, d: int):
     """Weighted squared error of n cells with distinct rows, and its
-    gradient as `(ids, rows)`: ids[:n] are their P rows and ids[n:] their Q
-    rows in `table`, whose column d, if present, holds the biases. `w2` is
-    twice the cell weights."""
+    gradient as `{"table": DistinctRows(ids, rows)}`: ids[:n] are their P
+    rows and ids[n:] their Q rows in `table`, whose column d, if present,
+    holds the biases. `w2` is twice the cell weights."""
     n = len(targets)
     old = table[ids]
     p, q = old[:n], old[n:]
@@ -248,7 +246,7 @@ def _fit_run(table, ids, targets, w2, d: int):
     g = old.reshape(2, n, -1)[::-1] * err[:, None]
     if biased:
         g[:, :, d] = err
-    return float(0.5 * err @ res), (ids, g.reshape(2 * n, -1))
+    return float(0.5 * err @ res), {"table": DistinctRows(ids, g.reshape(2 * n, -1))}
 
 
 def _glove_objective(model, rows, cols, targets, weights) -> float:

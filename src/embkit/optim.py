@@ -1,15 +1,15 @@
 """Activations, SGD/AdaGrad steps, the epoch loop, an ordered thread map
 and noise sampling.
 
-Every trainer runs its epochs through `run_epochs`; every batch carries
-its loss, checked to be finite before the step. Every forward/backward
-returns the gradient of its loss, and every step descends it,
-theta -= lr * grad, through `step_distinct_rows` (the rows a batch
-touched) or `step_dense` (a whole array), directly or by way of
-`apply_grads` and `step_rows`; with `accum=None` either is plain SGD,
-otherwise AdaGrad. Both refuse a rate that is not finite and > 0 with a
-ValueError before they write anything, and write nothing unless every new
-value is finite.
+Every trainer runs its epochs through `run_epochs`, which takes the
+model's parameters, rates and AdaGrad accumulators, refuses a rate that is
+not finite and > 0 before the first epoch, and steps each batch whose loss
+is finite through `apply_grads`. Every forward/backward returns the
+gradient of its loss, and every step descends it, theta -= lr * grad:
+`step_rows` sums the repeated rows of an `(ids, rows)` pair for
+`step_distinct_rows`, which a `DistinctRows` pair reaches directly, and
+`step_dense` takes a whole array. With `accum=None` a step is SGD,
+otherwise AdaGrad; it writes nothing unless every new value is finite.
 """
 
 import logging
@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -136,21 +136,28 @@ def step_dense(value: np.ndarray, grad: np.ndarray, lr: float,
     value[...] = check_finite(t, "parameter update")
 
 
+class DistinctRows(NamedTuple):
+    """A row gradient whose `ids` are known to be distinct."""
+    ids: np.ndarray
+    rows: np.ndarray
+
+
 def apply_grads(params: Dict[str, np.ndarray], grads: dict,
                 rates: Dict[str, float],
                 accum: Optional[Dict[str, np.ndarray]] = None) -> None:
-    """One step per entry of `grads` at its parameter's rate: an
-    `(ids, rows)` pair through `step_rows`, an array through `step_dense`.
-    `accum=None` is SGD; otherwise AdaGrad, with each accumulator created
-    in `accum` on first use."""
+    """One step per entry of `grads` at its parameter's rate: a
+    `DistinctRows` pair through `step_distinct_rows`, another `(ids, rows)`
+    pair through `step_rows`, an array through `step_dense`. `accum=None`
+    is SGD; otherwise AdaGrad, with each accumulator created in `accum` on
+    first use."""
     for name, g in grads.items():
         value = params[name]
-        a = None
-        if accum is not None:
-            a = accum.get(name)
-            if a is None:
-                a = accum[name] = np.zeros_like(value)
-        if isinstance(g, tuple):
+        if accum is not None and name not in accum:
+            accum[name] = np.zeros_like(value)
+        a = None if accum is None else accum[name]
+        if isinstance(g, DistinctRows):
+            step_distinct_rows(value, *g, rates[name], a)
+        elif isinstance(g, tuple):
             step_rows(value, *g, rates[name], a)
         else:
             step_dense(value, g, rates[name], a)
@@ -174,17 +181,22 @@ class EpochRecord:
                 f"tokens_per_sec={self.tokens_per_sec:.0f} seconds={self.seconds:.3f}{dev}")
 
 
-def run_epochs(epochs: int, epoch_shards, step, end_epoch=None) -> List[EpochRecord]:
+def run_epochs(epochs: int, epoch_shards, params, rates, accum=None,
+               end_epoch=None) -> List[EpochRecord]:
     """Run `epochs` epochs and return their records, each logged as its
-    `log_line` to the `embkit` logger. `epoch_shards(epoch)` gives the
-    epoch's input token count and shards: lazy iterables of (loss, grads,
-    units) batches computed from the current parameters. Each loss is
-    checked, then `step(grads)`. Several shards run a thread each and step
-    the shared parameters without locking. `end_epoch(record)` may set
-    `dev_accuracy` before the record is logged. Numpy does not warn of
-    overflow here; the finite checks raise NumericError instead."""
+    `log_line` to the `embkit` logger. Every rate is checked first, even
+    for no epochs. `epoch_shards(epoch)` gives the epoch's input token
+    count and shards: lazy iterables of (loss, grads, units) batches
+    computed from the current parameters. Each loss is checked, then
+    `apply_grads(params, grads, rates, accum)`. Several shards run a thread
+    each and step the shared parameters without locking. `end_epoch(record)`
+    may set `dev_accuracy` before the record is logged. Numpy does not warn
+    of overflow here; the finite checks raise NumericError instead."""
     if epochs < 0:
         raise ValueError("--epochs must be >= 0")
+    for lr in rates.values():
+        check_rate(lr)
+    step = partial(apply_grads, params, rates=rates, accum=accum)
     records = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):

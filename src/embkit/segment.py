@@ -11,7 +11,6 @@ characters were read from.
 """
 
 import math
-from functools import partial
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,8 +19,8 @@ from .corpus import (TOKEN_PADDING, UNK_TOKEN, line_to_chars, padded_blocks,
                      window_matrix)
 from .errors import DataError, check_sizes, check_window
 from .io_formats import numbered_lines
-from .optim import (EpochRecord, apply_grads, check_optimizer, check_rate,
-                    log_softmax, run_epochs, softmax_cross_entropy)
+from .optim import (EpochRecord, check_finite, check_optimizer, log_softmax,
+                    run_epochs, softmax_cross_entropy)
 from .seeding import substream
 
 TAGS = "BMES"
@@ -196,7 +195,6 @@ def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
     Character vectors are parameters and receive updates, including the
     PADDING row when it falls inside a window.
     """
-    check_rate(lr)
     check_optimizer(optimizer)
     if not corpus:
         raise DataError("empty training corpus")
@@ -212,9 +210,8 @@ def train_segmenter(net: SegmenterNet, corpus: Sequence[TaggedSentence],
                    len(batch))
 
     params = net.params()
-    step = partial(apply_grads, params, rates=dict.fromkeys(params, lr),
-                   accum={} if optimizer == "adagrad" else None)
-    return run_epochs(epochs, lambda e: (len(golds), [batches(e)]), step)
+    return run_epochs(epochs, lambda e: (len(golds), [batches(e)]), params,
+                      dict.fromkeys(params, lr), {} if optimizer == "adagrad" else None)
 
 
 # A block holds the tags as the 2x2 grid [[M, E], [B, S]]: the successors
@@ -302,9 +299,11 @@ def _decode_block(net: SegmenterNet, block: List[Sequence[str]],
                   ) -> List[List[str]]:
     full = [(chars, text) for chars, text in zip(block, texts or block)
             if len(chars)]
-    tags = viterbi_decode_block([sentence_log_probs(net, chars)
-                                 for chars, _ in full])[0] if full else []
-    # Viterbi output is legal, so the words skip TaggedSentence.check
+    tags = viterbi_decode_block([
+        check_finite(sentence_log_probs(net, chars), "tag scores")
+        for chars, _ in full])[0] if full else []
+    # Viterbi output of finite scores is legal, so the words skip
+    # TaggedSentence.check
     words = (_words_from_tags(text, t) for (_, text), t in zip(full, tags))
     return [next(words) if len(chars) else [] for chars in block]
 

@@ -16,7 +16,6 @@ over the full sequence unless truncated.
 import math
 from collections import Counter
 from copy import deepcopy
-from functools import partial
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
@@ -25,7 +24,7 @@ import numpy as np
 from .corpus import UNK_TOKEN, padded_blocks, window_matrix
 from .errors import DataError, check_sizes, check_window
 from .io_formats import line_error, numbered_lines, strip_newline
-from .optim import apply_grads, check_rate, run_epochs, softmax_cross_entropy
+from .optim import check_finite, run_epochs, softmax_cross_entropy
 from .seeding import substream
 
 PAD_TOKEN = "\x02PAD"
@@ -136,8 +135,10 @@ class _PooledClassifier:
             yield self._forward(block)
 
     def batch_logits(self, docs: Sequence[Sequence[str]]) -> np.ndarray:
-        """(len(docs), n_classes) logits, one row per document."""
-        return np.concatenate([c["y4"] for c in self._caches(docs)])
+        """(len(docs), n_classes) logits, one row per document; they must
+        be finite."""
+        return check_finite(np.concatenate([c["y4"] for c in self._caches(docs)]),
+                            "class scores")
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         unk = self.token_to_id[UNK_TOKEN]
@@ -303,7 +304,6 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
     Without dev documents, or with zero epochs, it holds the final
     parameters.
     """
-    check_rate(lr)
     check_sizes(truncate=truncate)
     classes = {d.class_id for d in train_docs}
     if len(classes) < 2:
@@ -331,8 +331,7 @@ def train_classifier(model, train_docs: Sequence[LabeledDocument],
                          and name != "e" else 1.0)
              for name, value in params.items()}
     records = run_epochs(epochs, lambda epoch: (n_tokens, [batches(epoch)]),
-                         partial(apply_grads, params, rates=rates),
-                         evaluate_dev)
+                         params, rates, end_epoch=evaluate_dev)
     return best[1] or deepcopy(params), records
 
 

@@ -33,8 +33,8 @@ def make_model(kind, vocab, dim=3, win=5, hidden=4, seed=0, randomize=True):
 
 
 def trainer_step(model, cfg):
-    """The step `train_epochs` takes: `apply_grads` at rate cfg.lr, with
-    the model's AdaGrad accumulators or as SGD."""
+    """The step `run_epochs` takes for `train_epochs`: `apply_grads` at
+    rate cfg.lr, with the model's AdaGrad accumulators or as SGD."""
     params = model.params()
     return partial(apply_grads, params, rates=dict.fromkeys(params, cfg.lr),
                    accum=model.accum if cfg.optimizer == "adagrad" else None)
@@ -511,6 +511,16 @@ def test_char_context_gradients(char_setup):
     batch = charword_batch(model, space, r, 5, 0.5, char_context=True)
     f, theta = flat_checker(model.params(), batch)
     assert gradient_check(f, theta) < 1e-4
+
+
+@pytest.mark.parametrize("bad", [{"lr": -1.0}, {"epochs": -1}],
+                         ids=["rate", "epochs"])
+def test_refused_float32_training_leaves_the_model_float64(toy_corpus,
+                                                           toy_vocab, bad):
+    model = EmbeddingModel.create("skipgram", toy_vocab, 4, 5)
+    with pytest.raises(ValueError):
+        train_epochs(model, toy_corpus, TrainConfig(precision="float32", **bad))
+    assert {p.dtype for p in model.params().values()} == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

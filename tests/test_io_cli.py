@@ -223,6 +223,28 @@ def test_cli_eval_nearest_neighbors(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_cli_eval_nn_scores_a_huge_row_by_its_direction(tmp_path, capsys):
+    # row a's norm overflows to inf; its cosine with c is 3 / sqrt(10)
+    path = tmp_path / "e.vec"
+    path.write_text("3 2\na 1e300 1e300\nb 1 0\nc 1 2\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(path), "--task", "nn", "--word",
+                "c", "--k", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a\t0.9487", "b\t0.4472"]
+
+
+def test_unit_vectors_rescale_only_rows_whose_norm_overflows_or_underflows():
+    ordinary = np.random.default_rng(5).normal(size=(20, 3))
+    extreme = [[1e300, -1e300, 0.0], [1e-170, 0.0, -1e-170], [0.0, 0.0, 0.0]]
+    table = EmbeddingTable([f"w{i}" for i in range(23)],
+                           np.vstack([ordinary, extreme]))
+    unit = table.unit_vectors()
+    want = ordinary / np.linalg.norm(ordinary, axis=1, keepdims=True)
+    assert unit[:20].tobytes() == want.tobytes()
+    h = math.sqrt(0.5)
+    assert np.allclose(unit[20:], [[h, -h, 0.0], [h, 0.0, -h], [0.0, 0.0, 0.0]],
+                       rtol=1e-15, atol=0.0)
+
+
 def test_cli_eval_ws_with_pgr(tmp_path, capsys):
     table = EmbeddingTable(["a", "b", "c", "d"],
                            [[1, 0], [0.9, 0.1], [0, 1], [0.3, 0.9]])
@@ -834,7 +856,7 @@ _UNSCORED_KINDS = ("cw", "order", "lbl", "nnlm")
 
 @pytest.mark.parametrize("command,fault", [
     *[(command, fault) for command in _LOADERS
-      for fault in ("missing", "extra", "shape", "meta")],
+      for fault in ("missing", "extra", "shape", "meta", "non-finite")],
     ("equiv-report", "counts"),
     *[(command, "unknown-model") for command in ("classify-predict",
                                                  "key-phrases")],
@@ -855,6 +877,8 @@ def test_cli_unusable_model_container_is_data_error(tmp_path, model_dir,
             arrays["extra"] = np.zeros(3)
         elif fault == "shape":
             arrays[array] = arrays[array][..., :-1]
+        elif fault == "non-finite":
+            arrays[array].flat[-1] = np.nan
         elif fault in ("meta", "unknown-model"):
             meta.update(bad_meta)
         else:  # refused by the Vocabulary constructor
@@ -863,7 +887,34 @@ def test_cli_unusable_model_container_is_data_error(tmp_path, model_dir,
     (model_dir / "loaded.out").unlink(missing_ok=True)
     caplog.clear()
     assert run(_loading_argv(command, model_dir, model)) == 2
-    assert f"{model}: " in _one_error_line(caplog)
+    message = _one_error_line(caplog)
+    assert f"{model}: " in message
+    if fault == "non-finite":
+        assert f"array {array!r} has a non-finite value" in message
+    assert not (model_dir / "loaded.out").exists()
+
+
+# a finite container whose scores overflow: every hidden unit is tanh(1),
+# and the output weights sum them past the largest float
+_OVERFLOWING = {
+    "segment-decode": ("segmenter", {"H": 0.0, "b1": 1.0, "U": 1e308}),
+    "classify-predict": ("rcnn", {"W2": 0.0, "b2": 1.0, "W4": 1e308}),
+}
+
+
+@pytest.mark.parametrize("command", list(_OVERFLOWING))
+def test_cli_non_finite_scores_are_numeric_error(tmp_path, model_dir, caplog,
+                                                 command):
+    name, values = _OVERFLOWING[command]
+    arrays, meta = load_container(model_dir / f"{name}.bin")
+    for key, value in values.items():
+        arrays[key][...] = value
+    model = tmp_path / "model.bin"
+    save_container(model, arrays, meta)
+    (model_dir / "loaded.out").unlink(missing_ok=True)
+    caplog.clear()
+    assert run(_loading_argv(command, model_dir, model)) == 3
+    assert _one_error_line(caplog).startswith("numeric failure: non-finite")
     assert not (model_dir / "loaded.out").exists()
 
 
@@ -905,6 +956,20 @@ def test_cli_non_finite_vector_is_data_error(tmp_path, caplog, container):
     assert code == 2
     message = _one_error_line(caplog)
     assert where in message and "non-finite" in message
+
+
+@pytest.mark.parametrize("meta", [{"format": "embedding"},
+                                  {"format": "embedding", "tokens": 5}],
+                         ids=["no-tokens", "tokens-not-a-list"])
+def test_cli_embedding_container_without_token_list_is_data_error(
+        tmp_path, caplog, meta):
+    path = tmp_path / "emb.bin"
+    save_container(path, {"vectors": np.eye(2, dtype=np.float32)}, meta)
+    caplog.clear()
+    assert run(["eval", "--embeddings", str(path), "--task", "nn", "--word",
+                "a"]) == 2
+    assert _one_error_line(caplog) == (
+        f"data error: {path}: container has no list of tokens")
 
 
 @pytest.mark.parametrize("task,good,bad,message", [

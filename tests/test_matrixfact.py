@@ -431,7 +431,7 @@ def _fit_cells_by_runs(model, rows, cols, targets, weights, epochs, lr, rng):
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             ids = np.concatenate((i[lo:hi], j[lo:hi]))
             _, grads = _fit_run(model.table, ids, t[lo:hi], w2[lo:hi], d)
-            step_distinct_rows(model.table, *grads, lr, accum)
+            step_distinct_rows(model.table, *grads["table"], lr, accum)
     return matrixfact._glove_objective(model, rows, cols, targets, weights)
 
 

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from embkit import optim
 from embkit.corpus import Vocabulary
 from embkit.embeddings import EmbeddingModel, TrainConfig, train_epochs
 from embkit.errors import NumericError
 from embkit.matrixfact import (CooccurrenceMatrix, _glove_objective,
                                glove_weight, train_glove)
-from embkit.optim import (EpochRecord, NoiseSampler, apply_grads,
+from embkit.optim import (DistinctRows, EpochRecord, NoiseSampler, apply_grads,
                           blas_idle_threads, log_sigmoid, log_softmax,
                           map_threads, run_epochs, sigmoid, softmax,
                           softmax_cross_entropy, step_dense, step_rows)
@@ -186,6 +187,29 @@ def test_apply_grads_sgd_creates_no_accumulators(toy_corpus, toy_vocab):
         assert set(model.accum) == stepped
 
 
+@pytest.mark.parametrize("adagrad", [False, True], ids=["sgd", "adagrad"])
+def test_distinct_rows_step_as_step_rows_without_aggregating(adagrad,
+                                                             monkeypatch):
+    rng = np.random.default_rng(34)
+    value = rng.normal(size=(6, 3))
+    ref, accum, ref_accum = value.copy(), {}, np.zeros_like(value)
+    steps = [(np.array([4, 1, 0]), rng.normal(size=(3, 3))),
+             (np.array([2, 4]), rng.normal(size=(2, 3)))]
+    for ids, rows in steps:
+        step_rows(ref, ids, rows.copy(), 0.3, ref_accum if adagrad else None)
+
+    def no_aggregate(ids, grads):
+        raise AssertionError("distinct rows were aggregated")
+
+    monkeypatch.setattr(optim, "_aggregate_rows", no_aggregate)
+    for ids, rows in steps:
+        apply_grads({"M": value}, {"M": DistinctRows(ids, rows.copy())},
+                    {"M": 0.3}, accum if adagrad else None)
+    assert value.tobytes() == ref.tobytes()
+    if adagrad:
+        assert accum["M"].tobytes() == ref_accum.tobytes()
+
+
 @pytest.mark.parametrize("rate", [0.0, -0.3, math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("adagrad", [False, True], ids=["sgd", "adagrad"])
 def test_steps_refuse_a_rate_not_finite_and_positive(adagrad, rate):
@@ -309,16 +333,33 @@ def _epoch_lines(caplog):
             if r.name == "embkit" and r.getMessage().startswith("epoch=")]
 
 
+def _shard(x, batches, seen=None):
+    """A lazy shard over the one-array parameters {"x": x}: for each
+    `(loss, slot, units)` of `batches`, a batch whose gradient is -1 at
+    `x[slot]`, so that an SGD step at rate 1 adds 1 there. Appends `x` as it
+    stands when each batch is drawn to `seen`."""
+    for loss, slot, units in batches:
+        if seen is not None:
+            seen.append(x.tolist())
+        grad = np.zeros_like(x)
+        grad[slot] = -1.0
+        yield loss, {"x": grad}, units
+
+
 def test_run_epochs_checks_steps_counts_and_logs(caplog):
     caplog.set_level(logging.INFO)
-    stepped, ends = [], []
+    x, seen, ends = np.zeros(3), [], []
 
     def epoch_shards(epoch):
-        return 10, [iter([(1.5, "g0", 2), (1.0, "g1", 3), (0.5, "g2", 1)])]
+        return 10, [_shard(x, [(1.5, 0, 2), (1.0, 1, 3), (0.5, 2, 1)], seen)]
 
-    records = run_epochs(2, epoch_shards, stepped.append, ends.append)
+    records = run_epochs(2, epoch_shards, {"x": x}, {"x": 1.0}, None,
+                         ends.append)
     lines = _epoch_lines(caplog)
-    assert stepped == ["g0", "g1", "g2"] * 2
+    # each batch is drawn after the step of the batch before it
+    assert seen == [[0, 0, 0], [1, 0, 0], [1, 1, 0],
+                    [1, 1, 1], [2, 1, 1], [2, 2, 1]]
+    assert x.tolist() == [2, 2, 2]
     assert ends == records and [r.epoch for r in records] == [0, 1]
     assert all(isinstance(r, EpochRecord) for r in records)
     assert [(r.mean_loss, r.n_units) for r in records] == [(3.0 / 6, 6)] * 2
@@ -353,32 +394,53 @@ def test_run_epochs_dev_accuracy_set_by_end_epoch_is_logged(caplog):
     def end_epoch(record):
         record.dev_accuracy = 0.25
 
-    run_epochs(1, lambda epoch: (1, [[(1.0, "g", 1)]]), lambda grads: None,
-               end_epoch)
+    x = np.zeros(1)
+    run_epochs(1, lambda epoch: (1, [_shard(x, [(1.0, 0, 1)])]), {"x": x},
+               {"x": 1.0}, end_epoch=end_epoch)
     assert _epoch_lines(caplog)[0].endswith(" dev_accuracy=0.2500")
 
 
 @pytest.mark.parametrize("shards", [1, 3])
 def test_run_epochs_stops_at_non_finite_loss_before_stepping(shards):
-    stepped = []
+    x = np.zeros(3)
 
     def epoch_shards(epoch):
-        return 1, [iter([(1.0, k, 1), (math.inf, "bad", 1)])
+        return 1, [_shard(x, [(1.0, k, 1), (math.inf, k, 1)])
                    for k in range(shards)]
 
     with pytest.raises(NumericError):
-        run_epochs(1, epoch_shards, stepped.append)
-    assert sorted(stepped) == list(range(shards))
+        run_epochs(1, epoch_shards, {"x": x}, {"x": 1.0})
+    # each shard stepped its first batch, and none its second
+    assert x.tolist() == [1.0] * shards + [0.0] * (3 - shards)
 
 
 def test_run_epochs_sums_shards_and_rejects_negative_epochs():
-    def epoch_shards(epoch):
-        return 6, [[(1.0, "a", 1)], [(2.0, "b", 2), (3.0, "c", 1)]]
+    x = np.zeros(3)
 
-    record, = run_epochs(1, epoch_shards, lambda grads: None)
+    def epoch_shards(epoch):
+        return 6, [_shard(x, [(1.0, 0, 1)]),
+                   _shard(x, [(2.0, 1, 2), (3.0, 2, 1)])]
+
+    record, = run_epochs(1, epoch_shards, {"x": x}, {"x": 1.0})
     assert (record.mean_loss, record.n_units) == (6.0 / 4, 4)
+    assert x.tolist() == [1.0, 1.0, 1.0]
     with pytest.raises(ValueError):
-        run_epochs(-1, epoch_shards, lambda grads: None)
+        run_epochs(-1, epoch_shards, {"x": x}, {"x": 1.0})
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.3, math.nan, math.inf, -math.inf])
+def test_run_epochs_refuses_a_bad_rate_before_any_epoch(rate):
+    drawn = []
+
+    def epoch_shards(epoch):
+        drawn.append(epoch)
+        return 0, []
+
+    params = {"x": np.zeros(2), "y": np.zeros(2)}
+    for epochs in (0, 1):
+        with pytest.raises(ValueError, match="learning rate"):
+            run_epochs(epochs, epoch_shards, params, {"x": 0.1, "y": rate})
+    assert drawn == []
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -33,6 +33,7 @@ def test_hash_outputs_lists_every_command_and_output():
     extra_ids = [f"extra_{k}" for k in hash_outputs.EXTRAS]
     tail = (["glove_initial"] + extra_ids + ["equiv_report", "pseudo_charword"]
             + list(hash_outputs.OTHER_TRAINERS)
+            + list(hash_outputs.RCNN_READERS)
             + [cmd for t in hash_outputs.ANALOGY_TABLES
                for cmd in ([f"{task}_{t}" for task in ("analogy", "ws", "tfl")]
                            + [f"nn_{t}_{i}"
@@ -49,6 +50,7 @@ def test_hash_outputs_lists_every_command_and_output():
                      | {f"extra_{k}_model.bin" for k in hash_outputs.MODEL_OUT}
                      | {"wincnn.bin", "factorize_log.bin",
                         "factorize_conditional.bin", "segment_sgd.bin",
-                        "segment_init.bin", "classify_init.bin"}
+                        "segment_init.bin", "classify_init.bin",
+                        "classify_predict.txt"}
                      | set(hash_outputs.MIXED_OUT)
                      | set(hash_outputs.PSEUDO_OUT))

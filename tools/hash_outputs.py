@@ -24,7 +24,9 @@ cycle's counts, `segment-train --optimizer sgd`, and the two runs seeded
 from an embedding file: `segment-train --init-embeddings` on the mixed
 sentences below, from the pseudo-token run's character table, which
 shares their characters, and `classify-train --embeddings` from the
-cycle's skipgram table.
+cycle's skipgram table. The readers of the cycle's RCNN model follow
+(`RCNN_READERS`): `classify-predict` and `key-phrases`, with and without
+`--per-class`, on the cycle's classification dev file.
 It hashes the analogy answers over every embedding table the cycle
 writes (`ANALOGY_TABLES`). It asks the bench's
 questions, then `OWN_QUESTIONS` questions of three distinct words drawn
@@ -123,6 +125,15 @@ OTHER_TRAINERS = {
                       "2", "--context-dim", "20", "--hidden", "40", "--seed",
                       "{seed}", "--out", "{out_dir}/classify_init.bin"],
 }
+# the commands that read the cycle's RCNN model, on its dev file
+RCNN_READERS = {
+    "classify_predict": ["classify-predict", "--model", "{rcnn}", "--input",
+                         "{clf_dev}", "--out", "{out_dir}/classify_predict.txt"],
+    "key_phrases": ["key-phrases", "--model", "{rcnn}", "--input",
+                    "{clf_dev}"],
+    "key_phrases_per_class": ["key-phrases", "--model", "{rcnn}", "--input",
+                              "{clf_dev}", "--per-class"],
+}
 # the cycle's embedding tables whose analogy answers are hashed, as
 # stdout:analogy_<table>
 ANALOGY_TABLES = ("skipgram", "skipgram_f32", "charword", "cbow", "order",
@@ -150,7 +161,8 @@ PSEUDO_OUT = ("pseudo_words.vec", "pseudo_chars.vec")
 
 def extra_commands(name, files, out, out_dir, seed):
     """The zero-epoch GloVe run, the EXTRAS variants, equiv-report, the
-    char-word run on `files["pseudo"]`, then the OTHER_TRAINERS runs."""
+    char-word run on `files["pseudo"]`, then the OTHER_TRAINERS and the
+    RCNN_READERS runs."""
     w = workloads.WORKLOADS[name]
     dim = str(w["dim"])
     # its own output, so the cycle's glove.bin is hashed as the cycle left it
@@ -175,7 +187,7 @@ def extra_commands(name, files, out, out_dir, seed):
         "train-charword", "--corpus", files["pseudo"], "--dim", "8",
         "--epochs", "2", "--seed", str(seed), "--out", words, "--chars-out",
         chars]))
-    for cmd_id, argv in OTHER_TRAINERS.items():
+    for cmd_id, argv in {**OTHER_TRAINERS, **RCNN_READERS}.items():
         cmds.append((cmd_id, [a.format(seed=seed, dim=dim, out_dir=out_dir,
                                        pseudo_chars=chars, **files, **out)
                               for a in argv]))
